@@ -16,7 +16,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -364,8 +364,138 @@ def _grow(
     return node
 
 
+# Rows routed per block: trees x rows stays under this many node indices,
+# which bounds the routing temporaries at a few MB for any batch size.
+_ROUTE_BLOCK = 2**15
+
+
+class _FlatTrees(NamedTuple):
+    """All trees of an ensemble as parallel node arrays.
+
+    Node ``k`` sends a row left when ``lo[k] <= x[feature[k]] <= hi[k]``:
+    ``[-inf, threshold]`` for a numeric split and ``[code, code]`` for a
+    categorical one, so unseen levels (code -1) go right. Its right child is
+    ``children[2k]`` and its left child ``children[2k + 1]``, so the test's
+    outcome indexes the next node directly. Leaves are their own children,
+    so every row can take the same number of steps.
+    """
+
+    feature: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    children: np.ndarray
+    leaf_row: np.ndarray  # column of leaf_values for leaves, 0 elsewhere
+    leaf_values: np.ndarray  # (n_outputs, leaves)
+    roots: np.ndarray  # one node index per tree
+    depth: int  # levels below the deepest tree's root
+
+
+def _split_test(node: dict, space: FeatureSpace, codes: list[dict], where: str):
+    """Validate one split node; return (feature, lo, hi) of its left branch."""
+    if not {"feature", "left", "right"} <= node.keys() or ("threshold" in node) == ("level" in node):
+        raise DataFormatError(
+            f"{where}: a node needs 'leaf', or 'feature', 'left', 'right' "
+            "and one of 'threshold' or 'level'"
+        )
+    i = node["feature"]
+    if type(i) is not int or not 0 <= i < len(codes):
+        raise DataFormatError(f"{where}: feature index {i!r} out of range")
+    name = space.features[i].name
+    if "threshold" in node:
+        t = node["threshold"]
+        if codes[i] is not None:
+            raise DataFormatError(f"{where}: threshold split on categorical feature {name!r}")
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+            raise DataFormatError(f"{where}: threshold {t!r} is not a finite number")
+        return i, -math.inf, t
+    if codes[i] is None:
+        raise DataFormatError(f"{where}: level split on numeric feature {name!r}")
+    level = node["level"]
+    code = codes[i].get(level) if type(level) is str else None
+    if code is None:
+        raise DataFormatError(f"{where}: feature {name!r} has no level {level!r}")
+    return i, code, code
+
+
+def _leaf_matrix(leaves: list, leaf_tree: list[int]) -> np.ndarray:
+    """Leaf output lists, already of equal length, as an (n_outputs, leaves) matrix."""
+    try:
+        values = np.asarray(leaves)
+    except ValueError:  # ragged: a list nested inside some leaf
+        values = None
+    if values is None or values.ndim != 2 or values.dtype.kind not in "iuf":
+        raise DataFormatError("leaf values must be numbers")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        t = leaf_tree[int(np.argmin(finite))]
+        raise DataFormatError(f"tree {t}: leaf values must be finite numbers")
+    return np.ascontiguousarray(values.T, dtype=float)
+
+
+def _flatten(trees: Sequence[dict], space: FeatureSpace, n_outputs: int) -> _FlatTrees:
+    """Compile dict trees into one set of node arrays, validating each node."""
+    if not trees:
+        raise DataFormatError("the ensemble has no trees")
+    # Level -> split code per categorical feature; None marks a numeric one.
+    codes = [
+        None if f.is_numeric else {lev: float(k) for k, lev in enumerate(f.levels)}
+        for f in space
+    ]
+    feature, lo, hi, children, leaf_row = [], [], [], [], []
+    leaves, leaf_tree, roots = [], [], []
+    depth = 0
+    for t, tree in enumerate(trees):
+        where = f"tree {t}"
+        roots.append(len(feature))
+        # (node, level, slot in children that points at it)
+        stack = [(tree, 0, None)]
+        while stack:
+            node, level, slot = stack.pop()
+            k = len(feature)
+            if slot is not None:
+                children[slot] = k
+            if level > depth:
+                depth = level
+            if type(node) is not dict:
+                raise DataFormatError(f"{where}: a node must be a JSON object")
+            children += (k, k)
+            if "leaf" in node:
+                values = node["leaf"]
+                if type(values) not in (list, tuple) or len(values) != n_outputs:
+                    raise DataFormatError(f"{where}: a leaf needs a list of {n_outputs} outputs")
+                leaf_row.append(len(leaves))
+                leaves.append(values)
+                leaf_tree.append(t)
+                feature.append(0)
+                lo.append(-math.inf)
+                hi.append(math.inf)
+                continue
+            i, low, high = _split_test(node, space, codes, where)
+            leaf_row.append(0)
+            feature.append(i)
+            lo.append(low)
+            hi.append(high)
+            stack.append((node["right"], level + 1, 2 * k))
+            stack.append((node["left"], level + 1, 2 * k + 1))
+    return _FlatTrees(
+        np.asarray(feature, dtype=np.intp),
+        np.asarray(lo, dtype=float),
+        np.asarray(hi, dtype=float),
+        np.asarray(children, dtype=np.intp),
+        np.asarray(leaf_row, dtype=np.intp),
+        _leaf_matrix(leaves, leaf_tree),
+        np.asarray(roots, dtype=np.intp),
+        depth,
+    )
+
+
 class TreeEnsemble(Predictor):
-    """Average of bagged CART trees; outputs are class probabilities or a mean."""
+    """Average of bagged CART trees; outputs are class probabilities or a mean.
+
+    ``trees`` keeps the nested-dict form that the model JSON stores; the
+    constructor validates it and compiles it into flat node arrays, which
+    ``evaluate`` routes every row through level by level.
+    """
 
     def __init__(
         self,
@@ -375,36 +505,41 @@ class TreeEnsemble(Predictor):
         class_names: Sequence[str] = (),
         params: TreeParams = TreeParams(),
     ):
+        if task not in (CLASSIFICATION, REGRESSION):
+            raise DataFormatError(f"unknown task {task!r}")
         self.space = space
         self.trees = tuple(trees)
         self.task = task
         self.class_names = tuple(class_names)
         self.params = params
         self.n_outputs = len(self.class_names) if task == CLASSIFICATION else 1
+        if self.n_outputs < 1:
+            raise DataFormatError("a classification model needs class names")
+        self._flat = _flatten(self.trees, space, self.n_outputs)
 
     def evaluate(self, instances: Sequence[Instance]) -> np.ndarray:
-        cols = _encode_columns(self.space, instances)
-        total = np.zeros((len(instances), self.n_outputs))
-        idx = np.arange(len(instances))
-        for tree in self.trees:
-            self._route(tree, cols, idx, total)
-        return total / len(self.trees)
-
-    def _route(self, node: dict, cols, idx: np.ndarray, total: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        if "leaf" in node:
-            total[idx] += np.asarray(node["leaf"])
-            return
-        i = node["feature"]
-        v = cols[i][idx]
-        if "threshold" in node:
-            mask = v <= node["threshold"]
-        else:
-            code = self.space[i].levels.index(node["level"])
-            mask = v == code
-        self._route(node["left"], cols, idx[mask], total)
-        self._route(node["right"], cols, idx[~mask], total)
+        flat = self._flat
+        n, d = len(instances), len(self.space)
+        n_trees = len(flat.roots)
+        # Row-major (rows, features) matrix, flattened: row r's feature i is x[r * d + i].
+        x = np.column_stack(_encode_columns(self.space, instances)).astype(float).ravel()
+        total = np.zeros((n, self.n_outputs))
+        block = max(1, _ROUTE_BLOCK // n_trees)
+        for start in range(0, n, block):
+            offsets = np.arange(start, min(start + block, n)) * d
+            node = np.repeat(flat.roots[:, None], offsets.size, axis=1)  # (trees, rows)
+            for _ in range(flat.depth):
+                v = x[offsets + flat.feature[node]]
+                go_left = (flat.lo[node] <= v) & (v <= flat.hi[node])
+                node = flat.children[2 * node + go_left]
+            leaf = flat.leaf_row[node]
+            # A zero row, then one row per tree: cumsum adds them in tree order,
+            # so totals match a per-tree walk bit for bit.
+            terms = np.zeros((n_trees + 1, offsets.size))
+            for j, values in enumerate(flat.leaf_values):
+                np.take(values, leaf, out=terms[1:])
+                total[start : start + offsets.size, j] = np.cumsum(terms, axis=0)[-1]
+        return total / n_trees
 
     def predicted_class(self, instances: Sequence[Instance]) -> list[str]:
         if self.task != CLASSIFICATION:
@@ -488,7 +623,7 @@ def load_model(path, space: FeatureSpace | None = None) -> TreeEnsemble:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deep
         raise DataFormatError(f"model {path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict) or doc.get("kind") != "tree-ensemble":
         raise DataFormatError(f"model {path}: not a tree-ensemble document")
@@ -498,7 +633,18 @@ def load_model(path, space: FeatureSpace | None = None) -> TreeEnsemble:
         raise ConfigError(
             f"model {path}: no feature declarations; pass a feature-space config"
         )
-    params = TreeParams(**doc.get("params", {}))
-    return TreeEnsemble(
-        space, doc["trees"], doc["task"], doc.get("class_names", ()), params
-    )
+    try:
+        params = TreeParams(**doc.get("params", {}))
+    except (TypeError, ConfigError) as e:
+        raise DataFormatError(f"model {path}: bad params ({e})") from None
+    class_names = doc.get("class_names", [])
+    if not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names):
+        raise DataFormatError(f"model {path}: 'class_names' must be a list of strings")
+    if not isinstance(doc.get("trees"), list):
+        raise DataFormatError(f"model {path}: 'trees' must be a list of trees")
+    try:
+        return TreeEnsemble(
+            space, doc["trees"], doc.get("task"), class_names, params
+        )
+    except DataFormatError as e:
+        raise DataFormatError(f"model {path}: {e}") from None

@@ -134,6 +134,95 @@ class TestExitCodes:
         assert "explain" in capsys.readouterr().out
 
 
+def _good_model() -> dict:
+    """A one-tree model over a numeric and a categorical feature."""
+    return {
+        "kind": "tree-ensemble",
+        "task": "classification",
+        "class_names": ["no", "yes"],
+        "params": {"n_trees": 1, "max_depth": 2, "min_leaf": 1, "feature_subsample": "all"},
+        "features": [
+            {"name": "a", "type": "numeric", "min": 0.0, "max": 1.0},
+            {"name": "g", "type": "categorical", "levels": ["lo", "hi"]},
+        ],
+        "trees": [
+            {
+                "feature": 0,
+                "threshold": 0.5,
+                "left": {
+                    "feature": 1,
+                    "level": "lo",
+                    "left": {"leaf": [1.0, 0.0]},
+                    "right": {"leaf": [0.5, 0.5]},
+                },
+                "right": {"leaf": [0.0, 1.0]},
+            }
+        ],
+    }
+
+
+def _with_split(doc: dict, **split) -> None:
+    """Replace the level split under the root, which the explained row
+    (a=0.3, g="lo") reaches."""
+    doc["trees"][0]["left"] = {**split, "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.5, 0.5]}}
+
+
+MALFORMED_MODELS = {
+    "trees-missing": lambda doc: doc.pop("trees"),
+    "trees-empty": lambda doc: doc.update(trees=[]),
+    "unknown-param": lambda doc: doc["params"].update(depth=3),
+    "zero-trees-param": lambda doc: doc["params"].update(n_trees=0),
+    "class-names-string": lambda doc: doc.update(class_names="ny"),
+    "split-without-right": lambda doc: doc["trees"][0]["left"].pop("right"),
+    "neither-leaf-nor-split": lambda doc: doc["trees"][0].update(right={"value": 1.0}),
+    # on the root's right branch, which no explained row reaches
+    "feature-out-of-range": lambda doc: doc["trees"][0].update(
+        right={
+            "feature": 7, "threshold": 0.5,
+            "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.0, 1.0]},
+        }
+    ),
+    "threshold-on-categorical": lambda doc: _with_split(doc, feature=1, threshold=0.5),
+    "level-on-numeric": lambda doc: _with_split(doc, feature=0, level="lo"),
+    "undeclared-level": lambda doc: _with_split(doc, feature=1, level="mid"),
+    "short-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[1.0]),
+    "nan-threshold": lambda doc: doc["trees"][0].update(threshold=float("nan")),
+    "infinite-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[float("inf"), 0.0]),
+}
+
+
+class TestMalformedModel:
+    def explain(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return run(
+            "explain", "--model", str(path), "--instance", '[0.3, "lo"]',
+            "--output-dir", str(tmp_path), "--format", "json",
+        )
+
+    def test_good_model_explains(self, tmp_path):
+        assert self.explain(tmp_path, _good_model()) == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_exits_3_with_message(self, tmp_path, capsys, case):
+        doc = _good_model()
+        MALFORMED_MODELS[case](doc)
+        assert self.explain(tmp_path, doc) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: model ") and "Traceback" not in err
+
+    def test_too_deeply_nested_json(self, tmp_path, capsys):
+        split = '{"feature": 0, "threshold": 0.5, "right": {"leaf": [1.0, 0.0]}, "left": '
+        deep = split * 5000 + '{"leaf": [0.5, 0.5]}' + "}" * 5000
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_good_model()).replace('"trees": [', '"trees": [' + deep + ", "))
+        assert run(
+            "explain", "--model", str(path), "--instance", '[0.3, "lo"]',
+            "--output-dir", str(tmp_path),
+        ) == 3
+        assert capsys.readouterr().err.startswith("error: model ")
+
+
 class TestWhatif:
     def test_report_and_svg(self, tmp_path):
         code = run(

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ciukit as ck
+from ciukit.tabular import _ROUTE_BLOCK
 from conftest import write_classification_csv
 
 
@@ -12,6 +15,31 @@ def clean_dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "clean.csv"
     write_classification_csv(path, n=500, seed=7, margin=0.15)
     return ck.load_csv(path, target="label")
+
+
+def reference_leaf(node: dict, values) -> list:
+    """Walk one row down one stored dict tree; unseen levels match no split."""
+    if "leaf" in node:
+        return node["leaf"]
+    v = values[node["feature"]]
+    go_left = v <= node["threshold"] if "threshold" in node else v == node["level"]
+    return reference_leaf(node["left"] if go_left else node["right"], values)
+
+
+def reference_evaluate(model, rows) -> np.ndarray:
+    """Ensemble mean by a per-row, per-tree walk, summed in tree order."""
+    total = np.zeros((len(rows), model.n_outputs))
+    for tree in model.trees:
+        for r, row in enumerate(rows):
+            total[r] += reference_leaf(tree, row.values)
+    return total / len(model.trees)
+
+
+def assert_matches_reference(model, rows) -> None:
+    out, ref = model.evaluate(rows), reference_evaluate(model, rows)
+    assert out.shape == (len(rows), model.n_outputs)
+    assert np.array_equal(out, ref)
+    assert out.tobytes() == ref.tobytes()  # also tells -0.0 from 0.0
 
 
 class TestSchemaInference:
@@ -224,6 +252,143 @@ class TestTreeEnsemble:
             ck.TreeParams(feature_subsample="half")
 
 
+def has_level_split(node: dict) -> bool:
+    if "leaf" in node:
+        return False
+    return "level" in node or has_level_split(node["left"]) or has_level_split(node["right"])
+
+
+MIXED_SPACE = ck.FeatureSpace(
+    (
+        ck.FeatureSpec.numeric("a", 0.0, 1.0),
+        ck.FeatureSpec.categorical("g", ["x", "y", "z"]),
+        ck.FeatureSpec.numeric("b", -1.0, 1.0),
+        ck.FeatureSpec.categorical("h", ["u", "v"]),
+    )
+)
+GRID = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)  # shared by thresholds and row values
+
+
+class TestCompiledRouting:
+    """``evaluate`` routes through flat arrays; it must agree bit for bit with
+    a walk of the stored dict trees."""
+
+    def test_classifier_with_categorical_splits(self, clean_dataset):
+        model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=20), rng=1)
+        assert any(has_level_split(tree) for tree in model.trees)
+        assert_matches_reference(model, list(clean_dataset.rows[:200]))
+
+    def test_unseen_levels(self, clean_dataset):
+        model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=20), rng=1)
+        rows = [ck.Instance(r.values[:3] + ("unseen",)) for r in clean_dataset.rows[:50]]
+        assert_matches_reference(model, rows)
+
+    def test_single_class_constant_model(self, clean_dataset):
+        model = ck.TreeEnsemble(clean_dataset.space, [{"leaf": [1.0]}], "classification", ["yes"])
+        rows = list(clean_dataset.rows[:10])
+        assert_matches_reference(model, rows)
+        assert np.array_equal(model.evaluate(rows), np.ones((10, 1)))
+
+    def test_regression_ensemble(self, tmp_path):
+        gen = np.random.Generator(np.random.PCG64(4))
+        lines = ["a,g,y"]
+        for _ in range(200):
+            a, k = float(gen.uniform(0, 1)), int(gen.integers(0, 3))
+            lines.append(f"{a!r},{'pqr'[k]},{a * a - 0.3 * k!r}")
+        path = tmp_path / "reg.csv"
+        path.write_text("\n".join(lines) + "\n")
+        ds = ck.load_csv(path, target="y")
+        model = ck.train_ensemble(ds, ck.TreeParams(n_trees=15), rng=3)
+        assert model.task == "regression"
+        assert_matches_reference(model, list(ds.rows))
+
+    def test_hand_built_unbalanced_trees(self):
+        def leaf(v):
+            return {"leaf": [v]}
+
+        chain = leaf(0.0)
+        for k, t in enumerate((0.9, 0.7, 0.5, 0.25, 0.0)):
+            chain = {"feature": 0, "threshold": t, "left": chain, "right": leaf(k + 1.0)}
+        lopsided = {"feature": 1, "level": "y", "left": chain, "right": leaf(-2.0)}
+        stump = {"feature": 3, "level": "v", "left": leaf(3.0), "right": leaf(4.0)}
+        trees = [lopsided, leaf(0.5), stump]
+        model = ck.TreeEnsemble(MIXED_SPACE, trees, "regression")
+        rows = [
+            ck.Instance((a, g, 0.0, h))
+            for a in (0.0, 0.1, 0.25, 0.5, 0.6, 0.7, 0.9, 1.0)
+            for g in ("x", "y", "w")
+            for h in ("u", "v")
+        ]
+        assert_matches_reference(model, rows)
+
+    def test_batch_larger_than_one_block(self, clean_dataset):
+        model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=100, max_depth=3), rng=2)
+        rows = list(clean_dataset.rows[:400])
+        assert len(rows) > _ROUTE_BLOCK // len(model.trees)
+        assert_matches_reference(model, rows)
+
+    def test_single_row_batches(self, clean_dataset):
+        model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=100, max_depth=3), rng=2)
+        for row in clean_dataset.rows[:5]:
+            assert_matches_reference(model, [row])
+
+    def test_negative_zero_leaves(self):
+        # a sum started at 0.0 turns -0.0 leaves into 0.0
+        model = ck.TreeEnsemble(MIXED_SPACE, [{"leaf": [-0.0]}] * 3, "regression")
+        assert_matches_reference(model, [MIXED_SPACE.midpoint()])
+
+    def test_empty_batch(self, clean_dataset):
+        model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=5), rng=2)
+        assert model.evaluate([]).shape == (0, 2)
+        regression = ck.TreeEnsemble(MIXED_SPACE, [{"leaf": [1.0]}], "regression")
+        assert regression.evaluate([]).shape == (0, 1)
+
+
+@st.composite
+def random_tree(draw, depth: int, n_outputs: int) -> dict:
+    if depth == 0 or draw(st.booleans()):
+        value = st.floats(-10.0, 10.0, allow_nan=False)
+        return {"leaf": draw(st.lists(value, min_size=n_outputs, max_size=n_outputs))}
+    i = draw(st.integers(0, len(MIXED_SPACE) - 1))
+    feat = MIXED_SPACE[i]
+    if feat.is_numeric:
+        node = {"feature": i, "threshold": draw(st.sampled_from(GRID) | st.floats(-1.5, 1.5))}
+    else:
+        node = {"feature": i, "level": draw(st.sampled_from(feat.levels))}
+    node["left"] = draw(random_tree(depth - 1, n_outputs))
+    node["right"] = draw(random_tree(depth - 1, n_outputs))
+    return node
+
+
+@st.composite
+def random_row(draw) -> ck.Instance:
+    values = []
+    for feat in MIXED_SPACE:
+        if feat.is_numeric:
+            values.append(draw(st.sampled_from(GRID) | st.floats(-1.5, 1.5)))
+        else:
+            values.append(draw(st.sampled_from(feat.levels + ("unseen",))))
+    return ck.Instance(tuple(values))
+
+
+@st.composite
+def random_model(draw) -> ck.TreeEnsemble:
+    n_outputs = draw(st.integers(1, 3))
+    depths = st.integers(0, 6)
+    tree = depths.flatmap(lambda d: random_tree(d, n_outputs))
+    trees = draw(st.lists(tree, min_size=1, max_size=6))
+    if n_outputs == 1:
+        return ck.TreeEnsemble(MIXED_SPACE, trees, "regression")
+    classes = [f"c{k}" for k in range(n_outputs)]
+    return ck.TreeEnsemble(MIXED_SPACE, trees, "classification", classes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=random_model(), rows=st.lists(random_row(), max_size=20))
+def test_random_trees_match_reference(model, rows):
+    assert_matches_reference(model, rows)
+
+
 class TestModelPersistence:
     def test_roundtrip_bitwise(self, tmp_path, clean_dataset):
         model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=8), rng=5)
@@ -240,6 +405,14 @@ class TestModelPersistence:
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         ck.save_model(p1, model)
         ck.save_model(p2, model)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_then_save_keeps_bytes(self, tmp_path, clean_dataset):
+        model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=8), rng=5)
+        assert any(has_level_split(tree) for tree in model.trees)
+        p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
+        ck.save_model(p1, model)
+        ck.save_model(p2, ck.load_model(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_model_without_features_needs_space(self, tmp_path, clean_dataset):
