@@ -20,6 +20,8 @@ from .core import (
     Instance,
     Predictor,
     SingularSystemError,
+    evaluate_rows,
+    uniform_instances,
 )
 from .sampling import as_rng
 
@@ -27,9 +29,6 @@ METHOD_INFLUENCE = "contextual-influence"
 METHOD_SHAPLEY = "shapley-mc"
 METHOD_LIME = "lime-surrogate"
 _METHODS = (METHOD_INFLUENCE, METHOD_SHAPLEY, METHOD_LIME)
-
-# Largest batch of instances sent to a predictor in one call.
-_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -89,16 +88,6 @@ MAE = LossSpec("mae")
 CLASSIFICATION_ERROR = LossSpec("classification-error")
 
 
-def _evaluate_chunked(predictor: Predictor, instances: Sequence[Instance]) -> np.ndarray:
-    if len(instances) <= _CHUNK:
-        return predictor.evaluate(instances)
-    parts = [
-        predictor.evaluate(instances[i : i + _CHUNK])
-        for i in range(0, len(instances), _CHUNK)
-    ]
-    return np.concatenate(parts, axis=0)
-
-
 def _loss_value(loss: LossSpec, outputs: np.ndarray, targets: np.ndarray, output: int) -> float:
     if loss.kind == "mae":
         try:
@@ -140,7 +129,7 @@ def permutation_importance(
     if repeats < 1:
         raise ConfigError("repeats must be positive")
     base = as_rng(rng)
-    baseline = _loss_value(loss, _evaluate_chunked(predictor, rows), targets, output)
+    baseline = _loss_value(loss, evaluate_rows(predictor, rows), targets, output)
     deltas = np.zeros(len(space))
     for i in range(len(space)):
         gen = base.spawn(i).generator()
@@ -150,7 +139,7 @@ def permutation_importance(
             order = gen.permutation(len(rows))
             shuffled = [row.replaced(i, column[k]) for row, k in zip(rows, order)]
             total += _loss_value(
-                loss, _evaluate_chunked(predictor, shuffled), targets, output
+                loss, evaluate_rows(predictor, shuffled), targets, output
             )
         deltas[i] = total / repeats - baseline
     return deltas
@@ -193,7 +182,7 @@ def shapley_mc(
             walk.append(current)
         walks.extend(walk)
         orders.append(order)
-    ys = _evaluate_chunked(predictor, walks)[:, output].reshape(budget, n + 1)
+    ys = evaluate_rows(predictor, walks)[:, output].reshape(budget, n + 1)
     jumps = np.diff(ys, axis=1)
     samples = np.empty((budget, n))
     for t, order in enumerate(orders):
@@ -203,7 +192,7 @@ def shapley_mc(
         se = samples.std(axis=0, ddof=1) / math.sqrt(budget)
     else:
         se = np.zeros(n)
-    intercept = float(np.mean(_evaluate_chunked(predictor, list(background))[:, output]))
+    intercept = float(np.mean(evaluate_rows(predictor, list(background))[:, output]))
     return AttributionVector(
         feature_names=space.names,
         phi=tuple(float(v) for v in phi),
@@ -242,7 +231,7 @@ def shapley_enumerate(
                 if mask >> i & 1:
                     vals[i] = x.values[i]
             mixed.append(Instance(tuple(vals)))
-        values[mask] = float(np.mean(_evaluate_chunked(predictor, mixed)[:, output]))
+        values[mask] = float(np.mean(evaluate_rows(predictor, mixed)[:, output]))
     fact = [math.factorial(k) for k in range(n + 1)]
     phi = np.zeros(n)
     for i in range(n):
@@ -309,20 +298,11 @@ def lime_surrogate(
     if ridge < 0:
         raise ConfigError("ridge penalty must be non-negative")
     base = as_rng(rng)
-    gen = base.generator()
-    rows = []
-    for _ in range(n_samples):
-        vals = []
-        for feat in space:
-            if feat.is_numeric:
-                vals.append(float(gen.uniform(feat.min, feat.max)))
-            else:
-                vals.append(feat.levels[int(gen.integers(0, len(feat.levels)))])
-        rows.append(Instance(tuple(vals)))
+    rows = uniform_instances(space, n_samples, base)
     z, xn = _normalized_columns(space, rows, x)
     d2 = np.sum((z - xn) ** 2, axis=1)
     weights = np.exp(-d2 / kernel_width**2)
-    ys = _evaluate_chunked(predictor, rows)[:, output]
+    ys = evaluate_rows(predictor, rows)[:, output]
     design = np.column_stack([np.ones(n_samples), z])
     wd = design * weights[:, None]
     gram = design.T @ wd

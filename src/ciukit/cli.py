@@ -72,7 +72,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--timings",
         action="store_true",
-        help="include wall-clock fields in JSON reports (breaks byte-stability)",
+        help="include wall-clock fields in JSON reports and the stability text "
+        "(breaks byte-stability)",
     )
 
 
@@ -448,6 +449,9 @@ def cmd_stability(args) -> None:
             render_spread_plot(rep).save(out / f"stability_{tag}.svg")
         if "text" in formats:
             print(summarize(rep))
+            if args.timings:
+                total = sum(rep.elapsed)
+                print(f"elapsed: total {total:.3f}s, per run {total / rep.n_runs:.4f}s")
             print()
 
 

@@ -23,6 +23,8 @@ CATEGORICAL = "categorical"
 _SWEEP_GRID = 1025
 _SWEEP_PASSES = 4
 _CORNER_CAP_BITS = 12
+# Largest batch of instances sent to a predictor in one call.
+_CHUNK = 65536
 
 
 class ExplainerError(Exception):
@@ -182,8 +184,8 @@ class Predictor:
     """Black-box model contract: batch of instances in, output matrix out.
 
     ``evaluate`` must be deterministic for a fixed instance batch and must
-    not mutate anything. The toolkit only ever calls this method, so any
-    model that honors it can be explained.
+    not mutate anything. The toolkit only ever calls this method, through
+    ``evaluate_rows``, so any model that honors it can be explained.
     """
 
     n_outputs: int = 1
@@ -204,14 +206,14 @@ class FunctionPredictor(Predictor):
         self.n_outputs = int(n_outputs)
 
     def evaluate(self, instances: Sequence[Instance]) -> np.ndarray:
+        if not len(instances):
+            return np.empty((0, self.n_outputs))
         try:
             x = np.asarray([inst.values for inst in instances], dtype=float)
         except (TypeError, ValueError):
             raise ConfigError(
                 "numeric-function predictor received non-numeric values"
             ) from None
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
         out = np.asarray(self.fn(x), dtype=float)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
@@ -221,6 +223,33 @@ class FunctionPredictor(Predictor):
                 f"expected {(len(instances), self.n_outputs)}"
             )
         return out
+
+
+def evaluate_rows(predictor: Predictor, rows: Sequence[Instance]) -> np.ndarray:
+    """The one way the toolkit calls a predictor: shape (len(rows), n_outputs).
+
+    Batches above 65536 rows go to the predictor in chunks of that size; an
+    empty batch returns shape (0, n_outputs) without a call. A result of the
+    wrong shape, or one holding NaN or infinity, raises DataFormatError.
+    """
+    parts = []
+    for start in range(0, len(rows), _CHUNK):
+        batch = rows if len(rows) <= _CHUNK else rows[start : start + _CHUNK]
+        try:
+            out = np.asarray(predictor.evaluate(batch), dtype=float)
+        except (TypeError, ValueError):
+            raise DataFormatError("predictor returned a non-numeric result") from None
+        if out.shape != (len(batch), predictor.n_outputs):
+            raise DataFormatError(
+                f"predictor returned shape {out.shape}, "
+                f"expected {(len(batch), predictor.n_outputs)}"
+            )
+        if not np.isfinite(out).all():
+            raise DataFormatError("predictor returned a non-finite output (NaN or infinity)")
+        parts.append(out)
+    if not parts:
+        return np.empty((0, predictor.n_outputs))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 _LINEAR_WEIGHTS = np.array([0.4, 0.3, 0.2, 0.1])
@@ -363,14 +392,32 @@ class RangeEstimate:
     estimated: bool
 
 
-def _random_instances(space: FeatureSpace, count: int, gen: np.random.Generator) -> list[Instance]:
-    cols = []
-    for feat in space:
-        if feat.is_numeric:
-            cols.append(gen.uniform(feat.min, feat.max, size=count))
-        else:
-            cols.append([feat.levels[k] for k in gen.integers(0, len(feat.levels), size=count)])
-    return [Instance(tuple(col[i] for col in cols)) for i in range(count)]
+def uniform_instances(space: FeatureSpace, count: int, rng=None) -> list[Instance]:
+    """Uniform draws over the feature space (uniform level choice for
+    categorical features).
+
+    One draw fills the numeric columns row by row, then one draw fills the
+    categorical columns, so an all-numeric space gives the same stream as
+    drawing each value in turn.
+    """
+    from .sampling import as_rng  # local import to avoid a cycle
+
+    if count < 1:
+        raise ConfigError("instance count must be positive")
+    gen = as_rng(rng).generator()
+    numeric = [f for f in space if f.is_numeric]
+    categorical = [f for f in space if not f.is_numeric]
+    draws = gen.uniform(
+        [f.min for f in numeric], [f.max for f in numeric], size=(count, len(numeric))
+    )
+    codes = gen.integers(0, [len(f.levels) for f in categorical], size=(count, len(categorical)))
+    # Columns of Python floats and level labels, put back in feature order.
+    numeric_columns = iter(draws.T.tolist())
+    level_columns = iter(
+        [f.levels[k] for k in col] for f, col in zip(categorical, codes.T.tolist())
+    )
+    columns = [next(numeric_columns if f.is_numeric else level_columns) for f in space]
+    return [Instance(values) for values in zip(*columns)]
 
 
 def _corner_instances(space: FeatureSpace) -> list[Instance]:
@@ -405,7 +452,7 @@ def _sweep(
     """
     sign = 1.0 if want_max else -1.0
     current = start
-    best = sign * float(predictor.evaluate([current])[0, output])
+    best = sign * float(evaluate_rows(predictor, [current])[0, output])
     for _ in range(_SWEEP_PASSES):
         improved = False
         for i, feat in enumerate(space):
@@ -414,7 +461,7 @@ def _sweep(
                 candidates = [current.replaced(i, float(v)) for v in grid]
             else:
                 candidates = [current.replaced(i, lev) for lev in feat.levels]
-            ys = sign * predictor.evaluate(candidates)[:, output]
+            ys = sign * evaluate_rows(predictor, candidates)[:, output]
             k = int(np.argmax(ys))
             if ys[k] > best:
                 best = float(ys[k])
@@ -439,13 +486,10 @@ def estimate_output_range(
     result is an inner approximation: every reported value was actually
     produced by the predictor.
     """
-    from .sampling import as_rng  # local import to avoid a cycle
-
     if budget <= 0:
         raise ConfigError("range estimation needs a positive sampling budget")
-    gen = as_rng(rng).generator()
-    points = _random_instances(space, budget, gen) + _corner_instances(space)
-    ys = predictor.evaluate(points)[:, output]
+    points = uniform_instances(space, budget, rng) + _corner_instances(space)
+    ys = evaluate_rows(predictor, points)[:, output]
     lo_start = points[int(np.argmin(ys))]
     hi_start = points[int(np.argmax(ys))]
     lo = _sweep(predictor, space, lo_start, output, want_max=False)

@@ -27,8 +27,9 @@ from .core import (
     Instance,
     OutputUtility,
     Predictor,
+    evaluate_rows,
 )
-from .sampling import SampleSet, as_rng, build_sample_set, ceteris_paribus_grid
+from .sampling import as_rng, build_sample_set, ceteris_paribus_grid
 
 # Relative slack before an interval endpoint counts as leaving the declared
 # output range. Protects against pure rounding noise at the boundaries;
@@ -136,9 +137,9 @@ def estimate_minmax(
     per-feature monotone predictors even with n = 0 because the endpoints
     are always in the sample.
     """
-    sample = build_sample_set(space, x, feature, n, rng)
-    ys = predictor.evaluate(sample.instances)[:, output]
-    return float(ys.min()), float(ys.max()), float(ys[sample.source_position])
+    instances, source = build_sample_set(space, x, feature, n, rng)
+    ys = evaluate_rows(predictor, instances)[:, output]
+    return float(ys.min()), float(ys.max()), float(ys[source])
 
 
 def contextual_importance(ymin: float, ymax: float, utility: OutputUtility, output: int = 0) -> float:
@@ -283,8 +284,8 @@ def ceteris_paribus_curve(
 ) -> CpCurve:
     """Trace the output over an evenly spaced sweep of one numeric feature."""
     grid = ceteris_paribus_grid(space, x, feature, grid_size)
-    ys = predictor.evaluate(grid)[:, output]
-    y_value = float(predictor.evaluate([x])[0, output])
+    ys = evaluate_rows(predictor, grid)[:, output]
+    y_value = float(evaluate_rows(predictor, [x])[0, output])
     ymin = min(float(ys.min()), y_value)
     ymax = max(float(ys.max()), y_value)
     return CpCurve(

@@ -16,6 +16,8 @@ from .core import (
     Instance,
     OutputUtility,
     Predictor,
+    evaluate_rows,
+    uniform_instances,
 )
 from .baselines import (
     CLASSIFICATION_ERROR,
@@ -24,7 +26,7 @@ from .baselines import (
     permutation_importance,
     shapley_mc,
 )
-from .engine import estimate_minmax, contextual_importance
+from .engine import explain_instance
 from .sampling import as_rng
 
 GLOBAL_METHODS = ("ci", "pfi-mae", "pfi-ce", "shapley")
@@ -79,24 +81,6 @@ def normalize_importances(values: Sequence[float]) -> np.ndarray:
     return v / total
 
 
-def uniform_instances(space: FeatureSpace, count: int, rng=None) -> list[Instance]:
-    """Uniform draws over the feature space (uniform level choice for
-    categorical features)."""
-    if count < 1:
-        raise ConfigError("instance count must be positive")
-    gen = as_rng(rng).generator()
-    rows = []
-    for _ in range(count):
-        vals = []
-        for feat in space:
-            if feat.is_numeric:
-                vals.append(float(gen.uniform(feat.min, feat.max)))
-            else:
-                vals.append(feat.levels[int(gen.integers(0, len(feat.levels)))])
-        rows.append(Instance(tuple(vals)))
-    return rows
-
-
 def _sd(matrix: np.ndarray) -> np.ndarray:
     # Sample standard deviation per column; zero when only one row, and
     # exactly zero for columns of identical values (float averaging would
@@ -125,20 +109,14 @@ def global_ci(
     """
     if not instances:
         raise ConfigError("global importance needs at least one instance")
-    utility.range_width(output)
     base = as_rng(rng)
     start = time.perf_counter()
     ci = np.empty((len(instances), len(space)))
     degenerate = np.zeros(len(space), dtype=bool)
     for r, x in enumerate(instances):
-        sub = base.spawn(r)
-        for i in range(len(space)):
-            ymin, ymax, _ = estimate_minmax(
-                predictor, space, x, i, n, sub.spawn(i), output
-            )
-            ci[r, i] = contextual_importance(ymin, ymax, utility, output)
-            if ymax == ymin:
-                degenerate[i] = True
+        exp = explain_instance(predictor, utility, space, x, output, n, rng=base.spawn(r))
+        ci[r] = exp.ci_vector()
+        degenerate |= [v.degenerate for v in exp.values]
     elapsed = time.perf_counter() - start
     return GlobalImportance(
         method="ci",
@@ -196,7 +174,7 @@ def _pfi_targets(
     output: int,
 ) -> np.ndarray:
     """Self-labels for analytic predictors: the model's own outputs."""
-    outs = predictor.evaluate(list(rows))
+    outs = evaluate_rows(predictor, rows)
     if loss.kind == "mae":
         return outs[:, output]
     return np.argmax(outs, axis=1)

@@ -1,4 +1,4 @@
-"""Deterministic seeding and single-feature perturbation sample sets."""
+"""Deterministic seeding and single-feature perturbations."""
 
 from __future__ import annotations
 
@@ -46,33 +46,17 @@ def as_rng(value) -> SeededRng:
     raise ConfigError(f"expected an int seed or SeededRng, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Perturbations of one instance along a single feature.
-
-    All instances agree with the source everywhere except ``varied_feature``.
-    ``source_position`` locates the instance carrying the source's own value.
-    """
-
-    instances: tuple[Instance, ...]
-    varied_feature: int
-    source: Instance
-    source_position: int
-
-    @property
-    def varied_values(self) -> tuple:
-        i = self.varied_feature
-        return tuple(inst.values[i] for inst in self.instances)
-
-
 def build_sample_set(
     space: FeatureSpace,
     x: Instance,
     feature: int,
     n: int = 100,
     rng=None,
-) -> SampleSet:
+) -> tuple[tuple[Instance, ...], int]:
     """Vary one feature of ``x`` while holding the others fixed.
+
+    Returns the perturbed instances and the position of the one that carries
+    the source's own value; all of them agree with ``x`` elsewhere.
 
     Numeric features produce exactly n + 3 instances: the source value, both
     interval endpoints, and n uniform draws. The endpoints make min/max
@@ -90,10 +74,9 @@ def build_sample_set(
         instances = [x, x.replaced(feature, feat.min), x.replaced(feature, feat.max)]
         for v in gen.uniform(feat.min, feat.max, size=n):
             instances.append(x.replaced(feature, float(v)))
-        return SampleSet(tuple(instances), feature, x, 0)
+        return tuple(instances), 0
     instances = [x.replaced(feature, lev) for lev in feat.levels]
-    position = feat.levels.index(x.values[feature])
-    return SampleSet(tuple(instances), feature, x, position)
+    return tuple(instances), feat.levels.index(x.values[feature])
 
 
 def ceteris_paribus_grid(

@@ -23,7 +23,7 @@ from .baselines import (
     shapley_mc,
 )
 from .engine import explain_instance
-from .global_importance import uniform_instances
+from .global_importance import _sd, uniform_instances
 from .sampling import SeededRng, as_rng
 
 ALL_METHODS = (METHOD_INFLUENCE, METHOD_SHAPLEY, METHOD_LIME)
@@ -76,12 +76,7 @@ class StabilityReport:
         return self.matrix().mean(axis=0)
 
     def sd(self) -> np.ndarray:
-        mat = self.matrix()
-        out = mat.std(axis=0, ddof=1)
-        # A column of identical values has zero spread by definition; keep
-        # that exact instead of the ~1e-32 smear float averaging produces.
-        out[mat.max(axis=0) == mat.min(axis=0)] = 0.0
-        return out
+        return _sd(self.matrix())
 
     def to_json_dict(self) -> dict:
         return {
@@ -200,8 +195,6 @@ def summarize(report: StabilityReport) -> str:
             f"{name:<16} {mean[i]:>10.4f} {sd[i]:>10.4f}"
             f" {mat[:, i].min():>10.4f} {mat[:, i].max():>10.4f}"
         )
-    total = sum(report.elapsed)
-    lines.append(f"elapsed: total {total:.3f}s, per run {total / report.n_runs:.4f}s")
     return "\n".join(lines)
 
 

@@ -30,6 +30,7 @@ from .core import (
     OutputUtility,
     Predictor,
     config_from_json,
+    evaluate_rows,
     feature_to_json,
 )
 from .sampling import as_rng
@@ -124,6 +125,13 @@ def load_csv(path, target: str, schema: FeatureSpace | None = None) -> Dataset:
     t_idx = header.index(target)
     feature_names = [h for h in header if h != target]
     columns = {h: [row[i] for row in data] for i, h in enumerate(header)}
+    for name, column in columns.items():
+        try:
+            values = [float(v) for v in column]
+        except ValueError:
+            continue  # not a number column
+        if not all(map(math.isfinite, values)):
+            raise DataFormatError(f"{path}: column {name!r} holds NaN or infinity")
 
     if schema is None:
         space = FeatureSpace(
@@ -544,7 +552,7 @@ class TreeEnsemble(Predictor):
     def predicted_class(self, instances: Sequence[Instance]) -> list[str]:
         if self.task != CLASSIFICATION:
             raise ConfigError("predicted_class needs a classification ensemble")
-        probs = self.evaluate(instances)
+        probs = evaluate_rows(self, instances)
         return [self.class_names[int(k)] for k in np.argmax(probs, axis=1)]
 
 
@@ -588,7 +596,7 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
 
 def accuracy(model: TreeEnsemble, dataset: Dataset) -> float:
     """Classification accuracy or regression R^2 on a dataset."""
-    outputs = model.evaluate(list(dataset.rows))
+    outputs = evaluate_rows(model, dataset.rows)
     if dataset.task == CLASSIFICATION:
         predicted = np.argmax(outputs, axis=1)
         return float(np.mean(predicted == np.asarray(dataset.target)))

@@ -191,6 +191,23 @@ MALFORMED_MODELS = {
 }
 
 
+class TestMalformedData:
+    def test_nan_in_number_column_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,y\n0.1,0.5,0.0\nnan,0.25,1.0\n0.7,0.75,0.5\n")
+        code = run(
+            "explain", "--model", str(tmp_path / "model.json"), "--data", str(data),
+            "--target", "y", "--instance", "row:0", "--output-dir", str(tmp_path),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'a'" in err and "Traceback" not in err
+        assert run(
+            "train", "--data", str(data), "--target", "y",
+            "--model-out", str(tmp_path / "model.json"),
+        ) == 3
+
+
 class TestMalformedModel:
     def explain(self, tmp_path, doc):
         path = tmp_path / "model.json"
@@ -263,6 +280,23 @@ class TestStability:
         assert len(doc["results"]["values"]) == 5
         out = capsys.readouterr().out
         assert out.count("method:") == 3
+
+    def test_text_stdout_is_byte_stable(self, tmp_path, capsys):
+        argv = [
+            "stability", "--predictor", "linear", "--instance", MID,
+            "--runs", "3", "--shapley-budget", "20", "--lime-samples", "50",
+            "--output-dir", str(tmp_path), "--format", "text",
+        ]
+        outs = []
+        for extra in ([], [], ["--timings"]):
+            assert run(*argv, *extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "elapsed" not in outs[0]
+        timed = outs[2].splitlines()
+        assert sum(line.startswith("elapsed: total ") for line in timed) == 3
+        plain = [line for line in timed if not line.startswith("elapsed: ")]
+        assert plain == outs[0].splitlines()
 
     def test_method_subset(self, tmp_path):
         code = run(

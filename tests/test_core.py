@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ciukit as ck
+from ciukit.core import evaluate_rows
 from conftest import (
     LINEAR_WEIGHTS,
     nonlinear_joint_range,
@@ -244,6 +245,78 @@ class TestFunctionPredictor:
         out = pred.evaluate([ck.Instance((0.3, 0.9))])
         assert out.shape == (1, 2)
         assert out[0, 1] == pytest.approx(0.7)
+
+
+def _unit_square():
+    return ck.FeatureSpace(
+        (ck.FeatureSpec.numeric("a", 0.0, 1.0), ck.FeatureSpec.numeric("b", 0.0, 1.0))
+    )
+
+
+def _through_explain(pred, space):
+    util = ck.OutputUtility.single("y", out_min=-5.0, out_max=5.0)
+    ck.explain_instance(pred, util, space, space.instance([0.5, 0.5]), n=10)
+
+
+def _through_shapley(pred, space):
+    bg = ck.uniform_instances(space, 5, ck.SeededRng(1))
+    ck.shapley_mc(pred, space, space.instance([0.5, 0.5]), bg, budget=5)
+
+
+def _through_range(pred, space):
+    ck.estimate_output_range(pred, space, budget=50)
+
+
+ENTRY_POINTS = {
+    "explain_instance": _through_explain,
+    "shapley_mc": _through_shapley,
+    "estimate_output_range": _through_range,
+}
+
+
+class TestEvaluatorContract:
+    """Every library call to a predictor goes through one checked path."""
+
+    def test_empty_batch_has_output_columns(self):
+        for n_outputs in (1, 3):
+            pred = ck.FunctionPredictor(lambda x: x[:, :1] @ np.ones((1, n_outputs)), n_outputs)
+            assert pred.evaluate([]).shape == (0, n_outputs)
+
+        class NeverEmpty(ck.Predictor):
+            n_outputs = 2
+
+            def evaluate(self, instances):
+                assert len(instances) > 0, "called with an empty batch"
+                return np.zeros((len(instances), 2))
+
+        assert evaluate_rows(NeverEmpty(), []).shape == (0, 2)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_wrong_shape_is_a_data_error(self, entry):
+        class Flat(ck.Predictor):
+            def evaluate(self, instances):
+                return np.zeros(len(instances))  # 1-D: no output axis
+
+        with pytest.raises(ck.DataFormatError, match="shape"):
+            ENTRY_POINTS[entry](Flat(), _unit_square())
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_finite_output_is_a_data_error(self, entry):
+        pred = ck.FunctionPredictor(lambda x: np.where(x[:, 0] >= 0.5, np.nan, x[:, 1]))
+        with pytest.raises(ck.DataFormatError, match="non-finite"):
+            ENTRY_POINTS[entry](pred, _unit_square())
+
+    def test_large_batches_are_chunked(self):
+        calls = []
+
+        class Counting(ck.Predictor):
+            def evaluate(self, instances):
+                calls.append(len(instances))
+                return np.ones((len(instances), 1))
+
+        rows = [ck.Instance((0.0, 0.0))] * 70000
+        assert evaluate_rows(Counting(), rows).shape == (70000, 1)
+        assert calls == [65536, 70000 - 65536]
 
 
 class TestConfigIO:

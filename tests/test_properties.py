@@ -1,0 +1,172 @@
+"""Property tests for the paper's invariants on random mixed feature spaces.
+
+Each example draws a feature space (numeric features with random bounds,
+categorical features with one to four levels), a smooth predictor over it
+and an instance, then checks an invariant that must hold for every draw.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ciukit as ck
+
+EPS = 1e-7
+
+
+class Smooth(ck.Predictor):
+    """Sum of per-feature terms over a mixed space, optionally squashed.
+
+    Numeric feature i contributes ``w_i * sin(k_i * z)`` on its normalized
+    value z, or ``w_i * z`` when ``monotone``; categorical features add a
+    score per level. ``monotone`` models pass the sum through tanh, so they
+    stay monotone in every numeric feature while coupling all of them.
+    """
+
+    def __init__(self, space, weights, freqs, scores, monotone=False):
+        self.space = space
+        self.weights = weights
+        self.freqs = freqs
+        self.scores = scores
+        self.monotone = monotone
+
+    def evaluate(self, instances):
+        out = np.zeros((len(instances), 1))
+        for r, inst in enumerate(instances):
+            total = 0.0
+            for i, (feat, v) in enumerate(zip(self.space, inst.values)):
+                if feat.is_numeric:
+                    z = (v - feat.min) / (feat.max - feat.min)
+                    total += self.weights[i] * (z if self.monotone else math.sin(self.freqs[i] * z))
+                else:
+                    total += self.scores[i][feat.levels.index(v)]
+            out[r, 0] = math.tanh(total) if self.monotone else total
+        return out
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def problems(draw, numeric_only=False):
+    """(space, weights, freqs, scores, instance values) over 1-4 features."""
+    d = draw(st.integers(1, 4))
+    features, weights, freqs, scores, values = [], [], [], [], []
+    for i in range(d):
+        if numeric_only or draw(st.booleans()):
+            lo = draw(st.floats(-5.0, 5.0))
+            hi = lo + draw(st.floats(0.1, 10.0))
+            features.append(ck.FeatureSpec.numeric(f"f{i}", lo, hi))
+            values.append(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+            scores.append(())
+        else:
+            levels = [f"L{k}" for k in range(draw(st.integers(1, 4)))]
+            features.append(ck.FeatureSpec.categorical(f"f{i}", levels))
+            values.append(draw(st.sampled_from(levels)))
+            scores.append(tuple(draw(unit) for _ in levels))
+        weights.append(draw(unit))
+        freqs.append(draw(st.floats(0.5, 12.0)))
+    space = ck.FeatureSpace(tuple(features))
+    return space, weights, freqs, scores, space.instance(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=problems(),
+    phi0=st.floats(0.0, 1.0),
+    n=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+    out_min=st.floats(-4.0, 1.0),
+    width=st.floats(0.1, 8.0),
+)
+def test_influence_bounded_unless_unstable(problem, phi0, n, seed, out_min, width):
+    space, weights, freqs, scores, x = problem
+    pred = Smooth(space, weights, freqs, scores)
+    util = ck.OutputUtility.single("y", out_min=out_min, out_max=out_min + width)
+    exp = ck.explain_instance(pred, util, space, x, n=n, phi0=phi0, rng=seed)
+    for v in exp.values:
+        assert 0.0 <= v.cu <= 1.0
+        if not v.instability:
+            assert 0.0 <= v.ci <= 1.0 + EPS
+            assert -phi0 - EPS <= v.influence <= 1.0 - phi0 + EPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=problems(numeric_only=True), intercept=unit, seed=st.integers(0, 2**16))
+def test_linear_exact_at_endpoints_with_no_draws(problem, intercept, seed):
+    space, weights, _, _, x = problem
+    w = np.asarray(weights)
+    pred = ck.FunctionPredictor(lambda m: intercept + m @ w)
+    spans = np.array([f.max - f.min for f in space])
+    lo = intercept + sum(min(wi * f.min, wi * f.max) for wi, f in zip(w, space))
+    width = float(np.abs(w) @ spans) + 1.0
+    util = ck.OutputUtility.single("y", out_min=lo, out_max=lo + width)
+    exp = ck.explain_instance(pred, util, space, x, n=0, rng=seed)
+    y = intercept + float(np.dot(w, x.values))
+    for i, v in enumerate(exp.values):
+        # Moving feature i to its endpoints shifts y by w_i * (end - x_i).
+        ends = [y + w[i] * (end - x.values[i]) for end in (space[i].min, space[i].max)]
+        assert v.ymin == pytest.approx(min(ends), rel=1e-12, abs=1e-12)
+        assert v.ymax == pytest.approx(max(ends), rel=1e-12, abs=1e-12)
+        assert v.ci == pytest.approx(abs(w[i]) * spans[i] / width, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=problems(),
+    order=st.randoms(use_true_random=False),
+    n=st.integers(0, 20),
+    seed=st.integers(0, 2**16),
+)
+def test_permuting_features_permutes_ciu(problem, order, n, seed):
+    space, weights, freqs, scores, x = problem
+    perm = list(range(len(space)))
+    order.shuffle(perm)
+    util = ck.OutputUtility.single("y", out_min=-1.0, out_max=1.0)
+
+    def explain(idx):
+        sub = ck.FeatureSpace(tuple(space[i] for i in idx))
+        pred = Smooth(
+            sub, [weights[i] for i in idx], [freqs[i] for i in idx],
+            [scores[i] for i in idx], monotone=True,
+        )
+        inst = sub.instance([x.values[i] for i in idx])
+        exp = ck.explain_instance(pred, util, sub, inst, n=n, rng=seed)
+        return np.array([[v.ci, v.cu, v.influence, v.ymin, v.ymax] for v in exp.values])
+
+    # Monotone models are exact from the endpoints, so the interior draws,
+    # which follow feature positions, cannot tell the two orders apart.
+    assert np.allclose(explain(perm), explain(range(len(space)))[perm], rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=problems(),
+    n_background=st.integers(1, 12),
+    budget=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_shapley_efficiency(problem, n_background, budget, seed):
+    space, weights, freqs, scores, x = problem
+    batches = []
+
+    class Recording(Smooth):
+        def evaluate(self, instances):
+            batches.append(list(instances))
+            return super().evaluate(instances)
+
+    pred = Recording(space, weights, freqs, scores)
+    background = ck.uniform_instances(space, n_background, seed + 1)
+    att = ck.shapley_mc(pred, space, x, background, budget=budget, rng=seed)
+    # The first batch holds the walks: each starts at its drawn background
+    # row and takes d + 1 steps to x.
+    drawn = batches[0][:: len(space) + 1]
+    assert len(drawn) == budget and all(z in background for z in drawn)
+    fx = pred.evaluate([x])[0, 0]
+    expected = fx - np.mean(pred.evaluate(drawn)[:, 0])
+    assert sum(att.phi) == pytest.approx(expected, rel=1e-9, abs=1e-9)

@@ -34,30 +34,34 @@ class TestSeededRng:
             ck.as_rng("42")
 
 
+def varied_values(instances, feature):
+    return tuple(inst.values[feature] for inst in instances)
+
+
 class TestSampleSets:
     def test_numeric_contains_source_and_endpoints(self, linear_bundle):
         _, space, _ = linear_bundle
         x = space.instance([0.5, 0.5, 0.5, 0.5])
-        s = ck.build_sample_set(space, x, 0, n=2, rng=1)
-        assert len(s.instances) == 5
-        assert s.instances[0] == x
-        assert s.source_position == 0
-        varied = s.varied_values
+        instances, position = ck.build_sample_set(space, x, 0, n=2, rng=1)
+        assert len(instances) == 5
+        assert instances[0] == x
+        assert position == 0
+        varied = varied_values(instances, 0)
         assert varied[0] == 0.5 and varied[1] == 0.0 and varied[2] == 1.0
         assert all(0.0 <= v <= 1.0 for v in varied)
 
     def test_numeric_n0_is_three_points(self, linear_bundle):
         _, space, _ = linear_bundle
         x = space.instance([0.2, 0.4, 0.6, 0.8])
-        s = ck.build_sample_set(space, x, 2, n=0)
-        assert len(s.instances) == 3
-        assert s.varied_values == (0.6, 0.0, 1.0)
+        instances, _ = ck.build_sample_set(space, x, 2, n=0)
+        assert len(instances) == 3
+        assert varied_values(instances, 2) == (0.6, 0.0, 1.0)
 
     def test_only_varied_feature_changes(self, linear_bundle):
         _, space, _ = linear_bundle
         x = space.instance([0.1, 0.2, 0.3, 0.4])
-        s = ck.build_sample_set(space, x, 1, n=50, rng=3)
-        for inst in s.instances:
+        instances, _ = ck.build_sample_set(space, x, 1, n=50, rng=3)
+        for inst in instances:
             for j in (0, 2, 3):
                 assert inst.values[j] == x.values[j]
 
@@ -69,17 +73,17 @@ class TestSampleSets:
             )
         )
         x = space.instance(["b", 0.3])
-        s = ck.build_sample_set(space, x, 0, n=100, rng=1)
-        assert len(s.instances) == 3
-        assert s.varied_values == ("a", "b", "d")
-        assert s.instances[s.source_position].values[0] == "b"
+        instances, position = ck.build_sample_set(space, x, 0, n=100, rng=1)
+        assert len(instances) == 3
+        assert varied_values(instances, 0) == ("a", "b", "d")
+        assert instances[position].values[0] == "b"
 
     def test_single_level_categorical(self):
         space = ck.FeatureSpace(
             (ck.FeatureSpec.categorical("c", ["only"]), ck.FeatureSpec.numeric("x", 0, 1))
         )
-        s = ck.build_sample_set(space, space.instance(["only", 0.2]), 0, n=5)
-        assert len(s.instances) == 1
+        instances, _ = ck.build_sample_set(space, space.instance(["only", 0.2]), 0, n=5)
+        assert len(instances) == 1
 
     def test_seeded_reproducibility(self, linear_bundle):
         _, space, _ = linear_bundle
@@ -127,3 +131,40 @@ class TestCeterisParibusGrid:
         x = space.instance([0.5, 0.5, 0.5, 0.5])
         with pytest.raises(ck.ConfigError):
             ck.ceteris_paribus_grid(space, x, 0, 1)
+
+
+class TestUniformInstances:
+    def test_numeric_space_matches_drawing_each_value_in_turn(self):
+        space = ck.FeatureSpace(
+            (
+                ck.FeatureSpec.numeric("a", -2.0, 3.0),
+                ck.FeatureSpec.numeric("b", 0.0, 1.0),
+                ck.FeatureSpec.numeric("c", 10.0, 11.0),
+            )
+        )
+        rows = ck.uniform_instances(space, 500, ck.SeededRng(4))
+        gen = ck.SeededRng(4).generator()
+        expected = [tuple(float(gen.uniform(f.min, f.max)) for f in space) for _ in range(500)]
+        assert [r.values for r in rows] == expected
+
+    def test_mixed_space_values_and_types(self):
+        space = ck.FeatureSpace(
+            (
+                ck.FeatureSpec.categorical("c", ["a", "b", "d"]),
+                ck.FeatureSpec.numeric("x", -1.0, 2.0),
+                ck.FeatureSpec.categorical("e", ["only"]),
+            )
+        )
+        rows = ck.uniform_instances(space, 300, 2)
+        for row in rows:
+            c, x, e = row.values
+            assert type(c) is str and c in ("a", "b", "d")
+            assert type(x) is float and -1.0 <= x <= 2.0
+            assert e == "only"
+        assert {row.values[0] for row in rows} == {"a", "b", "d"}
+        assert rows == ck.uniform_instances(space, 300, 2)
+
+    def test_count_must_be_positive(self, linear_bundle):
+        _, space, _ = linear_bundle
+        with pytest.raises(ck.ConfigError):
+            ck.uniform_instances(space, 0)

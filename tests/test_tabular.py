@@ -125,6 +125,19 @@ class TestLoadErrors:
         with pytest.raises(ck.DataFormatError):
             ck.load_csv(self.make(tmp_path, "a,y\nv,0\n"), target="y", schema=schema)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_number_column_rejected(self, tmp_path, cell):
+        # Every cell parses as a float, so the column is numeric data, not
+        # levels; it used to turn silently into a categorical feature.
+        path = self.make(tmp_path, f"a,b,y\n1,0.5,0\n{cell},0.25,1\n")
+        with pytest.raises(ck.DataFormatError, match="column 'a'"):
+            ck.load_csv(path, target="y")
+
+    def test_non_finite_target_rejected(self, tmp_path):
+        path = self.make(tmp_path, "a,y\n1,0.5\n2,nan\n")
+        with pytest.raises(ck.DataFormatError, match="column 'y'"):
+            ck.load_csv(path, target="y")
+
     def test_schema_non_numeric_cell(self, tmp_path):
         schema = ck.FeatureSpace((ck.FeatureSpec.numeric("a", 0, 1),))
         with pytest.raises(ck.DataFormatError):
