@@ -20,6 +20,7 @@ from .core import (
     Instance,
     Predictor,
     SingularSystemError,
+    encode_rows,
     evaluate_rows,
     uniform_instances,
 )
@@ -252,17 +253,17 @@ def _normalized_columns(
     Numeric features map their interval to [0, 1]; categorical features
     become match-with-x indicators (so the explained point is always 1).
     """
-    cols = []
-    xros = []
+    z = encode_rows(space, rows)
+    x_enc = encode_rows(space, [x])[0]
+    xn = np.ones(len(space))
     for i, feat in enumerate(space):
         if feat.is_numeric:
             width = feat.max - feat.min
-            cols.append([(r.values[i] - feat.min) / width for r in rows])
-            xros.append((x.values[i] - feat.min) / width)
+            z[:, i] = (z[:, i] - feat.min) / width
+            xn[i] = (x_enc[i] - feat.min) / width
         else:
-            cols.append([1.0 if r.values[i] == x.values[i] else 0.0 for r in rows])
-            xros.append(1.0)
-    return np.asarray(cols, dtype=float).T, np.asarray(xros, dtype=float)
+            z[:, i] = z[:, i] == x_enc[i]
+    return z, xn
 
 
 def lime_surrogate(

@@ -11,6 +11,7 @@ out of reports unless --timings asks for them.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from .core import (
     ConfigError,
     ExplainerError,
     Instance,
+    OutputUtility,
     builtin_model,
     load_config,
     resolve_utility,
@@ -172,39 +174,42 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def _setup(args):
-    """Resolve (predictor, space, utility, dataset) from the source flags."""
-    dataset = None
-    if args.data:
-        if not args.target:
-            raise ConfigError("--data needs --target to name the label column")
-        dataset = load_csv(args.data, args.target)
+    """Resolve (predictor, space, utility, dataset) from the source flags.
+
+    ``--data`` is read against the resolved feature space, matching its
+    columns to the features by name.
+    """
+    if args.data and not args.target:
+        raise ConfigError("--data needs --target to name the label column")
     if args.predictor and args.model:
         raise ConfigError("pass either --predictor or --model, not both")
+    utility = None
     if args.predictor:
         predictor, space, utility = builtin_model(args.predictor)
         if args.config:
             space, utility = load_config(args.config)
     elif args.model:
         config_space = None
-        utility = None
         if args.config:
             config_space, utility = load_config(args.config)
         predictor = load_model(args.model, config_space)
         space = predictor.space
-        if utility is None:
-            if predictor.task == "classification":
-                from .core import OutputUtility
-
-                utility = OutputUtility.classification(predictor.class_names)
-            elif dataset is not None:
-                utility = dataset.utility()
-            else:
-                from .core import OutputUtility
-
-                utility = OutputUtility.single("y")
     else:
         raise ConfigError("a predictor source is required: --predictor or --model")
+    dataset = load_csv(args.data, args.target, space) if args.data else None
+    if utility is None:
+        if predictor.task == "classification":
+            utility = OutputUtility.classification(predictor.class_names)
+        elif dataset is not None:
+            utility = dataset.utility()
+        else:
+            utility = OutputUtility.single("y")
     utility = resolve_utility(
         predictor, space, utility, args.range_budget, SeededRng(args.seed).spawn(900)
     )
@@ -313,16 +318,15 @@ def cmd_explain(args) -> None:
         def cell(entry, key):
             return repr(entry[key]) if key in entry else ""
 
-        lines = ["method,feature,influence,ci,cu,ymin,ymax,flags"]
+        rows = [["method", "feature", "influence", "ci", "cu", "ymin", "ymax", "flags"]]
         for block in blocks:
             for f in block["features"]:
-                lines.append(
-                    f"{block['method']},{f['name']},{f['influence']!r},"
-                    f"{cell(f, 'ci')},{cell(f, 'cu')},"
-                    f"{cell(f, 'ymin')},{cell(f, 'ymax')},"
-                    f"{' '.join(f.get('flags', []))}"
+                rows.append(
+                    [block["method"], f["name"], repr(f["influence"])]
+                    + [cell(f, key) for key in ("ci", "cu", "ymin", "ymax")]
+                    + [" ".join(f.get("flags", []))]
                 )
-        (out / "explain_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(out / "explain_report.csv", rows)
     if "svg" in formats:
         for name, doc in plots.items():
             doc.save(out / name)
@@ -369,11 +373,11 @@ def cmd_global(args) -> None:
     if "json" in formats:
         _write_json(out / "global_report.json", report)
     if "csv" in formats:
-        lines = ["method,feature,mean,spread"]
+        rows = [["method", "feature", "mean", "spread"]]
         for g in results:
             for name, m, s in zip(g.feature_names, g.mean, g.spread):
-                lines.append(f"{g.method},{name},{m!r},{s!r}")
-        (out / "global_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+                rows.append([g.method, name, repr(m), repr(s)])
+        _write_csv(out / "global_report.csv", rows)
     if "text" in formats:
         width = max(len(n) for n in space.names)
         for g in results:

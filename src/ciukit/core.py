@@ -62,8 +62,8 @@ class FeatureSpec:
     levels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("feature name must be non-empty")
+        if type(self.name) is not str or not self.name:
+            raise ConfigError(f"feature name {self.name!r} must be a non-empty string")
         if self.kind == NUMERIC:
             if not (math.isfinite(self.min) and math.isfinite(self.max)):
                 raise ConfigError(f"feature {self.name!r}: bounds must be finite")
@@ -195,7 +195,7 @@ class Predictor:
         raise NotImplementedError
 
     def evaluate_one(self, instance: Instance) -> np.ndarray:
-        return self.evaluate([instance])[0]
+        return evaluate_rows(self, [instance])[0]
 
 
 class FunctionPredictor(Predictor):
@@ -250,6 +250,25 @@ def evaluate_rows(predictor: Predictor, rows: Sequence[Instance]) -> np.ndarray:
     if not parts:
         return np.empty((0, predictor.n_outputs))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+
+
+def encode_rows(space: FeatureSpace, rows: Sequence[Instance]) -> np.ndarray:
+    """Rows as a float matrix of shape (len(rows), len(space)).
+
+    Numeric values pass through; categorical labels become their level
+    index, and a label the feature does not declare becomes -1. The matrix
+    is the transpose of a (features, rows) array, so each feature's column
+    is contiguous: reductions over rows then add in the same order as over
+    a per-feature list.
+    """
+    out = np.empty((len(space), len(rows)))
+    for i, feat in enumerate(space):
+        column = [r.values[i] for r in rows]
+        if not feat.is_numeric:
+            index = {lev: k for k, lev in enumerate(feat.levels)}
+            column = [index.get(v, -1) for v in column]
+        out[i] = np.array(column, dtype=float)  # faster than assigning the list
+    return out.T
 
 
 _LINEAR_WEIGHTS = np.array([0.4, 0.3, 0.2, 0.1])
@@ -385,13 +404,6 @@ def builtin_model(name: str) -> tuple[Predictor, FeatureSpace, OutputUtility]:
     raise ConfigError(f"unknown builtin predictor {name!r}")
 
 
-@dataclass(frozen=True)
-class RangeEstimate:
-    out_min: float
-    out_max: float
-    estimated: bool
-
-
 def uniform_instances(space: FeatureSpace, count: int, rng=None) -> list[Instance]:
     """Uniform draws over the feature space (uniform level choice for
     categorical features).
@@ -497,36 +509,6 @@ def estimate_output_range(
     return lo, hi
 
 
-def output_range_of(
-    predictor: Predictor,
-    space: FeatureSpace,
-    utility: OutputUtility,
-    output: int = 0,
-    budget: int = 10000,
-    rng=None,
-) -> RangeEstimate:
-    """Declared output range, or a sampled estimate when undeclared.
-
-    Estimated results are flagged so reports can distinguish them from
-    declarations. A predictor whose observed outputs collapse to one value
-    has no usable range and raises DegenerateRangeError.
-    """
-    spec = utility.spec(output)
-    if spec.declared:
-        return RangeEstimate(spec.out_min, spec.out_max, estimated=False)
-    if budget <= 0:
-        raise ConfigError(
-            f"output {spec.name!r}: range is undeclared and the sampling budget is zero"
-        )
-    lo, hi = estimate_output_range(predictor, space, output, budget, rng)
-    scale = max(abs(lo), abs(hi), 1.0)
-    if not hi - lo > 1e-12 * scale:
-        raise DegenerateRangeError(
-            f"output {spec.name!r}: degenerate output range (all sampled outputs equal)"
-        )
-    return RangeEstimate(lo, hi, estimated=True)
-
-
 def resolve_utility(
     predictor: Predictor,
     space: FeatureSpace,
@@ -534,16 +516,27 @@ def resolve_utility(
     budget: int = 10000,
     rng=None,
 ) -> OutputUtility:
-    """Fill in every undeclared output range by estimation."""
+    """Fill in every undeclared output range by estimation.
+
+    Estimated ranges are flagged so reports can distinguish them from
+    declarations. A predictor whose observed outputs collapse to one value
+    has no usable range and raises DegenerateRangeError.
+    """
+    if utility.n_outputs != predictor.n_outputs:
+        raise ConfigError(
+            f"{utility.n_outputs} outputs declared for a predictor with {predictor.n_outputs}"
+        )
     outputs = []
     for j, spec in enumerate(utility.outputs):
-        if spec.declared:
-            outputs.append(spec)
-        else:
-            est = output_range_of(predictor, space, utility, j, budget, rng)
-            outputs.append(
-                replace(spec, out_min=est.out_min, out_max=est.out_max, estimated=True)
-            )
+        if not spec.declared:
+            lo, hi = estimate_output_range(predictor, space, j, budget, rng)
+            scale = max(abs(lo), abs(hi), 1.0)
+            if not hi - lo > 1e-12 * scale:
+                raise DegenerateRangeError(
+                    f"output {spec.name!r}: degenerate output range (all sampled outputs equal)"
+                )
+            spec = replace(spec, out_min=lo, out_max=hi, estimated=True)
+        outputs.append(spec)
     return OutputUtility(tuple(outputs))
 
 
@@ -563,6 +556,17 @@ def config_to_json(space: FeatureSpace, utility: OutputUtility) -> dict:
     return {"features": [feature_to_json(f) for f in space], "outputs": outputs}
 
 
+def finite_number(value, what: str, error: type[ExplainerError] = ConfigError) -> float:
+    """A JSON number as a finite float; anything else raises ``error``."""
+    try:
+        v = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise error(f"{what} must be a finite number")
+    return v
+
+
 def _feature_from_json(doc: dict) -> FeatureSpec:
     try:
         name = doc["name"]
@@ -572,39 +576,56 @@ def _feature_from_json(doc: dict) -> FeatureSpec:
     if kind == NUMERIC:
         if "min" not in doc or "max" not in doc:
             raise ConfigError(f"numeric feature {name!r} needs min and max")
-        return FeatureSpec.numeric(name, doc["min"], doc["max"])
+        lo, hi = (finite_number(doc[k], f"feature {name!r}: {k}") for k in ("min", "max"))
+        return FeatureSpec.numeric(name, lo, hi)
     if kind == CATEGORICAL:
-        if "levels" not in doc:
-            raise ConfigError(f"categorical feature {name!r} needs levels")
-        return FeatureSpec.categorical(name, doc["levels"])
+        levels = doc.get("levels")
+        if type(levels) is not list or not all(type(v) is str for v in levels):
+            raise ConfigError(f"categorical feature {name!r} needs a list of string levels")
+        return FeatureSpec.categorical(name, levels)
     raise ConfigError(f"feature {name!r}: unknown type {kind!r}")
 
 
+def _output_from_json(doc: dict) -> OutputSpec:
+    if type(doc) is not dict:
+        raise ConfigError("each 'outputs' entry must be a JSON object")
+    name = doc.get("name", "y")
+    where = f"output {name!r}"
+
+    def bound(key):
+        return None if doc.get(key) is None else finite_number(doc[key], f"{where}: {key}")
+
+    return OutputSpec(
+        name=name,
+        a=finite_number(doc.get("A", 1.0), f"{where}: A"),
+        b=finite_number(doc.get("b", 0.0), f"{where}: b"),
+        out_min=bound("min"),
+        out_max=bound("max"),
+    )
+
+
 def config_from_json(doc: dict) -> tuple[FeatureSpace, OutputUtility]:
-    if not isinstance(doc, dict) or "features" not in doc:
+    if type(doc) is not dict or type(doc.get("features")) is not list:
         raise ConfigError("config document needs a 'features' list")
+    outputs = doc.get("outputs", [{"name": "y"}])
+    if type(outputs) is not list:
+        raise ConfigError("config 'outputs' must be a list")
     space = FeatureSpace(tuple(_feature_from_json(f) for f in doc["features"]))
-    outputs = []
-    for o in doc.get("outputs", [{"name": "y"}]):
-        outputs.append(
-            OutputSpec(
-                name=o.get("name", "y"),
-                a=float(o.get("A", 1.0)),
-                b=float(o.get("b", 0.0)),
-                out_min=None if o.get("min") is None else float(o["min"]),
-                out_max=None if o.get("max") is None else float(o["max"]),
-            )
-        )
-    return space, OutputUtility(tuple(outputs))
+    return space, OutputUtility(tuple(_output_from_json(o) for o in outputs))
+
+
+def read_json(path, error: type[ExplainerError], what: str):
+    """Parse a JSON file. Text that is not UTF-8 JSON, or that nests too
+    deeply for the parser, raises ``error`` naming ``what`` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as e:  # ValueError: bad JSON, bad UTF-8, huge integer
+        raise error(f"{what} {path}: invalid JSON ({e})") from None
 
 
 def load_config(path) -> tuple[FeatureSpace, OutputUtility]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path}: invalid JSON ({e})") from None
-    return config_from_json(doc)
+    return config_from_json(read_json(path, ConfigError, "config"))
 
 
 def save_config(path, space: FeatureSpace, utility: OutputUtility) -> None:

@@ -22,7 +22,6 @@ from .core import (
 from .baselines import (
     CLASSIFICATION_ERROR,
     MAE,
-    LossSpec,
     permutation_importance,
     shapley_mc,
 )
@@ -92,6 +91,30 @@ def _sd(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _summary(
+    method: str,
+    space: FeatureSpace,
+    scores: np.ndarray,
+    degenerate: np.ndarray,
+    elapsed: float,
+    n_instances: int,
+    n_iterations: int = 1,
+    normalized: bool = False,
+) -> GlobalImportance:
+    """Column means and sample standard deviations of a score matrix."""
+    return GlobalImportance(
+        method=method,
+        feature_names=space.names,
+        mean=tuple(float(v) for v in scores.mean(axis=0)),
+        spread=tuple(float(v) for v in _sd(scores)),
+        n_instances=n_instances,
+        n_iterations=n_iterations,
+        elapsed=elapsed,
+        normalized=normalized,
+        degenerate=tuple(bool(v) for v in degenerate),
+    )
+
+
 def global_ci(
     predictor: Predictor,
     utility: OutputUtility,
@@ -118,17 +141,7 @@ def global_ci(
         ci[r] = exp.ci_vector()
         degenerate |= [v.degenerate for v in exp.values]
     elapsed = time.perf_counter() - start
-    return GlobalImportance(
-        method="ci",
-        feature_names=space.names,
-        mean=tuple(float(v) for v in ci.mean(axis=0)),
-        spread=tuple(float(v) for v in _sd(ci)),
-        n_instances=len(instances),
-        n_iterations=1,
-        elapsed=elapsed,
-        normalized=False,
-        degenerate=tuple(bool(v) for v in degenerate),
-    )
+    return _summary("ci", space, ci, degenerate, elapsed, len(instances))
 
 
 def global_mean_abs_shapley(
@@ -154,58 +167,8 @@ def global_mean_abs_shapley(
         att = shapley_mc(predictor, space, x, bg, budget, base.spawn(r), output)
         scores[r] = np.abs(att.phi)
     elapsed = time.perf_counter() - start
-    return GlobalImportance(
-        method="shapley",
-        feature_names=space.names,
-        mean=tuple(float(v) for v in scores.mean(axis=0)),
-        spread=tuple(float(v) for v in _sd(scores)),
-        n_instances=len(instances),
-        n_iterations=1,
-        elapsed=elapsed,
-        normalized=False,
-        degenerate=tuple(False for _ in space),
-    )
-
-
-def _pfi_targets(
-    predictor: Predictor,
-    rows: Sequence[Instance],
-    loss: LossSpec,
-    output: int,
-) -> np.ndarray:
-    """Self-labels for analytic predictors: the model's own outputs."""
-    outs = evaluate_rows(predictor, rows)
-    if loss.kind == "mae":
-        return outs[:, output]
-    return np.argmax(outs, axis=1)
-
-
-def _one_iteration(
-    method: str,
-    predictor: Predictor,
-    utility: OutputUtility,
-    space: FeatureSpace,
-    rows: list[Instance],
-    targets,
-    rng,
-    n: int,
-    budget: int,
-    repeats: int,
-    output: int,
-) -> tuple[np.ndarray, tuple[bool, ...]]:
-    if method == "ci":
-        g = global_ci(predictor, utility, space, rows, n, rng, output)
-        return np.asarray(g.mean), g.degenerate
-    if method == "shapley":
-        g = global_mean_abs_shapley(predictor, space, rows, budget, rng, output)
-        return np.asarray(g.mean), g.degenerate
-    loss = MAE if method == "pfi-mae" else CLASSIFICATION_ERROR
-    if targets is None:
-        targets = _pfi_targets(predictor, rows, loss, output)
-    deltas = permutation_importance(
-        predictor, space, rows, targets, loss, repeats, rng, output
-    )
-    return deltas, tuple(False for _ in space)
+    degenerate = np.zeros(len(space), dtype=bool)
+    return _summary("shapley", space, scores, degenerate, elapsed, len(instances))
 
 
 def run_global(
@@ -251,22 +214,26 @@ def run_global(
             sample_targets = (
                 None if targets is None else np.asarray(targets)[np.asarray(take, dtype=int)]
             )
-        raw, degen = _one_iteration(
-            method, predictor, utility, space, sample, sample_targets,
-            sub.spawn(1), n, budget, repeats, output,
-        )
-        degenerate |= np.asarray(degen)
+        sub_rng = sub.spawn(1)
+        if method == "ci":
+            g = global_ci(predictor, utility, space, sample, n, sub_rng, output)
+            raw = np.asarray(g.mean)
+            degenerate |= g.degenerate
+        elif method == "shapley":
+            g = global_mean_abs_shapley(predictor, space, sample, budget, sub_rng, output)
+            raw = np.asarray(g.mean)
+        else:
+            loss = MAE if method == "pfi-mae" else CLASSIFICATION_ERROR
+            if sample_targets is None:
+                # Self-labels for analytic predictors: the model's own outputs.
+                outs = evaluate_rows(predictor, sample)
+                sample_targets = outs[:, output] if loss is MAE else np.argmax(outs, axis=1)
+            raw = permutation_importance(
+                predictor, space, sample, sample_targets, loss, repeats, sub_rng, output
+            )
         per_iter.append(normalize_importances(raw))
-    stacked = np.vstack(per_iter)
     elapsed = time.perf_counter() - start
-    return GlobalImportance(
-        method=method,
-        feature_names=space.names,
-        mean=tuple(float(v) for v in stacked.mean(axis=0)),
-        spread=tuple(float(v) for v in _sd(stacked)),
-        n_instances=instances_per_iteration,
-        n_iterations=iterations,
-        elapsed=elapsed,
-        normalized=True,
-        degenerate=tuple(bool(v) for v in degenerate),
+    return _summary(
+        method, space, np.vstack(per_iter), degenerate, elapsed,
+        instances_per_iteration, iterations, normalized=True,
     )

@@ -75,6 +75,10 @@ def build_sample_set(
         for v in gen.uniform(feat.min, feat.max, size=n):
             instances.append(x.replaced(feature, float(v)))
         return tuple(instances), 0
+    if x.values[feature] not in feat.levels:
+        raise ConfigError(
+            f"feature {feat.name!r}: label {x.values[feature]!r} not in declared levels"
+        )
     instances = [x.replaced(feature, lev) for lev in feat.levels]
     return tuple(instances), feat.levels.index(x.values[feature])
 

@@ -8,6 +8,8 @@ methods as indicative, not as a portable measurement.
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -200,8 +202,10 @@ def summarize(report: StabilityReport) -> str:
 
 def stability_csv(report: StabilityReport) -> str:
     """Long-format CSV: one row per (run, feature) attribution value."""
-    lines = ["method,run,feature,value"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["method", "run", "feature", "value"])
     for r, run in enumerate(report.runs):
         for name, v in zip(report.feature_names, run):
-            lines.append(f"{report.method},{r},{name},{v!r}")
-    return "\n".join(lines) + "\n"
+            writer.writerow([report.method, r, name, repr(v)])
+    return buf.getvalue()

@@ -30,8 +30,11 @@ from .core import (
     OutputUtility,
     Predictor,
     config_from_json,
+    encode_rows,
     evaluate_rows,
     feature_to_json,
+    finite_number,
+    read_json,
 )
 from .sampling import as_rng
 
@@ -100,12 +103,16 @@ def load_csv(path, target: str, schema: FeatureSpace | None = None) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a Dataset.
 
     The target column is removed from the features. Without an explicit
-    ``schema``, feature types and bounds are inferred from the data.
+    ``schema``, feature types and bounds are inferred from the data; with
+    one, columns are matched to its features by name, a missing or extra
+    column raises ConfigError and an undeclared level DataFormatError.
     Missing cells and ragged rows are rejected rather than imputed.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        table = [row for row in reader if row]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            table = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataFormatError(f"{path}: unreadable CSV ({e})") from None
     if not table:
         raise DataFormatError(f"{path}: file is empty")
     header, *data = table
@@ -138,9 +145,11 @@ def load_csv(path, target: str, schema: FeatureSpace | None = None) -> Dataset:
             tuple(_infer_feature(name, columns[name]) for name in feature_names)
         )
     else:
-        if schema.names != tuple(feature_names):
+        missing = [n for n in schema.names if n not in feature_names]
+        extra = [n for n in feature_names if n not in schema.names]
+        if missing or extra:
             raise ConfigError(
-                f"{path}: schema features {schema.names} do not match columns {tuple(feature_names)}"
+                f"{path}: columns do not match the features: missing {missing}, extra {extra}"
             )
         space = schema
 
@@ -234,21 +243,6 @@ class TreeParams:
             raise ConfigError("tree parameters must be positive")
         if self.feature_subsample not in ("sqrt", "all"):
             raise ConfigError("feature_subsample must be 'sqrt' or 'all'")
-
-
-def _encode_columns(space: FeatureSpace, rows: Sequence[Instance]) -> list[np.ndarray]:
-    """Numeric columns as floats; categorical columns as level codes
-    (-1 for levels unseen at training time, which never match a split)."""
-    cols = []
-    for i, feat in enumerate(space):
-        if feat.is_numeric:
-            cols.append(np.asarray([r.values[i] for r in rows], dtype=float))
-        else:
-            index = {lev: k for k, lev in enumerate(feat.levels)}
-            cols.append(
-                np.asarray([index.get(r.values[i], -1) for r in rows], dtype=int)
-            )
-    return cols
 
 
 def _leaf(y: np.ndarray, n_outputs: int, task: str) -> dict:
@@ -410,12 +404,9 @@ def _split_test(node: dict, space: FeatureSpace, codes: list[dict], where: str):
         raise DataFormatError(f"{where}: feature index {i!r} out of range")
     name = space.features[i].name
     if "threshold" in node:
-        t = node["threshold"]
         if codes[i] is not None:
             raise DataFormatError(f"{where}: threshold split on categorical feature {name!r}")
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-            raise DataFormatError(f"{where}: threshold {t!r} is not a finite number")
-        return i, -math.inf, t
+        return i, -math.inf, finite_number(node["threshold"], f"{where}: threshold", DataFormatError)
     if codes[i] is None:
         raise DataFormatError(f"{where}: level split on numeric feature {name!r}")
     level = node["level"]
@@ -530,7 +521,7 @@ class TreeEnsemble(Predictor):
         n, d = len(instances), len(self.space)
         n_trees = len(flat.roots)
         # Row-major (rows, features) matrix, flattened: row r's feature i is x[r * d + i].
-        x = np.column_stack(_encode_columns(self.space, instances)).astype(float).ravel()
+        x = encode_rows(self.space, instances).ravel()
         total = np.zeros((n, self.n_outputs))
         block = max(1, _ROUTE_BLOCK // n_trees)
         for start in range(0, n, block):
@@ -582,7 +573,12 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
     else:
         n_outputs = 1
         y = np.asarray(dataset.target, dtype=float)
-    cols = _encode_columns(dataset.space, dataset.rows)
+    # One array per feature; level codes as integers, which np.unique in
+    # split scoring handles faster than floats.
+    cols = [
+        c if f.is_numeric else c.astype(np.intp)
+        for f, c in zip(dataset.space, encode_rows(dataset.space, dataset.rows).T)
+    ]
     n = len(dataset)
     trees = []
     for t in range(params.n_trees):
@@ -628,15 +624,14 @@ def save_model(path, model: TreeEnsemble) -> None:
 
 
 def load_model(path, space: FeatureSpace | None = None) -> TreeEnsemble:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deep
-        raise DataFormatError(f"model {path}: invalid JSON ({e})") from None
+    doc = read_json(path, DataFormatError, "model")
     if not isinstance(doc, dict) or doc.get("kind") != "tree-ensemble":
         raise DataFormatError(f"model {path}: not a tree-ensemble document")
     if "features" in doc:
-        space, _ = config_from_json({"features": doc["features"]})
+        try:
+            space, _ = config_from_json({"features": doc["features"]})
+        except ConfigError as e:
+            raise DataFormatError(f"model {path}: {e}") from None
     elif space is None:
         raise ConfigError(
             f"model {path}: no feature declarations; pass a feature-space config"

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -188,13 +189,29 @@ MALFORMED_MODELS = {
     "short-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[1.0]),
     "nan-threshold": lambda doc: doc["trees"][0].update(threshold=float("nan")),
     "infinite-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[float("inf"), 0.0]),
+    "huge-integer-threshold": lambda doc: doc["trees"][0].update(threshold=10**400),
+    "levels-not-strings": lambda doc: doc["features"][1].update(levels=["lo", "hi", 5]),
+    "feature-bound-string": lambda doc: doc["features"][0].update(max="one"),
 }
+
+
+def _regression_model(*names: str) -> dict:
+    """A one-leaf regression model over numeric features on [0, 1]."""
+    return {
+        "kind": "tree-ensemble",
+        "task": "regression",
+        "params": {"n_trees": 1, "max_depth": 1, "min_leaf": 1, "feature_subsample": "all"},
+        "features": [{"name": n, "type": "numeric", "min": 0.0, "max": 1.0} for n in names],
+        "trees": [{"leaf": [0.5]}],
+    }
 
 
 class TestMalformedData:
     def test_nan_in_number_column_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("a,b,y\n0.1,0.5,0.0\nnan,0.25,1.0\n0.7,0.75,0.5\n")
+        # --data is read after the model, against its feature space
+        (tmp_path / "model.json").write_text(json.dumps(_regression_model("a", "b")))
         code = run(
             "explain", "--model", str(tmp_path / "model.json"), "--data", str(data),
             "--target", "y", "--instance", "row:0", "--output-dir", str(tmp_path),
@@ -227,6 +244,16 @@ class TestMalformedModel:
         assert self.explain(tmp_path, doc) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: model ") and "Traceback" not in err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(json.dumps(_good_model()).encode().replace(b'"lo"', b'"l\xf6"'))
+        assert run(
+            "explain", "--model", str(path), "--instance", '[0.3, "hi"]',
+            "--output-dir", str(tmp_path), "--format", "json",
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: model ") and "invalid JSON" in err
 
     def test_too_deeply_nested_json(self, tmp_path, capsys):
         split = '{"feature": 0, "threshold": 0.5, "right": {"leaf": [1.0, 0.0]}, "left": '
@@ -389,3 +416,91 @@ class TestTrainFlow:
             "--data", str(data), "--target", "label",
             "--output-dir", str(tmp_path),
         ) == 2
+
+
+class TestDataAgainstModelSpace:
+    """--data columns are matched to the model's features by name."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        data = root / "train.csv"
+        write_classification_csv(data, n=120, seed=5)
+        assert run(
+            "train", "--data", str(data), "--target", "label", "--trees", "5",
+            "--model-out", str(root / "model.json"), "--output-dir", str(root),
+        ) == 0
+        with open(data, newline="") as fh:
+            return root, list(csv.reader(fh))
+
+    def explain(self, root, rows, name):
+        path = root / name / "data.csv"
+        path.parent.mkdir()
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = root / name / "out"
+        code = run(
+            "explain", "--model", str(root / "model.json"), "--data", str(path),
+            "--target", "label", "--instance", "row:3", "--output-index", "1",
+            "--method", "ciu,shapley,lime", "--output-dir", str(out), "--format", "json,csv",
+        )
+        return code, out
+
+    def test_reordered_columns_give_the_same_report(self, trained):
+        root, rows = trained
+        order = [4, 2, 0, 3, 1]  # label, c, a, grade, b
+        code, plain = self.explain(root, rows, "plain")
+        assert code == 0
+        code, moved = self.explain(root, [[r[k] for k in order] for r in rows], "moved")
+        assert code == 0
+        csvs = [(d / "explain_report.csv").read_bytes() for d in (plain, moved)]
+        assert csvs[0] == csvs[1]
+        docs = [json.loads((d / "explain_report.json").read_text()) for d in (plain, moved)]
+        assert docs[0]["results"] == docs[1]["results"]
+
+    @pytest.mark.parametrize(
+        "change, code",
+        [("drop-column", 2), ("extra-column", 2), ("undeclared-level", 3)],
+    )
+    def test_mismatch_exits_with_message(self, trained, capsys, change, code):
+        root, rows = trained
+        rows = [list(r) for r in rows]
+        if change == "drop-column":
+            rows = [r[:2] + r[3:] for r in rows]
+        elif change == "extra-column":
+            rows = [r + [v] for r, v in zip(rows, ["d"] + ["1"] * (len(rows) - 1))]
+        else:
+            rows[5][3] = "mid"
+        assert self.explain(root, rows, change)[0] == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert {"drop-column": "'c'", "extra-column": "'d'", "undeclared-level": "'mid'"}[change] in err
+
+
+class TestCsvQuoting:
+    def test_names_with_commas_and_quotes_round_trip(self, tmp_path):
+        names = ["a,b", 'say "hi"', "x3", "x4"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "features": [{"name": n, "type": "numeric", "min": 0, "max": 1} for n in names],
+            "outputs": [{"name": "y", "min": 0, "max": 1}],
+        }))
+        common = [
+            "--predictor", "linear", "--config", str(config), "--format", "csv",
+            "--output-dir", str(tmp_path), "--samples", "5", "--shapley-budget", "5",
+        ]
+        assert run("explain", *common, "--instance", MID, "--method", "ciu,shapley") == 0
+        assert run("global", *common, "--iterations", "1", "--instances", "5") == 0
+        assert run(
+            "stability", *common, "--instance", MID, "--runs", "2",
+            "--methods", "contextual-influence",
+        ) == 0
+        for name, column in [
+            ("explain_report.csv", 1),
+            ("global_report.csv", 1),
+            ("stability_contextual_influence.csv", 2),
+        ]:
+            with open(tmp_path / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(r) == len(header) for r in rows)
+            assert {r[column] for r in rows} == set(names)

@@ -158,12 +158,12 @@ class TestOutputUtility:
 class TestOutputRange:
     def test_declared_linear(self, linear_bundle):
         pred, space, util = linear_bundle
-        est = ck.output_range_of(pred, space, util)
+        est = ck.resolve_utility(pred, space, util).spec(0)
         assert (est.out_min, est.out_max, est.estimated) == (0.0, 1.0, False)
 
     def test_estimated_nonlinear_matches_oracle(self, nonlinear_bundle):
         pred, space, util = nonlinear_bundle
-        est = ck.output_range_of(pred, space, util, budget=10000, rng=7)
+        est = ck.resolve_utility(pred, space, util, budget=10000, rng=7).spec(0)
         lo, hi = nonlinear_joint_range()
         assert est.estimated
         assert est.out_min == pytest.approx(lo, abs=5e-3)
@@ -176,7 +176,7 @@ class TestOutputRange:
         # every reported bound was actually produced by the predictor
         pred, space, util = nonlinear_bundle
         lo, hi = nonlinear_joint_range()
-        est = ck.output_range_of(pred, space, util, budget=2000, rng=11)
+        est = ck.resolve_utility(pred, space, util, budget=2000, rng=11).spec(0)
         assert est.out_min >= lo - 1e-9
         assert est.out_max <= hi + 1e-9
 
@@ -185,12 +185,12 @@ class TestOutputRange:
         pred = ck.FunctionPredictor(lambda x: np.full(len(x), 3.0))
         util = ck.OutputUtility.single("y")
         with pytest.raises(ck.DegenerateRangeError):
-            ck.output_range_of(pred, space, util, budget=500, rng=1)
+            ck.resolve_utility(pred, space, util, budget=500, rng=1).spec(0)
 
     def test_zero_budget_errors(self, nonlinear_bundle):
         pred, space, util = nonlinear_bundle
         with pytest.raises(ck.ConfigError):
-            ck.output_range_of(pred, space, util, budget=0)
+            ck.resolve_utility(pred, space, util, budget=0).spec(0)
 
     def test_estimation_deterministic(self, nonlinear_bundle):
         pred, space, _ = nonlinear_bundle
@@ -306,6 +306,17 @@ class TestEvaluatorContract:
         with pytest.raises(ck.DataFormatError, match="non-finite"):
             ENTRY_POINTS[entry](pred, _unit_square())
 
+    def test_evaluate_one_is_checked(self):
+        pred = ck.FunctionPredictor(lambda x: np.full(len(x), np.nan))
+        with pytest.raises(ck.DataFormatError, match="non-finite"):
+            pred.evaluate_one(ck.Instance((0.5, 0.5)))
+
+    def test_outputs_must_match_the_predictor(self, nonlinear_bundle):
+        pred, space, _ = nonlinear_bundle
+        two = ck.OutputUtility((ck.OutputSpec("a"), ck.OutputSpec("b")))
+        with pytest.raises(ck.ConfigError, match="2 outputs"):
+            ck.resolve_utility(pred, space, two, budget=50)
+
     def test_large_batches_are_chunked(self):
         calls = []
 
@@ -317,6 +328,28 @@ class TestEvaluatorContract:
         rows = [ck.Instance((0.0, 0.0))] * 70000
         assert evaluate_rows(Counting(), rows).shape == (70000, 1)
         assert calls == [65536, 70000 - 65536]
+
+
+_X = {"name": "x", "type": "numeric", "min": 0, "max": 1}
+
+BAD_CONFIGS = {
+    "features-not-a-list": {"features": 5},
+    "outputs-not-a-list": {"features": [_X], "outputs": 5},
+    "outputs-entry-not-an-object": {"features": [_X], "outputs": ["y"]},
+    "output-A-string": {"features": [_X], "outputs": [{"A": "up"}]},
+    "output-b-list": {"features": [_X], "outputs": [{"b": [0.0]}]},
+    "output-A-null": {"features": [_X], "outputs": [{"A": None}]},
+    "output-min-string": {"features": [_X], "outputs": [{"min": "0", "max": 1}]},
+    "output-max-infinite": {"features": [_X], "outputs": [{"min": 0, "max": float("inf")}]},
+    "output-A-huge-integer": {"features": [_X], "outputs": [{"A": 10**400}]},
+    "feature-min-string": {"features": [{**_X, "min": "zero"}]},
+    "feature-bounds-bool": {"features": [{**_X, "min": False, "max": True}]},
+    "feature-max-huge-integer": {"features": [{**_X, "max": 10**400}]},
+    "levels-string": {"features": [{"name": "c", "type": "categorical", "levels": "abc"}]},
+    "levels-numbers": {"features": [{"name": "c", "type": "categorical", "levels": [1, 2]}]},
+    "name-number": {"features": [{**_X, "name": 7}]},
+    "name-list": {"features": [{**_X, "name": ["x"]}]},
+}
 
 
 class TestConfigIO:
@@ -356,3 +389,33 @@ class TestConfigIO:
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(ck.ConfigError):
             ck.load_config(bad)
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_values_are_config_errors(self, case):
+        with pytest.raises(ck.ConfigError):
+            ck.config_from_json(BAD_CONFIGS[case])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"features": [{"name": "\xff", "type": "numeric", "min": 0, "max": 1}]}',
+            b"[" * 100000 + b"]" * 100000,
+            b'{"features": [{"name": "x", "type": "numeric", "min": 1' + b"0" * 5000 + b', "max": 1}]}',
+        ],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long"],
+    )
+    def test_unreadable_json_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        with pytest.raises(ck.ConfigError, match="invalid JSON"):
+            ck.load_config(path)
+
+    def test_infinite_bound_in_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"features": [{"name": "x", "type": "numeric", "min": 0, "max": 1}],'
+            ' "outputs": [{"name": "y", "min": 0, "max": 1e400}]}'
+        )
+        with pytest.raises(ck.ConfigError, match="max must be a finite number"):
+            ck.load_config(path)
+

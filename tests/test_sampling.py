@@ -78,6 +78,13 @@ class TestSampleSets:
         assert varied_values(instances, 0) == ("a", "b", "d")
         assert instances[position].values[0] == "b"
 
+    def test_undeclared_level_names_the_feature(self):
+        space = ck.FeatureSpace(
+            (ck.FeatureSpec.categorical("c", ["a", "b"]), ck.FeatureSpec.numeric("x", 0, 1))
+        )
+        with pytest.raises(ck.ConfigError, match="'c'"):
+            ck.build_sample_set(space, ck.Instance(("z", 0.3)), 0, n=5)
+
     def test_single_level_categorical(self):
         space = ck.FeatureSpace(
             (ck.FeatureSpec.categorical("c", ["only"]), ck.FeatureSpec.numeric("x", 0, 1))

@@ -91,6 +91,12 @@ class TestLoadErrors:
         with pytest.raises(ck.DataFormatError):
             ck.load_csv(self.make(tmp_path, ""), target="y")
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,y\n\xff,1\n")
+        with pytest.raises(ck.DataFormatError, match="unreadable CSV"):
+            ck.load_csv(path, target="y")
+
     def test_numeric_header(self, tmp_path):
         with pytest.raises(ck.DataFormatError):
             ck.load_csv(self.make(tmp_path, "1,2\n3,4\n"), target="y")
@@ -114,6 +120,15 @@ class TestLoadErrors:
     def test_no_data_rows(self, tmp_path):
         with pytest.raises(ck.DataFormatError):
             ck.load_csv(self.make(tmp_path, "a,y\n"), target="y")
+
+    def test_schema_columns_match_by_name(self, tmp_path):
+        schema = ck.FeatureSpace(
+            (ck.FeatureSpec.numeric("a", 0, 1), ck.FeatureSpec.categorical("g", ["u", "v"]))
+        )
+        ds = ck.load_csv(self.make(tmp_path, "g,y,a\nv,0,0.25\n"), target="y", schema=schema)
+        assert ds.space == schema and ds.rows[0].values == (0.25, "v")
+        with pytest.raises(ck.ConfigError, match=r"missing \['g'\], extra \['b'\]"):
+            ck.load_csv(self.make(tmp_path, "b,y,a\nv,0,0.25\n"), target="y", schema=schema)
 
     def test_schema_name_mismatch(self, tmp_path):
         schema = ck.FeatureSpace((ck.FeatureSpec.numeric("z", 0, 1),))
