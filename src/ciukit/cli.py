@@ -4,8 +4,9 @@ Subcommands: explain, global, whatif, stability, train. Exit codes:
 0 success, 2 configuration or usage problems, 3 runtime or model errors.
 
 Reports are byte-stable: the same invocation with the same seed writes
-identical JSON, CSV, and SVG files. Wall-clock timings are therefore kept
-out of reports unless --timings asks for them.
+identical JSON, CSV, and SVG files. Only this module reads the clock: it
+times each result block and adds the seconds to the reports only when
+--timings asks for them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 from .core import (
@@ -24,10 +26,11 @@ from .core import (
     builtin_model,
     load_config,
     resolve_utility,
+    uniform_instances,
 )
 from .baselines import lime_surrogate, shapley_mc
 from .engine import ceteris_paribus_curve, explain_instance
-from .global_importance import GLOBAL_METHODS, run_global, uniform_instances
+from .global_importance import GLOBAL_METHODS, run_global
 from .render import (
     render_ciu_barplot,
     render_cp_plot,
@@ -48,43 +51,54 @@ from .tabular import (
     train_ensemble,
 )
 
-_FORMATS = ("json", "svg", "text", "csv")
+# The report formats each subcommand writes.
+_FORMATS = {
+    "explain": ("json", "svg", "text", "csv"),
+    "global": ("json", "text", "csv"),
+    "whatif": ("json", "svg", "text"),
+    "stability": ("json", "svg", "text", "csv"),
+}
 _EXPLAIN_METHODS = ("ciu", "shapley", "lime")
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42, help="base random seed")
-    p.add_argument("--output-dir", default=".", help="directory for report files")
-    p.add_argument(
-        "--format",
-        default="json,text",
-        help=f"comma-separated outputs from {_FORMATS}",
-    )
-    p.add_argument("--output-index", type=int, default=0, help="model output to explain")
-    p.add_argument("--phi0", type=float, default=0.5, help="neutral utility level")
-    p.add_argument("--samples", type=int, default=100, help="per-feature sample count")
-    p.add_argument("--shapley-budget", type=int, default=200, help="shapley permutation walks")
-    p.add_argument("--lime-samples", type=int, default=1000, help="surrogate perturbation count")
-    p.add_argument(
-        "--range-budget",
-        type=int,
-        default=10000,
+# The options more than one subcommand reads. Each subcommand declares only
+# the ones its cmd_* reads, so a flag it would ignore is a usage error.
+_OPTIONS = {
+    "predictor": dict(choices=("linear", "nonlinear"), help="builtin predictor"),
+    "model": dict(help="trained model JSON file"),
+    "config": dict(help="feature-space and output-utility JSON file"),
+    "data": dict(help="CSV dataset (instances, background, targets)"),
+    "target": dict(help="target column name in --data"),
+    "seed": dict(type=int, default=42, help="base random seed"),
+    "output-dir": dict(default=".", help="directory for report files"),
+    "output-index": dict(type=int, default=0, help="model output to explain"),
+    "phi0": dict(type=float, default=0.5, help="neutral utility level"),
+    "samples": dict(type=int, default=100, help="per-feature sample count"),
+    "shapley-budget": dict(type=int, default=200, help="shapley permutation walks"),
+    "lime-samples": dict(type=int, default=1000, help="surrogate perturbation count"),
+    "range-budget": dict(
+        type=int, default=10000,
         help="sampling budget for estimating an undeclared output range",
-    )
-    p.add_argument(
-        "--timings",
+    ),
+    "timings": dict(
         action="store_true",
-        help="include wall-clock fields in JSON reports and the stability text "
-        "(breaks byte-stability)",
-    )
+        help="add each result block's wall-clock seconds to the JSON reports "
+        "and the stability text (breaks byte-stability)",
+    ),
+    "instance": dict(required=True, help="JSON values, or row:K into --data"),
+}
 
 
-def _add_model_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--predictor", choices=("linear", "nonlinear"), help="builtin predictor")
-    p.add_argument("--model", help="trained model JSON file")
-    p.add_argument("--config", help="feature-space and output-utility JSON file")
-    p.add_argument("--data", help="CSV dataset (instances, background, targets)")
-    p.add_argument("--target", help="target column name in --data")
+def _subcommand(sub, name: str, func, summary: str, options: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    for option in options.split():
+        p.add_argument(f"--{option}", **_OPTIONS[option])
+    if name in _FORMATS:
+        p.add_argument(
+            "--format", default="json,text",
+            help=f"comma-separated outputs from {_FORMATS[name]}",
+        )
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,17 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
         "influence baselines, what-if curves, stability benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every subcommand that writes reports, and of those that
+    # attribute one instance's output with every method
+    reporting = "predictor model config data target seed output-dir output-index range-budget"
+    attributing = f"{reporting} instance phi0 samples shapley-budget lime-samples timings"
 
-    p = sub.add_parser("explain", help="explain one instance")
-    _add_model_source(p)
-    _add_common(p)
-    p.add_argument("--instance", required=True, help="JSON values, or row:K into --data")
+    p = _subcommand(sub, "explain", cmd_explain, "explain one instance", attributing)
     p.add_argument("--method", default="ciu", help=f"comma list from {_EXPLAIN_METHODS}")
-    p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("global", help="dataset-level importance")
-    _add_model_source(p)
-    _add_common(p)
+    p = _subcommand(
+        sub, "global", cmd_global, "dataset-level importance",
+        f"{reporting} samples shapley-budget timings",
+    )
     p.add_argument(
         "--methods",
         default=None,
@@ -113,26 +128,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--iterations", type=int, default=5, help="importance repetitions")
     p.add_argument("--instances", type=int, default=200, help="instances per iteration")
-    p.set_defaults(func=cmd_global)
 
-    p = sub.add_parser("whatif", help="single-feature sweep curves")
-    _add_model_source(p)
-    _add_common(p)
-    p.add_argument("--instance", required=True, help="JSON values, or row:K into --data")
+    p = _subcommand(
+        sub, "whatif", cmd_whatif, "single-feature sweep curves", f"{reporting} instance phi0"
+    )
     p.add_argument("--feature", required=True, help="comma list of numeric feature names")
     p.add_argument("--grid", type=int, default=101, help="sweep resolution")
-    p.set_defaults(func=cmd_whatif)
 
-    p = sub.add_parser("stability", help="seed-to-seed attribution spread")
-    _add_model_source(p)
-    _add_common(p)
-    p.add_argument("--instance", required=True, help="JSON values, or row:K into --data")
-    p.add_argument("--methods", default=",".join(ALL_METHODS), help=f"comma list from {ALL_METHODS}")
+    p = _subcommand(
+        sub, "stability", cmd_stability, "seed-to-seed attribution spread", attributing
+    )
+    p.add_argument(
+        "--methods", default=",".join(ALL_METHODS), help=f"comma list from {ALL_METHODS}"
+    )
     p.add_argument("--runs", type=int, default=50, help="seeded runs per method")
-    p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("train", help="fit a bagged tree ensemble on CSV data")
-    _add_common(p)
+    p = _subcommand(sub, "train", cmd_train, "fit a bagged tree ensemble on CSV data", "seed")
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--target", required=True, help="target column name")
     p.add_argument("--model-out", required=True, help="where to write the model JSON")
@@ -140,16 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--min-leaf", type=int, default=1)
     p.add_argument("--holdout", type=float, default=0.25, help="test fraction")
-    p.set_defaults(func=cmd_train)
 
     return parser
 
 
 def _formats(args) -> set[str]:
+    allowed = _FORMATS[args.command]
     chosen = {f.strip() for f in args.format.split(",") if f.strip()}
-    bad = chosen - set(_FORMATS)
+    bad = chosen - set(allowed)
     if bad:
-        raise ConfigError(f"unknown format(s) {sorted(bad)}; use {_FORMATS}")
+        raise ConfigError(f"unknown format(s) {sorted(bad)}; use {allowed}")
     if not chosen:
         raise ConfigError("at least one output format is required")
     return chosen
@@ -183,13 +194,15 @@ def _setup(args):
     """Resolve (predictor, space, utility, dataset) from the source flags.
 
     ``--data`` is read against the resolved feature space, matching its
-    columns to the features by name.
+    columns to the features by name, and a classifier's target labels are
+    decoded through the model's class names.
     """
     if args.data and not args.target:
         raise ConfigError("--data needs --target to name the label column")
     if args.predictor and args.model:
         raise ConfigError("pass either --predictor or --model, not both")
     utility = None
+    class_names = ()
     if args.predictor:
         predictor, space, utility = builtin_model(args.predictor)
         if args.config:
@@ -200,9 +213,10 @@ def _setup(args):
             config_space, utility = load_config(args.config)
         predictor = load_model(args.model, config_space)
         space = predictor.space
+        class_names = predictor.class_names
     else:
         raise ConfigError("a predictor source is required: --predictor or --model")
-    dataset = load_csv(args.data, args.target, space) if args.data else None
+    dataset = load_csv(args.data, args.target, space, class_names) if args.data else None
     if utility is None:
         if predictor.task == "classification":
             utility = OutputUtility.classification(predictor.class_names)
@@ -267,49 +281,53 @@ def cmd_explain(args) -> None:
     out = _out_dir(args)
 
     blocks = []
-    plots = {}
-    texts = []
+    results = []
     for method in methods:
+        start = time.perf_counter()
         if method == "ciu":
-            exp = explain_instance(
+            result = explain_instance(
                 predictor, utility, space, x,
                 args.output_index, args.samples, args.phi0, base,
             )
-            block = exp.to_json_dict()
-            if args.timings:
-                block["elapsed"] = exp.elapsed
-            blocks.append(block)
-            plots["explain_ciu.svg"] = render_ciu_barplot(exp)
-            plots["explain_influence_ciu.svg"] = render_influence_barplot(
-                exp.feature_names,
-                exp.influence_vector(),
-                exp.feature_values,
-                title="Contextual influence",
-                limit=max(args.phi0, 1.0 - args.phi0),
-            )
-            texts.append(text_ciu_bars(exp))
-            texts.append(text_influence_bars(exp.feature_names, exp.influence_vector(), "ciu"))
         elif method == "shapley":
             bg = _background(dataset, space, base.spawn(903))
-            att = shapley_mc(
+            result = shapley_mc(
                 predictor, space, x, bg, args.shapley_budget,
                 base.spawn(901), args.output_index,
             )
-            blocks.append(att.to_json_dict())
-            plots["explain_influence_shapley.svg"] = render_influence_barplot(
-                att.feature_names, att.phi, x.values, title="Shapley attribution"
-            )
-            texts.append(text_influence_bars(att.feature_names, att.phi, "shapley"))
         else:
-            att = lime_surrogate(
+            result = lime_surrogate(
                 predictor, space, x, args.lime_samples,
                 rng=base.spawn(902), output=args.output_index,
             )
-            blocks.append(att.to_json_dict())
-            plots["explain_influence_lime.svg"] = render_influence_barplot(
-                att.feature_names, att.phi, x.values, title="Surrogate attribution"
+        block = result.to_json_dict()
+        if args.timings:
+            block["elapsed"] = time.perf_counter() - start
+        blocks.append(block)
+        results.append((method, result))
+
+    plots = {}
+    texts = []
+    titles = {"shapley": "Shapley attribution", "lime": "Surrogate attribution"}
+    for method, result in results:
+        if method == "ciu":
+            plots["explain_ciu.svg"] = render_ciu_barplot(result)
+            plots["explain_influence_ciu.svg"] = render_influence_barplot(
+                result.feature_names,
+                result.influence_vector(),
+                result.feature_values,
+                title="Contextual influence",
+                limit=max(args.phi0, 1.0 - args.phi0),
             )
-            texts.append(text_influence_bars(att.feature_names, att.phi, "lime"))
+            texts.append(text_ciu_bars(result))
+            texts.append(
+                text_influence_bars(result.feature_names, result.influence_vector(), "ciu")
+            )
+        else:
+            plots[f"explain_influence_{method}.svg"] = render_influence_barplot(
+                result.feature_names, result.phi, x.values, title=titles[method]
+            )
+            texts.append(text_influence_bars(result.feature_names, result.phi, method))
 
     report = {"command": "explain", "config": _snapshot(args), "results": blocks}
     if "json" in formats:
@@ -349,27 +367,26 @@ def cmd_global(args) -> None:
         rows = list(dataset.rows)
         targets = list(dataset.target)
     results = []
-    for k, method in enumerate(methods):
-        results.append(
-            run_global(
-                predictor, utility, space, method,
-                iterations=args.iterations,
-                instances_per_iteration=args.instances,
-                rng=base.spawn(k),
-                rows=rows,
-                targets=targets,
-                n=args.samples,
-                budget=args.shapley_budget,
-                output=args.output_index,
-            )
-        )
-
     report = {"command": "global", "config": _snapshot(args), "results": []}
-    for g in results:
+    for k, method in enumerate(methods):
+        start = time.perf_counter()
+        g = run_global(
+            predictor, utility, space, method,
+            iterations=args.iterations,
+            instances_per_iteration=args.instances,
+            rng=base.spawn(k),
+            rows=rows,
+            targets=targets,
+            n=args.samples,
+            budget=args.shapley_budget,
+            output=args.output_index,
+        )
         block = g.to_json_dict()
         if args.timings:
-            block["elapsed"] = g.elapsed
+            block["elapsed"] = time.perf_counter() - start
         report["results"].append(block)
+        results.append(g)
+
     if "json" in formats:
         _write_json(out / "global_report.json", report)
     if "csv" in formats:
@@ -432,18 +449,22 @@ def cmd_stability(args) -> None:
     out = _out_dir(args)
     budgets = Budgets(args.samples, args.shapley_budget, args.lime_samples)
     background = list(dataset.rows) if dataset is not None else None
-    reports = run_stability(
-        predictor, utility, space, x,
-        methods=methods, runs=args.runs, budgets=budgets,
-        seed=args.seed, phi0=args.phi0, output=args.output_index,
-        background=background,
-    )
-    for method, rep in reports.items():
-        tag = method.replace("-", "_")
+    reports = []
+    for method in dict.fromkeys(methods):  # a repeated method runs once
+        start = time.perf_counter()
+        rep = run_stability(
+            predictor, utility, space, x,
+            methods=[method], runs=args.runs, budgets=budgets,
+            seed=args.seed, phi0=args.phi0, output=args.output_index,
+            background=background,
+        )[method]
+        reports.append((rep, time.perf_counter() - start))
+    for rep, elapsed in reports:
+        tag = rep.method.replace("-", "_")
         if "json" in formats:
             doc = rep.to_json_dict()
             if args.timings:
-                doc["elapsed"] = [float(t) for t in rep.elapsed]
+                doc["elapsed"] = elapsed
             _write_json(out / f"stability_{tag}.json", {
                 "command": "stability", "config": _snapshot(args), "results": doc,
             })
@@ -454,8 +475,7 @@ def cmd_stability(args) -> None:
         if "text" in formats:
             print(summarize(rep))
             if args.timings:
-                total = sum(rep.elapsed)
-                print(f"elapsed: total {total:.3f}s, per run {total / rep.n_runs:.4f}s")
+                print(f"elapsed: total {elapsed:.3f}s, per run {elapsed / rep.n_runs:.4f}s")
             print()
 
 

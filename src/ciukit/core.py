@@ -153,7 +153,11 @@ class FeatureSpace:
         for feat, value in zip(self.features, values):
             if feat.is_numeric:
                 try:
+                    if isinstance(value, bool):  # JSON true/false is not a number
+                        raise TypeError
                     v = float(value)
+                except OverflowError:  # an integer beyond the float range
+                    v = math.inf
                 except (TypeError, ValueError):
                     raise ConfigError(
                         f"feature {feat.name!r}: expected a number, got {value!r}"

@@ -16,7 +16,6 @@ range [-phi0, 1 - phi0].
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,6 @@ class Explanation:
     phi0: float
     sample_count: int
     seed: int
-    elapsed: float
     estimated_range: bool = False
 
     def ci_vector(self) -> np.ndarray:
@@ -213,7 +211,6 @@ def explain_instance(
         raise ConfigError("phi0 must lie in [0, 1]")
     utility.range_width(output)  # fail fast when the range is unresolved
     base = as_rng(rng)
-    start = time.perf_counter()
     values = []
     y_at_x = None
     for i in range(len(space)):
@@ -222,7 +219,6 @@ def explain_instance(
         )
         y_at_x = y
         values.append(_ciu_value(ymin, ymax, y, utility, output, phi0))
-    elapsed = time.perf_counter() - start
     spec = utility.spec(output)
     return Explanation(
         feature_names=space.names,
@@ -234,7 +230,6 @@ def explain_instance(
         phi0=phi0,
         sample_count=n,
         seed=base.seed,
-        elapsed=elapsed,
         estimated_range=spec.estimated,
     )
 

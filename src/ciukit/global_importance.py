@@ -3,7 +3,6 @@ normalize competing methods onto a comparable scale."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,7 +46,6 @@ class GlobalImportance:
     spread: tuple[float, ...]
     n_instances: int
     n_iterations: int
-    elapsed: float
     normalized: bool
     degenerate: tuple[bool, ...]
 
@@ -96,7 +94,6 @@ def _summary(
     space: FeatureSpace,
     scores: np.ndarray,
     degenerate: np.ndarray,
-    elapsed: float,
     n_instances: int,
     n_iterations: int = 1,
     normalized: bool = False,
@@ -109,7 +106,6 @@ def _summary(
         spread=tuple(float(v) for v in _sd(scores)),
         n_instances=n_instances,
         n_iterations=n_iterations,
-        elapsed=elapsed,
         normalized=normalized,
         degenerate=tuple(bool(v) for v in degenerate),
     )
@@ -133,15 +129,13 @@ def global_ci(
     if not instances:
         raise ConfigError("global importance needs at least one instance")
     base = as_rng(rng)
-    start = time.perf_counter()
     ci = np.empty((len(instances), len(space)))
     degenerate = np.zeros(len(space), dtype=bool)
     for r, x in enumerate(instances):
         exp = explain_instance(predictor, utility, space, x, output, n, rng=base.spawn(r))
         ci[r] = exp.ci_vector()
         degenerate |= [v.degenerate for v in exp.values]
-    elapsed = time.perf_counter() - start
-    return _summary("ci", space, ci, degenerate, elapsed, len(instances))
+    return _summary("ci", space, ci, degenerate, len(instances))
 
 
 def global_mean_abs_shapley(
@@ -161,14 +155,12 @@ def global_mean_abs_shapley(
         raise ConfigError("global importance needs at least one instance")
     bg = list(background) if background is not None else list(instances)
     base = as_rng(rng)
-    start = time.perf_counter()
     scores = np.empty((len(instances), len(space)))
     for r, x in enumerate(instances):
         att = shapley_mc(predictor, space, x, bg, budget, base.spawn(r), output)
         scores[r] = np.abs(att.phi)
-    elapsed = time.perf_counter() - start
     degenerate = np.zeros(len(space), dtype=bool)
-    return _summary("shapley", space, scores, degenerate, elapsed, len(instances))
+    return _summary("shapley", space, scores, degenerate, len(instances))
 
 
 def run_global(
@@ -199,7 +191,6 @@ def run_global(
     if iterations < 1:
         raise ConfigError("iterations must be positive")
     base = as_rng(rng)
-    start = time.perf_counter()
     per_iter = []
     degenerate = np.zeros(len(space), dtype=bool)
     for it in range(iterations):
@@ -232,8 +223,7 @@ def run_global(
                 predictor, space, sample, sample_targets, loss, repeats, sub_rng, output
             )
         per_iter.append(normalize_importances(raw))
-    elapsed = time.perf_counter() - start
     return _summary(
-        method, space, np.vstack(per_iter), degenerate, elapsed,
+        method, space, np.vstack(per_iter), degenerate,
         instances_per_iteration, iterations, normalized=True,
     )

@@ -1,22 +1,22 @@
 """Benchmark harness: repeat explanation methods under fresh seeds and
 summarize the spread of their attributions.
 
-Runs execute sequentially so per-run wall-clock times stay comparable.
-Timing is environment-dependent by nature; treat elapsed ratios between
-methods as indicative, not as a portable measurement.
+Every run is fixed by the seed and its run index, so a report is a value:
+the same inputs give the same attributions.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, FeatureSpace, Instance, OutputUtility, Predictor
+from .core import (
+    ConfigError, FeatureSpace, Instance, OutputUtility, Predictor, uniform_instances,
+)
 from .baselines import (
     METHOD_INFLUENCE,
     METHOD_LIME,
@@ -25,7 +25,7 @@ from .baselines import (
     shapley_mc,
 )
 from .engine import explain_instance
-from .global_importance import _sd, uniform_instances
+from .global_importance import _sd
 from .sampling import SeededRng, as_rng
 
 ALL_METHODS = (METHOD_INFLUENCE, METHOD_SHAPLEY, METHOD_LIME)
@@ -55,7 +55,6 @@ class StabilityReport:
     method: str
     feature_names: tuple[str, ...]
     runs: tuple[tuple[float, ...], ...]
-    elapsed: tuple[float, ...]
     seed: int
     budgets: Budgets
     phi0: float
@@ -159,22 +158,17 @@ def run_stability(
         background = uniform_instances(space, 1000, base.spawn(987654321))
     reports = {}
     for m in methods:
-        values = []
-        times = []
-        for r in range(runs):
-            t0 = time.perf_counter()
-            values.append(
-                _run_once(
-                    m, predictor, utility, space, x,
-                    budgets, base.spawn(r), phi0, output, background,
-                )
+        values = tuple(
+            _run_once(
+                m, predictor, utility, space, x,
+                budgets, base.spawn(r), phi0, output, background,
             )
-            times.append(time.perf_counter() - t0)
+            for r in range(runs)
+        )
         reports[m] = StabilityReport(
             method=m,
             feature_names=space.names,
-            runs=tuple(values),
-            elapsed=tuple(times),
+            runs=values,
             seed=base.seed,
             budgets=budgets,
             phi0=phi0,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -21,7 +20,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    CATEGORICAL,
     ConfigError,
     DataFormatError,
     FeatureSpace,
@@ -99,13 +97,19 @@ def _infer_feature(name: str, column: list[str]) -> FeatureSpec:
     return FeatureSpec.categorical(name, levels)
 
 
-def load_csv(path, target: str, schema: FeatureSpace | None = None) -> Dataset:
+def load_csv(
+    path, target: str, schema: FeatureSpace | None = None, class_names: Sequence[str] = ()
+) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a Dataset.
 
     The target column is removed from the features. Without an explicit
     ``schema``, feature types and bounds are inferred from the data; with
     one, columns are matched to its features by name, a missing or extra
     column raises ConfigError and an undeclared level DataFormatError.
+    Given a classifier's ``class_names``, the target labels are decoded
+    through them whatever the row order, and a label outside them raises
+    DataFormatError; without, a target of numbers is a regression target
+    and any other gets class names in first-appearance order.
     Missing cells and ragged rows are rejected rather than imputed.
     """
     try:
@@ -129,7 +133,6 @@ def load_csv(path, target: str, schema: FeatureSpace | None = None) -> Dataset:
             raise DataFormatError(f"{path}: row {k + 2} has {len(row)} cells, expected {len(header)}")
         if any(cell == "" for cell in row):
             raise DataFormatError(f"{path}: row {k + 2} has an empty cell")
-    t_idx = header.index(target)
     feature_names = [h for h in header if h != target]
     columns = {h: [row[i] for row in data] for i, h in enumerate(header)}
     for name, column in columns.items():
@@ -173,14 +176,19 @@ def load_csv(path, target: str, schema: FeatureSpace | None = None) -> Dataset:
                 vals.append(cell)
         rows.append(Instance(tuple(vals)))
 
-    raw_target = columns[header[t_idx]]
-    if all(_is_number(v) for v in raw_target):
+    raw_target = columns[target]
+    if not class_names and all(_is_number(v) for v in raw_target):
         return Dataset(
             space, tuple(rows), tuple(float(v) for v in raw_target),
             target, REGRESSION,
         )
-    class_names = tuple(dict.fromkeys(raw_target))
+    class_names = tuple(class_names) or tuple(dict.fromkeys(raw_target))
     index = {c: k for k, c in enumerate(class_names)}
+    unknown = sorted(set(raw_target) - index.keys())
+    if unknown:
+        raise DataFormatError(
+            f"{path}: target labels {unknown} are not among the classes {list(class_names)}"
+        )
     return Dataset(
         space, tuple(rows), tuple(index[v] for v in raw_target),
         target, CLASSIFICATION, class_names,

@@ -249,7 +249,7 @@ def test_criterion_10_train_and_explain_flow(capsys, tmp_path):
 
     code = cli.main([
         "train", "--data", str(data), "--target", "label",
-        "--model-out", str(model), "--output-dir", str(tmp_path),
+        "--model-out", str(model),
     ])
     _check(failures, code == 0, f"train exited {code}")
     message = capsys.readouterr().out

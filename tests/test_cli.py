@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -64,10 +65,10 @@ class TestExplain:
         assert "output y = 0.5000" in text
         assert "(shapley)" in text and "(lime)" in text
 
-    def test_timings_flag_adds_elapsed(self, tmp_path):
+    def test_timings_flag_adds_elapsed(self, tmp_path, capsys):
         base = [
             "explain", "--predictor", "linear", "--instance", MID,
-            "--format", "json",
+            "--format", "json", "--method", "ciu,shapley,lime",
         ]
         run(*base, "--output-dir", str(tmp_path / "plain"))
         run(*base, "--timings", "--output-dir", str(tmp_path / "timed"))
@@ -75,6 +76,36 @@ class TestExplain:
         timed = json.loads((tmp_path / "timed/explain_report.json").read_text())
         assert "elapsed" not in plain["results"][0]
         assert timed["results"][0]["elapsed"] > 0
+        # every block carries its own time, in every report that has blocks
+        assert all("elapsed" not in block for block in plain["results"])
+        assert [type(b["elapsed"]) for b in timed["results"]] == [float] * 3
+        assert all(b["elapsed"] > 0 for b in timed["results"])
+
+        common = [
+            "--predictor", "linear", "--format", "json,text", "--timings",
+            "--samples", "5", "--shapley-budget", "5",
+        ]
+        assert run(
+            "global", *common, "--iterations", "1", "--instances", "5",
+            "--output-dir", str(tmp_path / "global"),
+        ) == 0
+        doc = json.loads((tmp_path / "global/global_report.json").read_text())
+        assert len(doc["results"]) == 3
+        assert all(type(b["elapsed"]) is float and b["elapsed"] > 0 for b in doc["results"])
+
+        capsys.readouterr()
+        assert run(
+            "stability", *common, "--instance", MID, "--runs", "2", "--lime-samples", "20",
+            "--output-dir", str(tmp_path / "stability"),
+        ) == 0
+        for tag in ("contextual_influence", "shapley_mc", "lime_surrogate"):
+            doc = json.loads((tmp_path / f"stability/stability_{tag}.json").read_text())
+            assert type(doc["results"]["elapsed"]) is float
+            assert doc["results"]["elapsed"] > 0
+        lines = [s for s in capsys.readouterr().out.splitlines() if s.startswith("elapsed")]
+        assert len(lines) == 3
+        pattern = r"elapsed: total \d+\.\d{3}s, per run \d+\.\d{4}s"
+        assert all(re.fullmatch(pattern, s) for s in lines)
 
     def test_csv_rows(self, tmp_path):
         run(
@@ -130,9 +161,68 @@ class TestExitCodes:
             "--output-dir", str(tmp_path),
         ) == 3
 
+    def test_boolean_or_huge_number_instance(self, tmp_path, capsys):
+        base = ["explain", "--predictor", "linear", "--output-dir", str(tmp_path)]
+        assert run(*base, "--instance", "[true, 0, 0, 0]") == 2
+        assert run(*base, "--instance", f"[0, {10**400}, 0, 0]") == 2
+        err = capsys.readouterr().err
+        assert "'x1': expected a number, got True" in err and "'x2'" in err
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "explain" in capsys.readouterr().out
+
+
+# A valid argv per subcommand ("{dir}" is a directory holding d.csv), and
+# the flags and formats each does not read.
+VALID_ARGV = {
+    "global": ["global", "--predictor", "linear", "--iterations", "1", "--instances", "3"],
+    "whatif": ["whatif", "--predictor", "linear", "--instance", MID, "--feature", "x1"],
+    "train": [
+        "train", "--data", "{dir}/d.csv", "--target", "label",
+        "--model-out", "{dir}/m.json", "--trees", "2",
+    ],
+}
+UNREAD_FLAGS = [
+    ("global", ["--phi0", "0.5"]),
+    ("global", ["--lime-samples", "10"]),
+    ("whatif", ["--samples", "10"]),
+    ("whatif", ["--shapley-budget", "10"]),
+    ("whatif", ["--lime-samples", "10"]),
+    ("whatif", ["--timings"]),
+    ("train", ["--output-dir", "."]),
+    ("train", ["--format", "json"]),
+    ("train", ["--output-index", "0"]),
+    ("train", ["--phi0", "0.5"]),
+    ("train", ["--samples", "10"]),
+    ("train", ["--shapley-budget", "10"]),
+    ("train", ["--lime-samples", "10"]),
+    ("train", ["--range-budget", "10"]),
+    ("train", ["--timings"]),
+    ("global", ["--format", "svg"]),
+    ("whatif", ["--format", "csv"]),
+]
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand accepts only the flags and formats it reads."""
+
+    def argv(self, command, tmp_path):
+        write_classification_csv(tmp_path / "d.csv", n=40)
+        argv = [a.format(dir=tmp_path) for a in VALID_ARGV[command]]
+        return argv if command == "train" else argv + ["--output-dir", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command, extra", UNREAD_FLAGS)
+    def test_unread_flag_or_format_exits_2(self, tmp_path, capsys, command, extra):
+        assert run(*self.argv(command, tmp_path), *extra) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]  # nothing written
+
+    @pytest.mark.parametrize("command", sorted(VALID_ARGV))
+    def test_valid_argv_runs(self, tmp_path, capsys, command):
+        assert run(*self.argv(command, tmp_path)) == 0
 
 
 def _good_model() -> dict:
@@ -364,7 +454,6 @@ class TestTrainFlow:
         code = run(
             "train", "--data", str(data), "--target", "label",
             "--model-out", str(model), "--trees", "30",
-            "--output-dir", str(tmp_path),
         )
         assert code == 0
         message = capsys.readouterr().out
@@ -405,7 +494,6 @@ class TestTrainFlow:
         run(
             "train", "--data", str(data), "--target", "label",
             "--model-out", str(model), "--trees", "5",
-            "--output-dir", str(tmp_path),
         )
         capsys.readouterr()
         doc = json.loads(model.read_text())
@@ -428,7 +516,7 @@ class TestDataAgainstModelSpace:
         write_classification_csv(data, n=120, seed=5)
         assert run(
             "train", "--data", str(data), "--target", "label", "--trees", "5",
-            "--model-out", str(root / "model.json"), "--output-dir", str(root),
+            "--model-out", str(root / "model.json"),
         ) == 0
         with open(data, newline="") as fh:
             return root, list(csv.reader(fh))
@@ -475,6 +563,55 @@ class TestDataAgainstModelSpace:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert {"drop-column": "'c'", "extra-column": "'d'", "undeclared-level": "'mid'"}[change] in err
+
+
+class TestTargetsAgainstModelClasses:
+    """A classifier's --data labels are decoded through its class names."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("classes")
+        write_classification_csv(root / "data.csv", n=200, seed=7)
+        assert run(
+            "train", "--data", str(root / "data.csv"), "--target", "label",
+            "--trees", "10", "--depth", "4", "--model-out", str(root / "model.json"),
+        ) == 0
+        assert json.loads((root / "model.json").read_text())["class_names"] == ["yes", "no"]
+        return root
+
+    def global_pfi(self, root, lines, name, methods="pfi-ce"):
+        (root / f"{name}.csv").write_text("".join(lines))
+        code = run(
+            "global", "--model", str(root / "model.json"), "--data", str(root / f"{name}.csv"),
+            "--target", "label", "--methods", methods, "--format", "json",
+            "--iterations", "2", "--instances", "20", "--samples", "5", "--shapley-budget", "5",
+            "--output-dir", str(root / name),
+        )
+        if code:
+            return code, None
+        doc = json.loads((root / name / "global_report.json").read_text())
+        return code, [f["mean"] for f in doc["results"][0]["features"]]
+
+    def test_row_order_does_not_change_the_labels(self, trained):
+        header, *rows = (trained / "data.csv").read_text().splitlines(keepends=True)
+        k = next(i for i, r in enumerate(rows) if r.rstrip().endswith(",no"))
+        assert k > 0
+        code, plain = self.global_pfi(trained, [header, *rows], "plain")
+        assert code == 0
+        # a "no" row first used to flip the label map: "importances sum to zero"
+        moved = [header, rows[k], *rows[:k], *rows[k + 1:]]
+        code, moved = self.global_pfi(trained, moved, "moved")
+        assert code == 0
+        # the bootstrap draws other rows, so the means agree within their spread
+        assert moved == pytest.approx(plain, abs=0.01)
+
+    def test_numeric_labels_against_named_classes_exit_3(self, trained, capsys):
+        header, *rows = (trained / "data.csv").read_text().splitlines(keepends=True)
+        numeric = [header] + [r.replace(",yes", ",1").replace(",no", ",0") for r in rows]
+        # used to be read as a regression target and explained by pfi-mae
+        assert self.global_pfi(trained, numeric, "numeric", "ci,pfi-mae")[0] == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "['0', '1']" in err and "Traceback" not in err
 
 
 class TestCsvQuoting:

@@ -109,7 +109,9 @@ def _fuzz(kind, data, argv_of):
         path.write_bytes(data)
         (tmp / "good_model.json").write_text(json.dumps(_good_model()))
         for argv in argv_of(tmp, str(path)):
-            _run(argv + ["--output-dir", str(tmp / "out"), "--format", "json"])
+            if argv[0] != "train":
+                argv = argv + ["--output-dir", str(tmp / "out"), "--format", "json"]
+            _run(argv)
 
 
 @EXAMPLES

@@ -29,9 +29,9 @@ from conftest import write_classification_csv
 NONLINEAR_X = "[0.63, 0.63, 0.59, 0.81]"
 LINEAR_X = "[0.2, 0.7, 0.4, 0.9]"
 
-# Run name -> CLI argv list; every command also gets --output-dir. "{dir}"
-# stands for that directory and "{data}" for a generated mixed-space CSV
-# (three numeric features and one categorical).
+# Run name -> CLI argv list; every command but train also gets --output-dir.
+# "{dir}" stands for that directory and "{data}" for a generated mixed-space
+# CSV (three numeric features and one categorical).
 RUNS = {
     "explain-nonlinear": [
         ["explain", "--predictor", "nonlinear", "--instance", NONLINEAR_X,
@@ -95,7 +95,7 @@ GOLDEN = {
         'global_report.csv':
             '3c7e8b8c308d4c724a710a784e8e30084c7fe8150df440e445a993f484df6afb',
         'global_report.json':
-            '536b01de1d252494318a9e380b65e642f1a9907cba4de27fa2a20a9114138c2e',
+            'd8c1970f98145edf2d4bdb9ace0d34e3843c940904073569d6e9971c6798ba8e',
     },
     'stability-linear': {
         'stability_contextual_influence.csv':
@@ -119,7 +119,7 @@ GOLDEN = {
     },
     'whatif-linear': {
         'whatif_report.json':
-            '39f65e57bc577793faa806673188d75a023e6cee19f6b2ebd4d1701dfa687b48',
+            '685e70b398cf33692b3b01203d53738c6422a2e1c18b36d0faec5a9b5591c70a',
         'whatif_x1.svg':
             '3a16a59a2402d25699362935bd4b2682345b71f44aa1ced32fd85424e392a0c0',
         'whatif_x3.svg':
@@ -156,8 +156,10 @@ def report_digests(name: str, workdir: Path) -> dict[str, str]:
         write_classification_csv("data.csv", n=200, seed=7)
         for argv in RUNS[name]:
             argv = [a.format(dir="out", data="data.csv") for a in argv]
+            if argv[0] != "train":
+                argv = argv + ["--output-dir", "out"]
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv + ["--output-dir", "out"])
+                code = cli.main(argv)
             assert code == 0, f"{name}: {argv[0]} exited {code}"
     finally:
         os.chdir(home)

@@ -35,16 +35,20 @@ class Smooth(ck.Predictor):
         self.scores = scores
         self.monotone = monotone
 
+    def term(self, i, v):
+        """Feature i's term at value v."""
+        feat = self.space[i]
+        if feat.is_numeric:
+            z = (v - feat.min) / (feat.max - feat.min)
+            return self.weights[i] * (z if self.monotone else math.sin(self.freqs[i] * z))
+        return self.scores[i][feat.levels.index(v)]
+
     def evaluate(self, instances):
         out = np.zeros((len(instances), 1))
         for r, inst in enumerate(instances):
             total = 0.0
-            for i, (feat, v) in enumerate(zip(self.space, inst.values)):
-                if feat.is_numeric:
-                    z = (v - feat.min) / (feat.max - feat.min)
-                    total += self.weights[i] * (z if self.monotone else math.sin(self.freqs[i] * z))
-                else:
-                    total += self.scores[i][feat.levels.index(v)]
+            for i, v in enumerate(inst.values):
+                total += self.term(i, v)
             out[r, 0] = math.tanh(total) if self.monotone else total
         return out
 
@@ -170,3 +174,92 @@ def test_shapley_efficiency(problem, n_background, budget, seed):
     fx = pred.evaluate([x])[0, 0]
     expected = fx - np.mean(pred.evaluate(drawn)[:, 0])
     assert sum(att.phi) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+# Influence is importance measured against a reference level. For an
+# additive model f = sum_i g_i, CIU's interval for feature i is
+# [c + min g_i, c + max g_i] with c the other features' sum, so
+# width * ci * (cu - r_i) = g_i(x_i) - mean g_i over the background: the
+# exact Shapley value, when r_i places the background mean of g_i in the
+# same interval.
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=problems(),
+    n_background=st.integers(1, 8),
+    n=st.integers(0, 20),
+    seed=st.integers(0, 2**16),
+    out_min=st.floats(-4.0, 1.0),
+    width=st.floats(0.1, 8.0),
+)
+def test_influence_against_the_background_mean_is_shapley(
+    problem, n_background, n, seed, out_min, width
+):
+    space, weights, freqs, scores, x = problem
+    pred = Smooth(space, weights, freqs, scores)
+    util = ck.OutputUtility.single("y", out_min=out_min, out_max=out_min + width)
+    background = ck.uniform_instances(space, n_background, seed + 1)  # independent columns
+    phi = ck.shapley_enumerate(pred, space, x, background)
+    exp = ck.explain_instance(pred, util, space, x, n=n, rng=seed)
+    for i, v in enumerate(exp.values):
+        if v.degenerate:  # g_i is constant: no importance, no influence
+            assert v.ci == 0.0 and phi[i] == pytest.approx(0.0, abs=1e-12)
+            continue
+        rest = exp.y - pred.term(i, x.values[i])
+        mean_g = rest + float(np.mean([pred.term(i, z.values[i]) for z in background]))
+        r = (mean_g - v.ymin) / (v.ymax - v.ymin)
+        assert width * v.ci * (v.cu - r) == pytest.approx(phi[i], rel=1e-9, abs=1e-9)
+
+
+def _explain_twice(problem, n, seed, util_a, util_b, pred_b=None):
+    """The same instance and seed explained under two utilities (and, given
+    ``pred_b``, a second predictor); both see the same sample rows."""
+    space, weights, freqs, scores, x = problem
+    pred = Smooth(space, weights, freqs, scores)
+    a = ck.explain_instance(pred, util_a, space, x, n=n, rng=seed)
+    b = ck.explain_instance(pred_b or pred, util_b, space, x, n=n, rng=seed)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=problems(), n=st.integers(0, 20), seed=st.integers(0, 2**16), a=st.floats(0.1, 5.0)
+)
+def test_flipping_the_utility_slope_mirrors_cu(problem, n, seed, a):
+    rising = ck.OutputUtility.single("y", a=a, out_min=-4.0, out_max=4.0)
+    falling = ck.OutputUtility.single("y", a=-a, out_min=-4.0, out_max=4.0)
+    up, down = _explain_twice(problem, n, seed, rising, falling)
+    for u, d in zip(up.values, down.values):
+        assert d.ci == u.ci
+        if u.degenerate:  # no interval, no worst end: cu is 0 either way
+            assert d.cu == u.cu == 0.0
+        elif u.ymax - u.ymin > 1e-6:  # narrower intervals lose digits to rounding
+            assert d.cu == pytest.approx(1.0 - u.cu, abs=1e-8)
+
+
+class Rescaled(ck.Predictor):
+    def __init__(self, base, scale, shift):
+        self.base, self.scale, self.shift = base, scale, shift
+
+    def evaluate(self, instances):
+        return self.scale * self.base.evaluate(instances) + self.shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=problems(),
+    n=st.integers(0, 20),
+    seed=st.integers(0, 2**16),
+    scale=st.floats(0.5, 4.0),
+    shift=st.floats(-3.0, 3.0),
+)
+def test_affine_rescale_of_outputs_keeps_ci_and_cu(problem, n, seed, scale, shift):
+    space, weights, freqs, scores, _ = problem
+    lo, hi = -4.0, 4.0
+    util = ck.OutputUtility.single("y", out_min=lo, out_max=hi)
+    moved = ck.OutputUtility.single("y", out_min=scale * lo + shift, out_max=scale * hi + shift)
+    pred = Rescaled(Smooth(space, weights, freqs, scores), scale, shift)
+    plain, rescaled = _explain_twice(problem, n, seed, util, moved, pred)
+    for p, r in zip(plain.values, rescaled.values):
+        assert r.ci == pytest.approx(p.ci, rel=1e-9, abs=1e-12)
+        if p.ymax - p.ymin > 1e-6:  # narrower intervals lose digits to rounding
+            assert r.cu == pytest.approx(p.cu, abs=1e-6)

@@ -16,7 +16,6 @@ class TestRunStability:
         assert set(linear_reports) == set(ck.ALL_METHODS)
         for rep in linear_reports.values():
             assert rep.matrix().shape == (20, 4)
-            assert len(rep.elapsed) == 20
 
     def test_influence_runs_are_bitwise_identical(self, linear_reports):
         # endpoint probes make the influence of a monotone predictor exact,
@@ -128,7 +127,6 @@ class TestReportOutputs:
                 method=ck.METHOD_LIME,
                 feature_names=("a",),
                 runs=((0.1,),),
-                elapsed=(0.0,),
                 seed=1,
                 budgets=ck.Budgets(),
                 phi0=0.5,

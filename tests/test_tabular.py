@@ -67,6 +67,22 @@ class TestSchemaInference:
         assert ds.class_names == ("no", "yes")  # first-appearance order
         assert ds.target == (0, 1, 0)
 
+    def test_class_names_decode_the_target(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,y\n1,no\n2,yes\n3,no\n")
+        ds = ck.load_csv(path, target="y", class_names=["yes", "no"])
+        assert ds.task == "classification"
+        assert ds.class_names == ("yes", "no")
+        assert ds.target == (1, 0, 1)
+        path.write_text("a,y\n1,0\n2,1\n")  # numbers are labels too
+        assert ck.load_csv(path, target="y", class_names=["1", "0"]).target == (1, 0)
+
+    def test_label_outside_class_names(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,y\n1,0\n2,1\n3,maybe\n")
+        with pytest.raises(ck.DataFormatError, match=r"\['0', '1', 'maybe'\]"):
+            ck.load_csv(path, target="y", class_names=["yes", "no"])
+
     def test_constant_numeric_column_widened(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b,y\n2,1,0\n2,3,1\n")
