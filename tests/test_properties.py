@@ -25,7 +25,9 @@ class Smooth(ck.Predictor):
     Numeric feature i contributes ``w_i * sin(k_i * z)`` on its normalized
     value z, or ``w_i * z`` when ``monotone``; categorical features add a
     score per level. ``monotone`` models pass the sum through tanh, so they
-    stay monotone in every numeric feature while coupling all of them.
+    stay monotone in every numeric feature while coupling all of them. The
+    sum is exactly rounded, so reordering the features leaves every output
+    bit-identical.
     """
 
     def __init__(self, space, weights, freqs, scores, monotone=False):
@@ -46,9 +48,7 @@ class Smooth(ck.Predictor):
     def evaluate(self, instances):
         out = np.zeros((len(instances), 1))
         for r, inst in enumerate(instances):
-            total = 0.0
-            for i, v in enumerate(inst.values):
-                total += self.term(i, v)
+            total = math.fsum(self.term(i, v) for i, v in enumerate(inst.values))
             out[r, 0] = math.tanh(total) if self.monotone else total
         return out
 
