@@ -22,9 +22,9 @@ from .core import (
     SingularSystemError,
     encode_rows,
     evaluate_rows,
-    uniform_instances,
+    sample_sd,
 )
-from .sampling import as_rng
+from .sampling import as_rng, uniform_instances
 
 METHOD_INFLUENCE = "contextual-influence"
 METHOD_SHAPLEY = "shapley-mc"
@@ -189,10 +189,7 @@ def shapley_mc(
     for t, order in enumerate(orders):
         samples[t, order] = jumps[t]
     phi = samples.mean(axis=0)
-    if budget > 1:
-        se = samples.std(axis=0, ddof=1) / math.sqrt(budget)
-    else:
-        se = np.zeros(n)
+    se = sample_sd(samples) / math.sqrt(budget)
     intercept = float(np.mean(evaluate_rows(predictor, list(background))[:, output]))
     return AttributionVector(
         feature_names=space.names,

@@ -25,11 +25,9 @@ from .core import (
     OutputUtility,
     builtin_model,
     load_config,
-    resolve_utility,
-    uniform_instances,
 )
 from .baselines import lime_surrogate, shapley_mc
-from .engine import ceteris_paribus_curve, explain_instance
+from .engine import ceteris_paribus_curve, check_phi0, explain_instance, resolve_utility
 from .global_importance import GLOBAL_METHODS, run_global
 from .render import (
     render_ciu_barplot,
@@ -39,7 +37,7 @@ from .render import (
     text_ciu_bars,
     text_influence_bars,
 )
-from .sampling import SeededRng
+from .sampling import SeededRng, uniform_instances
 from .stability import ALL_METHODS, Budgets, run_stability, stability_csv, summarize
 from .tabular import (
     TreeParams,
@@ -250,6 +248,9 @@ def _parse_instance(args, space, dataset) -> Instance:
         missing = [n for n in space.names if n not in doc]
         if missing:
             raise ConfigError(f"instance is missing features: {missing}")
+        unknown = [k for k in doc if k not in space.names]
+        if unknown:
+            raise ConfigError(f"instance names unknown features: {unknown}")
         return space.instance([doc[n] for n in space.names])
     if isinstance(doc, list):
         return space.instance(doc)
@@ -257,7 +258,8 @@ def _parse_instance(args, space, dataset) -> Instance:
 
 
 def _methods_list(text: str, allowed) -> list[str]:
-    methods = [m.strip() for m in text.split(",") if m.strip()]
+    """The distinct methods named in ``text``, in first-mention order."""
+    methods = list(dict.fromkeys(m.strip() for m in text.split(",") if m.strip()))
     if not methods:
         raise ConfigError("at least one method is required")
     for m in methods:
@@ -274,6 +276,7 @@ def _background(dataset, space, rng):
 
 def cmd_explain(args) -> None:
     formats = _formats(args)
+    check_phi0(args.phi0)  # also when no method reads it: the snapshot records it
     predictor, space, utility, dataset = _setup(args)
     methods = _methods_list(args.method, _EXPLAIN_METHODS)
     x = _parse_instance(args, space, dataset)
@@ -450,7 +453,7 @@ def cmd_stability(args) -> None:
     budgets = Budgets(args.samples, args.shapley_budget, args.lime_samples)
     background = list(dataset.rows) if dataset is not None else None
     reports = []
-    for method in dict.fromkeys(methods):  # a repeated method runs once
+    for method in methods:
         start = time.perf_counter()
         rep = run_stability(
             predictor, utility, space, x,

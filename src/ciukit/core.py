@@ -8,10 +8,9 @@ treats it as a black box that maps instance batches to output batches.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,10 +18,6 @@ import numpy as np
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# Evaluation points used per coordinate during range-refinement sweeps.
-_SWEEP_GRID = 1025
-_SWEEP_PASSES = 4
-_CORNER_CAP_BITS = 12
 # Largest batch of instances sent to a predictor in one call.
 _CHUNK = 65536
 
@@ -275,6 +270,17 @@ def encode_rows(space: FeatureSpace, rows: Sequence[Instance]) -> np.ndarray:
     return out.T
 
 
+def sample_sd(matrix: np.ndarray) -> np.ndarray:
+    """Sample standard deviation of each column; zero when there is only one
+    row, and exactly zero for a column of identical values (float averaging
+    would otherwise leave a residue of a few ulps)."""
+    if matrix.shape[0] < 2:
+        return np.zeros(matrix.shape[1])
+    out = matrix.std(axis=0, ddof=1)
+    out[matrix.max(axis=0) == matrix.min(axis=0)] = 0.0
+    return out
+
+
 _LINEAR_WEIGHTS = np.array([0.4, 0.3, 0.2, 0.1])
 
 
@@ -406,142 +412,6 @@ def builtin_model(name: str) -> tuple[Predictor, FeatureSpace, OutputUtility]:
             OutputUtility.single("y"),
         )
     raise ConfigError(f"unknown builtin predictor {name!r}")
-
-
-def uniform_instances(space: FeatureSpace, count: int, rng=None) -> list[Instance]:
-    """Uniform draws over the feature space (uniform level choice for
-    categorical features).
-
-    One draw fills the numeric columns row by row, then one draw fills the
-    categorical columns, so an all-numeric space gives the same stream as
-    drawing each value in turn.
-    """
-    from .sampling import as_rng  # local import to avoid a cycle
-
-    if count < 1:
-        raise ConfigError("instance count must be positive")
-    gen = as_rng(rng).generator()
-    numeric = [f for f in space if f.is_numeric]
-    categorical = [f for f in space if not f.is_numeric]
-    draws = gen.uniform(
-        [f.min for f in numeric], [f.max for f in numeric], size=(count, len(numeric))
-    )
-    codes = gen.integers(0, [len(f.levels) for f in categorical], size=(count, len(categorical)))
-    # Columns of Python floats and level labels, put back in feature order.
-    numeric_columns = iter(draws.T.tolist())
-    level_columns = iter(
-        [f.levels[k] for k in col] for f, col in zip(categorical, codes.T.tolist())
-    )
-    columns = [next(numeric_columns if f.is_numeric else level_columns) for f in space]
-    return [Instance(values) for values in zip(*columns)]
-
-
-def _corner_instances(space: FeatureSpace) -> list[Instance]:
-    # Enumerate {min, max} over numeric coordinates, capped at 2**12 corners;
-    # categorical coordinates stay at the midpoint choice.
-    base = space.midpoint()
-    numeric = [i for i, f in enumerate(space) if f.is_numeric]
-    numeric = numeric[:_CORNER_CAP_BITS]
-    corners = []
-    for bits in itertools.product((0, 1), repeat=len(numeric)):
-        inst = base
-        for i, bit in zip(numeric, bits):
-            feat = space[i]
-            inst = inst.replaced(i, feat.max if bit else feat.min)
-        corners.append(inst)
-    return corners
-
-
-def _sweep(
-    predictor: Predictor,
-    space: FeatureSpace,
-    start: Instance,
-    output: int,
-    want_max: bool,
-) -> float:
-    """Coordinate-wise grid refinement from a starting point.
-
-    Repeatedly sweeps each coordinate over a dense grid (all levels for
-    categorical features) and keeps the best value found. Exact for
-    predictors that are separable or monotone per coordinate, and a cheap
-    local polish otherwise.
-    """
-    sign = 1.0 if want_max else -1.0
-    current = start
-    best = sign * float(evaluate_rows(predictor, [current])[0, output])
-    for _ in range(_SWEEP_PASSES):
-        improved = False
-        for i, feat in enumerate(space):
-            if feat.is_numeric:
-                grid = np.linspace(feat.min, feat.max, _SWEEP_GRID)
-                candidates = [current.replaced(i, float(v)) for v in grid]
-            else:
-                candidates = [current.replaced(i, lev) for lev in feat.levels]
-            ys = sign * evaluate_rows(predictor, candidates)[:, output]
-            k = int(np.argmax(ys))
-            if ys[k] > best:
-                best = float(ys[k])
-                current = candidates[k]
-                improved = True
-        if not improved:
-            break
-    return sign * best
-
-
-def estimate_output_range(
-    predictor: Predictor,
-    space: FeatureSpace,
-    output: int = 0,
-    budget: int = 10000,
-    rng=None,
-) -> tuple[float, float]:
-    """Estimate the attainable output interval of a black-box predictor.
-
-    Combines uniform random probes, numeric-bound corner points, and
-    coordinate-wise refinement sweeps started from the best probes. The
-    result is an inner approximation: every reported value was actually
-    produced by the predictor.
-    """
-    if budget <= 0:
-        raise ConfigError("range estimation needs a positive sampling budget")
-    points = uniform_instances(space, budget, rng) + _corner_instances(space)
-    ys = evaluate_rows(predictor, points)[:, output]
-    lo_start = points[int(np.argmin(ys))]
-    hi_start = points[int(np.argmax(ys))]
-    lo = _sweep(predictor, space, lo_start, output, want_max=False)
-    hi = _sweep(predictor, space, hi_start, output, want_max=True)
-    return lo, hi
-
-
-def resolve_utility(
-    predictor: Predictor,
-    space: FeatureSpace,
-    utility: OutputUtility,
-    budget: int = 10000,
-    rng=None,
-) -> OutputUtility:
-    """Fill in every undeclared output range by estimation.
-
-    Estimated ranges are flagged so reports can distinguish them from
-    declarations. A predictor whose observed outputs collapse to one value
-    has no usable range and raises DegenerateRangeError.
-    """
-    if utility.n_outputs != predictor.n_outputs:
-        raise ConfigError(
-            f"{utility.n_outputs} outputs declared for a predictor with {predictor.n_outputs}"
-        )
-    outputs = []
-    for j, spec in enumerate(utility.outputs):
-        if not spec.declared:
-            lo, hi = estimate_output_range(predictor, space, j, budget, rng)
-            scale = max(abs(lo), abs(hi), 1.0)
-            if not hi - lo > 1e-12 * scale:
-                raise DegenerateRangeError(
-                    f"output {spec.name!r}: degenerate output range (all sampled outputs equal)"
-                )
-            spec = replace(spec, out_min=lo, out_max=hi, estimated=True)
-        outputs.append(spec)
-    return OutputUtility(tuple(outputs))
 
 
 def feature_to_json(feat: FeatureSpec) -> dict:

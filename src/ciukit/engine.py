@@ -12,32 +12,40 @@ where yumin is the end of the interval with the lowest utility (ymin when
 larger outputs are better, ymax otherwise). Influence is signed: features
 pushing the output above the neutral utility phi0 get positive values, with
 range [-phi0, 1 - phi0].
+
+``resolve_utility`` finds an undeclared output range with the same
+single-feature variation, polishing the best uniform and corner probes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     ConfigError,
+    DegenerateRangeError,
     FeatureSpace,
     Instance,
     OutputUtility,
     Predictor,
     evaluate_rows,
 )
-from .sampling import as_rng, build_sample_set, ceteris_paribus_grid
+from .sampling import (
+    as_rng, build_sample_set, ceteris_paribus_grid, corner_instances, uniform_instances,
+)
 
 # Relative slack before an interval endpoint counts as leaving the declared
 # output range. Protects against pure rounding noise at the boundaries;
 # genuine out-of-distribution overshoot is far larger.
 _OVERSHOOT_TOL = 1e-9
+# Evaluation points used per coordinate during range-refinement sweeps.
+_SWEEP_GRID = 1025
+_SWEEP_PASSES = 4
 
 FLAG_DEGENERATE = "degenerate"
 FLAG_INSTABILITY = "instability"
-FLAG_ESTIMATED_RANGE = "estimated-range"
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,97 @@ def estimate_minmax(
     return float(ys.min()), float(ys.max()), float(ys[source])
 
 
+def _sweep(
+    predictor: Predictor,
+    space: FeatureSpace,
+    start: Instance,
+    output: int,
+    want_max: bool,
+) -> float:
+    """Coordinate-wise grid refinement from a starting point.
+
+    Repeatedly sweeps each coordinate over a dense grid (all levels for
+    categorical features) and keeps the best value found. Exact for
+    predictors that are separable or monotone per coordinate, and a cheap
+    local polish otherwise.
+    """
+    sign = 1.0 if want_max else -1.0
+    current = start
+    best = sign * float(evaluate_rows(predictor, [current])[0, output])
+    for _ in range(_SWEEP_PASSES):
+        improved = False
+        for i, feat in enumerate(space):
+            if feat.is_numeric:
+                candidates = ceteris_paribus_grid(space, current, i, _SWEEP_GRID)
+            else:
+                candidates = build_sample_set(space, current, i, 0)[0]
+            ys = sign * evaluate_rows(predictor, candidates)[:, output]
+            k = int(np.argmax(ys))
+            if ys[k] > best:
+                best = float(ys[k])
+                current = candidates[k]
+                improved = True
+        if not improved:
+            break
+    return sign * best
+
+
+def estimate_output_range(
+    predictor: Predictor,
+    space: FeatureSpace,
+    output: int = 0,
+    budget: int = 10000,
+    rng=None,
+) -> tuple[float, float]:
+    """Estimate the attainable output interval of a black-box predictor.
+
+    Combines uniform random probes, numeric-bound corner points, and
+    coordinate-wise refinement sweeps started from the best probes. The
+    result is an inner approximation: every reported value was actually
+    produced by the predictor.
+    """
+    if budget <= 0:
+        raise ConfigError("range estimation needs a positive sampling budget")
+    points = uniform_instances(space, budget, rng) + corner_instances(space)
+    ys = evaluate_rows(predictor, points)[:, output]
+    lo_start = points[int(np.argmin(ys))]
+    hi_start = points[int(np.argmax(ys))]
+    lo = _sweep(predictor, space, lo_start, output, want_max=False)
+    hi = _sweep(predictor, space, hi_start, output, want_max=True)
+    return lo, hi
+
+
+def resolve_utility(
+    predictor: Predictor,
+    space: FeatureSpace,
+    utility: OutputUtility,
+    budget: int = 10000,
+    rng=None,
+) -> OutputUtility:
+    """Fill in every undeclared output range by estimation.
+
+    Estimated ranges are flagged so reports can distinguish them from
+    declarations. A predictor whose observed outputs collapse to one value
+    has no usable range and raises DegenerateRangeError.
+    """
+    if utility.n_outputs != predictor.n_outputs:
+        raise ConfigError(
+            f"{utility.n_outputs} outputs declared for a predictor with {predictor.n_outputs}"
+        )
+    outputs = []
+    for j, spec in enumerate(utility.outputs):
+        if not spec.declared:
+            lo, hi = estimate_output_range(predictor, space, j, budget, rng)
+            scale = max(abs(lo), abs(hi), 1.0)
+            if not hi - lo > 1e-12 * scale:
+                raise DegenerateRangeError(
+                    f"output {spec.name!r}: degenerate output range (all sampled outputs equal)"
+                )
+            spec = replace(spec, out_min=lo, out_max=hi, estimated=True)
+        outputs.append(spec)
+    return OutputUtility(tuple(outputs))
+
+
 def contextual_importance(ymin: float, ymax: float, utility: OutputUtility, output: int = 0) -> float:
     """Interval width as a fraction of the full output range.
 
@@ -164,6 +263,12 @@ def contextual_utility(y: float, ymin: float, ymax: float, a_sign: float = 1.0) 
         return 0.0
     yumin = ymin if a_sign > 0 else ymax
     return abs(y - yumin) / (ymax - ymin)
+
+
+def check_phi0(phi0: float) -> None:
+    """Reject a neutral utility level outside [0, 1], NaN included."""
+    if not 0.0 <= phi0 <= 1.0:
+        raise ConfigError("phi0 must lie in [0, 1]")
 
 
 def contextual_influence(ci: float, cu: float, phi0: float = 0.5) -> float:
@@ -207,8 +312,7 @@ def explain_instance(
     byte-stable for a fixed seed. The output range must be declared or
     resolved beforehand (see ``resolve_utility``).
     """
-    if not 0.0 <= phi0 <= 1.0:
-        raise ConfigError("phi0 must lie in [0, 1]")
+    check_phi0(phi0)
     utility.range_width(output)  # fail fast when the range is unresolved
     base = as_rng(rng)
     values = []
@@ -278,6 +382,7 @@ def ceteris_paribus_curve(
     phi0: float = 0.5,
 ) -> CpCurve:
     """Trace the output over an evenly spaced sweep of one numeric feature."""
+    check_phi0(phi0)
     grid = ceteris_paribus_grid(space, x, feature, grid_size)
     ys = evaluate_rows(predictor, grid)[:, output]
     y_value = float(evaluate_rows(predictor, [x])[0, output])

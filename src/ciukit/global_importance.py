@@ -16,7 +16,7 @@ from .core import (
     OutputUtility,
     Predictor,
     evaluate_rows,
-    uniform_instances,
+    sample_sd,
 )
 from .baselines import (
     CLASSIFICATION_ERROR,
@@ -25,7 +25,7 @@ from .baselines import (
     shapley_mc,
 )
 from .engine import explain_instance
-from .sampling import as_rng
+from .sampling import as_rng, uniform_instances
 
 GLOBAL_METHODS = ("ci", "pfi-mae", "pfi-ce", "shapley")
 
@@ -78,17 +78,6 @@ def normalize_importances(values: Sequence[float]) -> np.ndarray:
     return v / total
 
 
-def _sd(matrix: np.ndarray) -> np.ndarray:
-    # Sample standard deviation per column; zero when only one row, and
-    # exactly zero for columns of identical values (float averaging would
-    # otherwise smear those to ~1e-32).
-    if matrix.shape[0] < 2:
-        return np.zeros(matrix.shape[1])
-    out = matrix.std(axis=0, ddof=1)
-    out[matrix.max(axis=0) == matrix.min(axis=0)] = 0.0
-    return out
-
-
 def _summary(
     method: str,
     space: FeatureSpace,
@@ -103,7 +92,7 @@ def _summary(
         method=method,
         feature_names=space.names,
         mean=tuple(float(v) for v in scores.mean(axis=0)),
-        spread=tuple(float(v) for v in _sd(scores)),
+        spread=tuple(float(v) for v in sample_sd(scores)),
         n_instances=n_instances,
         n_iterations=n_iterations,
         normalized=normalized,

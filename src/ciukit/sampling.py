@@ -1,12 +1,16 @@
-"""Deterministic seeding and single-feature perturbations."""
+"""Deterministic seeding and the shared row builders: uniform draws, box
+corners, and single-feature perturbations."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, FeatureSpace, Instance
+
+_CORNER_CAP_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -101,3 +105,45 @@ def ceteris_paribus_grid(
         raise ConfigError("grid needs at least the two endpoints")
     grid = np.linspace(feat.min, feat.max, grid_size)
     return [x.replaced(feature, float(v)) for v in grid]
+
+
+def uniform_instances(space: FeatureSpace, count: int, rng=None) -> list[Instance]:
+    """Uniform draws over the feature space (uniform level choice for
+    categorical features).
+
+    One draw fills the numeric columns row by row, then one draw fills the
+    categorical columns, so an all-numeric space gives the same stream as
+    drawing each value in turn.
+    """
+    if count < 1:
+        raise ConfigError("instance count must be positive")
+    gen = as_rng(rng).generator()
+    numeric = [f for f in space if f.is_numeric]
+    categorical = [f for f in space if not f.is_numeric]
+    draws = gen.uniform(
+        [f.min for f in numeric], [f.max for f in numeric], size=(count, len(numeric))
+    )
+    codes = gen.integers(0, [len(f.levels) for f in categorical], size=(count, len(categorical)))
+    # Columns of Python floats and level labels, put back in feature order.
+    numeric_columns = iter(draws.T.tolist())
+    level_columns = iter(
+        [f.levels[k] for k in col] for f, col in zip(categorical, codes.T.tolist())
+    )
+    columns = [next(numeric_columns if f.is_numeric else level_columns) for f in space]
+    return [Instance(values) for values in zip(*columns)]
+
+
+def corner_instances(space: FeatureSpace) -> list[Instance]:
+    """Every {min, max} choice over the numeric coordinates, capped at 2**12
+    corners; categorical coordinates stay at the midpoint choice."""
+    base = space.midpoint()
+    numeric = [i for i, f in enumerate(space) if f.is_numeric]
+    numeric = numeric[:_CORNER_CAP_BITS]
+    corners = []
+    for bits in itertools.product((0, 1), repeat=len(numeric)):
+        inst = base
+        for i, bit in zip(numeric, bits):
+            feat = space[i]
+            inst = inst.replaced(i, feat.max if bit else feat.min)
+        corners.append(inst)
+    return corners

@@ -14,9 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ConfigError, FeatureSpace, Instance, OutputUtility, Predictor, uniform_instances,
-)
+from .core import ConfigError, FeatureSpace, Instance, OutputUtility, Predictor, sample_sd
 from .baselines import (
     METHOD_INFLUENCE,
     METHOD_LIME,
@@ -24,9 +22,8 @@ from .baselines import (
     lime_surrogate,
     shapley_mc,
 )
-from .engine import explain_instance
-from .global_importance import _sd
-from .sampling import SeededRng, as_rng
+from .engine import check_phi0, explain_instance
+from .sampling import SeededRng, as_rng, uniform_instances
 
 ALL_METHODS = (METHOD_INFLUENCE, METHOD_SHAPLEY, METHOD_LIME)
 
@@ -77,7 +74,7 @@ class StabilityReport:
         return self.matrix().mean(axis=0)
 
     def sd(self) -> np.ndarray:
-        return _sd(self.matrix())
+        return sample_sd(self.matrix())
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,6 +143,7 @@ def run_stability(
     """
     if runs < 2:
         raise ConfigError("stability needs at least two runs")
+    check_phi0(phi0)
     for m in methods:
         if m not in ALL_METHODS:
             raise ConfigError(f"unknown method {m!r}; use one of {ALL_METHODS}")

@@ -260,13 +260,13 @@ def _leaf(y: np.ndarray, n_outputs: int, task: str) -> dict:
     return {"leaf": [float(y.mean())]}
 
 
-def _impurity_sums(y: np.ndarray, task: str, n_outputs: int):
-    # Returns (total impurity * n, helper state) for fast split scoring.
+def _impurity_sums(y: np.ndarray, task: str, n_outputs: int) -> float:
+    # Total impurity times the row count: Gini for classes, SSE otherwise.
     if task == CLASSIFICATION:
         counts = np.bincount(y, minlength=n_outputs).astype(float)
         n = len(y)
-        return n * (1.0 - np.sum((counts / n) ** 2)), counts
-    return float(np.sum((y - y.mean()) ** 2)), None
+        return float(n * (1.0 - np.sum((counts / n) ** 2)))
+    return float(np.sum((y - y.mean()) ** 2))
 
 
 def _score_numeric(v: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_leaf: int):
@@ -288,7 +288,7 @@ def _score_numeric(v: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_
         right_n = n - left_n
         gini_l = left_n - np.sum(left_counts**2, axis=1) / left_n
         gini_r = right_n - np.sum(right_counts**2, axis=1) / right_n
-        parent, _ = _impurity_sums(ys, task, n_outputs)
+        parent = _impurity_sums(ys, task, n_outputs)
         gains = parent - gini_l - gini_r
     else:
         ysf = ys.astype(float)
@@ -309,15 +309,15 @@ def _score_numeric(v: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_
 
 def _score_categorical(v: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_leaf: int):
     """Best (gain, level code) one-vs-rest split, or None."""
-    parent, _ = _impurity_sums(y, task, n_outputs)
+    parent = _impurity_sums(y, task, n_outputs)
     best = None
     for code in np.unique(v):
         mask = v == code
         nl, nr = int(mask.sum()), int((~mask).sum())
         if nl < min_leaf or nr < min_leaf or nl == 0 or nr == 0:
             continue
-        il, _ = _impurity_sums(y[mask], task, n_outputs)
-        ir, _ = _impurity_sums(y[~mask], task, n_outputs)
+        il = _impurity_sums(y[mask], task, n_outputs)
+        ir = _impurity_sums(y[~mask], task, n_outputs)
         gain = parent - il - ir
         if best is None or gain > best[0]:
             best = (float(gain), int(code))

@@ -153,6 +153,18 @@ class TestShapleyMc:
         assert a.phi == b.phi
         assert a.phi != c.phi
 
+    def test_identical_jumps_have_exactly_zero_se(self):
+        # Every walk switches x1 from 0.3 to 0.9 with x2 irrelevant, so all
+        # seven sampled jumps are the same float and their spread is zero.
+        space = ck.FeatureSpace(
+            (ck.FeatureSpec.numeric("x1", 0, 1), ck.FeatureSpec.numeric("x2", 0, 1))
+        )
+        pred = ck.FunctionPredictor(lambda x: 0.3 * x[:, 0] + 0.1)
+        bg = [space.instance([0.3, 0.1])]
+        att = ck.shapley_mc(pred, space, space.instance([0.9, 0.5]), bg, budget=7, rng=3)
+        assert att.se == (0.0, 0.0)
+        assert att.phi[0] == pytest.approx(0.18)
+
     def test_validation_errors(self, linear_bundle):
         pred, space, _ = linear_bundle
         x = space.instance([0.5] * 4)

@@ -122,6 +122,19 @@ class TestExplain:
         assert shap_row[0] == "shapley-mc" and shap_row[3] == ""  # no ci column
 
 
+    def test_repeated_method_runs_once(self, tmp_path):
+        code = run(
+            "explain", "--predictor", "linear", "--instance", MID,
+            "--method", "lime,ciu,shapley,ciu", "--output-dir", str(tmp_path),
+            "--format", "json,csv",
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "explain_report.json").read_text())
+        assert [b["method"] for b in doc["results"]] == ["lime-surrogate", "ciu", "shapley-mc"]
+        lines = (tmp_path / "explain_report.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3 * 4  # three methods x four features
+
+
 class TestExitCodes:
     def test_unknown_format(self, tmp_path):
         assert run(
@@ -140,6 +153,35 @@ class TestExitCodes:
         assert run(*base, "--instance", "not json") == 2
         assert run(*base, "--instance", "row:0") == 2  # row needs --data
         assert run(*base, "--instance", '{"x1": 1}') == 2
+
+    def test_unknown_instance_key(self, tmp_path, capsys):
+        instance = '{"x1": 0.5, "x2": 0.5, "x3": 0.5, "x4": 0.5, "x5": 9}'
+        assert run(
+            "explain", "--predictor", "linear", "--instance", instance,
+            "--output-dir", str(tmp_path),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "unknown features: ['x5']" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["whatif", "--feature", "x1", "--phi0", "nan"],
+            ["whatif", "--feature", "x1", "--phi0", "2"],
+            ["stability", "--methods", "shapley-mc", "--runs", "2", "--phi0", "nan"],
+            ["explain", "--method", "shapley", "--phi0", "nan"],
+        ],
+        ids=["whatif-nan", "whatif-2", "stability-shapley-nan", "explain-shapley-nan"],
+    )
+    def test_phi0_outside_unit_interval(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(
+            *argv, "--predictor", "linear", "--instance", MID, "--output-dir", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "phi0 must lie in [0, 1]" in err and "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_unknown_method(self, tmp_path):
         assert run(
@@ -444,6 +486,24 @@ class TestGlobal:
         assert lines[0] == "method,feature,mean,spread"
         assert len(lines) == 1 + 3 * 4
         assert "method: ci" in capsys.readouterr().out
+
+    def test_repeated_method_runs_once(self, tmp_path):
+        reports = {}
+        for methods in ("ci,shapley,ci", "ci,shapley"):
+            out = tmp_path / methods
+            code = run(
+                "global", "--predictor", "linear", "--iterations", "2",
+                "--instances", "10", "--samples", "10", "--shapley-budget", "10",
+                "--methods", methods, "--output-dir", str(out), "--format", "json,csv",
+            )
+            assert code == 0
+            doc = json.loads((out / "global_report.json").read_text())
+            reports[methods] = (doc, (out / "global_report.csv").read_bytes())
+        (repeated, repeated_csv), (plain, plain_csv) = reports.values()
+        assert [b["method"] for b in plain["results"]] == ["ci", "shapley"]
+        assert repeated["results"] == plain["results"]
+        assert repeated_csv == plain_csv
+        assert repeated["config"]["methods"] == "ci,shapley,ci"  # the argv as given
 
 
 class TestTrainFlow:

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +352,31 @@ BAD_CONFIGS = {
     "name-number": {"features": [{**_X, "name": 7}]},
     "name-list": {"features": [{**_X, "name": ["x"]}]},
 }
+
+
+def test_imports_run_one_way():
+    # Every import sits at module level, and core.py, the bottom layer,
+    # imports no other ciukit module.
+    package = Path(ck.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [
+                    node.lineno for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+                assert not nested, f"{path.name}: import inside {fn.name} at {nested}"
+    core = ast.parse((package / "core.py").read_text(encoding="utf-8"))
+    for node in ast.walk(core):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"core.py:{node.lineno} relative import"
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(n.split(".")[0] == "ciukit" for n in names), f"core.py:{node.lineno}"
 
 
 class TestConfigIO:
