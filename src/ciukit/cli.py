@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from .core import (
@@ -164,12 +165,6 @@ def _formats(args) -> set[str]:
     return chosen
 
 
-def _out_dir(args) -> Path:
-    path = Path(args.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _snapshot(args) -> dict:
     """Computation-affecting settings only; file layout choices stay out so
     reruns into different directories stay byte-identical."""
@@ -177,15 +172,47 @@ def _snapshot(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _timed(args, compute):
+    """Run ``compute()`` and return its result with the result's JSON block;
+    under --timings the block gets the seconds it took as ``elapsed``."""
+    start = time.perf_counter()
+    result = compute()
+    block = result.to_json_dict()
+    if args.timings:
+        block["elapsed"] = time.perf_counter() - start
+    return result, block
 
 
-def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+def _write(args, formats: set[str], files: dict, text: str) -> None:
+    """Write each file whose suffix is a chosen format into --output-dir,
+    then print ``text`` if text is chosen.
+
+    A .json file's content is its report's ``results``, wrapped here with
+    the command and its config; a .csv file's is its rows or its text; an
+    .svg file's is its plot. A callable content is called to make it, only
+    when its file is written.
+    """
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        suffix = name.rsplit(".", 1)[1]
+        if suffix not in formats:
+            continue
+        if callable(content):
+            content = content()
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            if suffix == "json":
+                report = {"command": args.command, "config": _snapshot(args), "results": content}
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            elif suffix == "svg":
+                fh.write(content.svg)
+            elif isinstance(content, str):
+                fh.write(content)
+            else:
+                csv.writer(fh, lineterminator="\n").writerows(content)
+    if "text" in formats:
+        print(text)
 
 
 def _setup(args):
@@ -225,6 +252,7 @@ def _setup(args):
     utility = resolve_utility(
         predictor, space, utility, args.range_budget, SeededRng(args.seed).spawn(900)
     )
+    utility.spec(args.output_index)  # the one check of --output-index
     return predictor, space, utility, dataset
 
 
@@ -257,15 +285,15 @@ def _parse_instance(args, space, dataset) -> Instance:
     raise ConfigError("--instance JSON must be a list or an object")
 
 
-def _methods_list(text: str, allowed) -> list[str]:
-    """The distinct methods named in ``text``, in first-mention order."""
-    methods = list(dict.fromkeys(m.strip() for m in text.split(",") if m.strip()))
-    if not methods:
-        raise ConfigError("at least one method is required")
-    for m in methods:
-        if m not in allowed:
-            raise ConfigError(f"unknown method {m!r}; use one of {allowed}")
-    return methods
+def _names_list(text: str, allowed=None, kind: str = "method") -> list[str]:
+    """The distinct names in the comma list ``text``, in first-mention order."""
+    names = list(dict.fromkeys(m.strip() for m in text.split(",") if m.strip()))
+    if not names:
+        raise ConfigError(f"at least one {kind} is required")
+    for m in names:
+        if allowed is not None and m not in allowed:
+            raise ConfigError(f"unknown {kind} {m!r}; use one of {allowed}")
+    return names
 
 
 def _background(dataset, space, rng):
@@ -278,81 +306,49 @@ def cmd_explain(args) -> None:
     formats = _formats(args)
     check_phi0(args.phi0)  # also when no method reads it: the snapshot records it
     predictor, space, utility, dataset = _setup(args)
-    methods = _methods_list(args.method, _EXPLAIN_METHODS)
+    methods = _names_list(args.method, _EXPLAIN_METHODS)
     x = _parse_instance(args, space, dataset)
     base = SeededRng(args.seed)
-    out = _out_dir(args)
 
     blocks = []
-    results = []
+    rows = [["method", "feature", "influence", "ci", "cu", "ymin", "ymax", "flags"]]
+    files = {"explain_report.json": blocks, "explain_report.csv": rows}
+    texts = []
     for method in methods:
-        start = time.perf_counter()
+        limit = None
         if method == "ciu":
-            result = explain_instance(
+            result, block = _timed(args, lambda: explain_instance(
                 predictor, utility, space, x,
                 args.output_index, args.samples, args.phi0, base,
-            )
+            ))
+            files["explain_ciu.svg"] = partial(render_ciu_barplot, result)
+            texts.append(text_ciu_bars(result))
+            phi, title = result.influence_vector(), "Contextual influence"
+            limit = max(args.phi0, 1.0 - args.phi0)
         elif method == "shapley":
-            bg = _background(dataset, space, base.spawn(903))
-            result = shapley_mc(
-                predictor, space, x, bg, args.shapley_budget,
-                base.spawn(901), args.output_index,
-            )
+            result, block = _timed(args, lambda: shapley_mc(
+                predictor, space, x, _background(dataset, space, base.spawn(903)),
+                args.shapley_budget, base.spawn(901), args.output_index,
+            ))
+            phi, title = result.phi, "Shapley attribution"
         else:
-            result = lime_surrogate(
+            result, block = _timed(args, lambda: lime_surrogate(
                 predictor, space, x, args.lime_samples,
                 rng=base.spawn(902), output=args.output_index,
-            )
-        block = result.to_json_dict()
-        if args.timings:
-            block["elapsed"] = time.perf_counter() - start
+            ))
+            phi, title = result.phi, "Surrogate attribution"
+        files[f"explain_influence_{method}.svg"] = partial(
+            render_influence_barplot, result.feature_names, phi, x.values, title=title, limit=limit
+        )
+        texts.append(text_influence_bars(result.feature_names, phi, method))
         blocks.append(block)
-        results.append((method, result))
-
-    plots = {}
-    texts = []
-    titles = {"shapley": "Shapley attribution", "lime": "Surrogate attribution"}
-    for method, result in results:
-        if method == "ciu":
-            plots["explain_ciu.svg"] = render_ciu_barplot(result)
-            plots["explain_influence_ciu.svg"] = render_influence_barplot(
-                result.feature_names,
-                result.influence_vector(),
-                result.feature_values,
-                title="Contextual influence",
-                limit=max(args.phi0, 1.0 - args.phi0),
+        for f in block["features"]:
+            rows.append(
+                [block["method"], f["name"], repr(f["influence"])]
+                + [repr(f[key]) if key in f else "" for key in ("ci", "cu", "ymin", "ymax")]
+                + [" ".join(f.get("flags", []))]
             )
-            texts.append(text_ciu_bars(result))
-            texts.append(
-                text_influence_bars(result.feature_names, result.influence_vector(), "ciu")
-            )
-        else:
-            plots[f"explain_influence_{method}.svg"] = render_influence_barplot(
-                result.feature_names, result.phi, x.values, title=titles[method]
-            )
-            texts.append(text_influence_bars(result.feature_names, result.phi, method))
-
-    report = {"command": "explain", "config": _snapshot(args), "results": blocks}
-    if "json" in formats:
-        _write_json(out / "explain_report.json", report)
-    if "csv" in formats:
-        def cell(entry, key):
-            return repr(entry[key]) if key in entry else ""
-
-        rows = [["method", "feature", "influence", "ci", "cu", "ymin", "ymax", "flags"]]
-        for block in blocks:
-            for f in block["features"]:
-                rows.append(
-                    [block["method"], f["name"], repr(f["influence"])]
-                    + [cell(f, key) for key in ("ci", "cu", "ymin", "ymax")]
-                    + [" ".join(f.get("flags", []))]
-                )
-        _write_csv(out / "explain_report.csv", rows)
-    if "svg" in formats:
-        for name, doc in plots.items():
-            doc.save(out / name)
-    if "text" in formats:
-        print("\n\n".join(texts))
+    _write(args, formats, files, "\n\n".join(texts))
 
 
 def cmd_global(args) -> None:
@@ -361,19 +357,19 @@ def cmd_global(args) -> None:
     if args.methods is None:
         classification = dataset is not None and dataset.task == "classification"
         args.methods = "ci,pfi-ce,shapley" if classification else "ci,pfi-mae,shapley"
-    methods = _methods_list(args.methods, GLOBAL_METHODS)
+    methods = _names_list(args.methods, GLOBAL_METHODS)
     base = SeededRng(args.seed)
-    out = _out_dir(args)
 
     rows = targets = None
     if dataset is not None:
         rows = list(dataset.rows)
         targets = list(dataset.target)
-    results = []
-    report = {"command": "global", "config": _snapshot(args), "results": []}
+    blocks = []
+    table = [["method", "feature", "mean", "spread"]]
+    lines = []
+    width = max(len(n) for n in space.names)
     for k, method in enumerate(methods):
-        start = time.perf_counter()
-        g = run_global(
+        g, block = _timed(args, lambda: run_global(
             predictor, utility, space, method,
             iterations=args.iterations,
             instances_per_iteration=args.instances,
@@ -383,103 +379,64 @@ def cmd_global(args) -> None:
             n=args.samples,
             budget=args.shapley_budget,
             output=args.output_index,
-        )
-        block = g.to_json_dict()
-        if args.timings:
-            block["elapsed"] = time.perf_counter() - start
-        report["results"].append(block)
-        results.append(g)
-
-    if "json" in formats:
-        _write_json(out / "global_report.json", report)
-    if "csv" in formats:
-        rows = [["method", "feature", "mean", "spread"]]
-        for g in results:
-            for name, m, s in zip(g.feature_names, g.mean, g.spread):
-                rows.append([g.method, name, repr(m), repr(s)])
-        _write_csv(out / "global_report.csv", rows)
-    if "text" in formats:
-        width = max(len(n) for n in space.names)
-        for g in results:
-            print(f"method: {g.method} (normalized, {g.n_iterations} iterations)")
-            for name, m, s in zip(g.feature_names, g.mean, g.spread):
-                print(f"  {name:<{width}} {m:.4f} +/- {s:.4f}")
+        ))
+        blocks.append(block)
+        lines.append(f"method: {g.method} (normalized, {g.n_iterations} iterations)")
+        for name, m, s in zip(g.feature_names, g.mean, g.spread):
+            table.append([g.method, name, repr(m), repr(s)])
+            lines.append(f"  {name:<{width}} {m:.4f} +/- {s:.4f}")
+    _write(args, formats, {"global_report.json": blocks, "global_report.csv": table},
+           "\n".join(lines))
 
 
 def cmd_whatif(args) -> None:
     formats = _formats(args)
     predictor, space, utility, dataset = _setup(args)
     x = _parse_instance(args, space, dataset)
-    out = _out_dir(args)
-    names = [n.strip() for n in args.feature.split(",") if n.strip()]
-    if not names:
-        raise ConfigError("at least one feature name is required")
     spec = utility.spec(args.output_index)
-    curves = []
-    for name in names:
-        idx = space.index(name)
-        curves.append(
-            ceteris_paribus_curve(
-                predictor, space, x, idx, args.grid, args.output_index, args.phi0
-            )
+    blocks = []
+    files = {"whatif_report.json": blocks}
+    lines = []
+    for name in _names_list(args.feature, kind="feature name"):
+        curve = ceteris_paribus_curve(
+            predictor, space, x, space.index(name), args.grid, args.output_index, args.phi0
         )
-    report = {
-        "command": "whatif",
-        "config": _snapshot(args),
-        "results": [c.to_json_dict() for c in curves],
-    }
-    if "json" in formats:
-        _write_json(out / "whatif_report.json", report)
-    if "svg" in formats:
-        for curve in curves:
-            doc = render_cp_plot(curve, (spec.out_min, spec.out_max))
-            doc.save(out / f"whatif_{curve.feature_name}.svg")
-    if "text" in formats:
-        for curve in curves:
-            print(
-                f"{curve.feature_name}: y in [{curve.ymin:.4f}, {curve.ymax:.4f}] "
-                f"across the sweep; y={curve.y_value:.4f} at "
-                f"{curve.feature_name}={curve.x_value:g}; "
-                f"neutral level {curve.y_u0:.4f}"
-            )
+        blocks.append(curve.to_json_dict())
+        files[f"whatif_{name}.svg"] = partial(render_cp_plot, curve, (spec.out_min, spec.out_max))
+        lines.append(
+            f"{name}: y in [{curve.ymin:.4f}, {curve.ymax:.4f}] across the sweep; "
+            f"y={curve.y_value:.4f} at {name}={curve.x_value:g}; "
+            f"neutral level {curve.y_u0:.4f}"
+        )
+    _write(args, formats, files, "\n".join(lines))
 
 
 def cmd_stability(args) -> None:
     formats = _formats(args)
     predictor, space, utility, dataset = _setup(args)
-    methods = _methods_list(args.methods, ALL_METHODS)
+    methods = _names_list(args.methods, ALL_METHODS)
     x = _parse_instance(args, space, dataset)
-    out = _out_dir(args)
     budgets = Budgets(args.samples, args.shapley_budget, args.lime_samples)
     background = list(dataset.rows) if dataset is not None else None
-    reports = []
+    files = {}
+    texts = []
     for method in methods:
-        start = time.perf_counter()
-        rep = run_stability(
+        rep, block = _timed(args, lambda: run_stability(
             predictor, utility, space, x,
             methods=[method], runs=args.runs, budgets=budgets,
             seed=args.seed, phi0=args.phi0, output=args.output_index,
             background=background,
-        )[method]
-        reports.append((rep, time.perf_counter() - start))
-    for rep, elapsed in reports:
+        )[method])
         tag = rep.method.replace("-", "_")
-        if "json" in formats:
-            doc = rep.to_json_dict()
-            if args.timings:
-                doc["elapsed"] = elapsed
-            _write_json(out / f"stability_{tag}.json", {
-                "command": "stability", "config": _snapshot(args), "results": doc,
-            })
-        if "csv" in formats:
-            (out / f"stability_{tag}.csv").write_text(stability_csv(rep), encoding="utf-8")
-        if "svg" in formats:
-            render_spread_plot(rep).save(out / f"stability_{tag}.svg")
-        if "text" in formats:
-            print(summarize(rep))
-            if args.timings:
-                print(f"elapsed: total {elapsed:.3f}s, per run {elapsed / rep.n_runs:.4f}s")
-            print()
+        files[f"stability_{tag}.json"] = block
+        files[f"stability_{tag}.csv"] = partial(stability_csv, rep)
+        files[f"stability_{tag}.svg"] = partial(render_spread_plot, rep)
+        text = summarize(rep)
+        if args.timings:
+            elapsed = block["elapsed"]
+            text += f"\nelapsed: total {elapsed:.3f}s, per run {elapsed / rep.n_runs:.4f}s"
+        texts.append(text + "\n")
+    _write(args, formats, files, "\n".join(texts))
 
 
 def cmd_train(args) -> None:

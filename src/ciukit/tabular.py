@@ -85,16 +85,17 @@ def _is_number(text: str) -> bool:
     return math.isfinite(v)
 
 
-def _infer_feature(name: str, column: list[str]) -> FeatureSpec:
-    if all(_is_number(v) for v in column):
-        values = [float(v) for v in column]
-        lo, hi = min(values), max(values)
-        if lo == hi:
-            # Constant numeric column: widen so the declaration stays valid.
-            lo, hi = lo - 0.5, hi + 0.5
-        return FeatureSpec.numeric(name, lo, hi)
-    levels = list(dict.fromkeys(column))  # first-appearance order
-    return FeatureSpec.categorical(name, levels)
+def _infer_feature(name: str, column: list[str], values: list[float] | None) -> FeatureSpec:
+    """A numeric feature over ``values``, the column's cells as floats, or a
+    categorical one when they are None because some cell is not a number."""
+    if values is None:
+        levels = list(dict.fromkeys(column))  # first-appearance order
+        return FeatureSpec.categorical(name, levels)
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        # Constant numeric column: widen so the declaration stays valid.
+        lo, hi = lo - 0.5, hi + 0.5
+    return FeatureSpec.numeric(name, lo, hi)
 
 
 def load_csv(
@@ -135,6 +136,7 @@ def load_csv(
             raise DataFormatError(f"{path}: row {k + 2} has an empty cell")
     feature_names = [h for h in header if h != target]
     columns = {h: [row[i] for row in data] for i, h in enumerate(header)}
+    numbers = {}  # the cells as floats of every column of numbers
     for name, column in columns.items():
         try:
             values = [float(v) for v in column]
@@ -142,11 +144,12 @@ def load_csv(
             continue  # not a number column
         if not all(map(math.isfinite, values)):
             raise DataFormatError(f"{path}: column {name!r} holds NaN or infinity")
+        numbers[name] = values
 
     if schema is None:
-        space = FeatureSpace(
-            tuple(_infer_feature(name, columns[name]) for name in feature_names)
-        )
+        space = FeatureSpace(tuple(
+            _infer_feature(name, columns[name], numbers.get(name)) for name in feature_names
+        ))
     else:
         missing = [n for n in schema.names if n not in feature_names]
         extra = [n for n in feature_names if n not in schema.names]
@@ -156,32 +159,26 @@ def load_csv(
             )
         space = schema
 
-    col_of = {h: i for i, h in enumerate(header)}
-    rows = []
-    for row in data:
-        vals = []
-        for feat in space:
-            cell = row[col_of[feat.name]]
-            if feat.is_numeric:
-                if not _is_number(cell):
-                    raise DataFormatError(
-                        f"{path}: non-numeric value {cell!r} in numeric column {feat.name!r}"
-                    )
-                vals.append(float(cell))
-            else:
-                if cell not in feat.levels:
-                    raise DataFormatError(
-                        f"{path}: unknown level {cell!r} in column {feat.name!r}"
-                    )
-                vals.append(cell)
-        rows.append(Instance(tuple(vals)))
+    feature_columns = []
+    for feat in space:
+        column = columns[feat.name]
+        if feat.is_numeric:
+            if feat.name not in numbers:
+                cell = next(c for c in column if not _is_number(c))
+                raise DataFormatError(
+                    f"{path}: non-numeric value {cell!r} in numeric column {feat.name!r}"
+                )
+            column = numbers[feat.name]
+        else:
+            cell = next((c for c in column if c not in feat.levels), None)
+            if cell is not None:
+                raise DataFormatError(f"{path}: unknown level {cell!r} in column {feat.name!r}")
+        feature_columns.append(column)
+    rows = tuple(Instance(values) for values in zip(*feature_columns))
 
     raw_target = columns[target]
-    if not class_names and all(_is_number(v) for v in raw_target):
-        return Dataset(
-            space, tuple(rows), tuple(float(v) for v in raw_target),
-            target, REGRESSION,
-        )
+    if not class_names and target in numbers:
+        return Dataset(space, rows, tuple(numbers[target]), target, REGRESSION)
     class_names = tuple(class_names) or tuple(dict.fromkeys(raw_target))
     index = {c: k for k, c in enumerate(class_names)}
     unknown = sorted(set(raw_target) - index.keys())
@@ -190,7 +187,7 @@ def load_csv(
             f"{path}: target labels {unknown} are not among the classes {list(class_names)}"
         )
     return Dataset(
-        space, tuple(rows), tuple(index[v] for v in raw_target),
+        space, rows, tuple(index[v] for v in raw_target),
         target, CLASSIFICATION, class_names,
     )
 

@@ -183,6 +183,28 @@ class TestExitCodes:
         assert "phi0 must lie in [0, 1]" in err and "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--method", "shapley", "--output-index", "5"],
+            ["explain", "--method", "lime", "--output-index", "-1"],
+            ["explain", "--method", "ciu", "--output-index", "1"],
+            ["global", "--methods", "pfi-mae", "--output-index", "2"],
+            ["stability", "--methods", "lime-surrogate", "--output-index", "4"],
+            ["whatif", "--feature", "x1", "--output-index", "-1"],
+        ],
+        ids=["explain-shapley", "explain-lime-negative", "explain-ciu", "global-pfi",
+             "stability-lime", "whatif-negative"],
+    )
+    def test_output_index_out_of_range(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        if argv[0] != "global":
+            argv = argv + ["--instance", MID]
+        assert run(*argv, "--predictor", "linear", "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "output index" in err and "out of range" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_method(self, tmp_path):
         assert run(
             "explain", "--predictor", "linear", "--instance", MID,
@@ -414,6 +436,17 @@ class TestWhatif:
         assert (tmp_path / "whatif_x3.svg").exists()
         svg = (tmp_path / "whatif_x4.svg").read_text()
         assert "MIN=" in svg and "MAX=" in svg  # estimated joint range guides
+
+    def test_repeated_feature_is_swept_once(self, tmp_path, capsys):
+        code = run(
+            "whatif", "--predictor", "linear", "--instance", MID,
+            "--feature", "x2,x1,x2", "--output-dir", str(tmp_path), "--format", "json,text",
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "whatif_report.json").read_text())
+        assert [c["feature"] for c in doc["results"]] == ["x2", "x1"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["x2", "x1"]
 
     def test_unknown_feature(self, tmp_path):
         assert run(

@@ -1,4 +1,5 @@
-"""Golden bytes: the SHA-256 of every report file from a fixed set of CLI runs.
+"""Golden bytes: the SHA-256 of every report file from a fixed set of CLI runs,
+and of the stdout of a fixed set of ``--format text`` runs.
 
 Other tests compare two runs of the same code; these digests pin the bytes
 across commits, so a change that alters a report shows up here. A change
@@ -55,6 +56,27 @@ RUNS = {
         ["explain", "--model", "{dir}/model.json", "--data", "{data}",
          "--target", "label", "--instance", "row:3", "--output-index", "1",
          "--method", "ciu,shapley,lime", "--format", "json,svg,csv"],
+    ],
+}
+
+# Run name -> argv of a ``--format text`` run whose stdout is pinned; each
+# also gets --output-dir.
+TEXT_RUNS = {
+    "explain-text": [
+        "explain", "--predictor", "nonlinear", "--instance", NONLINEAR_X,
+        "--method", "ciu,shapley,lime", "--format", "text",
+    ],
+    "global-text": [
+        "global", "--predictor", "nonlinear", "--iterations", "2",
+        "--instances", "20", "--shapley-budget", "50", "--format", "text",
+    ],
+    "stability-text": [
+        "stability", "--predictor", "linear", "--instance", LINEAR_X,
+        "--runs", "5", "--format", "text",
+    ],
+    "whatif-text": [
+        "whatif", "--predictor", "linear", "--instance", LINEAR_X,
+        "--feature", "x1,x3", "--format", "text",
     ],
 }
 
@@ -128,6 +150,18 @@ GOLDEN = {
 }
 
 
+GOLDEN_STDOUT = {
+    'explain-text':
+        '5076815f3e2982fb6b92a5d95b9e29290233d43f096b5371a73ce5377fd1eecb',
+    'global-text':
+        'a9b7ad74fc3ead3be905cc0c8746a4d63e446576ceba7908884715f277ebdf10',
+    'stability-text':
+        '299ba07c31f3561dd26d9284cca4d5033977e4ef4089a5da127f879a8432b08f',
+    'whatif-text':
+        'cd0f75971571992cbee8e3d415fc9718278e8f068546d8017da8a7c80157e61c',
+}
+
+
 def numeric_fingerprint() -> str:
     """Digest of the float primitives the pinned runs rely on."""
     xs = np.linspace(0.0, 1.0, 1001)
@@ -169,6 +203,16 @@ def report_digests(name: str, workdir: Path) -> dict[str, str]:
     }
 
 
+def stdout_digest(name: str, workdir: Path) -> str:
+    """Run one named text case with ``workdir`` as its output directory and
+    hash what it prints."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(TEXT_RUNS[name] + ["--output-dir", str(workdir)])
+    assert code == 0, f"{name} exited {code}"
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_bytes_match_golden(name, tmp_path):
     if numeric_fingerprint() != PLATFORM_FINGERPRINT:
@@ -177,6 +221,13 @@ def test_report_bytes_match_golden(name, tmp_path):
     changed = sorted(k for k in digests.keys() | GOLDEN[name].keys()
                      if digests.get(k) != GOLDEN[name].get(k))
     assert not changed, f"{name}: report bytes changed in {changed}"
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_RUNS))
+def test_text_stdout_matches_golden(name, tmp_path):
+    if numeric_fingerprint() != PLATFORM_FINGERPRINT:
+        pytest.skip("float primitives differ from the platform the digests were taken on")
+    assert stdout_digest(name, tmp_path) == GOLDEN_STDOUT[name], f"{name}: stdout changed"
 
 
 if __name__ == "__main__":
@@ -191,4 +242,9 @@ if __name__ == "__main__":
         for file_name, digest in digests.items():
             print(f"        {file_name!r}:\n            {digest!r},")
         print("    },")
+    print("}")
+    print("GOLDEN_STDOUT = {")
+    for run_name in sorted(TEXT_RUNS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {run_name!r}:\n        {stdout_digest(run_name, Path(tmp))!r},")
     print("}")
