@@ -9,6 +9,8 @@ a stability benchmark harness, CSV ingestion with a bagged tree ensemble,
 and deterministic SVG/text rendering.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     CATEGORICAL,
     NUMERIC,
@@ -23,6 +25,7 @@ from .core import (
     OutputSpec,
     OutputUtility,
     Predictor,
+    Rows,
     SingularSystemError,
     builtin_model,
     config_from_json,
@@ -99,82 +102,8 @@ from .render import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_METHODS",
-    "AttributionVector",
-    "Budgets",
-    "CATEGORICAL",
-    "CLASSIFICATION_ERROR",
-    "CiuValue",
-    "ConfigError",
-    "CpCurve",
-    "DataFormatError",
-    "Dataset",
-    "DegenerateRangeError",
-    "ExplainerError",
-    "Explanation",
-    "FeatureSpace",
-    "FeatureSpec",
-    "FunctionPredictor",
-    "GlobalImportance",
-    "Instance",
-    "LossSpec",
-    "MAE",
-    "METHOD_INFLUENCE",
-    "METHOD_LIME",
-    "METHOD_SHAPLEY",
-    "NUMERIC",
-    "OutputSpec",
-    "OutputUtility",
-    "PlotDoc",
-    "Predictor",
-    "SeededRng",
-    "SingularSystemError",
-    "StabilityReport",
-    "TreeEnsemble",
-    "TreeParams",
-    "accuracy",
-    "as_rng",
-    "build_sample_set",
-    "builtin_model",
-    "ceteris_paribus_curve",
-    "ceteris_paribus_grid",
-    "config_from_json",
-    "config_to_json",
-    "contextual_importance",
-    "contextual_influence",
-    "contextual_utility",
-    "estimate_minmax",
-    "estimate_output_range",
-    "explain_instance",
-    "global_ci",
-    "global_mean_abs_shapley",
-    "holdout_split",
-    "lime_surrogate",
-    "linear_reference_predictor",
-    "load_config",
-    "load_csv",
-    "load_model",
-    "nonlinear_reference_predictor",
-    "normalize_importances",
-    "permutation_importance",
-    "reference_feature_space",
-    "render_ciu_barplot",
-    "render_cp_plot",
-    "render_influence_barplot",
-    "render_spread_plot",
-    "resolve_utility",
-    "run_global",
-    "run_stability",
-    "save_config",
-    "save_csv",
-    "save_model",
-    "shapley_enumerate",
-    "shapley_mc",
-    "stability_csv",
-    "summarize",
-    "text_ciu_bars",
-    "text_influence_bars",
-    "train_ensemble",
-    "uniform_instances",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -19,12 +19,13 @@ from .core import (
     FeatureSpace,
     Instance,
     Predictor,
+    Rows,
     SingularSystemError,
     encode_rows,
     evaluate_rows,
     sample_sd,
 )
-from .sampling import as_rng, uniform_instances
+from .sampling import as_rng, encode_instance, uniform_instances
 
 METHOD_INFLUENCE = "contextual-influence"
 METHOD_SHAPLEY = "shapley-mc"
@@ -130,17 +131,17 @@ def permutation_importance(
     if repeats < 1:
         raise ConfigError("repeats must be positive")
     base = as_rng(rng)
-    baseline = _loss_value(loss, evaluate_rows(predictor, rows), targets, output)
+    batch = Rows(space, encode_rows(space, rows))
+    baseline = _loss_value(loss, evaluate_rows(predictor, batch), targets, output)
     deltas = np.zeros(len(space))
     for i in range(len(space)):
         gen = base.spawn(i).generator()
-        column = [row.values[i] for row in rows]
         total = 0.0
         for _ in range(repeats):
-            order = gen.permutation(len(rows))
-            shuffled = [row.replaced(i, column[k]) for row, k in zip(rows, order)]
+            shuffled = batch.matrix.copy()
+            shuffled[:, i] = batch.matrix[gen.permutation(len(rows)), i]
             total += _loss_value(
-                loss, evaluate_rows(predictor, shuffled), targets, output
+                loss, evaluate_rows(predictor, Rows(space, shuffled)), targets, output
             )
         deltas[i] = total / repeats - baseline
     return deltas
@@ -171,26 +172,25 @@ def shapley_mc(
     base = as_rng(rng)
     gen = base.generator()
     n = len(space)
-    walks = []
-    orders = []
-    for _ in range(budget):
-        order = gen.permutation(n)
-        z = background[int(gen.integers(0, len(background)))]
-        current = z
-        walk = [current]
-        for i in order:
-            current = current.replaced(int(i), x.values[int(i)])
-            walk.append(current)
-        walks.extend(walk)
-        orders.append(order)
-    ys = evaluate_rows(predictor, walks)[:, output].reshape(budget, n + 1)
-    jumps = np.diff(ys, axis=1)
-    samples = np.empty((budget, n))
-    for t, order in enumerate(orders):
-        samples[t, order] = jumps[t]
+    bg = Rows(space, encode_rows(space, background))
+    # Per walk: a feature order, then a background row, in that stream order.
+    # Shuffling a row of arange(n) draws exactly what gen.permutation(n) does.
+    orders = np.tile(np.arange(n), (budget, 1))
+    picks = np.empty(budget, dtype=np.intp)
+    for t in range(budget):
+        gen.shuffle(orders[t])
+        picks[t] = gen.integers(0, len(bg.matrix))
+    # Step s of walk t takes x's value for every feature ranked below s.
+    rank = np.argsort(orders, axis=1)
+    step = np.arange(n + 1)[None, :, None]
+    z = bg.matrix[picks][:, None, :]
+    walks = np.where(rank[:, None, :] < step, encode_instance(space, x), z)
+    ys = evaluate_rows(predictor, Rows(space, walks.reshape(-1, n)))[:, output]
+    jumps = np.diff(ys.reshape(budget, n + 1), axis=1)
+    samples = np.take_along_axis(jumps, rank, axis=1)  # feature i's jump in walk t
     phi = samples.mean(axis=0)
     se = sample_sd(samples) / math.sqrt(budget)
-    intercept = float(np.mean(evaluate_rows(predictor, list(background))[:, output]))
+    intercept = float(np.mean(evaluate_rows(predictor, bg)[:, output]))
     return AttributionVector(
         feature_names=space.names,
         phi=tuple(float(v) for v in phi),
@@ -220,15 +220,11 @@ def shapley_enumerate(
         raise ConfigError("exact enumeration is limited to 12 features")
     if not background:
         raise ConfigError("shapley enumeration needs a non-empty background set")
+    x_enc, bg = encode_instance(space, x), encode_rows(space, background)
+    bits = 1 << np.arange(n)
     values = {}
-    for mask in range(1 << n):
-        mixed = []
-        for z in background:
-            vals = list(z.values)
-            for i in range(n):
-                if mask >> i & 1:
-                    vals[i] = x.values[i]
-            mixed.append(Instance(tuple(vals)))
+    for mask in range(1 << n):  # features in mask come from x, the rest from the background
+        mixed = Rows(space, np.where(mask & bits, x_enc, bg))
         values[mask] = float(np.mean(evaluate_rows(predictor, mixed)[:, output]))
     fact = [math.factorial(k) for k in range(n + 1)]
     phi = np.zeros(n)

@@ -96,11 +96,6 @@ class Instance:
     values: tuple
     out_of_range: bool = False
 
-    def replaced(self, index: int, value) -> "Instance":
-        vals = list(self.values)
-        vals[index] = value
-        return Instance(tuple(vals), self.out_of_range)
-
 
 @dataclass(frozen=True)
 class FeatureSpace:
@@ -179,12 +174,61 @@ class FeatureSpace:
         return Instance(tuple(vals))
 
 
+class Rows(Sequence):
+    """A batch of instances held as one read-only matrix in the
+    ``encode_rows`` encoding: floats, and level codes for categorical features.
+
+    Items decode to ``Instance``s on access and a slice is another ``Rows``,
+    so code that iterates a batch sees plain instances, while the toolkit's
+    own predictors read the matrix and skip the per-row objects.
+    """
+
+    def __init__(self, space: FeatureSpace, matrix: np.ndarray):
+        self.space = space
+        self.matrix = np.asarray(matrix, dtype=float).view()
+        self.matrix.flags.writeable = False
+        if self.matrix.ndim != 2 or self.matrix.shape[1] != len(space):
+            raise ConfigError(f"a batch matrix needs {len(space)} columns")
+        for feat, column in zip(space, self.matrix.T):
+            if not feat.is_numeric and not np.isin(column, np.arange(len(feat.levels))).all():
+                raise ConfigError(f"feature {feat.name!r}: a label not in declared levels")
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Rows(self.space, self.matrix[index])
+        return self._decode(self.matrix[[index]])[0]
+
+    def __iter__(self):
+        return iter(self._decode(self.matrix))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Rows):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.matrix, other.matrix)
+
+    def _decode(self, matrix: np.ndarray) -> list[Instance]:
+        outside = np.zeros(len(matrix), dtype=bool)
+        columns = []
+        for feat, column in zip(self.space, matrix.T):
+            if feat.is_numeric:
+                outside |= (column < feat.min) | (column > feat.max)
+                columns.append(column.tolist())
+            else:
+                columns.append([feat.levels[k] for k in column.astype(int).tolist()])
+        return [Instance(v, flag) for v, flag in zip(zip(*columns), outside.tolist())]
+
+
 class Predictor:
     """Black-box model contract: batch of instances in, output matrix out.
 
     ``evaluate`` must be deterministic for a fixed instance batch and must
     not mutate anything. The toolkit only ever calls this method, through
-    ``evaluate_rows``, so any model that honors it can be explained.
+    ``evaluate_rows``, so any model that honors it can be explained. The
+    batch is a sized sequence of ``Instance``s, often a matrix-backed
+    ``Rows``; iterating it always works.
     """
 
     n_outputs: int = 1
@@ -207,12 +251,15 @@ class FunctionPredictor(Predictor):
     def evaluate(self, instances: Sequence[Instance]) -> np.ndarray:
         if not len(instances):
             return np.empty((0, self.n_outputs))
-        try:
-            x = np.asarray([inst.values for inst in instances], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "numeric-function predictor received non-numeric values"
-            ) from None
+        if isinstance(instances, Rows) and all(f.is_numeric for f in instances.space):
+            x = np.array(instances.matrix, order="C")  # a copy: the function may write into it
+        else:  # a categorical batch decodes to labels, which fail here
+            try:
+                x = np.asarray([inst.values for inst in instances], dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    "numeric-function predictor received non-numeric values"
+                ) from None
         out = np.asarray(self.fn(x), dtype=float)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
@@ -258,8 +305,10 @@ def encode_rows(space: FeatureSpace, rows: Sequence[Instance]) -> np.ndarray:
     index, and a label the feature does not declare becomes -1. The matrix
     is the transpose of a (features, rows) array, so each feature's column
     is contiguous: reductions over rows then add in the same order as over
-    a per-feature list.
+    a per-feature list. It is a writable copy, also for a ``Rows`` batch.
     """
+    if isinstance(rows, Rows) and rows.space == space:
+        return np.array(rows.matrix, order="F")
     out = np.empty((len(space), len(rows)))
     for i, feat in enumerate(space):
         column = [r.values[i] for r in rows]

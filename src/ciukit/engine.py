@@ -30,6 +30,7 @@ from .core import (
     Instance,
     OutputUtility,
     Predictor,
+    Rows,
     evaluate_rows,
 )
 from .sampling import (
@@ -199,7 +200,8 @@ def estimate_output_range(
     """
     if budget <= 0:
         raise ConfigError("range estimation needs a positive sampling budget")
-    points = uniform_instances(space, budget, rng) + corner_instances(space)
+    probes = (uniform_instances(space, budget, rng), corner_instances(space))
+    points = Rows(space, np.vstack([p.matrix for p in probes]))
     ys = evaluate_rows(predictor, points)[:, output]
     lo_start = points[int(np.argmin(ys))]
     hi_start = points[int(np.argmax(ys))]
@@ -391,7 +393,7 @@ def ceteris_paribus_curve(
     return CpCurve(
         feature_name=space[feature].name,
         feature_index=feature,
-        xs=tuple(float(inst.values[feature]) for inst in grid),
+        xs=tuple(grid.matrix[:, feature].tolist()),
         ys=tuple(float(v) for v in ys),
         x_value=float(x.values[feature]),
         y_value=y_value,

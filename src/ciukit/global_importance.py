@@ -142,7 +142,7 @@ def global_mean_abs_shapley(
     """
     if not instances:
         raise ConfigError("global importance needs at least one instance")
-    bg = list(background) if background is not None else list(instances)
+    bg = instances if background is None else background
     base = as_rng(rng)
     scores = np.empty((len(instances), len(space)))
     for r, x in enumerate(instances):

@@ -33,10 +33,6 @@ class PlotDoc:
     height: int
     title: str
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.svg)
-
 
 def _esc(text) -> str:
     return (

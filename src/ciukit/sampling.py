@@ -1,5 +1,6 @@
 """Deterministic seeding and the shared row builders: uniform draws, box
-corners, and single-feature perturbations."""
+corners, and single-feature perturbations, each built as one matrix-backed
+``Rows`` batch."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FeatureSpace, Instance
+from .core import ConfigError, FeatureSpace, Instance, Rows, encode_rows
 
 _CORNER_CAP_BITS = 12
 
@@ -50,13 +51,26 @@ def as_rng(value) -> SeededRng:
     raise ConfigError(f"expected an int seed or SeededRng, got {type(value).__name__}")
 
 
+def encode_instance(space: FeatureSpace, x: Instance) -> np.ndarray:
+    """x's row in the ``encode_rows`` encoding. Values the space does not
+    accept (a wrong count, an undeclared label) raise ConfigError."""
+    return encode_rows(space, [space.instance(x.values)])[0]
+
+
+def _varied(space: FeatureSpace, x: Instance, feature: int, column) -> Rows:
+    """Copies of x, one per entry of ``column``, that take feature's value from it."""
+    matrix = np.repeat(encode_instance(space, x)[None, :], len(column), axis=0)
+    matrix[:, feature] = column
+    return Rows(space, matrix)
+
+
 def build_sample_set(
     space: FeatureSpace,
     x: Instance,
     feature: int,
     n: int = 100,
     rng=None,
-) -> tuple[tuple[Instance, ...], int]:
+) -> tuple[Rows, int]:
     """Vary one feature of ``x`` while holding the others fixed.
 
     Returns the perturbed instances and the position of the one that carries
@@ -74,17 +88,11 @@ def build_sample_set(
         raise ConfigError("sample count must be non-negative")
     feat = space[feature]
     if feat.is_numeric:
-        gen = as_rng(rng).generator()
-        instances = [x, x.replaced(feature, feat.min), x.replaced(feature, feat.max)]
-        for v in gen.uniform(feat.min, feat.max, size=n):
-            instances.append(x.replaced(feature, float(v)))
-        return tuple(instances), 0
-    if x.values[feature] not in feat.levels:
-        raise ConfigError(
-            f"feature {feat.name!r}: label {x.values[feature]!r} not in declared levels"
-        )
-    instances = [x.replaced(feature, lev) for lev in feat.levels]
-    return tuple(instances), feat.levels.index(x.values[feature])
+        draws = as_rng(rng).generator().uniform(feat.min, feat.max, size=n)
+        column = np.concatenate([[x.values[feature], feat.min, feat.max], draws])
+        return _varied(space, x, feature, column), 0
+    rows = _varied(space, x, feature, np.arange(len(feat.levels)))
+    return rows, feat.levels.index(x.values[feature])
 
 
 def ceteris_paribus_grid(
@@ -92,7 +100,7 @@ def ceteris_paribus_grid(
     x: Instance,
     feature: int,
     grid_size: int = 101,
-) -> list[Instance]:
+) -> Rows:
     """Evenly spaced sweep of one numeric feature, endpoints included."""
     if not 0 <= feature < len(space):
         raise ConfigError(f"feature index {feature} out of range")
@@ -103,11 +111,10 @@ def ceteris_paribus_grid(
         )
     if grid_size < 2:
         raise ConfigError("grid needs at least the two endpoints")
-    grid = np.linspace(feat.min, feat.max, grid_size)
-    return [x.replaced(feature, float(v)) for v in grid]
+    return _varied(space, x, feature, np.linspace(feat.min, feat.max, grid_size))
 
 
-def uniform_instances(space: FeatureSpace, count: int, rng=None) -> list[Instance]:
+def uniform_instances(space: FeatureSpace, count: int, rng=None) -> Rows:
     """Uniform draws over the feature space (uniform level choice for
     categorical features).
 
@@ -118,32 +125,25 @@ def uniform_instances(space: FeatureSpace, count: int, rng=None) -> list[Instanc
     if count < 1:
         raise ConfigError("instance count must be positive")
     gen = as_rng(rng).generator()
-    numeric = [f for f in space if f.is_numeric]
-    categorical = [f for f in space if not f.is_numeric]
-    draws = gen.uniform(
-        [f.min for f in numeric], [f.max for f in numeric], size=(count, len(numeric))
+    numeric = [i for i, f in enumerate(space) if f.is_numeric]
+    categorical = [i for i, f in enumerate(space) if not f.is_numeric]
+    matrix = np.empty((count, len(space)))
+    matrix[:, numeric] = gen.uniform(
+        [space[i].min for i in numeric], [space[i].max for i in numeric],
+        size=(count, len(numeric)),
     )
-    codes = gen.integers(0, [len(f.levels) for f in categorical], size=(count, len(categorical)))
-    # Columns of Python floats and level labels, put back in feature order.
-    numeric_columns = iter(draws.T.tolist())
-    level_columns = iter(
-        [f.levels[k] for k in col] for f, col in zip(categorical, codes.T.tolist())
+    matrix[:, categorical] = gen.integers(
+        0, [len(space[i].levels) for i in categorical], size=(count, len(categorical))
     )
-    columns = [next(numeric_columns if f.is_numeric else level_columns) for f in space]
-    return [Instance(values) for values in zip(*columns)]
+    return Rows(space, matrix)
 
 
-def corner_instances(space: FeatureSpace) -> list[Instance]:
+def corner_instances(space: FeatureSpace) -> Rows:
     """Every {min, max} choice over the numeric coordinates, capped at 2**12
     corners; categorical coordinates stay at the midpoint choice."""
-    base = space.midpoint()
-    numeric = [i for i, f in enumerate(space) if f.is_numeric]
-    numeric = numeric[:_CORNER_CAP_BITS]
-    corners = []
-    for bits in itertools.product((0, 1), repeat=len(numeric)):
-        inst = base
-        for i, bit in zip(numeric, bits):
-            feat = space[i]
-            inst = inst.replaced(i, feat.max if bit else feat.min)
-        corners.append(inst)
-    return corners
+    numeric = [i for i, f in enumerate(space) if f.is_numeric][:_CORNER_CAP_BITS]
+    bits = np.array(list(itertools.product((0, 1), repeat=len(numeric))), dtype=bool)
+    matrix = np.repeat(encode_instance(space, space.midpoint())[None, :], len(bits), axis=0)
+    for i, column in zip(numeric, bits.T):
+        matrix[:, i] = np.where(column, space[i].max, space[i].min)
+    return Rows(space, matrix)

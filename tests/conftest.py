@@ -91,3 +91,44 @@ def write_classification_csv(path, n=500, seed=7, margin=0.0, noise=0.0):
         for a, b, c, grade, label in rows:
             fh.write(f"{a!r},{b!r},{c!r},{grade},{label}\n")
     return path
+
+
+def mixed_space():
+    """Two numeric features around one categorical, for the batch tests."""
+    return ck.FeatureSpace(
+        (
+            ck.FeatureSpec.numeric("a", -1.0, 2.0),
+            ck.FeatureSpec.categorical("c", ["p", "q", "r"]),
+            ck.FeatureSpec.numeric("b", 0.0, 1.0),
+        )
+    )
+
+
+class MixedModel(ck.Predictor):
+    """An additive predictor over ``mixed_space`` that reads each row's
+    values, as a user subclass would, and keeps every batch it is given."""
+
+    LEVEL_SCORE = {"p": 0.0, "q": 0.25, "r": -0.5}
+
+    def __init__(self):
+        self.batches = []
+
+    def evaluate(self, instances):
+        rows = list(instances)
+        self.batches.append(rows)
+        return np.asarray(
+            [[0.6 * a * a - 0.3 * b + self.LEVEL_SCORE[c]] for a, c, b in (r.values for r in rows)]
+        )
+
+
+def replaced(x, index, value):
+    """x with one value changed: the per-row step of the reference builders."""
+    values = list(x.values)
+    values[index] = value
+    return ck.Instance(tuple(values), x.out_of_range)
+
+
+def exact(rows):
+    """Each row's values with floats as repr, so equal means bit-identical
+    (repr tells 0.0 from -0.0) and the value types must match too."""
+    return [tuple((type(v), repr(v)) for v in r.values) for r in rows]

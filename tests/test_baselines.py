@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ciukit as ck
-from conftest import LINEAR_WEIGHTS
+from conftest import LINEAR_WEIGHTS, MixedModel, exact, mixed_space, replaced
 
 
 def uniform_rows(space, n, seed):
@@ -289,3 +289,81 @@ class TestAttributionVector:
             ("a",), (0.1,), 0.5, "shapley-mc", 100, 3, se=(0.01,)
         )
         assert att2.to_json_dict()["features"][0]["se"] == 0.01
+
+
+# Per-row reference builders: the walks and shuffles built one Instance at a
+# time, from the same streams as the library's matrix-backed batches.
+
+
+def reference_walks(space, x, background, budget, seed):
+    gen = ck.SeededRng(seed).generator()
+    walks, orders = [], []
+    for _ in range(budget):
+        order = gen.permutation(len(space))
+        current = background[int(gen.integers(0, len(background)))]
+        walks.append(current)
+        for i in order:
+            current = replaced(current, int(i), x.values[int(i)])
+            walks.append(current)
+        orders.append(order)
+    return walks, orders
+
+
+def reference_shuffles(space, rows, repeats, seed):
+    batches = []
+    for i in range(len(space)):
+        gen = ck.SeededRng(seed).spawn(i).generator()
+        column = [row.values[i] for row in rows]
+        for _ in range(repeats):
+            order = gen.permutation(len(rows))
+            batches.append([replaced(row, i, column[k]) for row, k in zip(rows, order)])
+    return batches
+
+
+class TestMatchesPerRowReference:
+    """Walks and shuffled batches reach the predictor exactly as a per-row
+    builder makes them, on a space with a categorical feature."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 31])
+    def test_shapley_walks(self, seed):
+        space = mixed_space()
+        x = space.instance([1.5, "r", 0.1])
+        background = ck.uniform_instances(space, 13, ck.SeededRng(seed + 1))
+        pred = MixedModel()
+        att = ck.shapley_mc(pred, space, x, background, budget=60, rng=seed)
+        walks, orders = reference_walks(space, x, list(background), 60, seed)
+        assert exact(pred.batches[0]) == exact(walks)
+        assert exact(pred.batches[1]) == exact(background)
+        # phi from the reference walks, placed into feature order per walk
+        ys = MixedModel().evaluate(walks)[:, 0].reshape(60, len(space) + 1)
+        samples = np.empty((60, len(space)))
+        for t, order in enumerate(orders):
+            samples[t, order] = np.diff(ys[t])
+        assert att.phi == tuple(float(v) for v in samples.mean(axis=0))
+
+    @pytest.mark.parametrize("seed", [0, 8])
+    def test_permutation_shuffles(self, seed):
+        space = mixed_space()
+        rows = ck.uniform_instances(space, 50, ck.SeededRng(seed + 2))
+        pred = MixedModel()
+        targets = MixedModel().evaluate(rows)[:, 0] + 0.1
+        ck.permutation_importance(pred, space, rows, targets, repeats=3, rng=seed)
+        ref = reference_shuffles(space, list(rows), 3, seed)
+        assert len(pred.batches) == 1 + len(ref)
+        assert exact(pred.batches[0]) == exact(rows)
+        for got, want in zip(pred.batches[1:], ref):
+            assert exact(got) == exact(want)
+
+    def test_enumeration_matches_per_row_coalitions(self):
+        space = mixed_space()
+        x = space.instance([0.2, "p", 0.8])
+        background = list(ck.uniform_instances(space, 7, ck.SeededRng(4)))
+        pred = MixedModel()
+        ck.shapley_enumerate(pred, space, x, background)
+        for mask, got in enumerate(pred.batches):
+            want = []
+            for z in background:
+                for i in range(len(space)):
+                    z = replaced(z, i, x.values[i]) if mask >> i & 1 else z
+                want.append(z)
+            assert exact(got) == exact(want)

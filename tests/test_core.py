@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import json
 import math
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -10,8 +12,12 @@ import ciukit as ck
 from ciukit.core import evaluate_rows
 from conftest import (
     LINEAR_WEIGHTS,
+    MixedModel,
+    exact,
+    mixed_space,
     nonlinear_joint_range,
     nonlinear_value,
+    replaced,
 )
 
 
@@ -117,11 +123,14 @@ class TestInstances:
             space.instance([math.nan, 0.5, 0.5, 0.5])
 
     def test_replaced(self, linear_bundle):
+        # Instances are frozen: a changed copy leaves the original as it was.
         _, space, _ = linear_bundle
         inst = space.instance([0.1, 0.2, 0.3, 0.4])
-        other = inst.replaced(2, 0.9)
+        other = dataclasses.replace(inst, values=(0.1, 0.2, 0.9, 0.4))
         assert other.values == (0.1, 0.2, 0.9, 0.4)
         assert inst.values[2] == 0.3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.values = other.values
 
     def test_midpoint(self):
         space = ck.FeatureSpace(
@@ -332,6 +341,134 @@ class TestEvaluatorContract:
         assert calls == [65536, 70000 - 65536]
 
 
+class TestRows:
+    """The matrix-backed batch: a sized sequence of plain Instances."""
+
+    def test_user_predictor_iterates_plain_instances(self):
+        space = mixed_space()
+        x = space.instance([0.5, "q", 0.25])
+        pred = MixedModel()
+        util = ck.OutputUtility.single("y", out_min=-2.0, out_max=2.0)
+        ck.explain_instance(pred, util, space, x, n=6, rng=ck.SeededRng(3))
+        assert len(pred.batches) == len(space)
+        for i, batch in enumerate(pred.batches):
+            assert all(type(r) is ck.Instance for r in batch)
+            assert all(
+                (float, str, float) == tuple(type(v) for v in r.values) for r in batch
+            )
+            feat = space[i]
+            if feat.is_numeric:
+                gen = ck.SeededRng(3).spawn(i).generator()
+                varied = [x.values[i], feat.min, feat.max]
+                varied += [float(v) for v in gen.uniform(feat.min, feat.max, size=6)]
+            else:
+                varied = list(feat.levels)
+            assert exact(batch) == exact([replaced(x, i, v) for v in varied])
+
+    def test_decode_index_slice_and_equality(self):
+        space = mixed_space()
+        rows = ck.Rows(space, [[0.5, 2, 0.0], [-1.0, 0, 1.0], [3.0, 1, 0.5]])
+        assert len(rows) == 3
+        assert rows[1] == ck.Instance((-1.0, "p", 1.0))
+        assert rows[-1] == ck.Instance((3.0, "q", 0.5), out_of_range=True)
+        assert isinstance(rows[1:], ck.Rows) and list(rows[1:]) == [rows[1], rows[2]]
+        assert rows == ck.Rows(space, rows.matrix.copy())
+        assert rows != ck.Rows(space, rows.matrix[::-1])
+        with pytest.raises(IndexError):
+            rows[3]
+        with pytest.raises(ValueError):
+            rows.matrix[0, 0] = 9.0  # read-only: a batch is a value
+
+    @pytest.mark.parametrize("matrix", [[[0.5, 3, 0.5]], [[0.5, -1, 0.5]], [[0.5, 0.5, 0.5]],
+                                        [[0.5, 1]]])
+    def test_bad_matrix_rejected(self, matrix):
+        with pytest.raises(ck.ConfigError):
+            ck.Rows(mixed_space(), matrix)
+
+    def test_undeclared_label_is_a_config_error(self):
+        space = mixed_space()
+        x = ck.Instance((0.5, "z", 0.5))  # built without the space's checks
+        with pytest.raises(ck.ConfigError, match="'c'"):
+            ck.build_sample_set(space, x, 0, n=3)
+        with pytest.raises(ck.ConfigError, match="'c'"):
+            ck.permutation_importance(MixedModel(), space, [x, x], [0.0, 0.0])
+
+    def test_large_batch_reaches_the_predictor_in_slices(self):
+        seen = []
+
+        class Recording(ck.Predictor):
+            def evaluate(self, instances):
+                seen.append(instances)
+                return np.zeros((len(instances), 1))
+
+        space = ck.reference_feature_space()
+        rows = ck.uniform_instances(space, 65536 + 10, 1)
+        assert evaluate_rows(Recording(), rows).shape == (65546, 1)
+        assert [len(b) for b in seen] == [65536, 10]
+        assert all(isinstance(b, ck.Rows) for b in seen)
+        assert np.array_equal(np.vstack([b.matrix for b in seen]), rows.matrix)
+        assert seen[1][0] == rows[65536]
+
+    def test_encode_rows_returns_a_copy(self):
+        space = mixed_space()
+        rows = ck.uniform_instances(space, 20, 5)
+        before = rows.matrix.copy()
+        encoded = ck.core.encode_rows(space, rows)
+        assert np.array_equal(encoded, before)
+        assert encoded.flags.f_contiguous and encoded.flags.writeable
+        encoded[:] = 0.0
+        assert np.array_equal(rows.matrix, before)
+        # the same encoding as from the decoded instances
+        assert np.array_equal(ck.core.encode_rows(space, list(rows)), before)
+
+    def test_categorical_batch_to_function_predictor(self):
+        space = mixed_space()
+        pred = ck.FunctionPredictor(lambda x: x[:, 0])
+        rows = ck.uniform_instances(space, 5, 1)
+        with pytest.raises(ck.ConfigError):
+            pred.evaluate(rows)
+        with pytest.raises(ck.ConfigError):
+            ck.shapley_mc(pred, space, space.instance([0.0, "p", 0.5]), rows, budget=3)
+
+    def test_function_gets_a_writable_c_ordered_copy(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x.flags.c_contiguous and x.flags.writeable)
+            x[:] = 0.0  # allowed: it is the function's own copy
+            return x[:, 0]
+
+        space = ck.reference_feature_space()
+        rows = ck.uniform_instances(space, 8, 2)
+        before = rows.matrix.copy()
+        ck.FunctionPredictor(fn).evaluate(rows)
+        assert seen == [True] and np.array_equal(rows.matrix, before)
+
+    def test_instance_level_evaluate_wrapper_sees_every_row(self, nonlinear_bundle):
+        # A wrapper installed on the predictor object, as a tracer does, sees
+        # each batch's length and every row's values.
+        pred, space, _ = nonlinear_bundle
+        pred = ck.FunctionPredictor(pred.fn)
+        counts, values = [], []
+        inner = pred.evaluate
+
+        def wrapper(instances):
+            counts.append(len(instances))
+            values.extend(inst.values for inst in instances)
+            return inner(instances)
+
+        pred.evaluate = wrapper
+        util = ck.OutputUtility.single("y", out_min=-2.0, out_max=2.0)
+        x = space.instance([0.2, 0.4, 0.6, 0.8])
+        background = ck.uniform_instances(space, 9, 4)
+        ck.explain_instance(pred, util, space, x, n=10, rng=1)
+        ck.shapley_mc(pred, space, x, background, budget=7, rng=2)
+        assert counts == [13] * 4 + [7 * 5, 9]
+        assert len(values) == sum(counts)
+        assert all(type(v) is float for row in values for v in row)
+        assert values[-9:] == [r.values for r in background]
+
+
 _X = {"name": "x", "type": "numeric", "min": 0, "max": 1}
 
 BAD_CONFIGS = {
@@ -377,6 +514,13 @@ def test_imports_run_one_way():
         else:
             continue
         assert not any(n.split(".")[0] == "ciukit" for n in names), f"core.py:{node.lineno}"
+
+
+def test_package_exports_every_public_name_and_no_module():
+    assert ck.__all__ == sorted(set(ck.__all__))
+    assert {"Rows", "Instance", "explain_instance", "shapley_mc", "load_model"} <= set(ck.__all__)
+    assert not any(isinstance(getattr(ck, name), ModuleType) for name in ck.__all__)
+    assert not any(name.startswith("_") for name in ck.__all__)
 
 
 class TestConfigIO:

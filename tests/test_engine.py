@@ -192,7 +192,8 @@ class TestExplainInstance:
         exp = ck.explain_instance(pred, util, space, x, n=100, rng=9)
         y = pred.evaluate_one(x)[0]
         for i, feat in enumerate(space):
-            ys = [pred.evaluate_one(x.replaced(i, lev))[0] for lev in feat.levels]
+            variants = [x.values[:i] + (lev,) + x.values[i + 1 :] for lev in feat.levels]
+            ys = [pred.evaluate_one(space.instance(v))[0] for v in variants]
             ci = (max(ys) - min(ys)) / 1.0
             cu = 0.0 if max(ys) == min(ys) else (y - min(ys)) / (max(ys) - min(ys))
             assert exp.values[i].ci == ci

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import ciukit as ck
+from ciukit.sampling import corner_instances
+from conftest import exact, mixed_space, replaced
 
 
 class TestSeededRng:
@@ -175,3 +179,84 @@ class TestUniformInstances:
         _, space, _ = linear_bundle
         with pytest.raises(ck.ConfigError):
             ck.uniform_instances(space, 0)
+
+
+# Per-row reference builders: one Instance per perturbed row, from the same
+# streams as the library's matrix-backed builders.
+
+
+def reference_sample_set(space, x, feature, n, rng):
+    feat = space[feature]
+    if feat.is_numeric:
+        gen = ck.as_rng(rng).generator()
+        rows = [x, replaced(x, feature, feat.min), replaced(x, feature, feat.max)]
+        rows += [replaced(x, feature, float(v)) for v in gen.uniform(feat.min, feat.max, size=n)]
+        return rows, 0
+    return [replaced(x, feature, lev) for lev in feat.levels], feat.levels.index(x.values[feature])
+
+
+def reference_grid(space, x, feature, grid_size):
+    feat = space[feature]
+    return [replaced(x, feature, float(v)) for v in np.linspace(feat.min, feat.max, grid_size)]
+
+
+def reference_uniform(space, count, rng):
+    gen = ck.as_rng(rng).generator()
+    numeric = [f for f in space if f.is_numeric]
+    categorical = [f for f in space if not f.is_numeric]
+    draws = gen.uniform(
+        [f.min for f in numeric], [f.max for f in numeric], size=(count, len(numeric))
+    )
+    codes = gen.integers(0, [len(f.levels) for f in categorical], size=(count, len(categorical)))
+    rows = []
+    for r in range(count):
+        num, cat = iter(draws[r].tolist()), iter(codes[r].tolist())
+        rows.append(ck.Instance(tuple(
+            next(num) if f.is_numeric else f.levels[next(cat)] for f in space
+        )))
+    return rows
+
+
+def reference_corners(space):
+    numeric = [i for i, f in enumerate(space) if f.is_numeric][:12]
+    rows = []
+    for bits in itertools.product((0, 1), repeat=len(numeric)):
+        inst = space.midpoint()
+        for i, bit in zip(numeric, bits):
+            inst = replaced(inst, i, space[i].max if bit else space[i].min)
+        rows.append(inst)
+    return rows
+
+
+class TestMatchesPerRowReference:
+    """The matrix-backed builders decode to exactly the rows, value types
+    and order of a builder that makes one Instance per row."""
+
+    @pytest.mark.parametrize("feature", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_build_sample_set(self, feature, seed):
+        space = mixed_space()
+        x = space.instance([1.25, "q", 0.3])
+        rows, position = ck.build_sample_set(space, x, feature, n=40, rng=ck.SeededRng(seed))
+        ref, ref_position = reference_sample_set(space, x, feature, 40, ck.SeededRng(seed))
+        assert isinstance(rows, ck.Rows)
+        assert exact(rows) == exact(ref)
+        assert list(rows) == ref
+        assert position == ref_position
+
+    @pytest.mark.parametrize("feature,size", [(0, 101), (2, 1025), (2, 2)])
+    def test_ceteris_paribus_grid(self, feature, size):
+        space = mixed_space()
+        x = space.instance([-0.5, "r", 0.9])
+        grid = ck.ceteris_paribus_grid(space, x, feature, size)
+        assert exact(grid) == exact(reference_grid(space, x, feature, size))
+
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    def test_uniform_instances(self, seed):
+        for space in (mixed_space(), ck.reference_feature_space()):
+            rows = ck.uniform_instances(space, 257, ck.SeededRng(seed))
+            assert exact(rows) == exact(reference_uniform(space, 257, ck.SeededRng(seed)))
+
+    def test_corner_instances(self):
+        for space in (mixed_space(), ck.reference_feature_space()):
+            assert exact(corner_instances(space)) == exact(reference_corners(space))
