@@ -247,7 +247,7 @@ def _normalized_columns(
     become match-with-x indicators (so the explained point is always 1).
     """
     z = encode_rows(space, rows)
-    x_enc = encode_rows(space, [x])[0]
+    x_enc = encode_instance(space, x)
     xn = np.ones(len(space))
     for i, feat in enumerate(space):
         if feat.is_numeric:

@@ -298,7 +298,7 @@ def _names_list(text: str, allowed=None, kind: str = "method") -> list[str]:
 
 def _background(dataset, space, rng):
     if dataset is not None:
-        return list(dataset.rows)
+        return dataset.rows
     return uniform_instances(space, 200, rng)
 
 
@@ -360,10 +360,7 @@ def cmd_global(args) -> None:
     methods = _names_list(args.methods, GLOBAL_METHODS)
     base = SeededRng(args.seed)
 
-    rows = targets = None
-    if dataset is not None:
-        rows = list(dataset.rows)
-        targets = list(dataset.target)
+    rows, targets = (None, None) if dataset is None else (dataset.rows, dataset.target)
     blocks = []
     table = [["method", "feature", "mean", "spread"]]
     lines = []
@@ -417,7 +414,7 @@ def cmd_stability(args) -> None:
     methods = _names_list(args.methods, ALL_METHODS)
     x = _parse_instance(args, space, dataset)
     budgets = Budgets(args.samples, args.shapley_budget, args.lime_samples)
-    background = list(dataset.rows) if dataset is not None else None
+    background = dataset.rows if dataset is not None else None
     files = {}
     texts = []
     for method in methods:

@@ -89,12 +89,10 @@ class FeatureSpec:
 class Instance:
     """One point of the feature space. Values follow feature declaration order.
 
-    ``out_of_range`` marks numeric values outside declared bounds; such
-    instances are accepted everywhere but the flag travels with them.
+    Numeric values outside the declared bounds are accepted everywhere.
     """
 
     values: tuple
-    out_of_range: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,13 +130,12 @@ class FeatureSpace:
     def instance(self, values: Sequence) -> Instance:
         """Validating constructor: checks arity and categorical labels.
 
-        Numeric values outside bounds are accepted but flagged.
+        Numeric values outside bounds are accepted.
         """
         if len(values) != len(self.features):
             raise ConfigError(
                 f"expected {len(self.features)} values, got {len(values)}"
             )
-        flagged = False
         out = []
         for feat, value in zip(self.features, values):
             if feat.is_numeric:
@@ -154,8 +151,6 @@ class FeatureSpace:
                     ) from None
                 if not math.isfinite(v):
                     raise ConfigError(f"feature {feat.name!r}: value must be finite")
-                if not feat.min <= v <= feat.max:
-                    flagged = True
                 out.append(v)
             else:
                 if value not in feat.levels:
@@ -163,7 +158,7 @@ class FeatureSpace:
                         f"feature {feat.name!r}: label {value!r} not in declared levels"
                     )
                 out.append(value)
-        return Instance(tuple(out), flagged)
+        return Instance(tuple(out))
 
     def midpoint(self) -> Instance:
         """Interval midpoints for numeric features, first level for categorical."""
@@ -178,9 +173,10 @@ class Rows(Sequence):
     """A batch of instances held as one read-only matrix in the
     ``encode_rows`` encoding: floats, and level codes for categorical features.
 
-    Items decode to ``Instance``s on access and a slice is another ``Rows``,
-    so code that iterates a batch sees plain instances, while the toolkit's
-    own predictors read the matrix and skip the per-row objects.
+    An integer index decodes one ``Instance``; any other numpy index (a
+    slice, a list or an array of ints) gives another ``Rows``. Code that
+    iterates a batch sees plain instances, while the toolkit's own
+    predictors read the matrix and skip the per-row objects.
     """
 
     def __init__(self, space: FeatureSpace, matrix: np.ndarray):
@@ -197,9 +193,9 @@ class Rows(Sequence):
         return len(self.matrix)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Rows(self.space, self.matrix[index])
-        return self._decode(self.matrix[[index]])[0]
+        if isinstance(index, (int, np.integer)):
+            return self._decode(self.matrix[[index]])[0]
+        return Rows(self.space, self.matrix[index])
 
     def __iter__(self):
         return iter(self._decode(self.matrix))
@@ -210,15 +206,12 @@ class Rows(Sequence):
         return self.space == other.space and np.array_equal(self.matrix, other.matrix)
 
     def _decode(self, matrix: np.ndarray) -> list[Instance]:
-        outside = np.zeros(len(matrix), dtype=bool)
-        columns = []
-        for feat, column in zip(self.space, matrix.T):
-            if feat.is_numeric:
-                outside |= (column < feat.min) | (column > feat.max)
-                columns.append(column.tolist())
-            else:
-                columns.append([feat.levels[k] for k in column.astype(int).tolist()])
-        return [Instance(v, flag) for v, flag in zip(zip(*columns), outside.tolist())]
+        columns = [
+            column.tolist() if feat.is_numeric
+            else [feat.levels[k] for k in column.astype(int).tolist()]
+            for feat, column in zip(self.space, matrix.T)
+        ]
+        return [Instance(values) for values in zip(*columns)]
 
 
 class Predictor:

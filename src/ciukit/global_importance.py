@@ -15,6 +15,8 @@ from .core import (
     Instance,
     OutputUtility,
     Predictor,
+    Rows,
+    encode_rows,
     evaluate_rows,
     sample_sd,
 )
@@ -173,27 +175,30 @@ def run_global(
     space, or a bootstrap of ``rows`` when a dataset is given), computes the
     method's per-feature importances, and normalizes them to proportions.
     The result reports the mean and sample standard deviation of those
-    proportions across iterations.
+    proportions across iterations, and the number of instances drawn per
+    iteration: at most ``len(rows)`` for a bootstrap.
     """
     if method not in GLOBAL_METHODS:
         raise ConfigError(f"unknown global method {method!r}; use one of {GLOBAL_METHODS}")
     if iterations < 1:
         raise ConfigError("iterations must be positive")
+    if rows is not None:
+        rows = Rows(space, encode_rows(space, rows))
+    count = instances_per_iteration if rows is None else min(instances_per_iteration, len(rows))
+    if count < 1:
+        raise ConfigError("global importance needs at least one instance")
     base = as_rng(rng)
     per_iter = []
     degenerate = np.zeros(len(space), dtype=bool)
     for it in range(iterations):
         sub = base.spawn(it)
         if rows is None:
-            sample = uniform_instances(space, instances_per_iteration, sub.spawn(0))
+            sample = uniform_instances(space, count, sub.spawn(0))
             sample_targets = None
         else:
-            gen = sub.spawn(0).generator()
-            take = gen.integers(0, len(rows), size=min(instances_per_iteration, len(rows)))
-            sample = [rows[int(k)] for k in take]
-            sample_targets = (
-                None if targets is None else np.asarray(targets)[np.asarray(take, dtype=int)]
-            )
+            take = sub.spawn(0).generator().integers(0, len(rows), size=count)
+            sample = rows[take]
+            sample_targets = None if targets is None else np.asarray(targets)[take]
         sub_rng = sub.spawn(1)
         if method == "ci":
             g = global_ci(predictor, utility, space, sample, n, sub_rng, output)
@@ -213,6 +218,5 @@ def run_global(
             )
         per_iter.append(normalize_importances(raw))
     return _summary(
-        method, space, np.vstack(per_iter), degenerate,
-        instances_per_iteration, iterations, normalized=True,
+        method, space, np.vstack(per_iter), degenerate, count, iterations, normalized=True
     )

@@ -27,6 +27,7 @@ from .core import (
     Instance,
     OutputUtility,
     Predictor,
+    Rows,
     config_from_json,
     encode_rows,
     evaluate_rows,
@@ -45,14 +46,14 @@ _MIN_GAIN = 1e-12
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature rows plus a target column.
+    """Feature rows, as one ``Rows`` batch, plus a target column.
 
     Classification targets are class indices into ``class_names``;
     regression targets are floats.
     """
 
     space: FeatureSpace
-    rows: tuple[Instance, ...]
+    rows: Rows
     target: tuple
     target_name: str
     task: str
@@ -159,8 +160,9 @@ def load_csv(
             )
         space = schema
 
-    feature_columns = []
-    for feat in space:
+    # One row per feature: floats, or level codes for a categorical feature.
+    matrix = np.empty((len(space), len(data)))
+    for feat, out in zip(space, matrix):
         column = columns[feat.name]
         if feat.is_numeric:
             if feat.name not in numbers:
@@ -168,13 +170,16 @@ def load_csv(
                 raise DataFormatError(
                     f"{path}: non-numeric value {cell!r} in numeric column {feat.name!r}"
                 )
-            column = numbers[feat.name]
+            out[:] = numbers[feat.name]
         else:
-            cell = next((c for c in column if c not in feat.levels), None)
-            if cell is not None:
-                raise DataFormatError(f"{path}: unknown level {cell!r} in column {feat.name!r}")
-        feature_columns.append(column)
-    rows = tuple(Instance(values) for values in zip(*feature_columns))
+            codes = {level: k for k, level in enumerate(feat.levels)}
+            try:
+                out[:] = [codes[cell] for cell in column]
+            except KeyError as e:
+                raise DataFormatError(
+                    f"{path}: unknown level {e.args[0]!r} in column {feat.name!r}"
+                ) from None
+    rows = Rows(space, matrix.T)
 
     raw_target = columns[target]
     if not class_names and target in numbers:
@@ -196,7 +201,7 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write a Dataset back to CSV; loading the result reproduces it."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dataset.space.names) + [dataset.target_name])
+        writer.writerow([*dataset.space.names, dataset.target_name])
         for row, t in zip(dataset.rows, dataset.target):
             cells = [str(v) for v in row.values]
             if dataset.task == CLASSIFICATION:
@@ -216,22 +221,20 @@ def holdout_split(dataset: Dataset, fraction: float = 0.25, rng=None) -> tuple[D
         raise ConfigError(
             f"cannot split {n} rows with fraction {fraction}: one side would be empty"
         )
-    gen = as_rng(rng).generator()
-    order = gen.permutation(n)
-    test_idx = sorted(int(i) for i in order[:n_test])
-    train_idx = sorted(int(i) for i in order[n_test:])
+    order = as_rng(rng).generator().permutation(n)
 
     def take(indices):
+        indices = np.sort(indices)
         return Dataset(
             dataset.space,
-            tuple(dataset.rows[i] for i in indices),
+            dataset.rows[indices],
             tuple(dataset.target[i] for i in indices),
             dataset.target_name,
             dataset.task,
             dataset.class_names,
         )
 
-    return take(train_idx), take(test_idx)
+    return take(order[n_test:]), take(order[:n_test])
 
 
 @dataclass(frozen=True)
@@ -582,7 +585,7 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
     # split scoring handles faster than floats.
     cols = [
         c if f.is_numeric else c.astype(np.intp)
-        for f, c in zip(dataset.space, encode_rows(dataset.space, dataset.rows).T)
+        for f, c in zip(dataset.space, dataset.rows.matrix.T)
     ]
     n = len(dataset)
     trees = []

@@ -125,7 +125,7 @@ def replaced(x, index, value):
     """x with one value changed: the per-row step of the reference builders."""
     values = list(x.values)
     values[index] = value
-    return ck.Instance(tuple(values), x.out_of_range)
+    return ck.Instance(tuple(values))
 
 
 def exact(rows):

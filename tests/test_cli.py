@@ -538,6 +538,25 @@ class TestGlobal:
         assert repeated_csv == plain_csv
         assert repeated["config"]["methods"] == "ci,shapley,ci"  # the argv as given
 
+    def test_instances_report_the_rows_drawn(self, tmp_path, capsys):
+        data = write_classification_csv(tmp_path / "small.csv", n=12, seed=7)
+        model = tmp_path / "model.json"
+        run("train", "--data", str(data), "--target", "label", "--trees", "3",
+            "--model-out", str(model))
+        common = ("global", "--model", str(model), "--data", str(data), "--target", "label",
+                  "--iterations", "1", "--samples", "5", "--shapley-budget", "5",
+                  "--methods", "ci,shapley", "--output-dir", str(tmp_path), "--format", "json")
+        assert run(*common, "--instances", "200") == 0
+        doc = json.loads((tmp_path / "global_report.json").read_text())
+        assert [b["instances"] for b in doc["results"]] == [12, 12]  # the bootstrap draws 12
+        assert run(*common, "--instances", "5") == 0
+        doc = json.loads((tmp_path / "global_report.json").read_text())
+        assert [b["instances"] for b in doc["results"]] == [5, 5]
+        for bad in ("0", "-1"):
+            capsys.readouterr()
+            assert run(*common, "--instances", bad) == 2
+            assert "at least one instance" in capsys.readouterr().err
+
 
 class TestTrainFlow:
     def test_train_then_explain_and_global(self, tmp_path, capsys):

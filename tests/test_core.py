@@ -102,11 +102,9 @@ class TestInstances:
         with pytest.raises(ck.ConfigError):
             space.instance([0.5, 0.5])
 
-    def test_out_of_range_flagged_not_rejected(self, linear_bundle):
+    def test_out_of_range_accepted_not_rejected(self, linear_bundle):
         _, space, _ = linear_bundle
-        inst = space.instance([1.5, 0.5, 0.5, 0.5])
-        assert inst.out_of_range
-        assert not space.instance([1.0, 0.5, 0.5, 0.5]).out_of_range
+        assert space.instance([1.5, 0.5, -0.5, 0.5]) == ck.Instance((1.5, 0.5, -0.5, 0.5))
 
     def test_bad_categorical_label_rejected(self):
         space = ck.FeatureSpace(
@@ -370,7 +368,7 @@ class TestRows:
         rows = ck.Rows(space, [[0.5, 2, 0.0], [-1.0, 0, 1.0], [3.0, 1, 0.5]])
         assert len(rows) == 3
         assert rows[1] == ck.Instance((-1.0, "p", 1.0))
-        assert rows[-1] == ck.Instance((3.0, "q", 0.5), out_of_range=True)
+        assert rows[-1] == ck.Instance((3.0, "q", 0.5))  # outside a's bounds: decoded as is
         assert isinstance(rows[1:], ck.Rows) and list(rows[1:]) == [rows[1], rows[2]]
         assert rows == ck.Rows(space, rows.matrix.copy())
         assert rows != ck.Rows(space, rows.matrix[::-1])
@@ -378,6 +376,21 @@ class TestRows:
             rows[3]
         with pytest.raises(ValueError):
             rows.matrix[0, 0] = 9.0  # read-only: a batch is a value
+
+    def test_integer_index_decodes_any_other_index_gives_rows(self):
+        space = mixed_space()
+        rows = ck.Rows(space, [[0.5, 2, 0.0], [-1.0, 0, 1.0], [3.0, 1, 0.5]])
+        for k in (1, -2, np.int64(1), np.intp(-2)):
+            assert type(rows[k]) is ck.Instance and rows[k] == ck.Instance((-1.0, "p", 1.0))
+        for index in (slice(0, 3, 2), [2, 0], np.array([2, 0]), np.array([0, 0, 2])):
+            picked = rows[index]
+            assert isinstance(picked, ck.Rows) and picked.space == space
+            assert np.array_equal(picked.matrix, rows.matrix[index])
+        assert list(rows[[2, 0]]) == [rows[2], rows[0]]
+        assert len(rows[np.array([], dtype=int)]) == 0
+        for k in (3, -4, np.int64(3)):
+            with pytest.raises(IndexError):
+                rows[k]
 
     @pytest.mark.parametrize("matrix", [[[0.5, 3, 0.5]], [[0.5, -1, 0.5]], [[0.5, 0.5, 0.5]],
                                         [[0.5, 1]]])
@@ -392,6 +405,10 @@ class TestRows:
             ck.build_sample_set(space, x, 0, n=3)
         with pytest.raises(ck.ConfigError, match="'c'"):
             ck.permutation_importance(MixedModel(), space, [x, x], [0.0, 0.0])
+        with pytest.raises(ck.ConfigError, match="'c'"):
+            ck.shapley_mc(MixedModel(), space, x, ck.uniform_instances(space, 5, 1), budget=3)
+        with pytest.raises(ck.ConfigError, match="'c'"):
+            ck.lime_surrogate(MixedModel(), space, x, rng=1)
 
     def test_large_batch_reaches_the_predictor_in_slices(self):
         seen = []

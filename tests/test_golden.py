@@ -57,6 +57,21 @@ RUNS = {
          "--target", "label", "--instance", "row:3", "--output-index", "1",
          "--method", "ciu,shapley,lime", "--format", "json,svg,csv"],
     ],
+    "global-tree-mixed": [
+        ["train", "--data", "{data}", "--target", "label", "--trees", "10",
+         "--depth", "4", "--model-out", "{dir}/model.json"],
+        ["global", "--model", "{dir}/model.json", "--data", "{data}",
+         "--target", "label", "--iterations", "2", "--instances", "30",
+         "--samples", "20", "--shapley-budget", "20", "--format", "json,csv"],
+    ],
+    "stability-tree-mixed": [
+        ["train", "--data", "{data}", "--target", "label", "--trees", "10",
+         "--depth", "4", "--model-out", "{dir}/model.json"],
+        ["stability", "--model", "{dir}/model.json", "--data", "{data}",
+         "--target", "label", "--instance", "row:3", "--runs", "3",
+         "--samples", "20", "--shapley-budget", "20", "--lime-samples", "100",
+         "--format", "json,svg,csv"],
+    ],
 }
 
 # Run name -> argv of a ``--format text`` run whose stdout is pinned; each
@@ -119,6 +134,14 @@ GOLDEN = {
         'global_report.json':
             'd8c1970f98145edf2d4bdb9ace0d34e3843c940904073569d6e9971c6798ba8e',
     },
+    'global-tree-mixed': {
+        'global_report.csv':
+            '10fea55fed4992bf9aae1f2802c0fe2e0295f8ef18126a885a28d6dba8e83839',
+        'global_report.json':
+            '1e316f8a003b6281d570386281ca822e6336c27db52fd8fcc5529ceb02e47559',
+        'model.json':
+            '3d4ea189b90dbbc9c730b7bab7676b3695ee235adddf0f6be95aaca0d051684c',
+    },
     'stability-linear': {
         'stability_contextual_influence.csv':
             '6e0f6cd9efda4349db07dc14ec1481deeb8f4ca6304e6d86f25e6f14c01e1bfd',
@@ -138,6 +161,28 @@ GOLDEN = {
             '34d7e70ce30eeb17f3db94439a76481c2b09e212112a4c1acd106156199ed074',
         'stability_shapley_mc.svg':
             '2a6735f1cbf6470457c81da4b9184ddf66df0807a374a6a026e70fbfebc98d26',
+    },
+    'stability-tree-mixed': {
+        'model.json':
+            '3d4ea189b90dbbc9c730b7bab7676b3695ee235adddf0f6be95aaca0d051684c',
+        'stability_contextual_influence.csv':
+            '4a9104d8f1e4f02665a0de2f703eb78af924b6c1fee59df2a6b1e2d881262469',
+        'stability_contextual_influence.json':
+            'b6ece1edb912a85ec9a97dd6eb1a84a882bd24b2e2c6a1b3319f4efe8ce4e0f0',
+        'stability_contextual_influence.svg':
+            'd7aa6d6d98aaf1e777d0a5fce099457e92f22bec6366a038c34ff7bcaf644c4d',
+        'stability_lime_surrogate.csv':
+            '974197c2adf9e7381597386589bb067fdaa36689f0457df3717b67d701386a81',
+        'stability_lime_surrogate.json':
+            '75130cc49db07fc67dd51934630da6a43c0981281d59569f097a3842a745a9c0',
+        'stability_lime_surrogate.svg':
+            'd860439e5dc5ad6ba840cc447a3e20ccfae8f3ba54e176d5668c80bc7bd35806',
+        'stability_shapley_mc.csv':
+            '5cfe3a0a7ed5515a133ba4a0858cf2062abab2d88a9ffc4dece227bf75d21904',
+        'stability_shapley_mc.json':
+            '9362517bb25c5e38f142baf7b63626816c42c3913d5d7544962499ee0a90c8f5',
+        'stability_shapley_mc.svg':
+            'f515b2a250fb616fe8346134f0c097639ecf11ef04a3793cc4930c5b0371cee0',
     },
     'whatif-linear': {
         'whatif_report.json':

@@ -90,6 +90,12 @@ class TestSchemaInference:
         a = ds.space.features[0]
         assert a.min == 1.5 and a.max == 2.5
 
+    def test_rows_are_one_encoded_batch(self, clean_dataset):
+        rows = clean_dataset.rows
+        assert isinstance(rows, ck.Rows) and rows.space == clean_dataset.space
+        assert np.array_equal(rows.matrix, ck.core.encode_rows(rows.space, list(rows)))
+        assert set(rows.matrix[:, 3].tolist()) == {0.0, 1.0}  # grade's level codes
+
     def test_explicit_schema_respected(self, tmp_path, clean_dataset):
         path = tmp_path / "t.csv"
         ck.save_csv(clean_dataset, path)
@@ -153,8 +159,8 @@ class TestLoadErrors:
 
     def test_schema_unknown_level(self, tmp_path):
         schema = ck.FeatureSpace((ck.FeatureSpec.categorical("a", ["u"]),))
-        with pytest.raises(ck.DataFormatError):
-            ck.load_csv(self.make(tmp_path, "a,y\nv,0\n"), target="y", schema=schema)
+        with pytest.raises(ck.DataFormatError, match="unknown level 'v' in column 'a'"):
+            ck.load_csv(self.make(tmp_path, "a,y\nu,0\nv,0\n"), target="y", schema=schema)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
     def test_non_finite_number_column_rejected(self, tmp_path, cell):
@@ -208,8 +214,17 @@ class TestHoldoutSplit:
 
     def test_disjoint_union(self, clean_dataset):
         train, test = ck.holdout_split(clean_dataset, 0.2, rng=5)
-        everything = sorted(train.rows + test.rows, key=lambda r: r.values)
+        everything = sorted(list(train.rows) + list(test.rows), key=lambda r: r.values)
         assert everything == sorted(clean_dataset.rows, key=lambda r: r.values)
+
+    def test_sides_partition_the_rows(self, clean_dataset):
+        train, test = ck.holdout_split(clean_dataset, 0.2, rng=5)
+        assert isinstance(train.rows, ck.Rows) and isinstance(test.rows, ck.Rows)
+
+        def labelled(ds):
+            return sorted(zip(map(tuple, ds.rows.matrix.tolist()), ds.target))
+
+        assert sorted(labelled(train) + labelled(test)) == labelled(clean_dataset)
 
     def test_determinism(self, clean_dataset):
         a = ck.holdout_split(clean_dataset, 0.2, rng=5)
