@@ -135,11 +135,14 @@ def permutation_importance(
     baseline = _loss_value(loss, evaluate_rows(predictor, batch), targets, output)
     deltas = np.zeros(len(space))
     for i in range(len(space)):
-        gen = base.spawn(i).generator()
+        # Row r draws exactly what the r-th gen.permutation(len(rows)) would.
+        orders = base.spawn(i).generator().permuted(
+            np.tile(np.arange(len(rows)), (repeats, 1)), axis=1
+        )
         total = 0.0
-        for _ in range(repeats):
+        for order in orders:
             shuffled = batch.matrix.copy()
-            shuffled[:, i] = batch.matrix[gen.permutation(len(rows)), i]
+            shuffled[:, i] = batch.matrix[order, i]
             total += _loss_value(
                 loss, evaluate_rows(predictor, Rows(space, shuffled)), targets, output
             )
@@ -161,7 +164,9 @@ def shapley_mc(
     Each of ``budget`` walks draws a background row and switches features to
     the explained instance's values in a fresh random order; the output jump
     when feature i switches is one sample of its marginal contribution.
-    Costs budget * (n_features + 1) predictor calls. The per-feature
+    Makes two predictor calls (more if a batch passes evaluate_rows' chunk
+    size): one of budget * (n_features + 1) walk rows and one of the
+    background rows, for the intercept. The per-feature
     estimates average those samples, and their sum telescopes to
     f(x) - mean f(background draws).
     """
@@ -173,13 +178,11 @@ def shapley_mc(
     gen = base.generator()
     n = len(space)
     bg = Rows(space, encode_rows(space, background))
-    # Per walk: a feature order, then a background row, in that stream order.
-    # Shuffling a row of arange(n) draws exactly what gen.permutation(n) does.
-    orders = np.tile(np.arange(n), (budget, 1))
-    picks = np.empty(budget, dtype=np.intp)
-    for t in range(budget):
-        gen.shuffle(orders[t])
-        picks[t] = gen.integers(0, len(bg.matrix))
+    # Stream order: every walk's feature order, then every walk's background
+    # row. Row t of the orders draws exactly what the t-th gen.permutation(n)
+    # would.
+    orders = gen.permuted(np.tile(np.arange(n), (budget, 1)), axis=1)
+    picks = gen.integers(0, len(bg.matrix), size=budget)
     # Step s of walk t takes x's value for every feature ranked below s.
     rank = np.argsort(orders, axis=1)
     step = np.arange(n + 1)[None, :, None]

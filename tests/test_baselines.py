@@ -165,6 +165,37 @@ class TestShapleyMc:
         assert att.se == (0.0, 0.0)
         assert att.phi[0] == pytest.approx(0.18)
 
+    def test_walk_orders_are_uniform_permutations(self):
+        # x differs from every background row in every feature, so the one
+        # feature that changes at each step of a walk names its place in
+        # the walk's order, and step 0 names the drawn background row.
+        space = mixed_space()
+        x = space.instance([2.0, "r", 1.0])
+        background = [space.instance([a, c, 0.1 * k])
+                      for k, (a, c) in enumerate(zip([-1.0, -0.5, 0.0, 0.5, 1.0], "pqpqp"))]
+        seen = []
+
+        class Recorder(ck.Predictor):
+            def evaluate(self, instances):
+                seen.append(np.array(instances.matrix))
+                return np.zeros((len(instances), 1))
+
+        budget, d = 6000, len(space)
+        ck.shapley_mc(Recorder(), space, x, background, budget=budget, rng=11)
+        walks = seen[0].reshape(budget, d + 1, d)
+        flips = walks[:, 1:] != walks[:, :-1]
+        assert (flips.sum(axis=2) == 1).all()
+        orders = np.argmax(flips, axis=2)
+        assert (np.sort(orders, axis=1) == np.arange(d)).all()
+        _, counts = np.unique(orders, axis=0, return_counts=True)
+        sigma = np.sqrt(budget * (1 / 6) * (5 / 6))
+        assert len(counts) == 6
+        assert (np.abs(counts - budget / 6) < 5 * sigma).all()
+        assert len(seen[1]) == len(background)
+        matches = (walks[:, 0, None, :] == seen[1][None]).all(axis=2)
+        assert (matches.sum(axis=1) == 1).all()
+        assert set(np.argmax(matches, axis=1)) == set(range(len(background)))
+
     def test_validation_errors(self, linear_bundle):
         pred, space, _ = linear_bundle
         x = space.instance([0.5] * 4)
@@ -296,16 +327,17 @@ class TestAttributionVector:
 
 
 def reference_walks(space, x, background, budget, seed):
+    """Every walk's feature order first, then every walk's background row."""
     gen = ck.SeededRng(seed).generator()
-    walks, orders = [], []
-    for _ in range(budget):
-        order = gen.permutation(len(space))
-        current = background[int(gen.integers(0, len(background)))]
+    orders = [gen.permutation(len(space)) for _ in range(budget)]
+    picks = gen.integers(0, len(background), size=budget)
+    walks = []
+    for order, pick in zip(orders, picks):
+        current = background[int(pick)]
         walks.append(current)
         for i in order:
             current = replaced(current, int(i), x.values[int(i)])
             walks.append(current)
-        orders.append(order)
     return walks, orders
 
 

@@ -106,11 +106,11 @@ GOLDEN = {
         'explain_influence_lime.svg':
             'f3ee8333cd38edec7f90981c71361f0a971cd635143388c938efb94e25765690',
         'explain_influence_shapley.svg':
-            'e29c680e5abf24d17fcaa6941e74cf7e33807d16db81988807b6517d9c3f5d77',
+            '5dcfe87ca69a7929fc82a24835ad99284fd3fd90506d4741be1f2ad29443ac88',
         'explain_report.csv':
-            '7508e2ddd2771211fcb2330d3cfca91537cf4ac61bb6e7b7ad6a3ad0d2905272',
+            '4a646a3ff6b4b11c783295536777b0cd08a75cf171c8446bf5c39997fe7e7a85',
         'explain_report.json':
-            '671c1507ed75789ec5f2d5578aa5e68e761356d6abbe9e9c48c90116cafa6ca6',
+            '49795b2956911598cf556af96d861cdbc1f0f55d269c0d4fe55c0294e93914f9',
     },
     'explain-tree-mixed': {
         'explain_ciu.svg':
@@ -120,25 +120,25 @@ GOLDEN = {
         'explain_influence_lime.svg':
             '4ee0a3be7834f421db44e28b72c654370921e4b0554b486e613fc11bdde0360d',
         'explain_influence_shapley.svg':
-            'f54d153349c27d85544aec826f4ea6644738be985bbe95be44c36e5b9a6d9735',
+            'f6b14be0995a23a113228916ac8d00536d54ff3cc7a5b44468e9c09e1421c6e1',
         'explain_report.csv':
-            '2dc8e30aa2c33fc52e33f17285446008e7363ddbb42fc9f3766b48b0cf751b99',
+            '4b44d0f41f4d453465d63d1ddb1a186f396ee17a5eaa3dd47b221c0bd7fc514c',
         'explain_report.json':
-            'd08b8644927568e40f3fb6b11d7147c643593d366a0276430f22ed4838571b8c',
+            '353b8ff7be8a30560e6478b3d63c93d1cc4e6f91b3c4a379ad16252cf455a592',
         'model.json':
             '3d4ea189b90dbbc9c730b7bab7676b3695ee235adddf0f6be95aaca0d051684c',
     },
     'global-nonlinear': {
         'global_report.csv':
-            '3c7e8b8c308d4c724a710a784e8e30084c7fe8150df440e445a993f484df6afb',
+            '628f2d4b60d52599aa532803357f08ec62c233b567b30ca2682bbcd1e06e108c',
         'global_report.json':
-            'd8c1970f98145edf2d4bdb9ace0d34e3843c940904073569d6e9971c6798ba8e',
+            'ff548738aa7d9a40b62d7d1d7aead432ed47b4facd87982a7819873b38d5d9d6',
     },
     'global-tree-mixed': {
         'global_report.csv':
-            '10fea55fed4992bf9aae1f2802c0fe2e0295f8ef18126a885a28d6dba8e83839',
+            '16e5373759aa9c44e92adcba5679153d47a147c35b14cf4367093f030d03796a',
         'global_report.json':
-            '1e316f8a003b6281d570386281ca822e6336c27db52fd8fcc5529ceb02e47559',
+            '90f0986f468ea438760734043277889cb1f401b846bd98b44cd8b90669074f6a',
         'model.json':
             '3d4ea189b90dbbc9c730b7bab7676b3695ee235adddf0f6be95aaca0d051684c',
     },
@@ -156,11 +156,11 @@ GOLDEN = {
         'stability_lime_surrogate.svg':
             '2b1f630931728b12e38e7e2b01dcdc92acd19e816a7c0dd665f99b20f810b7f9',
         'stability_shapley_mc.csv':
-            'ebb5a88c89d284103d58e8a7b2f44aade53206cd6c22d040da7ef4a5039ec530',
+            '2f4d378b3521ae586a92910bdaf0e435223da56163fdc8a2ecf6d5eca90f09f2',
         'stability_shapley_mc.json':
-            '34d7e70ce30eeb17f3db94439a76481c2b09e212112a4c1acd106156199ed074',
+            '0daa4bf6795f6707839fa50fa721a069165ae935cc9df4b0a041574dc48a8ead',
         'stability_shapley_mc.svg':
-            '2a6735f1cbf6470457c81da4b9184ddf66df0807a374a6a026e70fbfebc98d26',
+            '5677d4bd46d07f3f3312beca30fcc3089372f2f686e1cf23fe98712f323e9d8f',
     },
     'stability-tree-mixed': {
         'model.json':
@@ -178,11 +178,11 @@ GOLDEN = {
         'stability_lime_surrogate.svg':
             'd860439e5dc5ad6ba840cc447a3e20ccfae8f3ba54e176d5668c80bc7bd35806',
         'stability_shapley_mc.csv':
-            '5cfe3a0a7ed5515a133ba4a0858cf2062abab2d88a9ffc4dece227bf75d21904',
+            '41347f7fe26a0384ae9b7fa94c691f405c334a2fc37076a339678d92fc2e3140',
         'stability_shapley_mc.json':
-            '9362517bb25c5e38f142baf7b63626816c42c3913d5d7544962499ee0a90c8f5',
+            'daad94d5e34e379ba603cb61f013f777b70a27d649d2eb83da7302533fb3b67f',
         'stability_shapley_mc.svg':
-            'f515b2a250fb616fe8346134f0c097639ecf11ef04a3793cc4930c5b0371cee0',
+            '4b4a0931783d2d2d29a212a92cacbc8a6b29e23b0345750bcddf4a4b503ed176',
     },
     'whatif-linear': {
         'whatif_report.json':
@@ -197,11 +197,11 @@ GOLDEN = {
 
 GOLDEN_STDOUT = {
     'explain-text':
-        '5076815f3e2982fb6b92a5d95b9e29290233d43f096b5371a73ce5377fd1eecb',
+        '9d80c5031ac4cdf8ef5f824a7e31cb5323cb505208ed80009bf9fc1ad71286d9',
     'global-text':
-        'a9b7ad74fc3ead3be905cc0c8746a4d63e446576ceba7908884715f277ebdf10',
+        '06a9f872053988e7363c11426e5b4117e9424da2daecad6661e30e03eb8548c1',
     'stability-text':
-        '299ba07c31f3561dd26d9284cca4d5033977e4ef4089a5da127f879a8432b08f',
+        'aabda9b7d8da29191442da3b19a27f625c4bd7a6e94a645047dbfbc732c5542c',
     'whatif-text':
         'cd0f75971571992cbee8e3d415fc9718278e8f068546d8017da8a7c80157e61c',
 }
