@@ -265,56 +265,69 @@ def _impurity_sums(y: np.ndarray, task: str, n_outputs: int) -> float:
     if task == CLASSIFICATION:
         counts = np.bincount(y, minlength=n_outputs).astype(float)
         n = len(y)
-        return float(n * (1.0 - np.sum((counts / n) ** 2)))
-    return float(np.sum((y - y.mean()) ** 2))
+        return float(n * (1.0 - ((counts / n) ** 2).sum()))
+    return float(((y - y.mean()) ** 2).sum())
 
 
-def _score_numeric(v: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_leaf: int):
-    """Best (gain, threshold) for one numeric column, or None."""
-    order = np.argsort(v, kind="mergesort")
-    vs, ys = v[order], y[order]
-    n = len(ys)
-    # split after position k means left = first k+1 rows
-    cut = np.nonzero(vs[1:] > vs[:-1])[0]  # candidate boundaries
-    cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
-    if cut.size == 0:
-        return None
+def _score_numeric(
+    V: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_leaf: int, parent: float
+):
+    """Best (gain, threshold), or None, for each row of V (candidates, node rows).
+
+    Every candidate is scored in one pass over the matrix. The arithmetic and
+    its order are those of scoring each column alone, so ties break the same
+    way bit for bit: a cumsum along axis 1 adds in the same order as a 1-D
+    one, but numpy does not promise that of a sum along axis 1, so the
+    regression totals are taken row by row. Gini gains start from ``parent``, ``_impurity_sums`` of
+    the node; variance gains start from each sorted column's own totals.
+    """
+    n = V.shape[1]
+    # a split after position k sends the first k+1 sorted rows left
+    lo, hi = min_leaf - 1, n - min_leaf
+    if hi <= lo:
+        return [None] * len(V)
+    rows = np.arange(len(V))[:, None]
+    order = V.argsort(axis=1, kind="stable")
+    vs, ys = V[rows, order], y[order]
+    left_n = np.arange(lo + 1, hi + 1, dtype=float)
+    right_n = n - left_n
     if task == CLASSIFICATION:
-        onehot = np.zeros((n, n_outputs))
-        onehot[np.arange(n), ys] = 1.0
-        left_counts = np.cumsum(onehot, axis=0)[cut]
-        left_n = (cut + 1).astype(float)
-        right_counts = np.sum(onehot, axis=0) - left_counts
-        right_n = n - left_n
-        gini_l = left_n - np.sum(left_counts**2, axis=1) / left_n
-        gini_r = right_n - np.sum(right_counts**2, axis=1) / right_n
-        parent = _impurity_sums(ys, task, n_outputs)
+        counts = (ys[..., None] == np.arange(n_outputs)).cumsum(axis=1, dtype=float)
+        left_counts = counts[:, lo:hi]
+        right_counts = counts[:, -1:] - left_counts
+        gini_l = left_n - (left_counts**2).sum(axis=2) / left_n
+        gini_r = right_n - (right_counts**2).sum(axis=2) / right_n
         gains = parent - gini_l - gini_r
     else:
-        ysf = ys.astype(float)
-        csum = np.cumsum(ysf)[cut]
-        csum2 = np.cumsum(ysf**2)[cut]
-        left_n = (cut + 1).astype(float)
-        tot, tot2 = float(ysf.sum()), float(np.sum(ysf**2))
-        right_n = n - left_n
+        squares = ys**2
+        csum = ys.cumsum(axis=1)[:, lo:hi]
+        csum2 = squares.cumsum(axis=1)[:, lo:hi]
+        tot = np.array([row.sum() for row in ys])[:, None]
+        tot2 = np.array([row.sum() for row in squares])[:, None]
         sse_l = csum2 - csum**2 / left_n
         sse_r = (tot2 - csum2) - (tot - csum) ** 2 / right_n
-        parent = tot2 - tot**2 / n
-        gains = parent - sse_l - sse_r
-    k = int(np.argmax(gains))
-    gain = float(gains[k])
-    threshold = float((vs[cut[k]] + vs[cut[k] + 1]) / 2.0)
-    return gain, threshold
+        gains = (tot2 - tot**2 / n) - sse_l - sse_r
+    # only a boundary between distinct values is a split
+    gains[vs[:, lo + 1 : hi + 1] <= vs[:, lo:hi]] = -math.inf
+    k = np.argmax(gains, axis=1)
+    rows = rows[:, 0]
+    thresholds = (vs[rows, lo + k] + vs[rows, lo + k + 1]) / 2.0
+    return [
+        None if g == -math.inf else (g, t)
+        for g, t in zip(gains[rows, k].tolist(), thresholds.tolist())
+    ]
 
 
-def _score_categorical(v: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_leaf: int):
-    """Best (gain, level code) one-vs-rest split, or None."""
-    parent = _impurity_sums(y, task, n_outputs)
+def _score_categorical(
+    v: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_leaf: int, parent: float
+):
+    """Best (gain, level code) one-vs-rest split, or None; ``parent`` is
+    ``_impurity_sums`` of the whole node."""
     best = None
-    for code in np.unique(v):
+    for code in np.flatnonzero(np.bincount(v)):  # the codes present, ascending
         mask = v == code
-        nl, nr = int(mask.sum()), int((~mask).sum())
-        if nl < min_leaf or nr < min_leaf or nl == 0 or nr == 0:
+        nl = int(np.count_nonzero(mask))
+        if nl < min_leaf or len(v) - nl < min_leaf:
             continue
         il = _impurity_sums(y[mask], task, n_outputs)
         ir = _impurity_sums(y[~mask], task, n_outputs)
@@ -325,7 +338,7 @@ def _score_categorical(v: np.ndarray, y: np.ndarray, task: str, n_outputs: int, 
 
 
 def _grow(
-    cols: list[np.ndarray],
+    X: np.ndarray,
     y: np.ndarray,
     idx: np.ndarray,
     depth: int,
@@ -339,7 +352,7 @@ def _grow(
     if (
         depth >= params.max_depth
         or len(idx) < 2 * params.min_leaf
-        or np.all(node_y == node_y[0])
+        or (node_y == node_y[0]).all()
     ):
         return _leaf(node_y, n_outputs, task)
     n_feat = len(space)
@@ -347,30 +360,35 @@ def _grow(
         k = max(1, round(math.sqrt(n_feat)))
     else:
         k = n_feat
-    candidates = gen.choice(n_feat, size=k, replace=False)
-    best = None  # (gain, feature, kind, split value)
-    for i in sorted(int(c) for c in candidates):
-        v = cols[i][idx]
-        if space[i].is_numeric:
-            scored = _score_numeric(v, node_y, task, n_outputs, params.min_leaf)
-            kind = "threshold"
+    candidates = sorted(gen.choice(n_feat, size=k, replace=False).tolist())
+    parent = _impurity_sums(node_y, task, n_outputs)
+    num = [i for i in candidates if space[i].is_numeric]
+    scores = {}
+    if num:
+        V = X[np.array(num)[:, None], idx]
+        scored = _score_numeric(V, node_y, task, n_outputs, params.min_leaf, parent)
+        scores = dict(zip(num, scored))
+    best = None  # (gain, feature, split value)
+    for i in candidates:
+        if i in scores:
+            scored = scores[i]
         else:
-            scored = _score_categorical(v, node_y, task, n_outputs, params.min_leaf)
-            kind = "level"
+            v = X[i, idx].astype(np.intp)  # level codes, for np.bincount
+            scored = _score_categorical(v, node_y, task, n_outputs, params.min_leaf, parent)
         if scored is not None and (best is None or scored[0] > best[0]):
-            best = (scored[0], i, kind, scored[1])
+            best = (scored[0], i, scored[1])
     if best is None or best[0] <= _MIN_GAIN:
         return _leaf(node_y, n_outputs, task)
-    _, feature, kind, value = best
-    v = cols[feature][idx]
-    if kind == "threshold":
+    _, feature, value = best
+    v = X[feature, idx]
+    if space[feature].is_numeric:
         mask = v <= value
         node = {"feature": feature, "threshold": value}
     else:
         mask = v == value
         node = {"feature": feature, "level": space[feature].levels[value]}
-    node["left"] = _grow(cols, y, idx[mask], depth + 1, space, params, task, n_outputs, gen)
-    node["right"] = _grow(cols, y, idx[~mask], depth + 1, space, params, task, n_outputs, gen)
+    node["left"] = _grow(X, y, idx[mask], depth + 1, space, params, task, n_outputs, gen)
+    node["right"] = _grow(X, y, idx[~mask], depth + 1, space, params, task, n_outputs, gen)
     return node
 
 
@@ -574,26 +592,18 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
                 "training data has a single class; the model is constant",
                 stacklevel=2,
             )
-            return TreeEnsemble(
-                dataset.space, [{"leaf": [1.0]}], dataset.task,
-                dataset.class_names, params,
-            )
     else:
         n_outputs = 1
         y = np.asarray(dataset.target, dtype=float)
-    # One array per feature; level codes as integers, which np.unique in
-    # split scoring handles faster than floats.
-    cols = [
-        c if f.is_numeric else c.astype(np.intp)
-        for f, c in zip(dataset.space, dataset.rows.matrix.T)
-    ]
+    # One row per feature: floats, or level codes for a categorical feature.
+    X = np.ascontiguousarray(dataset.rows.matrix.T)
     n = len(dataset)
     trees = []
     for t in range(params.n_trees):
         gen = base.spawn(t).generator()
         boot = np.sort(gen.integers(0, n, size=n))
         trees.append(
-            _grow(cols, y, boot, 0, dataset.space, params, dataset.task, n_outputs, gen)
+            _grow(X, y, boot, 0, dataset.space, params, dataset.task, n_outputs, gen)
         )
     return TreeEnsemble(dataset.space, trees, dataset.task, dataset.class_names, params)
 
@@ -626,9 +636,11 @@ def save_model(path, model: TreeEnsemble) -> None:
         "features": [feature_to_json(f) for f in model.space],
         "trees": list(model.trees),
     }
+    # json.dumps runs the C encoder (json.dump never does), and a document
+    # that cannot be encoded raises before the file is opened.
+    text = json.dumps(doc, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path, space: FeatureSpace | None = None) -> TreeEnsemble:

@@ -93,6 +93,22 @@ def write_classification_csv(path, n=500, seed=7, margin=0.0, noise=0.0):
     return path
 
 
+def write_regression_csv(path, n=300, seed=11):
+    """Synthetic regression CSV: two numeric features, one of them rounded
+    to a coarse grid so that split candidates tie, one categorical feature
+    and a noisy numeric target ``y``."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("a,b,shade,y\n")
+        for _ in range(n):
+            a = gen.uniform(0.0, 1.0)
+            b = round(gen.uniform(-1.0, 1.0), 1)
+            k = int(gen.integers(0, 3))
+            y = a * a - 0.5 * b + 0.3 * k + gen.normal(0.0, 0.05)
+            fh.write(f"{a!r},{b!r},{'pqr'[k]},{y!r}\n")
+    return path
+
+
 def mixed_space():
     """Two numeric features around one categorical, for the batch tests."""
     return ck.FeatureSpace(

@@ -25,14 +25,15 @@ import numpy as np
 import pytest
 
 from ciukit import cli
-from conftest import write_classification_csv
+from conftest import write_classification_csv, write_regression_csv
 
 NONLINEAR_X = "[0.63, 0.63, 0.59, 0.81]"
 LINEAR_X = "[0.2, 0.7, 0.4, 0.9]"
 
 # Run name -> CLI argv list; every command but train also gets --output-dir.
-# "{dir}" stands for that directory and "{data}" for a generated mixed-space
-# CSV (three numeric features and one categorical).
+# "{dir}" stands for that directory, "{data}" for a generated mixed-space
+# CSV (three numeric features and one categorical) and "{reg}" for a generated
+# regression CSV (two numeric features, one with ties, and one categorical).
 RUNS = {
     "explain-nonlinear": [
         ["explain", "--predictor", "nonlinear", "--instance", NONLINEAR_X,
@@ -63,6 +64,10 @@ RUNS = {
         ["global", "--model", "{dir}/model.json", "--data", "{data}",
          "--target", "label", "--iterations", "2", "--instances", "30",
          "--samples", "20", "--shapley-budget", "20", "--format", "json,csv"],
+    ],
+    "train-tree-regression": [
+        ["train", "--data", "{reg}", "--target", "y", "--trees", "10",
+         "--depth", "6", "--min-leaf", "2", "--model-out", "{dir}/model.json"],
     ],
     "stability-tree-mixed": [
         ["train", "--data", "{data}", "--target", "label", "--trees", "10",
@@ -184,6 +189,10 @@ GOLDEN = {
         'stability_shapley_mc.svg':
             '4b4a0931783d2d2d29a212a92cacbc8a6b29e23b0345750bcddf4a4b503ed176',
     },
+    'train-tree-regression': {
+        'model.json':
+            'ceea747775b708cd7ccf6eafe86d6a463261e85b277d4844b27ab231f88a2ab7',
+    },
     'whatif-linear': {
         'whatif_report.json':
             '685e70b398cf33692b3b01203d53738c6422a2e1c18b36d0faec5a9b5591c70a',
@@ -233,8 +242,9 @@ def report_digests(name: str, workdir: Path) -> dict[str, str]:
     try:
         os.mkdir("out")
         write_classification_csv("data.csv", n=200, seed=7)
+        write_regression_csv("reg.csv", n=300, seed=11)
         for argv in RUNS[name]:
-            argv = [a.format(dir="out", data="data.csv") for a in argv]
+            argv = [a.format(dir="out", data="data.csv", reg="reg.csv") for a in argv]
             if argv[0] != "train":
                 argv = argv + ["--output-dir", "out"]
             with contextlib.redirect_stdout(io.StringIO()):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ciukit as ck
-from ciukit.tabular import _ROUTE_BLOCK
+from ciukit.tabular import _ROUTE_BLOCK, _impurity_sums, _score_numeric
 from conftest import write_classification_csv
 
 
@@ -266,6 +266,7 @@ class TestTreeEnsemble:
         ds = ck.load_csv(path, target="y")
         with pytest.warns(UserWarning):
             model = ck.train_ensemble(ds, ck.TreeParams(n_trees=3), rng=1)
+        assert len(model.trees) == 3
         probs = model.evaluate(list(ds.rows))
         assert np.allclose(probs, 1.0)
 
@@ -309,6 +310,81 @@ class TestTreeEnsemble:
             ck.TreeParams(n_trees=0)
         with pytest.raises(ck.ConfigError):
             ck.TreeParams(feature_subsample="half")
+
+
+def reference_score_numeric(v, y, task, n_outputs, min_leaf):
+    """Best (gain, threshold) for one numeric column, or None, scored one
+    column at a time: the reference for the one-pass scorer."""
+    order = np.argsort(v, kind="mergesort")
+    vs, ys = v[order], y[order]
+    n = len(ys)
+    # split after position k means left = first k+1 rows
+    cut = np.nonzero(vs[1:] > vs[:-1])[0]  # candidate boundaries
+    cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
+    if cut.size == 0:
+        return None
+    if task == "classification":
+        onehot = np.zeros((n, n_outputs))
+        onehot[np.arange(n), ys] = 1.0
+        left_counts = np.cumsum(onehot, axis=0)[cut]
+        left_n = (cut + 1).astype(float)
+        right_counts = np.sum(onehot, axis=0) - left_counts
+        right_n = n - left_n
+        gini_l = left_n - np.sum(left_counts**2, axis=1) / left_n
+        gini_r = right_n - np.sum(right_counts**2, axis=1) / right_n
+        parent = _impurity_sums(ys, task, n_outputs)
+        gains = parent - gini_l - gini_r
+    else:
+        ysf = ys.astype(float)
+        csum = np.cumsum(ysf)[cut]
+        csum2 = np.cumsum(ysf**2)[cut]
+        left_n = (cut + 1).astype(float)
+        tot, tot2 = float(ysf.sum()), float(np.sum(ysf**2))
+        right_n = n - left_n
+        sse_l = csum2 - csum**2 / left_n
+        sse_r = (tot2 - csum2) - (tot - csum) ** 2 / right_n
+        parent = tot2 - tot**2 / n
+        gains = parent - sse_l - sse_r
+    k = int(np.argmax(gains))
+    gain = float(gains[k])
+    threshold = float((vs[cut[k]] + vs[cut[k] + 1]) / 2.0)
+    return gain, threshold
+
+
+@st.composite
+def scoring_case(draw):
+    """Candidate columns of one node, its targets and a min_leaf. Values are
+    rounded so that columns tie; zero classes stands for regression."""
+    n = draw(st.integers(1, 40))
+    n_columns = draw(st.integers(1, 4))
+    decimals = draw(st.integers(0, 3))
+    value = st.floats(-10.0, 10.0).map(lambda v: round(v, decimals))
+    column = st.lists(value, min_size=n, max_size=n)
+    V = np.array(draw(st.lists(column, min_size=n_columns, max_size=n_columns)))
+    n_classes = draw(st.integers(0, 4))
+    if n_classes:
+        labels = st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)
+        y, task = np.array(draw(labels), dtype=int), "classification"
+    else:
+        y, task = np.array(draw(column), dtype=float) * 7.5, "regression"
+    return V, y, task, max(n_classes, 1), draw(st.integers(1, 4))
+
+
+def score_bits(scored):
+    # float.hex is exact and tells -0.0 from 0.0
+    return None if scored is None else tuple(float(x).hex() for x in scored)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=scoring_case())
+def test_one_pass_scores_match_column_reference(case):
+    V, y, task, n_outputs, min_leaf = case
+    parent = _impurity_sums(y, task, n_outputs)
+    scored = _score_numeric(V, y, task, n_outputs, min_leaf, parent)
+    assert len(scored) == len(V)
+    for v, got in zip(V, scored):
+        want = reference_score_numeric(v, y, task, n_outputs, min_leaf)
+        assert score_bits(got) == score_bits(want)
 
 
 def has_level_split(node: dict) -> bool:
