@@ -260,136 +260,178 @@ def _leaf(y: np.ndarray, n_outputs: int, task: str) -> dict:
     return {"leaf": [float(y.mean())]}
 
 
-def _impurity_sums(y: np.ndarray, task: str, n_outputs: int) -> float:
-    # Total impurity times the row count: Gini for classes, SSE otherwise.
-    if task == CLASSIFICATION:
-        counts = np.bincount(y, minlength=n_outputs).astype(float)
-        n = len(y)
-        return float(n * (1.0 - ((counts / n) ** 2).sum()))
+def _gini_sums(counts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # Gini impurity times the row count, per row of exact class counts. Each
+    # row is C-contiguous and summed on its own, so it is one node's 1-D sum.
+    return n * (1.0 - ((counts / n[:, None]) ** 2).sum(axis=1))
+
+
+def _sse(y: np.ndarray) -> float:
+    # Regression impurity: the sum of squared deviations from the mean.
     return float(((y - y.mean()) ** 2).sum())
 
 
-def _score_numeric(
-    V: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_leaf: int, parent: float
-):
-    """Best (gain, threshold), or None, for each row of V (candidates, node rows).
-
-    Every candidate is scored in one pass over the matrix. The arithmetic and
-    its order are those of scoring each column alone, so ties break the same
-    way bit for bit: a cumsum along axis 1 adds in the same order as a 1-D
-    one, but numpy does not promise that of a sum along axis 1, so the
-    regression totals are taken row by row. Gini gains start from ``parent``, ``_impurity_sums`` of
-    the node; variance gains start from each sorted column's own totals.
-    """
-    n = V.shape[1]
-    # a split after position k sends the first k+1 sorted rows left
-    lo, hi = min_leaf - 1, n - min_leaf
-    if hi <= lo:
-        return [None] * len(V)
-    rows = np.arange(len(V))[:, None]
-    order = V.argsort(axis=1, kind="stable")
-    vs, ys = V[rows, order], y[order]
-    left_n = np.arange(lo + 1, hi + 1, dtype=float)
-    right_n = n - left_n
-    if task == CLASSIFICATION:
-        counts = (ys[..., None] == np.arange(n_outputs)).cumsum(axis=1, dtype=float)
-        left_counts = counts[:, lo:hi]
-        right_counts = counts[:, -1:] - left_counts
-        gini_l = left_n - (left_counts**2).sum(axis=2) / left_n
-        gini_r = right_n - (right_counts**2).sum(axis=2) / right_n
-        gains = parent - gini_l - gini_r
-    else:
-        squares = ys**2
-        csum = ys.cumsum(axis=1)[:, lo:hi]
-        csum2 = squares.cumsum(axis=1)[:, lo:hi]
-        tot = np.array([row.sum() for row in ys])[:, None]
-        tot2 = np.array([row.sum() for row in squares])[:, None]
-        sse_l = csum2 - csum**2 / left_n
-        sse_r = (tot2 - csum2) - (tot - csum) ** 2 / right_n
-        gains = (tot2 - tot**2 / n) - sse_l - sse_r
-    # only a boundary between distinct values is a split
-    gains[vs[:, lo + 1 : hi + 1] <= vs[:, lo:hi]] = -math.inf
-    k = np.argmax(gains, axis=1)
-    rows = rows[:, 0]
-    thresholds = (vs[rows, lo + k] + vs[rows, lo + k + 1]) / 2.0
-    return [
-        None if g == -math.inf else (g, t)
-        for g, t in zip(gains[rows, k].tolist(), thresholds.tolist())
-    ]
-
-
-def _score_categorical(
-    v: np.ndarray, y: np.ndarray, task: str, n_outputs: int, min_leaf: int, parent: float
-):
-    """Best (gain, level code) one-vs-rest split, or None; ``parent`` is
-    ``_impurity_sums`` of the whole node."""
-    best = None
-    for code in np.flatnonzero(np.bincount(v)):  # the codes present, ascending
-        mask = v == code
-        nl = int(np.count_nonzero(mask))
-        if nl < min_leaf or len(v) - nl < min_leaf:
-            continue
-        il = _impurity_sums(y[mask], task, n_outputs)
-        ir = _impurity_sums(y[~mask], task, n_outputs)
-        gain = parent - il - ir
-        if best is None or gain > best[0]:
-            best = (float(gain), int(code))
+def _first_best(seg: np.ndarray, gains: np.ndarray, values: np.ndarray, n_segments: int):
+    """(gain, value) at each segment's first maximal gain, or None; ``seg``
+    is sorted and a segment's entries come in the order that wins ties."""
+    top = np.full(n_segments, -math.inf)
+    np.maximum.at(top, seg, gains)
+    hit = np.flatnonzero(gains == top[seg])
+    found, first = np.unique(seg[hit], return_index=True)
+    best = [None] * n_segments
+    for s, g, v in zip(found.tolist(), gains[hit[first]].tolist(), values[hit[first]].tolist()):
+        best[s] = (g, v)
     return best
 
 
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    space: FeatureSpace,
-    params: TreeParams,
-    task: str,
-    n_outputs: int,
-    gen: np.random.Generator,
-) -> dict:
-    node_y = y[idx]
-    if (
-        depth >= params.max_depth
-        or len(idx) < 2 * params.min_leaf
-        or (node_y == node_y[0]).all()
-    ):
-        return _leaf(node_y, n_outputs, task)
-    n_feat = len(space)
-    if params.feature_subsample == "sqrt":
-        k = max(1, round(math.sqrt(n_feat)))
+def _score_numeric(values, ranks, y, sizes, task, n_outputs, min_leaf, parent):
+    """Best (gain, threshold) or None per segment: one node's candidate
+    column of ``sizes`` values, their dense ``ranks`` and targets ``y``, and
+    the node impurity ``parent``. Exact class prefix counts share one
+    cumulative sum; float prefix sums and totals are taken per segment."""
+    n = len(values)
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    # a stable sort by (segment, value), as one distinct integer key per position
+    order = np.argsort((seg * (int(ranks.max()) + 1) + ranks) * n + np.arange(n))
+    vs, ys = values[order], y[order]
+    left_n = np.arange(n) - starts[seg] + 1
+    right_n = sizes[seg] - left_n
+    split = (left_n >= min_leaf) & (right_n >= min_leaf)
+    split[:-1] &= vs[1:] > vs[:-1]  # only a boundary between distinct values
+    p = np.flatnonzero(split)
+    s, nl, nr = seg[p], left_n[p].astype(float), right_n[p].astype(float)
+    if task == CLASSIFICATION:
+        counts = np.zeros((n + 1, n_outputs))
+        np.cumsum(ys[:, None] == np.arange(n_outputs), axis=0, dtype=float, out=counts[1:])
+        left = counts[p + 1] - counts[starts][s]
+        right = (counts[starts + sizes] - counts[starts])[s] - left
+        gains = parent[s] - (nl - (left**2).sum(axis=1) / nl) - (nr - (right**2).sum(axis=1) / nr)
     else:
-        k = n_feat
-    candidates = sorted(gen.choice(n_feat, size=k, replace=False).tolist())
-    parent = _impurity_sums(node_y, task, n_outputs)
-    num = [i for i in candidates if space[i].is_numeric]
+        squares = ys**2
+        csum, csum2, tot, tot2 = np.empty(n), np.empty(n), np.empty(len(sizes)), np.empty(len(sizes))
+        for k, (a, b) in enumerate(zip(starts.tolist(), (starts + sizes).tolist())):
+            np.cumsum(ys[a:b], out=csum[a:b])
+            np.cumsum(squares[a:b], out=csum2[a:b])
+            tot[k], tot2[k] = ys[a:b].sum(), squares[a:b].sum()
+        c, c2, t, t2 = csum[p], csum2[p], tot[s], tot2[s]
+        gains = (t2 - t**2 / sizes[s]) - (c2 - c**2 / nl) - ((t2 - c2) - (t - c) ** 2 / nr)
+    return _first_best(s, gains, (vs[p] + vs[p + 1]) / 2.0, len(sizes))
+
+
+def _score_categorical(codes, y, sizes, task, n_outputs, min_leaf, parent):
+    """Best (gain, level code) one-vs-rest split or None per segment, laid
+    out as for ``_score_numeric``. Class counts come from one bincount over
+    (segment, level, class); float regression sums are taken level by level."""
+    n_levels = int(codes.max()) + 1
+    cell = np.repeat(np.arange(len(sizes)) * n_levels, sizes) + codes
+    if task == CLASSIFICATION:
+        counts = np.bincount(cell * n_outputs + y, minlength=len(sizes) * n_levels * n_outputs)
+        counts = counts.reshape(len(sizes), n_levels, n_outputs)
+        nl = counts.sum(axis=2)
+    else:
+        nl = np.bincount(cell, minlength=len(sizes) * n_levels).reshape(len(sizes), n_levels)
+    s, code = np.nonzero((nl >= min_leaf) & (sizes[:, None] - nl >= min_leaf))
+    nl, nr = nl[s, code], sizes[s] - nl[s, code]
+    if task == CLASSIFICATION:
+        left = counts[s, code]
+        gains = parent[s] - _gini_sums(left, nl) - _gini_sums(counts.sum(axis=1)[s] - left, nr)
+    else:
+        starts = (np.cumsum(sizes) - sizes).tolist()
+        gains = np.empty(len(s))
+        for e, (k, c) in enumerate(zip(s.tolist(), code.tolist())):
+            rows = slice(starts[k], starts[k] + sizes[k])
+            mask = codes[rows] == c
+            gains[e] = parent[k] - _sse(y[rows][mask]) - _sse(y[rows][~mask])
+    return _first_best(s, gains, code, len(sizes))
+
+
+def _best_splits(X, ranks, y, jobs, numeric, task, n_outputs, min_leaf) -> list:
+    """Best (gain, feature, split value) or None per job (node rows, sorted
+    candidates); each (job, candidate) pair is a segment of one scorer call
+    per kind of feature, and ``ranks`` holds each row of ``X`` as dense ranks."""
+    idx = [rows for rows, _ in jobs]
+    n = np.array([len(rows) for rows in idx])
+    if task == CLASSIFICATION:
+        node = np.repeat(np.arange(len(jobs)) * n_outputs, n)
+        counts = np.bincount(node + y[np.concatenate(idx)], minlength=len(jobs) * n_outputs)
+        parent = _gini_sums(counts.reshape(len(jobs), n_outputs), n)
+    else:
+        parent = np.array([_sse(y[rows]) for rows in idx])
     scores = {}
-    if num:
-        V = X[np.array(num)[:, None], idx]
-        scored = _score_numeric(V, node_y, task, n_outputs, params.min_leaf, parent)
-        scores = dict(zip(num, scored))
-    best = None  # (gain, feature, split value)
-    for i in candidates:
-        if i in scores:
-            scored = scores[i]
-        else:
-            v = X[i, idx].astype(np.intp)  # level codes, for np.bincount
-            scored = _score_categorical(v, node_y, task, n_outputs, params.min_leaf, parent)
-        if scored is not None and (best is None or scored[0] > best[0]):
-            best = (scored[0], i, scored[1])
-    if best is None or best[0] <= _MIN_GAIN:
-        return _leaf(node_y, n_outputs, task)
-    _, feature, value = best
-    v = X[feature, idx]
-    if space[feature].is_numeric:
-        mask = v <= value
-        node = {"feature": feature, "threshold": value}
-    else:
-        mask = v == value
-        node = {"feature": feature, "level": space[feature].levels[value]}
-    node["left"] = _grow(X, y, idx[mask], depth + 1, space, params, task, n_outputs, gen)
-    node["right"] = _grow(X, y, idx[~mask], depth + 1, space, params, task, n_outputs, gen)
-    return node
+    for kind in (True, False):
+        segs = [(j, f) for j, (_, cand) in enumerate(jobs) for f in cand if numeric[f] == kind]
+        if segs:
+            job, feature = np.array(segs).T
+            rows = np.concatenate([idx[j] for j in job])
+            cells = np.repeat(feature, n[job]), rows
+            args = y[rows], n[job], task, n_outputs, min_leaf, parent[job]
+            if kind:
+                scored = _score_numeric(X[cells], ranks[cells], *args)
+            else:  # level codes, for np.bincount
+                scored = _score_categorical(X[cells].astype(np.intp), *args)
+            scores.update(zip(segs, scored))
+    # max keeps the first of equal gains, in candidate order
+    return [
+        max(((scores[j, f][0], f, scores[j, f][1]) for f in cand if scores[j, f]),
+            key=lambda found: found[0], default=None)
+        for j, (_, cand) in enumerate(jobs)
+    ]
+
+
+# Node rows x candidate features scored per call, or one node's if more:
+# the scoring temporaries stay at a few MB however many trees grow at once.
+_SCORE_BLOCK = 2**12
+
+
+def _grow_trees(X, y, boots, gens, space, params, task, n_outputs) -> list[dict]:
+    """Grow one tree per (bootstrap rows, generator) pair, all in lockstep:
+    each step draws candidates for every tree's next node in preorder that
+    is not a leaf, from that tree's generator, and scores them all at once.
+    Leaves draw nothing, so every tree is the one grown alone."""
+    n_feat = len(space)
+    k = max(1, round(math.sqrt(n_feat))) if params.feature_subsample == "sqrt" else n_feat
+    numeric = [f.is_numeric for f in space]
+    ranks = np.array([np.unique(row, return_inverse=True)[1] for row in X])
+    trees = [{} for _ in boots]
+    # per tree, the nodes left to grow as (node to fill, rows, depth), next last
+    stacks = [[(tree, boot, 0)] for tree, boot in zip(trees, boots)]
+    while True:
+        nodes, jobs = [], []  # (node, rows, depth, stack) and (rows, sorted candidates)
+        for stack, gen in zip(stacks, gens):
+            while stack:
+                node, idx, depth = stack.pop()
+                node_y = y[idx]
+                stop = depth >= params.max_depth or len(idx) < 2 * params.min_leaf
+                if stop or (node_y == node_y[0]).all():
+                    node.update(_leaf(node_y, n_outputs, task))
+                    continue
+                nodes.append((node, idx, depth, stack))
+                jobs.append((idx, sorted(gen.choice(n_feat, size=k, replace=False).tolist())))
+                break
+        if not jobs:
+            return trees
+        best, block, size = [], [], 0
+        for job, after in zip(jobs, jobs[1:] + [None]):
+            block.append(job)
+            size += len(job[0]) * k
+            if after is None or size + len(after[0]) * k > _SCORE_BLOCK:
+                best += _best_splits(X, ranks, y, block, numeric, task, n_outputs, params.min_leaf)
+                block, size = [], 0
+        for (node, idx, depth, stack), found in zip(nodes, best):
+            if found is None or found[0] <= _MIN_GAIN:
+                node.update(_leaf(y[idx], n_outputs, task))
+                continue
+            _, feature, value = found
+            v = X[feature, idx]
+            if numeric[feature]:
+                mask = v <= value
+                node.update(feature=feature, threshold=value)
+            else:
+                mask = v == value
+                node.update(feature=feature, level=space[feature].levels[value])
+            node["left"], node["right"] = left, right = {}, {}
+            stack += [(right, idx[~mask], depth + 1), (left, idx[mask], depth + 1)]
 
 
 # Rows routed per block: trees x rows stays under this many node indices,
@@ -598,13 +640,9 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
     # One row per feature: floats, or level codes for a categorical feature.
     X = np.ascontiguousarray(dataset.rows.matrix.T)
     n = len(dataset)
-    trees = []
-    for t in range(params.n_trees):
-        gen = base.spawn(t).generator()
-        boot = np.sort(gen.integers(0, n, size=n))
-        trees.append(
-            _grow(X, y, boot, 0, dataset.space, params, dataset.task, n_outputs, gen)
-        )
+    gens = [base.spawn(t).generator() for t in range(params.n_trees)]
+    boots = [np.sort(gen.integers(0, n, size=n)) for gen in gens]
+    trees = _grow_trees(X, y, boots, gens, dataset.space, params, dataset.task, n_outputs)
     return TreeEnsemble(dataset.space, trees, dataset.task, dataset.class_names, params)
 
 

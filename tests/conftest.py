@@ -109,6 +109,23 @@ def write_regression_csv(path, n=300, seed=11):
     return path
 
 
+def write_multiclass_csv(path, n=300, seed=5):
+    """Synthetic three-class CSV: two numeric features, one of them rounded
+    so that split candidates tie, one categorical feature and a label that
+    bands a noisy score into ``low``, ``mid`` and ``high``."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("a,b,tone,label\n")
+        for _ in range(n):
+            a = gen.uniform(0.0, 1.0)
+            b = round(gen.uniform(0.0, 1.0), 1)
+            k = int(gen.integers(0, 4))
+            score = a + 0.8 * b - 0.3 * k + gen.normal(0.0, 0.1)
+            label = "low" if score < 0.3 else "mid" if score < 0.9 else "high"
+            fh.write(f"{a!r},{b!r},{'wxyz'[k]},{label}\n")
+    return path
+
+
 def mixed_space():
     """Two numeric features around one categorical, for the batch tests."""
     return ck.FeatureSpace(

@@ -25,15 +25,16 @@ import numpy as np
 import pytest
 
 from ciukit import cli
-from conftest import write_classification_csv, write_regression_csv
+from conftest import write_classification_csv, write_multiclass_csv, write_regression_csv
 
 NONLINEAR_X = "[0.63, 0.63, 0.59, 0.81]"
 LINEAR_X = "[0.2, 0.7, 0.4, 0.9]"
 
 # Run name -> CLI argv list; every command but train also gets --output-dir.
 # "{dir}" stands for that directory, "{data}" for a generated mixed-space
-# CSV (three numeric features and one categorical) and "{reg}" for a generated
-# regression CSV (two numeric features, one with ties, and one categorical).
+# CSV (three numeric features and one categorical), "{reg}" for a generated
+# regression CSV (two numeric features, one with ties, and one categorical) and
+# "{multi}" for a generated three-class CSV of the same make.
 RUNS = {
     "explain-nonlinear": [
         ["explain", "--predictor", "nonlinear", "--instance", NONLINEAR_X,
@@ -64,6 +65,10 @@ RUNS = {
         ["global", "--model", "{dir}/model.json", "--data", "{data}",
          "--target", "label", "--iterations", "2", "--instances", "30",
          "--samples", "20", "--shapley-budget", "20", "--format", "json,csv"],
+    ],
+    "train-tree-multiclass": [
+        ["train", "--data", "{multi}", "--target", "label", "--trees", "10",
+         "--depth", "6", "--min-leaf", "3", "--model-out", "{dir}/model.json"],
     ],
     "train-tree-regression": [
         ["train", "--data", "{reg}", "--target", "y", "--trees", "10",
@@ -189,6 +194,10 @@ GOLDEN = {
         'stability_shapley_mc.svg':
             '4b4a0931783d2d2d29a212a92cacbc8a6b29e23b0345750bcddf4a4b503ed176',
     },
+    'train-tree-multiclass': {
+        'model.json':
+            '68e94eda37600d4f1317e29b48da5c5180d4c35593a3c1fe2932d8699d8af180',
+    },
     'train-tree-regression': {
         'model.json':
             'ceea747775b708cd7ccf6eafe86d6a463261e85b277d4844b27ab231f88a2ab7',
@@ -243,8 +252,9 @@ def report_digests(name: str, workdir: Path) -> dict[str, str]:
         os.mkdir("out")
         write_classification_csv("data.csv", n=200, seed=7)
         write_regression_csv("reg.csv", n=300, seed=11)
+        write_multiclass_csv("multi.csv", n=300, seed=5)
         for argv in RUNS[name]:
-            argv = [a.format(dir="out", data="data.csv", reg="reg.csv") for a in argv]
+            argv = [a.format(dir="out", data="data.csv", reg="reg.csv", multi="multi.csv") for a in argv]
             if argv[0] != "train":
                 argv = argv + ["--output-dir", "out"]
             with contextlib.redirect_stdout(io.StringIO()):

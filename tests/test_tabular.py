@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ciukit as ck
-from ciukit.tabular import _ROUTE_BLOCK, _impurity_sums, _score_numeric
-from conftest import write_classification_csv
+from ciukit import tabular
+from ciukit.tabular import _ROUTE_BLOCK, _score_categorical, _score_numeric
+from conftest import write_classification_csv, write_multiclass_csv, write_regression_csv
 
 
 @pytest.fixture(scope="module")
@@ -312,9 +313,18 @@ class TestTreeEnsemble:
             ck.TreeParams(feature_subsample="half")
 
 
+def reference_impurity(y, task, n_outputs) -> float:
+    """Total impurity times the row count: Gini for classes, SSE otherwise."""
+    if task == "classification":
+        counts = np.bincount(y, minlength=n_outputs).astype(float)
+        n = len(y)
+        return float(n * (1.0 - ((counts / n) ** 2).sum()))
+    return float(((y - y.mean()) ** 2).sum())
+
+
 def reference_score_numeric(v, y, task, n_outputs, min_leaf):
     """Best (gain, threshold) for one numeric column, or None, scored one
-    column at a time: the reference for the one-pass scorer."""
+    column at a time: the reference for the segmented scorer."""
     order = np.argsort(v, kind="mergesort")
     vs, ys = v[order], y[order]
     n = len(ys)
@@ -332,7 +342,7 @@ def reference_score_numeric(v, y, task, n_outputs, min_leaf):
         right_n = n - left_n
         gini_l = left_n - np.sum(left_counts**2, axis=1) / left_n
         gini_r = right_n - np.sum(right_counts**2, axis=1) / right_n
-        parent = _impurity_sums(ys, task, n_outputs)
+        parent = reference_impurity(ys, task, n_outputs)
         gains = parent - gini_l - gini_r
     else:
         ysf = ys.astype(float)
@@ -351,23 +361,113 @@ def reference_score_numeric(v, y, task, n_outputs, min_leaf):
     return gain, threshold
 
 
-@st.composite
-def scoring_case(draw):
-    """Candidate columns of one node, its targets and a min_leaf. Values are
-    rounded so that columns tie; zero classes stands for regression."""
-    n = draw(st.integers(1, 40))
-    n_columns = draw(st.integers(1, 4))
-    decimals = draw(st.integers(0, 3))
-    value = st.floats(-10.0, 10.0).map(lambda v: round(v, decimals))
-    column = st.lists(value, min_size=n, max_size=n)
-    V = np.array(draw(st.lists(column, min_size=n_columns, max_size=n_columns)))
-    n_classes = draw(st.integers(0, 4))
-    if n_classes:
-        labels = st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)
-        y, task = np.array(draw(labels), dtype=int), "classification"
+def reference_score_categorical(v, y, task, n_outputs, min_leaf):
+    """Best (gain, level code) one-vs-rest split of one categorical column,
+    or None, scored level by level: the reference for the segmented scorer."""
+    parent = reference_impurity(y, task, n_outputs)
+    best = None
+    for code in np.flatnonzero(np.bincount(v)):  # the codes present, ascending
+        mask = v == code
+        nl = int(np.count_nonzero(mask))
+        if nl < min_leaf or len(v) - nl < min_leaf:
+            continue
+        il = reference_impurity(y[mask], task, n_outputs)
+        ir = reference_impurity(y[~mask], task, n_outputs)
+        gain = parent - il - ir
+        if best is None or gain > best[0]:
+            best = (float(gain), int(code))
+    return best
+
+
+def reference_grow(X, y, idx, depth, space, params, task, n_outputs, gen) -> dict:
+    """One tree grown recursively, node by node and candidate by candidate,
+    with the same draws: the reference for the lockstep grower."""
+    node_y = y[idx]
+    if (
+        depth >= params.max_depth
+        or len(idx) < 2 * params.min_leaf
+        or (node_y == node_y[0]).all()
+    ):
+        return tabular._leaf(node_y, n_outputs, task)
+    n_feat = len(space)
+    k = max(1, round(np.sqrt(n_feat))) if params.feature_subsample == "sqrt" else n_feat
+    best = None  # (gain, feature, split value)
+    for i in sorted(gen.choice(n_feat, size=k, replace=False).tolist()):
+        if space[i].is_numeric:
+            scored = reference_score_numeric(X[i, idx], node_y, task, n_outputs, params.min_leaf)
+        else:
+            v = X[i, idx].astype(np.intp)
+            scored = reference_score_categorical(v, node_y, task, n_outputs, params.min_leaf)
+        if scored is not None and (best is None or scored[0] > best[0]):
+            best = (scored[0], i, scored[1])
+    if best is None or best[0] <= tabular._MIN_GAIN:
+        return tabular._leaf(node_y, n_outputs, task)
+    _, feature, value = best
+    v = X[feature, idx]
+    if space[feature].is_numeric:
+        mask = v <= value
+        node = {"feature": feature, "threshold": value}
     else:
-        y, task = np.array(draw(column), dtype=float) * 7.5, "regression"
-    return V, y, task, max(n_classes, 1), draw(st.integers(1, 4))
+        mask = v == value
+        node = {"feature": feature, "level": space[feature].levels[value]}
+    args = space, params, task, n_outputs, gen
+    node["left"] = reference_grow(X, y, idx[mask], depth + 1, *args)
+    node["right"] = reference_grow(X, y, idx[~mask], depth + 1, *args)
+    return node
+
+
+def reference_trees(dataset, params, seed) -> list[dict]:
+    """The trees of ``train_ensemble(dataset, params, rng=seed)``, each grown
+    alone by ``reference_grow``."""
+    classes = dataset.task == "classification"
+    n_outputs = len(dataset.class_names) if classes else 1
+    y = np.asarray(dataset.target, dtype=int if classes else float)
+    X = np.ascontiguousarray(dataset.rows.matrix.T)
+    trees = []
+    for t in range(params.n_trees):
+        gen = ck.SeededRng(seed).spawn(t).generator()
+        boot = np.sort(gen.integers(0, len(dataset), size=len(dataset)))
+        args = dataset.space, params, dataset.task, n_outputs, gen
+        trees.append(reference_grow(X, y, boot, 0, *args))
+    return trees
+
+
+@st.composite
+def segments_case(draw, categorical: bool):
+    """Several segments of different lengths, each one candidate column of
+    one node with its targets, and a min_leaf. Numeric values are rounded so
+    that they tie, level codes leave some levels out of a segment, and the
+    targets take few values so that gains tie; zero classes is regression."""
+    n_classes = draw(st.integers(0, 10))
+    if categorical:
+        value = st.integers(0, draw(st.integers(0, 5)))
+    else:
+        decimals = draw(st.integers(0, 3))
+        value = st.floats(-10.0, 10.0).map(lambda v: round(v, decimals))
+    if n_classes:
+        target = st.integers(0, n_classes - 1)
+    else:
+        target = st.sampled_from([-1.5, 0.0, 0.1, 2.0, 7.5]) | st.floats(-10.0, 10.0)
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=5))
+    segments = [
+        (np.array(draw(st.lists(value, min_size=n, max_size=n))),
+         np.array(draw(st.lists(target, min_size=n, max_size=n))))
+        for n in sizes
+    ]
+    task = "classification" if n_classes else "regression"
+    return segments, task, max(n_classes, 1), draw(st.integers(1, 4))
+
+
+def score_segments(segments, task, n_outputs, min_leaf, numeric: bool):
+    """One call of the segmented scorer over all segments."""
+    values = np.concatenate([v for v, _ in segments])
+    y = np.concatenate([t for _, t in segments])
+    sizes = np.array([len(v) for v, _ in segments])
+    parent = np.array([reference_impurity(t, task, n_outputs) for _, t in segments])
+    args = y, sizes, task, n_outputs, min_leaf, parent
+    if numeric:
+        return _score_numeric(values, np.unique(values, return_inverse=True)[1], *args)
+    return _score_categorical(values, *args)
 
 
 def score_bits(scored):
@@ -376,15 +476,64 @@ def score_bits(scored):
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=scoring_case())
-def test_one_pass_scores_match_column_reference(case):
-    V, y, task, n_outputs, min_leaf = case
-    parent = _impurity_sums(y, task, n_outputs)
-    scored = _score_numeric(V, y, task, n_outputs, min_leaf, parent)
-    assert len(scored) == len(V)
-    for v, got in zip(V, scored):
+@given(case=segments_case(categorical=False))
+def test_segmented_numeric_scores_match_column_reference(case):
+    segments, task, n_outputs, min_leaf = case
+    scored = score_segments(segments, task, n_outputs, min_leaf, numeric=True)
+    assert len(scored) == len(segments)
+    for (v, y), got in zip(segments, scored):
         want = reference_score_numeric(v, y, task, n_outputs, min_leaf)
         assert score_bits(got) == score_bits(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=segments_case(categorical=True))
+def test_segmented_categorical_scores_match_level_reference(case):
+    segments, task, n_outputs, min_leaf = case
+    scored = score_segments(segments, task, n_outputs, min_leaf, numeric=False)
+    assert len(scored) == len(segments)
+    for (v, y), got in zip(segments, scored):
+        want = reference_score_categorical(v, y, task, n_outputs, min_leaf)
+        assert score_bits(got) == score_bits(want)
+        assert got is None or type(got[1]) is int
+
+
+def test_categorical_tie_goes_to_the_lowest_code():
+    # levels 1, 3 and 4 each hold one pure class of two rows, so every
+    # split gains the same and level 0, absent, is never a candidate
+    segments = [(np.array([3, 1, 4, 3, 1, 4]), np.array([1, 0, 2, 1, 0, 2]))]
+    (scored,) = score_segments(segments, "classification", 3, 1, numeric=False)
+    assert scored == reference_score_categorical(*segments[0], "classification", 3, 1)
+    assert scored[1] == 1
+
+
+class TestLockstepGrowth:
+    """``train_ensemble`` grows every tree at once; each tree must be the one
+    grown alone, node by node."""
+
+    @pytest.mark.parametrize(
+        "params", [ck.TreeParams(6, 8, 1), ck.TreeParams(4, 12, 3), ck.TreeParams(3, 5, 2, "all")]
+    )
+    @pytest.mark.parametrize("data", ["clean", "multiclass", "regression"])
+    def test_trees_match_recursive_reference(self, data, params, clean_dataset, tmp_path):
+        if data == "clean":
+            dataset = clean_dataset
+        else:
+            path = tmp_path / "data.csv"
+            if data == "multiclass":
+                dataset = ck.load_csv(write_multiclass_csv(path), target="label")
+            else:
+                dataset = ck.load_csv(write_regression_csv(path), target="y")
+        model = ck.train_ensemble(dataset, params, rng=4)
+        assert list(model.trees) == reference_trees(dataset, params, 4)
+
+    def test_score_blocks_never_change_a_tree(self, monkeypatch, clean_dataset, tmp_path):
+        params = ck.TreeParams(n_trees=12, max_depth=10)
+        ck.save_model(tmp_path / "default.json", ck.train_ensemble(clean_dataset, params, rng=6))
+        monkeypatch.setattr(tabular, "_SCORE_BLOCK", 1)
+        ck.save_model(tmp_path / "one.json", ck.train_ensemble(clean_dataset, params, rng=6))
+        one = (tmp_path / "one.json").read_bytes()
+        assert one == (tmp_path / "default.json").read_bytes()
 
 
 def has_level_split(node: dict) -> bool:
