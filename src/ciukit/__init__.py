@@ -29,12 +29,10 @@ from .core import (
     SingularSystemError,
     builtin_model,
     config_from_json,
-    config_to_json,
     linear_reference_predictor,
     load_config,
     nonlinear_reference_predictor,
     reference_feature_space,
-    save_config,
 )
 from .sampling import SeededRng, as_rng, build_sample_set, ceteris_paribus_grid, uniform_instances
 from .engine import (
@@ -51,13 +49,10 @@ from .engine import (
     resolve_utility,
 )
 from .baselines import (
-    CLASSIFICATION_ERROR,
-    MAE,
     METHOD_INFLUENCE,
     METHOD_LIME,
     METHOD_SHAPLEY,
     AttributionVector,
-    LossSpec,
     lime_surrogate,
     permutation_importance,
     shapley_enumerate,
@@ -86,7 +81,6 @@ from .tabular import (
     holdout_split,
     load_csv,
     load_model,
-    save_csv,
     save_model,
     train_ensemble,
 )

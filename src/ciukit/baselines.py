@@ -75,23 +75,8 @@ class AttributionVector:
         }
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Pointwise loss for permutation importance."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("mae", "classification-error"):
-            raise ConfigError(f"unknown loss {self.kind!r}")
-
-
-MAE = LossSpec("mae")
-CLASSIFICATION_ERROR = LossSpec("classification-error")
-
-
-def _loss_value(loss: LossSpec, outputs: np.ndarray, targets: np.ndarray, output: int) -> float:
-    if loss.kind == "mae":
+def _loss_value(loss: str, outputs: np.ndarray, targets: np.ndarray, output: int) -> float:
+    if loss == "mae":
         try:
             t = np.asarray(targets, dtype=float)
         except (TypeError, ValueError):
@@ -111,7 +96,7 @@ def permutation_importance(
     space: FeatureSpace,
     rows: Sequence[Instance],
     targets: Sequence,
-    loss: LossSpec = MAE,
+    loss: str = "mae",
     repeats: int = 5,
     rng=None,
     output: int = 0,
@@ -122,8 +107,11 @@ def permutation_importance(
     (breaking the feature-target association while keeping the marginal
     distribution) and the mean loss delta against the unshuffled baseline
     is reported. A feature the model ignores scores exactly 0 because the
-    predictions do not change.
+    predictions do not change. ``loss`` is ``"mae"`` or
+    ``"classification-error"``.
     """
+    if loss not in ("mae", "classification-error"):
+        raise ConfigError(f"unknown loss {loss!r}")
     if len(rows) < 2:
         raise ConfigError("permutation importance needs at least two rows")
     if len(targets) != len(rows):

@@ -231,12 +231,21 @@ def _setup(args):
     if args.predictor:
         predictor, space, utility = builtin_model(args.predictor)
         if args.config:
-            space, utility = load_config(args.config)
+            config_space, utility = load_config(args.config)
+            # Features may be renamed or rebounded, but the function reads them by position.
+            if len(config_space) != len(space):
+                raise ConfigError(
+                    f"--config declares {len(config_space)} features; "
+                    f"the {args.predictor} predictor reads {len(space)}"
+                )
+            space = config_space
     elif args.model:
         config_space = None
         if args.config:
             config_space, utility = load_config(args.config)
         predictor = load_model(args.model, config_space)
+        if config_space is not None and config_space != predictor.space:
+            raise ConfigError(f"--config declares other features than model {args.model}")
         space = predictor.space
         class_names = predictor.class_names
     else:
@@ -465,6 +474,9 @@ def main(argv=None) -> int:
         return 2
     except (ExplainerError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:  # numpy names the allocation it could not make
+        print(f"error: out of memory: {e}".rstrip(": "), file=sys.stderr)
         return 3
 
 

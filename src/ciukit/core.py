@@ -230,9 +230,6 @@ class Predictor:
         """Return an array of shape (len(instances), n_outputs)."""
         raise NotImplementedError
 
-    def evaluate_one(self, instance: Instance) -> np.ndarray:
-        return evaluate_rows(self, [instance])[0]
-
 
 class FunctionPredictor(Predictor):
     """Wraps a vectorized function of a float matrix (rows are instances)."""
@@ -253,7 +250,8 @@ class FunctionPredictor(Predictor):
                 raise ConfigError(
                     "numeric-function predictor received non-numeric values"
                 ) from None
-        out = np.asarray(self.fn(x), dtype=float)
+        with np.errstate(all="ignore"):  # a non-finite output is rejected by evaluate_rows
+            out = np.asarray(self.fn(x), dtype=float)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
         if out.shape != (len(instances), self.n_outputs):
@@ -462,16 +460,6 @@ def feature_to_json(feat: FeatureSpec) -> dict:
     return {"name": feat.name, "type": CATEGORICAL, "levels": list(feat.levels)}
 
 
-def config_to_json(space: FeatureSpace, utility: OutputUtility) -> dict:
-    """Config document: feature declarations plus output utilities."""
-    outputs = []
-    for s in utility.outputs:
-        outputs.append(
-            {"name": s.name, "A": s.a, "b": s.b, "min": s.out_min, "max": s.out_max}
-        )
-    return {"features": [feature_to_json(f) for f in space], "outputs": outputs}
-
-
 def finite_number(value, what: str, error: type[ExplainerError] = ConfigError) -> float:
     """A JSON number as a finite float; anything else raises ``error``."""
     try:
@@ -542,9 +530,3 @@ def read_json(path, error: type[ExplainerError], what: str):
 
 def load_config(path) -> tuple[FeatureSpace, OutputUtility]:
     return config_from_json(read_json(path, ConfigError, "config"))
-
-
-def save_config(path, space: FeatureSpace, utility: OutputUtility) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_json(space, utility), fh, indent=2, sort_keys=True)
-        fh.write("\n")

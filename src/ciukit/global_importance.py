@@ -20,12 +20,7 @@ from .core import (
     evaluate_rows,
     sample_sd,
 )
-from .baselines import (
-    CLASSIFICATION_ERROR,
-    MAE,
-    permutation_importance,
-    shapley_mc,
-)
+from .baselines import permutation_importance, shapley_mc
 from .engine import explain_instance
 from .sampling import as_rng, uniform_instances
 
@@ -166,7 +161,6 @@ def run_global(
     targets: Sequence | None = None,
     n: int = 100,
     budget: int = 200,
-    repeats: int = 5,
     output: int = 0,
 ) -> GlobalImportance:
     """Repeat a global importance method and summarize across iterations.
@@ -208,13 +202,13 @@ def run_global(
             g = global_mean_abs_shapley(predictor, space, sample, budget, sub_rng, output)
             raw = np.asarray(g.mean)
         else:
-            loss = MAE if method == "pfi-mae" else CLASSIFICATION_ERROR
+            loss = "mae" if method == "pfi-mae" else "classification-error"
             if sample_targets is None:
                 # Self-labels for analytic predictors: the model's own outputs.
                 outs = evaluate_rows(predictor, sample)
-                sample_targets = outs[:, output] if loss is MAE else np.argmax(outs, axis=1)
+                sample_targets = outs[:, output] if loss == "mae" else np.argmax(outs, axis=1)
             raw = permutation_importance(
-                predictor, space, sample, sample_targets, loss, repeats, sub_rng, output
+                predictor, space, sample, sample_targets, loss, rng=sub_rng, output=output
             )
         per_iter.append(normalize_importances(raw))
     return _summary(

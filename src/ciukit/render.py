@@ -62,7 +62,7 @@ def _fmt_value(v) -> str:
     return f"{v:.3g}" if isinstance(v, float) else str(v)
 
 
-def render_ciu_barplot(explanation: Explanation, title: str | None = None) -> PlotDoc:
+def render_ciu_barplot(explanation: Explanation) -> PlotDoc:
     """Importance/utility bars, most important feature first.
 
     The translucent bar spans the feature's importance; the solid overlay
@@ -73,7 +73,7 @@ def render_ciu_barplot(explanation: Explanation, title: str | None = None) -> Pl
     order = explanation.sorted_indices_by_ci()
     rows = len(order)
     height = ROW_H * rows + TOP + BOTTOM
-    title = title or (
+    title = (
         f"Feature influence on {_fmt_value(explanation.output_name)}"
         f" = {explanation.y:.3f}"
     )
@@ -186,18 +186,14 @@ _CP_TOP = 50
 _CP_BOTTOM = 50
 
 
-def render_cp_plot(
-    curve: CpCurve,
-    joint_range: tuple[float, float] | None = None,
-    title: str | None = None,
-) -> PlotDoc:
+def render_cp_plot(curve: CpCurve, joint_range: tuple[float, float] | None = None) -> PlotDoc:
     """Feature sweep curve with reference guides.
 
     Horizontal guides mark the curve's own reachable interval (ymin, ymax),
     the neutral-utility level y_u0, and, when given, the full output range
     (MIN, MAX). A dot marks the instance's actual position.
     """
-    title = title or f"What-if sweep of {curve.feature_name}"
+    title = f"What-if sweep of {curve.feature_name}"
     xs = np.asarray(curve.xs)
     ys = np.asarray(curve.ys)
     y_lo = min(float(ys.min()), curve.y_value)
@@ -266,10 +262,10 @@ def render_cp_plot(
     return PlotDoc("\n".join(parts) + "\n", WIDTH, CP_HEIGHT, title)
 
 
-def render_spread_plot(report, title: str | None = None) -> PlotDoc:
+def render_spread_plot(report) -> PlotDoc:
     """Per-feature distribution boxes for a stability report: quartile box,
     median line, whiskers to the extremes."""
-    title = title or f"Attribution spread: {report.method} ({report.n_runs} runs)"
+    title = f"Attribution spread: {report.method} ({report.n_runs} runs)"
     mat = report.matrix()
     names = report.feature_names
     rows = len(names)

@@ -197,20 +197,6 @@ def load_csv(
     )
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Write a Dataset back to CSV; loading the result reproduces it."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*dataset.space.names, dataset.target_name])
-        for row, t in zip(dataset.rows, dataset.target):
-            cells = [str(v) for v in row.values]
-            if dataset.task == CLASSIFICATION:
-                cells.append(dataset.class_names[t])
-            else:
-                cells.append(str(t))
-            writer.writerow(cells)
-
-
 def holdout_split(dataset: Dataset, fraction: float = 0.25, rng=None) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split into (train, test); both sides must be non-empty."""
     if not 0.0 < fraction < 1.0:
@@ -607,12 +593,6 @@ class TreeEnsemble(Predictor):
                 np.take(values, leaf, out=terms[1:])
                 total[start : start + offsets.size, j] = np.cumsum(terms, axis=0)[-1]
         return total / n_trees
-
-    def predicted_class(self, instances: Sequence[Instance]) -> list[str]:
-        if self.task != CLASSIFICATION:
-            raise ConfigError("predicted_class needs a classification ensemble")
-        probs = evaluate_rows(self, instances)
-        return [self.class_names[int(k)] for k in np.argmax(probs, axis=1)]
 
 
 def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None) -> TreeEnsemble:

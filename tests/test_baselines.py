@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ciukit as ck
+from ciukit.core import evaluate_rows
 from conftest import LINEAR_WEIGHTS, MixedModel, exact, mixed_space, replaced
 
 
@@ -46,7 +47,7 @@ class TestPermutationImportance:
         rows = uniform_rows(space, 400, 11)
         labels = (np.asarray([r.values[0] for r in rows]) > 0.5).astype(int)
         scores = ck.permutation_importance(
-            pred, space, rows, labels, loss=ck.CLASSIFICATION_ERROR, rng=2
+            pred, space, rows, labels, loss="classification-error", rng=2
         )
         assert scores[0] > 0.3
         assert abs(scores[1]) < 0.05 and abs(scores[2]) < 0.05
@@ -67,15 +68,15 @@ class TestPermutationImportance:
             ck.permutation_importance(pred, space, rows[:10], targets[:9])
         with pytest.raises(ck.ConfigError):
             ck.permutation_importance(pred, space, rows[:10], targets[:10], repeats=0)
-        with pytest.raises(ck.ConfigError):
-            ck.LossSpec("huber")
+        with pytest.raises(ck.ConfigError, match="unknown loss 'huber'"):
+            ck.permutation_importance(pred, space, rows[:10], targets[:10], loss="huber")
 
     def test_classification_loss_rejects_float_targets(self, linear_bundle, linear_rows):
         pred, space, _ = linear_bundle
         rows, targets = linear_rows
         with pytest.raises(ck.ConfigError):
             ck.permutation_importance(
-                pred, space, rows[:50], targets[:50], loss=ck.CLASSIFICATION_ERROR
+                pred, space, rows[:50], targets[:50], loss="classification-error"
             )
 
     def test_mae_rejects_string_targets(self, linear_bundle, linear_rows):
@@ -83,7 +84,7 @@ class TestPermutationImportance:
         rows, _ = linear_rows
         labels = ["yes"] * 50
         with pytest.raises(ck.ConfigError):
-            ck.permutation_importance(pred, space, rows[:50], labels, loss=ck.MAE)
+            ck.permutation_importance(pred, space, rows[:50], labels, loss="mae")
 
 
 class TestShapleyMc:
@@ -111,7 +112,7 @@ class TestShapleyMc:
         x = space.instance([0.9, 0.2, 0.7, 0.4])
         bg = uniform_rows(space, 2000, 23)
         att = ck.shapley_mc(pred, space, x, bg, budget=2000, rng=7)
-        fx = pred.evaluate_one(x)[0]
+        fx = evaluate_rows(pred, [x])[0, 0]
         assert sum(att.phi) + att.intercept == pytest.approx(fx, abs=0.02)
 
     def test_matches_enumeration_within_error_bars(self, nonlinear_bundle):

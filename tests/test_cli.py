@@ -753,3 +753,88 @@ class TestCsvQuoting:
                 header, *rows = csv.reader(fh)
             assert rows and all(len(r) == len(header) for r in rows)
             assert {r[column] for r in rows} == set(names)
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def _config(path, names, bounds=(0.0, 1.0)):
+    path.write_text(json.dumps({
+        "features": [
+            {"name": n, "type": "numeric", "min": bounds[0], "max": bounds[1]} for n in names
+        ],
+        "outputs": [{"name": "y", "min": 0, "max": 1}],
+    }))
+    return str(path)
+
+
+class TestConfigAgainstPredictor:
+    """A --config must declare the features the predictor reads."""
+
+    @pytest.mark.parametrize("predictor", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_builtin_feature_count_must_match(self, tmp_path, capsys, predictor, count):
+        config = _config(tmp_path / "config.json", [f"x{i}" for i in range(1, count + 1)])
+        assert run(
+            "explain", "--predictor", predictor, "--config", config,
+            "--instance", json.dumps([0.5] * count), "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        err = _one_line_error(capsys)
+        assert f"declares {count} features; the {predictor} predictor reads 4" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_builtin_features_may_be_renamed_and_rebounded(self, tmp_path):
+        config = _config(tmp_path / "config.json", ["p", "q", "r", "s"], bounds=(-2.0, 3.0))
+        assert run(
+            "explain", "--predictor", "linear", "--config", config,
+            "--instance", '{"p": 0, "q": 1, "r": 2, "s": 3}', "--output-dir", str(tmp_path),
+        ) == 0
+
+    def test_huge_bounds_give_a_non_finite_output_error(self, tmp_path, capsys):
+        config = _config(tmp_path / "config.json", ["x1", "x2", "x3", "x4"], bounds=(0, 1e200))
+        assert run(
+            "explain", "--predictor", "nonlinear", "--config", config, "--instance", MID,
+            "--samples", "2", "--output-dir", str(tmp_path),
+        ) == 3
+        assert "non-finite output" in _one_line_error(capsys)
+
+    def test_model_features_must_match(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_good_model()))
+        common = ["explain", "--model", str(model), "--output-dir", str(tmp_path)]
+        config = _config(tmp_path / "config.json", ["a", "b"])
+        assert run(*common, "--config", config, "--instance", "[0.3, 0.5]") == 2
+        assert "other features than model" in _one_line_error(capsys)
+        # the model's own declarations, repeated, are accepted
+        same = tmp_path / "same.json"
+        same.write_text(json.dumps({
+            "features": _good_model()["features"], "outputs": [{"name": "no"}, {"name": "yes"}],
+        }))
+        assert run(*common, "--config", str(same), "--instance", '[0.3, "lo"]') == 0
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "message, shown",
+        [
+            ("Unable to allocate 745. GiB for an array with shape (100000000000,)",
+             "error: out of memory: Unable to allocate 745. GiB"),
+            ("", "error: out of memory\n"),
+        ],
+        ids=["numpy-message", "no-message"],
+    )
+    def test_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, message, shown):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "ceteris_paribus_curve", exhausted)
+        assert run(
+            "whatif", "--predictor", "linear", "--instance", MID, "--feature", "x1",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 3
+        assert _one_line_error(capsys).startswith(shown)
+        assert not (tmp_path / "out").exists()

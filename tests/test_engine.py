@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ciukit as ck
+from ciukit.core import evaluate_rows
 from conftest import expected_nonlinear_ciu, term_extremes
 
 
@@ -39,7 +40,7 @@ class TestEstimateMinmax:
         pred, space, _ = linear_bundle
         x = space.instance([0.9, 0.1, 0.7, 0.3])
         ymin, ymax, y = ck.estimate_minmax(pred, space, x, 1, n=0)
-        got = pred.evaluate_one(x)[0]
+        got = evaluate_rows(pred, [x])[0, 0]
         assert y == got
         assert ymax - ymin == pytest.approx(0.3, abs=1e-12)
 
@@ -190,10 +191,10 @@ class TestExplainInstance:
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
         x = space.instance(["b", "v", "x"])
         exp = ck.explain_instance(pred, util, space, x, n=100, rng=9)
-        y = pred.evaluate_one(x)[0]
+        y = evaluate_rows(pred, [x])[0, 0]
         for i, feat in enumerate(space):
             variants = [x.values[:i] + (lev,) + x.values[i + 1 :] for lev in feat.levels]
-            ys = [pred.evaluate_one(space.instance(v))[0] for v in variants]
+            ys = [evaluate_rows(pred, [space.instance(v)])[0, 0] for v in variants]
             ci = (max(ys) - min(ys)) / 1.0
             cu = 0.0 if max(ys) == min(ys) else (y - min(ys)) / (max(ys) - min(ys))
             assert exp.values[i].ci == ci

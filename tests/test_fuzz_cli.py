@@ -118,9 +118,9 @@ def _fuzz(kind, data, argv_of):
 @given(data=mutated("config"))
 def test_mutated_config(data):
     _fuzz("config", data, lambda tmp, path: [[
-        "explain", "--predictor", "linear", "--config", path,
+        "explain", "--predictor", predictor, "--config", path,
         "--instance", "[0.5, 0.5, 0.5, 0.5]", "--samples", "2",
-    ]])
+    ] for predictor in ("linear", "nonlinear")])
 
 
 @EXAMPLES
