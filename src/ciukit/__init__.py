@@ -85,7 +85,6 @@ from .tabular import (
     train_ensemble,
 )
 from .render import (
-    PlotDoc,
     render_ciu_barplot,
     render_cp_plot,
     render_influence_barplot,

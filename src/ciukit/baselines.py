@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DataFormatError,
     FeatureSpace,
     Instance,
     Predictor,
@@ -156,7 +157,8 @@ def shapley_mc(
     size): one of budget * (n_features + 1) walk rows and one of the
     background rows, for the intercept. The per-feature
     estimates average those samples, and their sum telescopes to
-    f(x) - mean f(background draws).
+    f(x) - mean f(background draws). Outputs too large to average raise
+    DataFormatError.
     """
     if not background:
         raise ConfigError("shapley estimation needs a non-empty background set")
@@ -177,11 +179,15 @@ def shapley_mc(
     z = bg.matrix[picks][:, None, :]
     walks = np.where(rank[:, None, :] < step, encode_instance(space, x), z)
     ys = evaluate_rows(predictor, Rows(space, walks.reshape(-1, n)))[:, output]
-    jumps = np.diff(ys.reshape(budget, n + 1), axis=1)
-    samples = np.take_along_axis(jumps, rank, axis=1)  # feature i's jump in walk t
-    phi = samples.mean(axis=0)
-    se = sample_sd(samples) / math.sqrt(budget)
-    intercept = float(np.mean(evaluate_rows(predictor, bg)[:, output]))
+    bg_ys = evaluate_rows(predictor, bg)[:, output]
+    with np.errstate(all="ignore"):  # an overflow is rejected below
+        jumps = np.diff(ys.reshape(budget, n + 1), axis=1)
+        samples = np.take_along_axis(jumps, rank, axis=1)  # feature i's jump in walk t
+        phi = samples.mean(axis=0)
+        se = sample_sd(samples) / math.sqrt(budget)
+        intercept = float(np.mean(bg_ys))
+    if not (np.isfinite(phi).all() and np.isfinite(se).all() and math.isfinite(intercept)):
+        raise DataFormatError("shapley estimates overflow: predictor outputs too large to average")
     return AttributionVector(
         feature_names=space.names,
         phi=tuple(float(v) for v in phi),
@@ -284,23 +290,23 @@ def lime_surrogate(
         raise ConfigError("ridge penalty must be non-negative")
     base = as_rng(rng)
     rows = uniform_instances(space, n_samples, base)
-    z, xn = _normalized_columns(space, rows, x)
-    d2 = np.sum((z - xn) ** 2, axis=1)
-    weights = np.exp(-d2 / kernel_width**2)
     ys = evaluate_rows(predictor, rows)[:, output]
-    design = np.column_stack([np.ones(n_samples), z])
-    wd = design * weights[:, None]
-    gram = design.T @ wd
-    gram[1:, 1:] += ridge * np.eye(n)
-    rhs = wd.T @ ys
-    try:
-        beta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError("surrogate system is singular") from None
-    if not np.all(np.isfinite(beta)):
+    with np.errstate(all="ignore"):  # an overflow is rejected below
+        z, xn = _normalized_columns(space, rows, x)
+        d2 = np.sum((z - xn) ** 2, axis=1)
+        weights = np.exp(-d2 / kernel_width**2)
+        design = np.column_stack([np.ones(n_samples), z])
+        wd = design * weights[:, None]
+        gram = design.T @ wd
+        gram[1:, 1:] += ridge * np.eye(n)
+        rhs = wd.T @ ys
+        try:
+            beta = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            raise SingularSystemError("surrogate system is singular") from None
+        phi = beta[1:] * (xn - z.mean(axis=0))
+    if not (np.isfinite(beta).all() and np.isfinite(phi).all()):
         raise SingularSystemError("surrogate solution is not finite")
-    baseline = z.mean(axis=0)
-    phi = beta[1:] * (xn - baseline)
     return AttributionVector(
         feature_names=space.names,
         phi=tuple(float(v) for v in phi),

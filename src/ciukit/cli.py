@@ -188,9 +188,9 @@ def _write(args, formats: set[str], files: dict, text: str) -> None:
     then print ``text`` if text is chosen.
 
     A .json file's content is its report's ``results``, wrapped here with
-    the command and its config; a .csv file's is its rows or its text; an
-    .svg file's is its plot. A callable content is called to make it, only
-    when its file is written.
+    the command and its config; a .csv file's is its rows; an .svg file's
+    is its text. A callable content is called to make it, only when its
+    file is written.
     """
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,8 +206,6 @@ def _write(args, formats: set[str], files: dict, text: str) -> None:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             elif suffix == "svg":
-                fh.write(content.svg)
-            elif isinstance(content, str):
                 fh.write(content)
             else:
                 csv.writer(fh, lineterminator="\n").writerows(content)
@@ -240,13 +238,12 @@ def _setup(args):
                 )
             space = config_space
     elif args.model:
-        config_space = None
         if args.config:
             config_space, utility = load_config(args.config)
-        predictor = load_model(args.model, config_space)
-        if config_space is not None and config_space != predictor.space:
-            raise ConfigError(f"--config declares other features than model {args.model}")
+        predictor = load_model(args.model)
         space = predictor.space
+        if args.config and config_space != space:
+            raise ConfigError(f"--config declares other features than model {args.model}")
         class_names = predictor.class_names
     else:
         raise ConfigError("a predictor source is required: --predictor or --model")

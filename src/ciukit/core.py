@@ -46,8 +46,8 @@ class SingularSystemError(ExplainerError):
 class FeatureSpec:
     """One input feature: numeric with finite bounds, or categorical levels.
 
-    Numeric features declare a closed interval [min, max]; categorical
-    features declare an ordered tuple of distinct string labels.
+    Numeric features declare [min, max] with a finite width and midpoint;
+    categorical features declare an ordered tuple of distinct string labels.
     """
 
     name: str
@@ -60,8 +60,8 @@ class FeatureSpec:
         if type(self.name) is not str or not self.name:
             raise ConfigError(f"feature name {self.name!r} must be a non-empty string")
         if self.kind == NUMERIC:
-            if not (math.isfinite(self.min) and math.isfinite(self.max)):
-                raise ConfigError(f"feature {self.name!r}: bounds must be finite")
+            if not (math.isfinite(self.max - self.min) and math.isfinite(self.min + self.max)):
+                raise ConfigError(f"feature {self.name!r}: bounds, width and midpoint must be finite")
             if not self.min < self.max:
                 raise ConfigError(f"feature {self.name!r}: min must be strictly below max")
         elif self.kind == CATEGORICAL:
@@ -510,7 +510,7 @@ def _output_from_json(doc: dict) -> OutputSpec:
 
 def config_from_json(doc: dict) -> tuple[FeatureSpace, OutputUtility]:
     if type(doc) is not dict or type(doc.get("features")) is not list:
-        raise ConfigError("config document needs a 'features' list")
+        raise ConfigError("a 'features' list of feature declarations is required")
     outputs = doc.get("outputs", [{"name": "y"}])
     if type(outputs) is not list:
         raise ConfigError("config 'outputs' must be a list")

@@ -6,8 +6,6 @@ coordinates, so the same inputs always produce the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ConfigError
@@ -24,14 +22,6 @@ FONT = "font-family=\"sans-serif\" font-size=\"12\""
 BLUE = "#4682b4"
 RED = "#c44e52"
 GRAY = "#888888"
-
-
-@dataclass(frozen=True)
-class PlotDoc:
-    svg: str
-    width: int
-    height: int
-    title: str
 
 
 def _esc(text) -> str:
@@ -62,7 +52,7 @@ def _fmt_value(v) -> str:
     return f"{v:.3g}" if isinstance(v, float) else str(v)
 
 
-def render_ciu_barplot(explanation: Explanation) -> PlotDoc:
+def render_ciu_barplot(explanation: Explanation) -> str:
     """Importance/utility bars, most important feature first.
 
     The translucent bar spans the feature's importance; the solid overlay
@@ -110,16 +100,12 @@ def render_ciu_barplot(explanation: Explanation) -> PlotDoc:
             f"{FONT} fill=\"{GRAY}\">{_esc(note)}</text>"
         )
     parts.append("</svg>")
-    return PlotDoc("\n".join(parts) + "\n", WIDTH, height, title)
+    return "\n".join(parts) + "\n"
 
 
 def render_influence_barplot(
-    feature_names,
-    phi,
-    feature_values=None,
-    title: str = "Signed influence",
-    limit: float | None = None,
-) -> PlotDoc:
+    feature_names, phi, feature_values, title: str, limit: float | None = None
+) -> str:
     """Diverging bars around a zero axis: negative left in red, positive
     right in blue, largest magnitude first. The axis stays visible even
     when every value is zero."""
@@ -158,9 +144,7 @@ def render_influence_barplot(
         w = min(abs(v) / limit, 1.0) * half if limit > 0 else 0.0
         x0 = axis_x - w if v < 0 else axis_x
         color = RED if v < 0 else BLUE
-        label = str(feature_names[i])
-        if feature_values is not None:
-            label += f" = {_fmt_value(feature_values[i])}"
+        label = f"{feature_names[i]} = {_fmt_value(feature_values[i])}"
         parts.append(
             f'<text x="{LABEL_W - 8}" y="{bar_y + bar_h - 6}" text-anchor="end" '
             f"{FONT}>{_esc(label)}</text>"
@@ -176,7 +160,7 @@ def render_influence_barplot(
             f"{FONT} fill=\"{GRAY}\">{v:+.3f}</text>"
         )
     parts.append("</svg>")
-    return PlotDoc("\n".join(parts) + "\n", WIDTH, height, title)
+    return "\n".join(parts) + "\n"
 
 
 CP_HEIGHT = 500
@@ -186,23 +170,18 @@ _CP_TOP = 50
 _CP_BOTTOM = 50
 
 
-def render_cp_plot(curve: CpCurve, joint_range: tuple[float, float] | None = None) -> PlotDoc:
+def render_cp_plot(curve: CpCurve, joint_range: tuple[float, float]) -> str:
     """Feature sweep curve with reference guides.
 
     Horizontal guides mark the curve's own reachable interval (ymin, ymax),
-    the neutral-utility level y_u0, and, when given, the full output range
-    (MIN, MAX). A dot marks the instance's actual position.
+    the neutral-utility level y_u0 and the full output range (MIN, MAX),
+    which must be non-empty. A dot marks the instance's actual position.
     """
     title = f"What-if sweep of {curve.feature_name}"
     xs = np.asarray(curve.xs)
     ys = np.asarray(curve.ys)
-    y_lo = min(float(ys.min()), curve.y_value)
-    y_hi = max(float(ys.max()), curve.y_value)
-    if joint_range is not None:
-        y_lo = min(y_lo, joint_range[0])
-        y_hi = max(y_hi, joint_range[1])
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    y_lo = min(float(ys.min()), curve.y_value, joint_range[0])
+    y_hi = max(float(ys.max()), curve.y_value, joint_range[1])
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
@@ -222,9 +201,8 @@ def render_cp_plot(curve: CpCurve, joint_range: tuple[float, float] | None = Non
         f'fill="none" stroke="{GRAY}" stroke-width="1"/>'
     )
     guides = [("ymin", curve.ymin, BLUE), ("ymax", curve.ymax, BLUE),
-              ("y(u0)", curve.y_u0, "#b58900")]
-    if joint_range is not None:
-        guides += [("MIN", joint_range[0], GRAY), ("MAX", joint_range[1], GRAY)]
+              ("y(u0)", curve.y_u0, "#b58900"),
+              ("MIN", joint_range[0], GRAY), ("MAX", joint_range[1], GRAY)]
     for name, value, color in guides:
         gy = sy(value)
         parts.append(
@@ -259,10 +237,10 @@ def render_cp_plot(curve: CpCurve, joint_range: tuple[float, float] | None = Non
         f'text-anchor="middle" {FONT}>{_esc(curve.feature_name)}</text>'
     )
     parts.append("</svg>")
-    return PlotDoc("\n".join(parts) + "\n", WIDTH, CP_HEIGHT, title)
+    return "\n".join(parts) + "\n"
 
 
-def render_spread_plot(report) -> PlotDoc:
+def render_spread_plot(report) -> str:
     """Per-feature distribution boxes for a stability report: quartile box,
     median line, whiskers to the extremes."""
     title = f"Attribution spread: {report.method} ({report.n_runs} runs)"
@@ -317,7 +295,7 @@ def render_spread_plot(report) -> PlotDoc:
             f"{FONT} fill=\"{GRAY}\">{v:.3f}</text>"
         )
     parts.append("</svg>")
-    return PlotDoc("\n".join(parts) + "\n", WIDTH, height, title)
+    return "\n".join(parts) + "\n"
 
 
 _BAR_COLS = 40
@@ -346,13 +324,13 @@ def text_ciu_bars(explanation: Explanation) -> str:
     return "\n".join(lines)
 
 
-def text_influence_bars(feature_names, phi, method: str = "") -> str:
+def text_influence_bars(feature_names, phi, method: str) -> str:
     """Console bars diverging around a center axis, one row per feature."""
     phi = [float(v) for v in phi]
     half = _BAR_COLS // 2
     limit = max(0.5, max((abs(v) for v in phi), default=0.0))
     width = max(len(str(n)) for n in feature_names)
-    lines = [f"signed influence{f' ({method})' if method else ''}"]
+    lines = [f"signed influence ({method})"]
     for i in sorted(range(len(phi)), key=lambda k: (-abs(phi[k]), k)):
         v = phi[i]
         n = round(min(abs(v) / limit, 1.0) * half)

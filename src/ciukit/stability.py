@@ -7,8 +7,6 @@ the same inputs give the same attributions.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,12 +190,11 @@ def summarize(report: StabilityReport) -> str:
     return "\n".join(lines)
 
 
-def stability_csv(report: StabilityReport) -> str:
-    """Long-format CSV: one row per (run, feature) attribution value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "run", "feature", "value"])
+def stability_csv(report: StabilityReport) -> list[list]:
+    """Long-format CSV rows: a header, then one row per (run, feature)
+    attribution value."""
+    rows = [["method", "run", "feature", "value"]]
     for r, run in enumerate(report.runs):
         for name, v in zip(report.feature_names, run):
-            writer.writerow([report.method, r, name, repr(v)])
-    return buf.getvalue()
+            rows.append([report.method, r, name, repr(v)])
+    return rows

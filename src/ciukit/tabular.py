@@ -86,17 +86,20 @@ def _is_number(text: str) -> bool:
     return math.isfinite(v)
 
 
-def _infer_feature(name: str, column: list[str], values: list[float] | None) -> FeatureSpec:
+def _infer_feature(path, name: str, column: list[str], values: list[float] | None) -> FeatureSpec:
     """A numeric feature over ``values``, the column's cells as floats, or a
-    categorical one when they are None because some cell is not a number."""
-    if values is None:
-        levels = list(dict.fromkeys(column))  # first-appearance order
-        return FeatureSpec.categorical(name, levels)
-    lo, hi = min(values), max(values)
-    if lo == hi:
-        # Constant numeric column: widen so the declaration stays valid.
-        lo, hi = lo - 0.5, hi + 0.5
-    return FeatureSpec.numeric(name, lo, hi)
+    categorical one when they are None because some cell is not a number.
+    A column that declares no valid feature raises DataFormatError."""
+    try:
+        if values is None:
+            return FeatureSpec.categorical(name, dict.fromkeys(column))  # first-appearance order
+        lo, hi = min(values), max(values)
+        if lo == hi:
+            # Constant numeric column: widen so the declaration stays valid.
+            lo, hi = lo - 0.5, hi + 0.5
+        return FeatureSpec.numeric(name, lo, hi)
+    except ConfigError as e:
+        raise DataFormatError(f"{path}: column {name!r}: {e}") from None
 
 
 def load_csv(
@@ -112,10 +115,11 @@ def load_csv(
     through them whatever the row order, and a label outside them raises
     DataFormatError; without, a target of numbers is a regression target
     and any other gets class names in first-appearance order.
-    Missing cells and ragged rows are rejected rather than imputed.
+    Missing cells and ragged rows are rejected rather than imputed, and a
+    leading UTF-8 byte-order mark is skipped.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             table = [row for row in csv.reader(fh) if row]
     except (UnicodeDecodeError, csv.Error) as e:
         raise DataFormatError(f"{path}: unreadable CSV ({e})") from None
@@ -149,7 +153,7 @@ def load_csv(
 
     if schema is None:
         space = FeatureSpace(tuple(
-            _infer_feature(name, columns[name], numbers.get(name)) for name in feature_names
+            _infer_feature(path, name, columns[name], numbers.get(name)) for name in feature_names
         ))
     else:
         missing = [n for n in schema.names if n not in feature_names]
@@ -661,19 +665,14 @@ def save_model(path, model: TreeEnsemble) -> None:
         fh.write(text + "\n")
 
 
-def load_model(path, space: FeatureSpace | None = None) -> TreeEnsemble:
+def load_model(path) -> TreeEnsemble:
     doc = read_json(path, DataFormatError, "model")
     if not isinstance(doc, dict) or doc.get("kind") != "tree-ensemble":
         raise DataFormatError(f"model {path}: not a tree-ensemble document")
-    if "features" in doc:
-        try:
-            space, _ = config_from_json({"features": doc["features"]})
-        except ConfigError as e:
-            raise DataFormatError(f"model {path}: {e}") from None
-    elif space is None:
-        raise ConfigError(
-            f"model {path}: no feature declarations; pass a feature-space config"
-        )
+    try:
+        space, _ = config_from_json({"features": doc.get("features")})
+    except ConfigError as e:
+        raise DataFormatError(f"model {path}: {e}") from None
     try:
         params = TreeParams(**doc.get("params", {}))
     except (TypeError, ConfigError) as e:

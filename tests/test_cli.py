@@ -346,6 +346,7 @@ MALFORMED_MODELS = {
     "huge-integer-threshold": lambda doc: doc["trees"][0].update(threshold=10**400),
     "levels-not-strings": lambda doc: doc["features"][1].update(levels=["lo", "hi", 5]),
     "feature-bound-string": lambda doc: doc["features"][0].update(max="one"),
+    "feature-bounds-overflow": lambda doc: doc["features"][0].update(min=-1.7e308, max=1.7e308),
 }
 
 
@@ -599,7 +600,7 @@ class TestTrainFlow:
         doc = json.loads((gout / "global_report.json").read_text())
         assert doc["config"]["methods"] == "ci,pfi-ce,shapley"
 
-    def test_model_without_features_needs_config(self, tmp_path, capsys):
+    def test_model_without_features_exits_3(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         write_classification_csv(data, n=100, seed=3)
         model = tmp_path / "model.json"
@@ -615,7 +616,8 @@ class TestTrainFlow:
             "explain", "--model", str(model), "--instance", "row:0",
             "--data", str(data), "--target", "label",
             "--output-dir", str(tmp_path),
-        ) == 2
+        ) == 3
+        assert "'features'" in capsys.readouterr().err
 
 
 class TestDataAgainstModelSpace:
@@ -815,6 +817,54 @@ class TestConfigAgainstPredictor:
             "features": _good_model()["features"], "outputs": [{"name": "no"}, {"name": "yes"}],
         }))
         assert run(*common, "--config", str(same), "--instance", '[0.3, "lo"]') == 0
+
+
+class TestOverflow:
+    """Finite inputs whose sums overflow end in one error line, not a traceback."""
+
+    @pytest.mark.parametrize("bounds", [(-1.7e308, 1.7e308), (1e308, 1.7e308)])
+    def test_config_bounds_too_far_apart_exit_2(self, tmp_path, capsys, bounds):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "features": [
+                {"name": n, "type": "numeric", "min": bounds[0], "max": bounds[1]}
+                for n in ("x1", "x2", "x3", "x4")
+            ],
+            "outputs": [{"name": "y"}],  # undeclared: the range is estimated
+        }))
+        assert run(
+            "explain", "--predictor", "linear", "--config", str(config),
+            "--instance", json.dumps([bounds[1]] * 4), "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert "'x1': bounds, width and midpoint must be finite" in _one_line_error(capsys)
+
+    def test_csv_column_too_wide_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,y\n-1.7e308,1,0\n1.7e308,2,1\n0,3,0\n1,2,1\n")
+        assert run(
+            "train", "--data", str(data), "--target", "y",
+            "--model-out", str(tmp_path / "model.json"),
+        ) == 3
+        assert "column 'a'" in _one_line_error(capsys)
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("method", ["shapley", "lime"])
+    def test_explain_estimates_that_overflow_exit_3(self, tmp_path, capsys, method):
+        assert run(
+            "explain", "--predictor", "linear", "--instance", "[1e308, 0.5, 0.5, 0.5]",
+            "--method", method, "--format", "json", "--output-dir", str(tmp_path / "out"),
+        ) == 3
+        _one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_stability_writes_no_infinity(self, tmp_path, capsys):
+        assert run(
+            "stability", "--predictor", "linear", "--instance", "[1e308, 0.5, 0.5, 0.5]",
+            "--methods", "shapley-mc", "--runs", "2", "--format", "json",
+            "--output-dir", str(tmp_path / "out"),
+        ) == 3
+        assert "shapley estimates overflow" in _one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutOfMemory:

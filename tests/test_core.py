@@ -64,6 +64,11 @@ class TestFeatureSpecs:
             ck.FeatureSpec.numeric("x", 2.0, 1.0)
         with pytest.raises(ck.ConfigError):
             ck.FeatureSpec.numeric("x", 0.0, math.inf)
+        # finite bounds whose width (max - min) or sum (min + max) overflows
+        for lo, hi in [(-1.7e308, 1.7e308), (1e308, 1.7e308)]:
+            with pytest.raises(ck.ConfigError, match="width and midpoint"):
+                ck.FeatureSpec.numeric("x", lo, hi)
+        ck.FeatureSpec.numeric("x", -8e307, 8e307)
 
     def test_categorical_levels_validation(self):
         with pytest.raises(ck.ConfigError):
@@ -536,7 +541,7 @@ PUBLIC_NAMES = [
     "CpCurve", "DataFormatError", "Dataset", "DegenerateRangeError", "ExplainerError",
     "Explanation", "FeatureSpace", "FeatureSpec", "FunctionPredictor", "GlobalImportance",
     "Instance", "METHOD_INFLUENCE", "METHOD_LIME", "METHOD_SHAPLEY", "NUMERIC", "OutputSpec",
-    "OutputUtility", "PlotDoc", "Predictor", "Rows", "SeededRng", "SingularSystemError",
+    "OutputUtility", "Predictor", "Rows", "SeededRng", "SingularSystemError",
     "StabilityReport", "TreeEnsemble", "TreeParams", "accuracy", "as_rng", "build_sample_set",
     "builtin_model", "ceteris_paribus_curve", "ceteris_paribus_grid", "config_from_json",
     "contextual_importance", "contextual_influence", "contextual_utility", "estimate_minmax",
@@ -553,6 +558,7 @@ PUBLIC_NAMES = [
 def test_package_exports_every_public_name_and_no_module():
     # The whole public surface: adding or removing a name must change this list.
     assert ck.__all__ == PUBLIC_NAMES
+    assert len(ck.__all__) == 71
     assert not any(isinstance(getattr(ck, name), ModuleType) for name in ck.__all__)
     assert not any(name.startswith("_") for name in ck.__all__)
 

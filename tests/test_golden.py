@@ -74,6 +74,21 @@ RUNS = {
         ["train", "--data", "{reg}", "--target", "y", "--trees", "10",
          "--depth", "6", "--min-leaf", "2", "--model-out", "{dir}/model.json"],
     ],
+    "explain-tree-regression": [
+        ["train", "--data", "{reg}", "--target", "y", "--trees", "10",
+         "--depth", "6", "--min-leaf", "2", "--model-out", "{dir}/model.json"],
+        ["explain", "--model", "{dir}/model.json", "--data", "{reg}",
+         "--target", "y", "--instance", "row:3",
+         "--method", "ciu,shapley,lime", "--format", "json,svg,csv"],
+    ],
+    # no --data: the output range is estimated from the model
+    "global-tree-regression": [
+        ["train", "--data", "{reg}", "--target", "y", "--trees", "10",
+         "--depth", "6", "--min-leaf", "2", "--model-out", "{dir}/model.json"],
+        ["global", "--model", "{dir}/model.json", "--iterations", "2",
+         "--instances", "30", "--samples", "20", "--shapley-budget", "20",
+         "--format", "json,csv"],
+    ],
     "stability-tree-mixed": [
         ["train", "--data", "{data}", "--target", "label", "--trees", "10",
          "--depth", "4", "--model-out", "{dir}/model.json"],
@@ -138,6 +153,22 @@ GOLDEN = {
         'model.json':
             '3d4ea189b90dbbc9c730b7bab7676b3695ee235adddf0f6be95aaca0d051684c',
     },
+    'explain-tree-regression': {
+        'explain_ciu.svg':
+            '624558710e7e4ca25d9d73369cad041b8a8a750f173538fc03773e2880ffa4ef',
+        'explain_influence_ciu.svg':
+            '84631e14d208e170d2a838cbd6d126fd7225e10727b5ea15a9bc171e6e9a265e',
+        'explain_influence_lime.svg':
+            'f68f01143c314b8deee1e2332588a109efb7f8dbbca1654f6454a9ba031caedb',
+        'explain_influence_shapley.svg':
+            'a03f12f2da0b7f16cf12d38c907f13f6daf409b2f96b35a72af37d1194d932f9',
+        'explain_report.csv':
+            '773877813a96db0287ed6e1692b8bf28f4dc6864ec906ad24a7be00bbe1f4cd9',
+        'explain_report.json':
+            '91a1de56d32b9ed603900209a00f192af02eb03cbafa7ea47f1dbd7f4488bdc9',
+        'model.json':
+            'ceea747775b708cd7ccf6eafe86d6a463261e85b277d4844b27ab231f88a2ab7',
+    },
     'global-nonlinear': {
         'global_report.csv':
             '628f2d4b60d52599aa532803357f08ec62c233b567b30ca2682bbcd1e06e108c',
@@ -151,6 +182,14 @@ GOLDEN = {
             '90f0986f468ea438760734043277889cb1f401b846bd98b44cd8b90669074f6a',
         'model.json':
             '3d4ea189b90dbbc9c730b7bab7676b3695ee235adddf0f6be95aaca0d051684c',
+    },
+    'global-tree-regression': {
+        'global_report.csv':
+            'b13798f622593e7ce6a86da03ef509a6a323f3ee78ea4850da88d0fe6a33d034',
+        'global_report.json':
+            '1c4bc84c616fb094ec1213d4a2de91061e77df0aa4144d867005e2dc6932e61b',
+        'model.json':
+            'ceea747775b708cd7ccf6eafe86d6a463261e85b277d4844b27ab231f88a2ab7',
     },
     'stability-linear': {
         'stability_contextual_influence.csv':

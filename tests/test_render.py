@@ -28,15 +28,14 @@ def linear_explanation(linear_bundle):
 
 class TestCiuBarplot:
     def test_well_formed_and_sized(self, linear_explanation):
-        doc = ck.render_ciu_barplot(linear_explanation)
-        root = ET.fromstring(doc.svg)
+        svg = ck.render_ciu_barplot(linear_explanation)
+        root = ET.fromstring(svg)
         assert root.attrib["width"] == "800"
-        assert root.attrib["height"] == str(40 * 4 + 80)
-        assert doc.height == 240
+        assert root.attrib["height"] == str(40 * 4 + 80) == "240"
 
     def test_bar_geometry(self, linear_explanation):
-        doc = ck.render_ciu_barplot(linear_explanation)
-        rects = body_rects(doc.svg)
+        svg = ck.render_ciu_barplot(linear_explanation)
+        rects = body_rects(svg)
         translucent = [r for r in rects if "fill-opacity" in r]
         solid = [r for r in rects if "fill-opacity" not in r]
         assert len(translucent) == len(solid) == 4
@@ -54,8 +53,8 @@ class TestCiuBarplot:
         exp = ck.explain_instance(
             pred, util, space, space.instance([1.0, 0.5, 0.5, 0.5]), n=20, rng=1
         )
-        doc = ck.render_ciu_barplot(exp)
-        rects = body_rects(doc.svg)
+        svg = ck.render_ciu_barplot(exp)
+        rects = body_rects(svg)
         top_solid = [r for r in rects if "fill-opacity" not in r][0]
         top_translucent = [r for r in rects if "fill-opacity" in r][0]
         # cu = 1 at the top of the interval: the solid bar fills the panel
@@ -66,10 +65,10 @@ class TestCiuBarplot:
         pred = ck.FunctionPredictor(lambda m: np.full(len(m), 0.5))
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
         exp = ck.explain_instance(pred, util, space, space.midpoint(), n=10, rng=1)
-        doc = ck.render_ciu_barplot(exp)
-        ET.fromstring(doc.svg)
-        assert "degenerate" in doc.svg
-        assert all(float(r["width"]) == 0.0 for r in body_rects(doc.svg))
+        svg = ck.render_ciu_barplot(exp)
+        ET.fromstring(svg)
+        assert "degenerate" in svg
+        assert all(float(r["width"]) == 0.0 for r in body_rects(svg))
 
     def test_name_escaping(self, linear_bundle):
         space = ck.FeatureSpace(
@@ -81,22 +80,22 @@ class TestCiuBarplot:
         pred = ck.FunctionPredictor(lambda m: 0.5 * (m[:, 0] + m[:, 1]))
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
         exp = ck.explain_instance(pred, util, space, space.midpoint(), n=10, rng=1)
-        doc = ck.render_ciu_barplot(exp)
-        ET.fromstring(doc.svg)
-        assert "a&lt;b" in doc.svg and "c&amp;" in doc.svg
+        svg = ck.render_ciu_barplot(exp)
+        ET.fromstring(svg)
+        assert "a&lt;b" in svg and "c&amp;" in svg
 
     def test_deterministic_bytes(self, linear_explanation):
-        a = ck.render_ciu_barplot(linear_explanation).svg
-        b = ck.render_ciu_barplot(linear_explanation).svg
+        a = ck.render_ciu_barplot(linear_explanation)
+        b = ck.render_ciu_barplot(linear_explanation)
         assert a == b
 
 
 class TestInfluenceBarplot:
     def test_sides_and_magnitude_order(self):
-        doc = ck.render_influence_barplot(
-            ("p", "q", "r", "s"), (0.3, -0.2, 0.1, 0.0)
+        svg = ck.render_influence_barplot(
+            ("p", "q", "r", "s"), (0.3, -0.2, 0.1, 0.0), (1.0, 2.0, 3.0, 4.0), "Signed"
         )
-        rects = body_rects(doc.svg)
+        rects = body_rects(svg)
         assert len(rects) == 4
         axis = LABEL_X + BAR_AREA / 2
         half = BAR_AREA / 2
@@ -113,22 +112,22 @@ class TestInfluenceBarplot:
         )
 
     def test_zero_vector_keeps_axis(self):
-        doc = ck.render_influence_barplot(("a", "b"), (0.0, 0.0))
-        lines = elements(doc.svg, "line")
+        svg = ck.render_influence_barplot(("a", "b"), (0.0, 0.0), (1.0, 2.0), "Zero")
+        lines = elements(svg, "line")
         axis = [
             ln for ln in lines if ln["x1"] == ln["x2"] == f"{LABEL_X + BAR_AREA / 2:.2f}"
         ]
         assert axis
-        ET.fromstring(doc.svg)
+        ET.fromstring(svg)
 
     def test_custom_limit_clamps(self):
-        doc = ck.render_influence_barplot(("a",), (2.0,), limit=1.0)
-        rect = body_rects(doc.svg)[0]
+        svg = ck.render_influence_barplot(("a",), (2.0,), (1.0,), "Clamped", limit=1.0)
+        rect = body_rects(svg)[0]
         assert float(rect["width"]) == BAR_AREA / 2  # clamped to the panel
 
     def test_length_mismatch(self):
         with pytest.raises(ck.ConfigError):
-            ck.render_influence_barplot(("a",), (0.1, 0.2))
+            ck.render_influence_barplot(("a",), (0.1, 0.2), (1.0,), "Mismatch")
 
 
 class TestCpPlot:
@@ -136,8 +135,8 @@ class TestCpPlot:
         pred, space, _ = linear_bundle
         x = space.instance([0.5] * 4)
         curve = ck.ceteris_paribus_curve(pred, space, x, 0, grid_size=11)
-        doc = ck.render_cp_plot(curve)
-        polys = elements(doc.svg, "polyline")
+        svg = ck.render_cp_plot(curve, (0.0, 1.0))
+        polys = elements(svg, "polyline")
         assert len(polys) == 1
         pts = [tuple(map(float, p.split(","))) for p in polys[0]["points"].split()]
         assert len(pts) == 11
@@ -150,8 +149,8 @@ class TestCpPlot:
         pred, space, _ = linear_bundle
         x = space.instance([0.5] * 4)
         curve = ck.ceteris_paribus_curve(pred, space, x, 0, grid_size=11)
-        doc = ck.render_cp_plot(curve)
-        dot = elements(doc.svg, "circle")[0]
+        svg = ck.render_cp_plot(curve, (curve.ymin, curve.ymax))
+        dot = elements(svg, "circle")[0]
         assert float(dot["cx"]) == pytest.approx(70 + 0.5 * 600, abs=0.01)
         # y = 0.5 is the midpoint of the padded [0.28, 0.72] band
         assert float(dot["cy"]) == pytest.approx(50 + 200, abs=0.01)
@@ -160,10 +159,10 @@ class TestCpPlot:
         pred, space, _ = nonlinear_bundle
         x = space.instance([0.63, 0.63, 0.59, 0.81])
         curve = ck.ceteris_paribus_curve(pred, space, x, 3, grid_size=201)
-        doc = ck.render_cp_plot(curve)
+        svg = ck.render_cp_plot(curve, (0.0, 1.0))
         pts = [
             tuple(map(float, p.split(",")))
-            for p in elements(doc.svg, "polyline")[0]["points"].split()
+            for p in elements(svg, "polyline")[0]["points"].split()
         ]
         lowest = max(pts, key=lambda p: p[1])  # SVG y grows downward
         assert pts[0][0] < lowest[0] < pts[-1][0]
@@ -174,18 +173,17 @@ class TestCpPlot:
         pred, space, _ = linear_bundle
         x = space.instance([0.5] * 4)
         curve = ck.ceteris_paribus_curve(pred, space, x, 0)
-        doc = ck.render_cp_plot(curve, joint_range=(0.0, 1.0))
+        svg = ck.render_cp_plot(curve, joint_range=(0.0, 1.0))
         for label in ("ymin=", "ymax=", "y(u0)=", "MIN=", "MAX="):
-            assert label in doc.svg
-        assert len(elements(doc.svg, "line")) >= 5
+            assert label in svg
+        assert len(elements(svg, "line")) >= 5
 
     def test_flat_curve(self, linear_bundle):
         _, space, _ = linear_bundle
         pred = ck.FunctionPredictor(lambda m: np.full(len(m), 0.25))
         curve = ck.ceteris_paribus_curve(pred, space, space.midpoint(), 2)
-        doc = ck.render_cp_plot(curve)
-        ET.fromstring(doc.svg)
-        assert doc.height == 500
+        svg = ck.render_cp_plot(curve, (0.0, 1.0))
+        assert ET.fromstring(svg).attrib["height"] == "500"
 
 
 class TestSpreadPlot:
@@ -195,11 +193,10 @@ class TestSpreadPlot:
         rep = ck.run_stability(
             pred, util, space, x, methods=[ck.METHOD_LIME], runs=8, seed=3
         )[ck.METHOD_LIME]
-        doc = ck.render_spread_plot(rep)
-        ET.fromstring(doc.svg)
-        assert doc.height == 40 * 4 + 80
+        svg = ck.render_spread_plot(rep)
+        assert ET.fromstring(svg).attrib["height"] == str(40 * 4 + 80)
         for name in space.names:
-            assert name in doc.svg
+            assert name in svg
 
     def test_zero_spread_report(self, linear_bundle):
         pred, space, util = linear_bundle
@@ -207,8 +204,8 @@ class TestSpreadPlot:
         rep = ck.run_stability(
             pred, util, space, x, methods=[ck.METHOD_INFLUENCE], runs=3, seed=3
         )[ck.METHOD_INFLUENCE]
-        doc = ck.render_spread_plot(rep)
-        ET.fromstring(doc.svg)
+        svg = ck.render_spread_plot(rep)
+        ET.fromstring(svg)
 
 
 class TestTextBars:
@@ -222,7 +219,7 @@ class TestTextBars:
         assert lines[1].startswith("x1")
 
     def test_influence_axis_alignment(self):
-        text = ck.text_influence_bars(("alpha", "b"), (-0.5, 0.25))
+        text = ck.text_influence_bars(("alpha", "b"), (-0.5, 0.25), "lime")
         lines = text.splitlines()[1:]
         bars = [ln.index("|") for ln in lines]
         assert bars[0] == bars[1]
@@ -230,6 +227,6 @@ class TestTextBars:
         assert "|" + "█" * 10 + " " * 10 in lines[1]
 
     def test_value_suffix(self):
-        text = ck.text_influence_bars(("a",), (0.125,), method="shapley-mc")
+        text = ck.text_influence_bars(("a",), (0.125,), "shapley-mc")
         assert "(shapley-mc)" in text.splitlines()[0]
         assert "+0.1250" in text

@@ -106,11 +106,11 @@ class TestReportOutputs:
 
     def test_csv_long_format(self, linear_reports):
         rep = linear_reports[ck.METHOD_SHAPLEY]
-        rows = ck.stability_csv(rep).splitlines()
-        assert rows[0] == "method,run,feature,value"
+        rows = ck.stability_csv(rep)
+        assert rows[0] == ["method", "run", "feature", "value"]
         assert len(rows) == 1 + 20 * 4
-        first = rows[1].split(",")
-        assert first[0] == ck.METHOD_SHAPLEY and first[1] == "0"
+        first = rows[1]
+        assert first[0] == ck.METHOD_SHAPLEY and first[1] == 0
         assert float(first[3]) == rep.runs[0][0]  # repr floats round-trip
 
     def test_json_dict(self, linear_reports):
