@@ -40,10 +40,6 @@ from .engine import (
     CpCurve,
     Explanation,
     ceteris_paribus_curve,
-    contextual_importance,
-    contextual_influence,
-    contextual_utility,
-    estimate_minmax,
     estimate_output_range,
     explain_instance,
     resolve_utility,

@@ -357,11 +357,16 @@ def cmd_explain(args) -> None:
     _write(args, formats, files, "\n\n".join(texts))
 
 
+# A fixed stream per global method, so its numbers do not depend on its place
+# in --methods; each id is the method's place in the default lists.
+_GLOBAL_STREAMS = {"ci": 0, "pfi-mae": 1, "pfi-ce": 1, "shapley": 2}
+
+
 def cmd_global(args) -> None:
     formats = _formats(args)
     predictor, space, utility, dataset = _setup(args)
+    classification = dataset is not None and dataset.task == "classification"
     if args.methods is None:
-        classification = dataset is not None and dataset.task == "classification"
         args.methods = "ci,pfi-ce,shapley" if classification else "ci,pfi-mae,shapley"
     methods = _names_list(args.methods, GLOBAL_METHODS)
     base = SeededRng(args.seed)
@@ -371,14 +376,18 @@ def cmd_global(args) -> None:
     table = [["method", "feature", "mean", "spread"]]
     lines = []
     width = max(len(n) for n in space.names)
-    for k, method in enumerate(methods):
+    for method in methods:
+        method_targets = targets
+        if classification and method == "pfi-mae":
+            # P(class output-index) against that class's indicator, not the class index
+            method_targets = [float(t == args.output_index) for t in targets]
         g, block = _timed(args, lambda: run_global(
             predictor, utility, space, method,
             iterations=args.iterations,
             instances_per_iteration=args.instances,
-            rng=base.spawn(k),
+            rng=base.spawn(_GLOBAL_STREAMS[method]),
             rows=rows,
-            targets=targets,
+            targets=method_targets,
             n=args.samples,
             budget=args.shapley_budget,
             output=args.output_index,

@@ -28,6 +28,7 @@ from .core import (
     DegenerateRangeError,
     FeatureSpace,
     Instance,
+    OutputSpec,
     OutputUtility,
     Predictor,
     Rows,
@@ -128,27 +129,6 @@ class Explanation:
         }
 
 
-def estimate_minmax(
-    predictor: Predictor,
-    space: FeatureSpace,
-    x: Instance,
-    feature: int,
-    n: int = 100,
-    rng=None,
-    output: int = 0,
-) -> tuple[float, float, float]:
-    """(ymin, ymax, y) of the output as one feature varies, others fixed.
-
-    Numeric features are probed at the source value, both endpoints, and n
-    uniform draws; categorical features at every level. Exact for
-    per-feature monotone predictors even with n = 0 because the endpoints
-    are always in the sample.
-    """
-    instances, source = build_sample_set(space, x, feature, n, rng)
-    ys = evaluate_rows(predictor, instances)[:, output]
-    return float(ys.min()), float(ys.max()), float(ys[source])
-
-
 def _sweep(
     predictor: Predictor,
     space: FeatureSpace,
@@ -241,60 +221,28 @@ def resolve_utility(
     return OutputUtility(tuple(outputs))
 
 
-def contextual_importance(ymin: float, ymax: float, utility: OutputUtility, output: int = 0) -> float:
-    """Interval width as a fraction of the full output range.
-
-    A feature whose variation cannot move the output at all gets 0. Values
-    above 1 are possible when the predictor leaves its declared range; they
-    are reported as-is, never clamped.
-    """
-    if ymax < ymin:
-        raise ConfigError("ymax must not be below ymin")
-    return (ymax - ymin) / utility.range_width(output)
-
-
-def contextual_utility(y: float, ymin: float, ymax: float, a_sign: float = 1.0) -> float:
-    """Position of y inside [ymin, ymax], measured from the worst end.
-
-    The worst end is ymin when utility rises with the output (a_sign > 0)
-    and ymax otherwise. Degenerate intervals (ymax == ymin) give 0.
-    """
-    if ymax < ymin:
-        raise ConfigError("ymax must not be below ymin")
-    if ymax == ymin:
-        return 0.0
-    yumin = ymin if a_sign > 0 else ymax
-    return abs(y - yumin) / (ymax - ymin)
-
-
 def check_phi0(phi0: float) -> None:
     """Reject a neutral utility level outside [0, 1], NaN included."""
     if not 0.0 <= phi0 <= 1.0:
         raise ConfigError("phi0 must lie in [0, 1]")
 
 
-def contextual_influence(ci: float, cu: float, phi0: float = 0.5) -> float:
-    """Signed attribution ci * (cu - phi0); zero importance gives zero."""
-    return ci * (cu - phi0)
+def _ciu(ymin: np.ndarray, ymax: np.ndarray, y: np.ndarray, spec: OutputSpec, phi0: float):
+    """(ci, cu, influence, degenerate, instability) arrays of intervals
+    [ymin, ymax] around outputs y, elementwise and of any one shape.
 
-
-def _ciu_value(
-    ymin: float,
-    ymax: float,
-    y: float,
-    utility: OutputUtility,
-    output: int,
-    phi0: float,
-) -> CiuValue:
-    spec = utility.spec(output)
-    width = utility.range_width(output)
-    ci = contextual_importance(ymin, ymax, utility, output)
+    A degenerate interval (ymax == ymin) has cu = 0. ci above 1, where the
+    predictor leaves its declared range, is reported as-is, never clamped.
+    """
+    width = spec.out_max - spec.out_min
+    span = ymax - ymin
+    ci = span / width
     degenerate = ymax == ymin
-    cu = contextual_utility(y, ymin, ymax, spec.a)
-    influence = contextual_influence(ci, cu, phi0)
+    worst = ymin if spec.a > 0 else ymax
+    cu = np.divide(np.abs(y - worst), span, out=np.zeros(span.shape), where=~degenerate)
     tol = _OVERSHOOT_TOL * max(1.0, abs(width))
-    instability = ymin < spec.out_min - tol or ymax > spec.out_max + tol
-    return CiuValue(ci, cu, influence, ymin, ymax, y, degenerate, instability)
+    instability = (ymin < spec.out_min - tol) | (ymax > spec.out_max + tol)
+    return ci, cu, ci * (cu - phi0), degenerate, instability
 
 
 def explain_instance(
@@ -311,28 +259,31 @@ def explain_instance(
 
     Every feature gets its own derived random stream (seed, feature index),
     so the explanation is independent of feature evaluation order and
-    byte-stable for a fixed seed. The output range must be declared or
-    resolved beforehand (see ``resolve_utility``).
+    byte-stable for a fixed seed. A feature's interval is the min and max
+    over its ``build_sample_set``, which holds both numeric endpoints, so it
+    is exact for per-feature monotone predictors even with n = 0. The output
+    range must be declared or resolved beforehand (see ``resolve_utility``).
     """
     check_phi0(phi0)
     utility.range_width(output)  # fail fast when the range is unresolved
-    base = as_rng(rng)
-    values = []
-    y_at_x = None
-    for i in range(len(space)):
-        ymin, ymax, y = estimate_minmax(
-            predictor, space, x, i, n, base.spawn(i), output
-        )
-        y_at_x = y
-        values.append(_ciu_value(ymin, ymax, y, utility, output, phi0))
     spec = utility.spec(output)
+    base = as_rng(rng)
+    intervals = np.empty((3, len(space)))  # ymin, ymax and y of each feature
+    for i in range(len(space)):
+        rows, source = build_sample_set(space, x, i, n, base.spawn(i))
+        ys = evaluate_rows(predictor, rows)[:, output]
+        intervals[:, i] = ys.min(), ys.max(), ys[source]
+    ymin, ymax, y = intervals
+    ci, cu, influence, degenerate, instability = _ciu(ymin, ymax, y, spec, phi0)
+    columns = (ci, cu, influence, ymin, ymax, y, degenerate, instability)
+    values = tuple(CiuValue(*v) for v in zip(*(c.tolist() for c in columns)))
     return Explanation(
         feature_names=space.names,
         feature_values=tuple(x.values),
-        values=tuple(values),
+        values=values,
         output_index=output,
         output_name=spec.name,
-        y=float(y_at_x),
+        y=y[-1].item(),
         phi0=phi0,
         sample_count=n,
         seed=base.seed,

@@ -71,11 +71,16 @@ class Dataset:
     def utility(self) -> OutputUtility:
         if self.task == CLASSIFICATION:
             return OutputUtility.classification(self.class_names)
-        values = np.asarray(self.target, dtype=float)
-        lo, hi = float(values.min()), float(values.max())
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
+        lo, hi = _widen_constant(float(min(self.target)), float(max(self.target)))
         return OutputUtility.single(self.target_name, out_min=lo, out_max=hi)
+
+
+def _widen_constant(lo: float, hi: float) -> tuple[float, float]:
+    """Widen a constant range (lo == hi) so it declares a valid interval: by
+    0.5 each way, or by one ulp where 0.5 rounds away (|lo| >= 2**53)."""
+    if lo != hi:
+        return lo, hi
+    return min(lo - 0.5, math.nextafter(lo, -math.inf)), max(hi + 0.5, math.nextafter(hi, math.inf))
 
 
 def _is_number(text: str) -> bool:
@@ -93,11 +98,7 @@ def _infer_feature(path, name: str, column: list[str], values: list[float] | Non
     try:
         if values is None:
             return FeatureSpec.categorical(name, dict.fromkeys(column))  # first-appearance order
-        lo, hi = min(values), max(values)
-        if lo == hi:
-            # Constant numeric column: widen so the declaration stays valid.
-            lo, hi = lo - 0.5, hi + 0.5
-        return FeatureSpec.numeric(name, lo, hi)
+        return FeatureSpec.numeric(name, *_widen_constant(min(values), max(values)))
     except ConfigError as e:
         raise DataFormatError(f"{path}: column {name!r}: {e}") from None
 

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+import ciukit as ck
 from ciukit import cli
-from conftest import write_classification_csv
+from conftest import write_classification_csv, write_multiclass_csv
 
 MID = "[0.5, 0.5, 0.5, 0.5]"
 
@@ -559,6 +560,55 @@ class TestGlobal:
             assert "at least one instance" in capsys.readouterr().err
 
 
+    def test_method_numbers_do_not_depend_on_their_place(self, tmp_path):
+        blocks = {}
+        for methods in ("ci,pfi-mae,shapley", "shapley,pfi-mae,ci"):
+            out = tmp_path / methods
+            assert run(
+                "global", "--predictor", "linear", "--iterations", "2",
+                "--instances", "10", "--samples", "5", "--shapley-budget", "10",
+                "--methods", methods, "--output-dir", str(out), "--format", "json",
+            ) == 0
+            doc = json.loads((out / "global_report.json").read_text())
+            blocks[methods] = {b["method"]: b for b in doc["results"]}
+        default, reversed_ = blocks.values()
+        assert default == reversed_
+
+    def test_pfi_mae_on_classification_scores_the_class_indicator(self, tmp_path, capsys):
+        def pfi_mae(model, data, output):
+            out = tmp_path / f"out{output}"
+            assert run(
+                "global", "--model", str(model), "--data", str(data), "--target", "label",
+                "--methods", "pfi-mae", "--output-index", str(output), "--iterations", "2",
+                "--instances", "30", "--output-dir", str(out), "--format", "json",
+            ) == 0, capsys.readouterr().err
+            (block,) = json.loads((out / "global_report.json").read_text())["results"]
+            return [f["mean"] for f in block["features"]]
+
+        binary = write_classification_csv(tmp_path / "binary.csv", n=40, seed=3)
+        run("train", "--data", str(binary), "--target", "label", "--trees", "5",
+            "--depth", "4", "--model-out", str(tmp_path / "binary.json"))
+        # |P(0) - [label == 0]| == |P(1) - [label == 1]|: output 0 measures what output 1 does
+        assert pfi_mae(tmp_path / "binary.json", binary, 0) == pytest.approx(
+            pfi_mae(tmp_path / "binary.json", binary, 1), abs=1e-12
+        )
+
+        multi = write_multiclass_csv(tmp_path / "multi.csv", n=90, seed=3)
+        model = tmp_path / "multi.json"
+        run("train", "--data", str(multi), "--target", "label", "--trees", "5",
+            "--depth", "4", "--model-out", str(model))
+        predictor = ck.load_model(model)
+        dataset = ck.load_csv(multi, "label", predictor.space, predictor.class_names)
+        utility = ck.OutputUtility.classification(predictor.class_names)
+        for output in (1, 2):
+            want = ck.run_global(
+                predictor, utility, predictor.space, "pfi-mae", iterations=2,
+                instances_per_iteration=30, rng=ck.SeededRng(42).spawn(1), rows=dataset.rows,
+                targets=[float(t == output) for t in dataset.target], output=output,
+            )
+            assert pfi_mae(model, multi, output) == list(want.mean)
+
+
 class TestTrainFlow:
     def test_train_then_explain_and_global(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
@@ -865,6 +915,45 @@ class TestOverflow:
         ) == 3
         assert "shapley estimates overflow" in _one_line_error(capsys)
         assert not (tmp_path / "out").exists()
+
+
+class TestHugeConstants:
+    """A constant column or target at |v| >= 2**53, where widening by 0.5 rounds away."""
+
+    def test_constant_column_trains_and_explains(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,label\n" + "".join(f"1e20,{b},{'yes' if b % 2 else 'no'}\n"
+                                                for b in range(8)))
+        model = str(tmp_path / "model.json")
+        assert run("train", "--data", str(data), "--target", "label", "--trees", "3",
+                   "--model-out", model) == 0
+        assert run(
+            "explain", "--model", model, "--data", str(data), "--target", "label",
+            "--instance", "row:1", "--samples", "5", "--output-dir", str(tmp_path / "out"),
+        ) == 0
+
+    def test_constant_target_explains_but_has_no_global_importance(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,y\n" + "".join(f"{a},{a * a % 5},1e20\n" for a in range(8)))
+        model = str(tmp_path / "model.json")
+        assert run("train", "--data", str(data), "--target", "y", "--trees", "3",
+                   "--model-out", model) == 0
+        common = ("--model", model, "--data", str(data), "--target", "y",
+                  "--output-dir", str(tmp_path / "out"))
+        for method in ("ciu", "shapley", "lime"):
+            assert run("explain", *common, "--instance", "row:1", "--method", method) == 0
+        assert run("stability", *common, "--instance", "row:1", "--runs", "2") == 0
+        capsys.readouterr()
+        assert run("global", *common, "--iterations", "1", "--instances", "5") == 3
+        assert "importances sum to zero" in _one_line_error(capsys)  # a constant model
+
+    def test_constant_column_at_1e308_names_the_column(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,y\n1e308,1,0\n1e308,2,1\n1e308,3,0\n1e308,2,1\n")
+        assert run("train", "--data", str(data), "--target", "y",
+                   "--model-out", str(tmp_path / "model.json")) == 3
+        err = _one_line_error(capsys)
+        assert "column 'a'" in err and "midpoint must be finite" in err
 
 
 class TestOutOfMemory:

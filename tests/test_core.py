@@ -544,7 +544,6 @@ PUBLIC_NAMES = [
     "OutputUtility", "Predictor", "Rows", "SeededRng", "SingularSystemError",
     "StabilityReport", "TreeEnsemble", "TreeParams", "accuracy", "as_rng", "build_sample_set",
     "builtin_model", "ceteris_paribus_curve", "ceteris_paribus_grid", "config_from_json",
-    "contextual_importance", "contextual_influence", "contextual_utility", "estimate_minmax",
     "estimate_output_range", "explain_instance", "global_ci", "global_mean_abs_shapley",
     "holdout_split", "lime_surrogate", "linear_reference_predictor", "load_config", "load_csv",
     "load_model", "nonlinear_reference_predictor", "normalize_importances",
@@ -558,7 +557,7 @@ PUBLIC_NAMES = [
 def test_package_exports_every_public_name_and_no_module():
     # The whole public surface: adding or removing a name must change this list.
     assert ck.__all__ == PUBLIC_NAMES
-    assert len(ck.__all__) == 71
+    assert len(ck.__all__) == 67
     assert not any(isinstance(getattr(ck, name), ModuleType) for name in ck.__all__)
     assert not any(name.startswith("_") for name in ck.__all__)
 

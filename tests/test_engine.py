@@ -1,8 +1,14 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ciukit as ck
 from ciukit.core import evaluate_rows
+from ciukit.engine import _ciu
 from conftest import expected_nonlinear_ciu, term_extremes
 
 
@@ -12,92 +18,165 @@ def linear_mid(linear_bundle):
     return space.instance([0.5, 0.5, 0.5, 0.5])
 
 
+def _reference_ciu(ymin, ymax, y, spec, phi0):
+    """The scalar CIU formulas, one interval at a time on Python floats:
+    the reference the array kernel must match bit for bit."""
+    width = spec.out_max - spec.out_min
+    ci = (ymax - ymin) / width
+    degenerate = ymax == ymin
+    if degenerate:
+        cu = 0.0
+    else:
+        yumin = ymin if spec.a > 0 else ymax
+        cu = abs(y - yumin) / (ymax - ymin)
+    tol = 1e-9 * max(1.0, abs(width))
+    instability = ymin < spec.out_min - tol or ymax > spec.out_max + tol
+    return ci, cu, ci * (cu - phi0), degenerate, instability
+
+
+def kernel(ymin, ymax, y, out_min=0.0, out_max=1.0, a=1.0, phi0=0.5):
+    """The kernel's five arrays as Python lists."""
+    spec = ck.OutputSpec("y", a=a, out_min=out_min, out_max=out_max)
+    arrays = [np.asarray(v, dtype=float) for v in (ymin, ymax, y)]
+    return [c.tolist() for c in _ciu(*arrays, spec, phi0)]
+
+
+@st.composite
+def intervals(draw):
+    """(ymin, ymax, y) with ymin <= y <= ymax, degenerate ones included."""
+    finite = st.floats(-1e3, 1e3)
+    if draw(st.booleans()):
+        v = draw(finite)
+        return v, v, v
+    lo, mid, hi = sorted(draw(finite) for _ in range(3))
+    return lo, hi, mid
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),  # (instances, d)
+    a_sign=st.sampled_from([1.0, -1.0]),
+    phi0=st.floats(0.0, 1.0),
+    out_min=st.floats(-1e3, 1e3),
+    width=st.floats(1e-3, 2e3),
+)
+def test_kernel_matches_scalar_formulas_bit_for_bit(data, shape, a_sign, phi0, out_min, width):
+    spec = ck.OutputSpec("y", a=a_sign, out_min=out_min, out_max=out_min + width)
+    size = shape[0] * shape[1]
+    cells = data.draw(st.lists(intervals(), min_size=size, max_size=size))
+    want = [_reference_ciu(*c, spec, phi0) for c in cells]
+    for s in ((size,), shape):
+        arrays = [np.array(col).reshape(s) for col in zip(*cells)]
+        got = [c.ravel().tolist() for c in _ciu(*arrays, spec, phi0)]
+        for k, ref in enumerate(want):
+            row = tuple(col[k] for col in got)
+            assert row == ref
+            # == does not see the sign of a zero; the bytes do
+            assert struct.pack("3d", *row[:3]) == struct.pack("3d", *ref[:3])
+
+
 class TestEstimateMinmax:
+    """The per-feature interval [ymin, ymax] and y that explain_instance finds."""
+
     def test_linear_first_feature_exact(self, linear_bundle, linear_mid):
-        pred, space, _ = linear_bundle
-        ymin, ymax, y = ck.estimate_minmax(pred, space, linear_mid, 0, n=100, rng=1)
-        assert ymin == pytest.approx(0.3, abs=1e-12)
-        assert ymax == pytest.approx(0.7, abs=1e-12)
-        assert y == pytest.approx(0.5, abs=1e-12)
+        pred, space, util = linear_bundle
+        v = ck.explain_instance(pred, util, space, linear_mid, n=100, rng=1).values[0]
+        assert v.ymin == pytest.approx(0.3, abs=1e-12)
+        assert v.ymax == pytest.approx(0.7, abs=1e-12)
+        assert v.y == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_predictor(self, linear_bundle, linear_mid):
-        _, space, _ = linear_bundle
+        _, space, util = linear_bundle
         pred = ck.FunctionPredictor(lambda x: np.full(len(x), 2.5))
-        ymin, ymax, y = ck.estimate_minmax(pred, space, linear_mid, 1, n=10, rng=1)
-        assert ymin == ymax == y == 2.5
+        v = ck.explain_instance(pred, util, space, linear_mid, n=10, rng=1).values[1]
+        assert v.ymin == v.ymax == v.y == 2.5
+        assert v.degenerate and v.ci == v.cu == 0.0
 
-    def test_nonlinear_interior_extremum(self, nonlinear_bundle):
+    def test_nonlinear_interior_extremum(self, nonlinear_resolved):
         # The fourth term has its minimum inside the interval, not at an
         # endpoint, so random draws must find it approximately.
-        pred, space, _ = nonlinear_bundle
+        pred, space, util = nonlinear_resolved
         x = space.instance([0.63, 0.63, 0.59, 0.81])
-        ymin, ymax, _ = ck.estimate_minmax(pred, space, x, 3, n=1000, rng=5)
+        v = ck.explain_instance(pred, util, space, x, n=1000, rng=5).values[3]
         lo, hi = term_extremes(3)
-        assert (ymax - ymin) == pytest.approx(hi - lo, abs=0.01)
-        assert (ymax - ymin) == pytest.approx(0.78125, abs=0.01)
+        assert (v.ymax - v.ymin) == pytest.approx(hi - lo, abs=0.01)
+        assert (v.ymax - v.ymin) == pytest.approx(0.78125, abs=0.01)
 
     def test_monotone_exact_with_zero_draws(self, linear_bundle):
-        pred, space, _ = linear_bundle
+        pred, space, util = linear_bundle
         x = space.instance([0.9, 0.1, 0.7, 0.3])
-        ymin, ymax, y = ck.estimate_minmax(pred, space, x, 1, n=0)
+        v = ck.explain_instance(pred, util, space, x, n=0).values[1]
         got = evaluate_rows(pred, [x])[0, 0]
-        assert y == got
-        assert ymax - ymin == pytest.approx(0.3, abs=1e-12)
+        assert v.y == got
+        assert v.ymax - v.ymin == pytest.approx(0.3, abs=1e-12)
 
 
 class TestCiuFormulas:
+    """The array kernel, on hand-picked intervals."""
+
     def test_importance_fraction(self):
-        util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
-        assert ck.contextual_importance(0.3, 0.7, util) == pytest.approx(0.4, abs=1e-12)
-        assert ck.contextual_importance(0.5, 0.5, util) == 0.0
+        ci = kernel([0.3, 0.5], [0.7, 0.5], [0.5, 0.5])[0]
+        assert ci[0] == pytest.approx(0.4, abs=1e-12)
+        assert ci[1] == 0.0
 
     def test_importance_can_exceed_one(self):
-        util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
-        assert ck.contextual_importance(-0.1, 1.3, util) == pytest.approx(1.4, abs=1e-12)
+        ci, _, _, _, instability = kernel([-0.1], [1.3], [0.5])
+        assert ci[0] == pytest.approx(1.4, abs=1e-12)  # reported as-is, not clamped
+        assert instability == [True]
 
     def test_importance_published_nonlinear_value(self):
         # interval of width 1 against the oscillatory benchmark's full range
-        util = ck.OutputUtility.single("y", out_min=-0.825, out_max=2.29)
-        assert ck.contextual_importance(0.0, 1.0, util) == pytest.approx(0.321, abs=1e-3)
+        ci = kernel([0.0], [1.0], [0.5], out_min=-0.825, out_max=2.29)[0]
+        assert ci[0] == pytest.approx(0.321, abs=1e-3)
 
-    def test_importance_errors(self):
-        util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
-        with pytest.raises(ck.ConfigError):
-            ck.contextual_importance(0.7, 0.3, util)
-        with pytest.raises(ck.ConfigError):
-            ck.contextual_importance(0.3, 0.7, ck.OutputUtility.single("y"))
+    def test_importance_errors(self, linear_bundle, linear_mid):
+        pred, space, _ = linear_bundle
+        with pytest.raises(ck.ConfigError):  # no declared or resolved range
+            ck.explain_instance(pred, ck.OutputUtility.single("y"), space, linear_mid)
+
+    def test_instability_tolerance(self):
+        # rounding slack of 1e-9 times the range width, but never below 1e-9
+        assert kernel([-5e-10, -2e-9], [0.005] * 2, [0.0] * 2, out_max=0.01)[4] == [False, True]
+        assert kernel([0.5] * 2, [100 + 5e-8, 100 + 2e-7], [1.0] * 2, out_max=100.0)[4] == [
+            False, True,
+        ]
 
     def test_utility_position(self):
-        assert ck.contextual_utility(0.5, 0.3, 0.7) == pytest.approx(0.5, abs=1e-12)
-        assert ck.contextual_utility(0.3, 0.3, 0.7) == 0.0
-        assert ck.contextual_utility(0.7, 0.3, 0.7) == 1.0
+        cu = kernel([0.3] * 3, [0.7] * 3, [0.5, 0.3, 0.7])[1]
+        assert cu[0] == pytest.approx(0.5, abs=1e-12)
+        assert cu[1:] == [0.0, 1.0]
 
     def test_utility_negative_slope_counts_from_top(self):
-        assert ck.contextual_utility(0.5, 0.3, 0.7, a_sign=-1.0) == pytest.approx(0.5)
-        assert ck.contextual_utility(0.3, 0.3, 0.7, a_sign=-1.0) == 1.0
+        cu = kernel([0.3] * 2, [0.7] * 2, [0.5, 0.3], a=-1.0)[1]
+        assert cu[0] == pytest.approx(0.5)
+        assert cu[1] == 1.0
 
     def test_utility_published_fourth_term_value(self):
         # contribution -0.1232 inside the fourth term's reachable interval
         lo, hi = term_extremes(3)
         assert lo == pytest.approx(-0.28125, abs=1e-9)
-        assert ck.contextual_utility(-0.1232, lo, 0.5) == pytest.approx(0.202, abs=1e-3)
+        assert kernel([lo], [0.5], [-0.1232])[1][0] == pytest.approx(0.202, abs=1e-3)
 
     def test_utility_degenerate_interval(self):
-        assert ck.contextual_utility(1.0, 1.0, 1.0) == 0.0
+        ci, cu, influence, degenerate, _ = kernel([1.0], [1.0], [1.0], out_max=2.0)
+        assert ci == cu == [0.0] and degenerate == [True]
+        assert math.copysign(1.0, cu[0]) == 1.0  # +0.0 ...
+        assert math.copysign(1.0, influence[0]) == -1.0  # ... so 0 * (0 - phi0) is -0.0
 
     def test_influence_identity(self):
-        assert ck.contextual_influence(0.4, 0.5, 0.5) == 0.0
-        assert ck.contextual_influence(0.3, 0.416, 0.5) == pytest.approx(-0.0252, abs=1e-12)
-        assert ck.contextual_influence(0.3, 0.416, 0.5) == pytest.approx(-0.025, abs=1e-3)
+        influence = kernel([0.25, 0.0], [0.75, 0.3], [0.5, 0.1248])[2]
+        assert influence[0] == 0.0
+        assert influence[1] == pytest.approx(-0.0252, abs=1e-12)
+        assert influence[1] == pytest.approx(-0.025, abs=1e-3)
         gen = np.random.Generator(np.random.PCG64(8))
-        for _ in range(100):
-            ci, cu, phi0 = gen.uniform(0, 1, 3)
-            assert ck.contextual_influence(ci, cu, phi0) == ci * (cu - phi0)
+        ymin, span, pos, phi0 = gen.uniform(0, 0.5, (4, 100))
+        ci, cu, influence, _, _ = kernel(ymin, ymin + span, ymin + pos * span, phi0=phi0)
+        assert influence == (np.array(ci) * (np.array(cu) - phi0)).tolist()
 
     def test_influence_range(self):
         # extreme cases pin the attainable interval [-phi0, 1 - phi0]
-        assert ck.contextual_influence(1.0, 0.0, 0.5) == -0.5
-        assert ck.contextual_influence(1.0, 1.0, 0.5) == 0.5
+        assert kernel([0.0, 0.0], [1.0, 1.0], [0.0, 1.0])[2] == [-0.5, 0.5]
 
 
 class TestExplainInstance:
@@ -251,12 +330,12 @@ class TestCeterisParibusCurve:
         assert curve.ymin == curve.ymax == curve.y_u0 == 1.0
 
     def test_curve_extremes_match_estimate(self, nonlinear_resolved):
-        pred, space, _ = nonlinear_resolved
+        pred, space, util = nonlinear_resolved
         x = space.instance([0.63, 0.63, 0.59, 0.81])
         curve = ck.ceteris_paribus_curve(pred, space, x, 3, grid_size=101)
-        ymin, ymax, _ = ck.estimate_minmax(pred, space, x, 3, n=1000, rng=2)
-        assert curve.ymin == pytest.approx(ymin, abs=0.01)
-        assert curve.ymax == pytest.approx(ymax, abs=0.01)
+        v = ck.explain_instance(pred, util, space, x, n=1000, rng=2).values[3]
+        assert curve.ymin == pytest.approx(v.ymin, abs=0.01)
+        assert curve.ymax == pytest.approx(v.ymax, abs=0.01)
 
     def test_errors(self, linear_bundle, linear_mid):
         pred, space, _ = linear_bundle

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ class TestSchemaInference:
         ds = ck.load_csv(path, target="y")
         a = ds.space.features[0]
         assert a.min == 1.5 and a.max == 2.5
+
+    def test_huge_constant_widened_by_one_ulp(self, tmp_path):
+        # 1e20 +/- 0.5 rounds back to 1e20, so both the column and the target step one ulp
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,y\n1e20,1,1e20\n1e20,3,1e20\n")
+        ds = ck.load_csv(path, target="y")
+        below, above = math.nextafter(1e20, -math.inf), math.nextafter(1e20, math.inf)
+        a = ds.space.features[0]
+        assert (a.min, a.max) == (below, above)
+        spec = ds.utility().spec(0)
+        assert (spec.out_min, spec.out_max) == (below, above)
 
     def test_rows_are_one_encoded_batch(self, clean_dataset):
         rows = clean_dataset.rows
