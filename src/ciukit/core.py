@@ -218,9 +218,12 @@ class Predictor:
     """Black-box model contract: batch of instances in, output matrix out.
 
     ``evaluate`` must be deterministic for a fixed instance batch and must
-    not mutate anything. The toolkit only ever calls this method, through
-    ``evaluate_rows``, so any model that honors it can be explained. The
-    batch is a sized sequence of ``Instance``s, often a matrix-backed
+    not mutate anything. A row's output must not depend on the other rows
+    in its batch: the toolkit stacks the perturbations of many features and
+    instances into one batch and splits large batches, and the results must
+    not change with that layout. The toolkit only ever calls this method,
+    through ``evaluate_rows``, so any model that honors it can be explained.
+    The batch is a sized sequence of ``Instance``s, often a matrix-backed
     ``Rows``; iterating it always works.
     """
 
@@ -336,7 +339,8 @@ def linear_reference_predictor() -> Predictor:
 
     Weights are convex, so the output covers [0, 1] exactly.
     """
-    return FunctionPredictor(lambda x: x @ _LINEAR_WEIGHTS)
+    # einsum, not BLAS's ``x @ w``: a row's bits then do not depend on the batch.
+    return FunctionPredictor(lambda x: np.einsum("ij,j->i", x, _LINEAR_WEIGHTS))
 
 
 def nonlinear_reference_predictor() -> Predictor:

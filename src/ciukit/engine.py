@@ -32,6 +32,7 @@ from .core import (
     OutputUtility,
     Predictor,
     Rows,
+    _CHUNK,
     evaluate_rows,
 )
 from .sampling import (
@@ -87,12 +88,6 @@ class Explanation:
     sample_count: int
     seed: int
     estimated_range: bool = False
-
-    def ci_vector(self) -> np.ndarray:
-        return np.array([v.ci for v in self.values])
-
-    def cu_vector(self) -> np.ndarray:
-        return np.array([v.cu for v in self.values])
 
     def influence_vector(self) -> np.ndarray:
         return np.array([v.influence for v in self.values])
@@ -245,6 +240,35 @@ def _ciu(ymin: np.ndarray, ymax: np.ndarray, y: np.ndarray, spec: OutputSpec, ph
     return ci, cu, ci * (cu - phi0), degenerate, instability
 
 
+def _ciu_intervals(
+    predictor: Predictor, space: FeatureSpace, instances, streams, output: int, n: int
+) -> np.ndarray:
+    """(3, instances, features) array of each instance's per-feature ymin,
+    ymax and y: the min, max and source row of feature i's
+    ``build_sample_set`` from the stream ``streams[r].spawn(i)``. The set
+    holds both numeric endpoints, so the interval is exact for per-feature
+    monotone predictors even with n = 0. All instances' sets share one
+    layout, so those of as many instances as fit in ``_CHUNK`` rows go to
+    the predictor in one call."""
+    sizes = [n + 3 if feat.is_numeric else len(feat.levels) for feat in space]
+    width = sum(sizes)
+    starts = np.cumsum(sizes) - sizes
+    block = max(1, _CHUNK // max(1, width))  # a negative n fails in build_sample_set
+    out = np.empty((3, len(instances), len(space)))
+    for lo in range(0, len(instances), block):
+        sets = [
+            build_sample_set(space, x, i, n, stream.spawn(i))
+            for x, stream in zip(instances[lo : lo + block], streams[lo : lo + block])
+            for i in range(len(space))
+        ]
+        ys = evaluate_rows(predictor, Rows(space, np.vstack([s.matrix for s, _ in sets])))
+        firsts = (np.arange(len(ys) // width)[:, None] * width + starts).ravel()
+        ys, sources = ys[:, output], firsts + [source for _, source in sets]
+        low, high = np.minimum.reduceat(ys, firsts), np.maximum.reduceat(ys, firsts)
+        out[:, lo : lo + block] = np.reshape([low, high, ys[sources]], (3, -1, len(space)))
+    return out
+
+
 def explain_instance(
     predictor: Predictor,
     utility: OutputUtility,
@@ -258,22 +282,15 @@ def explain_instance(
     """Explain one instance: per-feature importance, utility, and influence.
 
     Every feature gets its own derived random stream (seed, feature index),
-    so the explanation is independent of feature evaluation order and
-    byte-stable for a fixed seed. A feature's interval is the min and max
-    over its ``build_sample_set``, which holds both numeric endpoints, so it
-    is exact for per-feature monotone predictors even with n = 0. The output
-    range must be declared or resolved beforehand (see ``resolve_utility``).
+    so the explanation is byte-stable for a fixed seed (see
+    ``_ciu_intervals``). The output range must be declared or resolved
+    beforehand (see ``resolve_utility``).
     """
     check_phi0(phi0)
     utility.range_width(output)  # fail fast when the range is unresolved
     spec = utility.spec(output)
     base = as_rng(rng)
-    intervals = np.empty((3, len(space)))  # ymin, ymax and y of each feature
-    for i in range(len(space)):
-        rows, source = build_sample_set(space, x, i, n, base.spawn(i))
-        ys = evaluate_rows(predictor, rows)[:, output]
-        intervals[:, i] = ys.min(), ys.max(), ys[source]
-    ymin, ymax, y = intervals
+    ymin, ymax, y = _ciu_intervals(predictor, space, [x], [base], output, n)[:, 0]
     ci, cu, influence, degenerate, instability = _ciu(ymin, ymax, y, spec, phi0)
     columns = (ci, cu, influence, ymin, ymax, y, degenerate, instability)
     values = tuple(CiuValue(*v) for v in zip(*(c.tolist() for c in columns)))

@@ -21,7 +21,7 @@ from .core import (
     sample_sd,
 )
 from .baselines import permutation_importance, shapley_mc
-from .engine import explain_instance
+from .engine import _ciu, _ciu_intervals
 from .sampling import as_rng, uniform_instances
 
 GLOBAL_METHODS = ("ci", "pfi-mae", "pfi-ce", "shapley")
@@ -70,8 +70,10 @@ def normalize_importances(values: Sequence[float]) -> np.ndarray:
     """Scale importances to proportions that sum to one."""
     v = np.asarray(values, dtype=float)
     total = float(v.sum())
-    if total <= 0.0 or not np.isfinite(total):
-        raise DegenerateRangeError("importances sum to zero; nothing to normalize")
+    if not np.isfinite(total):
+        raise DegenerateRangeError("importances do not sum to a finite number")
+    if total <= 0.0:
+        raise DegenerateRangeError("importances sum to zero or less; nothing to normalize")
     return v / total
 
 
@@ -109,19 +111,17 @@ def global_ci(
     """Mean per-feature importance over an instance sample.
 
     Each instance contributes one importance value per feature (interval
-    width over output range width); the summary is their mean and sample
+    width over output range width), from the stream (seed, instance index)
+    as ``explain_instance`` gets it; the summary is their mean and sample
     standard deviation.
     """
     if not instances:
         raise ConfigError("global importance needs at least one instance")
-    base = as_rng(rng)
-    ci = np.empty((len(instances), len(space)))
-    degenerate = np.zeros(len(space), dtype=bool)
-    for r, x in enumerate(instances):
-        exp = explain_instance(predictor, utility, space, x, output, n, rng=base.spawn(r))
-        ci[r] = exp.ci_vector()
-        degenerate |= [v.degenerate for v in exp.values]
-    return _summary("ci", space, ci, degenerate, len(instances))
+    utility.range_width(output)  # fail fast when the range is unresolved
+    streams = [as_rng(rng).spawn(r) for r in range(len(instances))]
+    intervals = _ciu_intervals(predictor, space, instances, streams, output, n)
+    ci, _, _, degenerate, _ = _ciu(*intervals, utility.spec(output), phi0=0.5)
+    return _summary("ci", space, ci, degenerate.any(axis=0), len(instances))
 
 
 def global_mean_abs_shapley(
@@ -170,7 +170,10 @@ def run_global(
     method's per-feature importances, and normalizes them to proportions.
     The result reports the mean and sample standard deviation of those
     proportions across iterations, and the number of instances drawn per
-    iteration: at most ``len(rows)`` for a bootstrap.
+    iteration: at most ``len(rows)`` for a bootstrap. An iteration whose
+    importances sum to zero or less (a constant model, or permutation
+    deltas that are negative by chance) raises DegenerateRangeError naming
+    the method and the iteration.
     """
     if method not in GLOBAL_METHODS:
         raise ConfigError(f"unknown global method {method!r}; use one of {GLOBAL_METHODS}")
@@ -210,7 +213,10 @@ def run_global(
             raw = permutation_importance(
                 predictor, space, sample, sample_targets, loss, rng=sub_rng, output=output
             )
-        per_iter.append(normalize_importances(raw))
+        try:
+            per_iter.append(normalize_importances(raw))
+        except DegenerateRangeError as e:
+            raise DegenerateRangeError(f"{method}, iteration {it}: {e}") from None
     return _summary(
         method, space, np.vstack(per_iter), degenerate, count, iterations, normalized=True
     )

@@ -20,8 +20,8 @@ from .baselines import (
     lime_surrogate,
     shapley_mc,
 )
-from .engine import check_phi0, explain_instance
-from .sampling import SeededRng, as_rng, uniform_instances
+from .engine import _ciu, _ciu_intervals, check_phi0
+from .sampling import as_rng, uniform_instances
 
 ALL_METHODS = (METHOD_INFLUENCE, METHOD_SHAPLEY, METHOD_LIME)
 
@@ -91,34 +91,6 @@ class StabilityReport:
         }
 
 
-def _run_once(
-    method: str,
-    predictor: Predictor,
-    utility: OutputUtility,
-    space: FeatureSpace,
-    x: Instance,
-    budgets: Budgets,
-    rng: SeededRng,
-    phi0: float,
-    output: int,
-    background: Sequence[Instance] | None,
-) -> tuple[float, ...]:
-    if method == METHOD_INFLUENCE:
-        exp = explain_instance(
-            predictor, utility, space, x, output, budgets.ciu_samples, phi0, rng
-        )
-        return tuple(float(v) for v in exp.influence_vector())
-    if method == METHOD_SHAPLEY:
-        att = shapley_mc(
-            predictor, space, x, background, budgets.shapley_budget, rng, output
-        )
-        return att.phi
-    att = lime_surrogate(
-        predictor, space, x, budgets.lime_samples, rng=rng, output=output
-    )
-    return att.phi
-
-
 def run_stability(
     predictor: Predictor,
     utility: OutputUtility,
@@ -153,14 +125,25 @@ def run_stability(
         # outside any realistic run count.
         background = uniform_instances(space, 1000, base.spawn(987654321))
     reports = {}
+    streams = [base.spawn(r) for r in range(runs)]
     for m in methods:
-        values = tuple(
-            _run_once(
-                m, predictor, utility, space, x,
-                budgets, base.spawn(r), phi0, output, background,
+        if m == METHOD_INFLUENCE:
+            # Run r is explain_instance under stream r; all runs share one call.
+            utility.range_width(output)  # fail fast when the range is unresolved
+            intervals = _ciu_intervals(
+                predictor, space, [x] * runs, streams, output, budgets.ciu_samples
             )
-            for r in range(runs)
-        )
+            values = tuple(map(tuple, _ciu(*intervals, utility.spec(output), phi0)[2].tolist()))
+        elif m == METHOD_SHAPLEY:
+            values = tuple(
+                shapley_mc(predictor, space, x, background, budgets.shapley_budget, s, output).phi
+                for s in streams
+            )
+        else:
+            values = tuple(
+                lime_surrogate(predictor, space, x, budgets.lime_samples, rng=s, output=output).phi
+                for s in streams
+            )
         reports[m] = StabilityReport(
             method=m,
             feature_names=space.names,

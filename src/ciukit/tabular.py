@@ -257,6 +257,23 @@ def _gini_sums(counts: np.ndarray, n: np.ndarray) -> np.ndarray:
     return n * (1.0 - ((counts / n[:, None]) ** 2).sum(axis=1))
 
 
+def _square_safe_scale(values: np.ndarray) -> float:
+    """1.0, or the power of two that brings ``values`` so far below the float
+    limit that no squared sum over them (regression impurities, r2) can
+    overflow. Multiplying by it is exact unless a value turns subnormal."""
+    top = float(np.abs(values).max(initial=0.0))
+    limit = math.sqrt(np.finfo(float).max) / (4 * max(1, len(values)))
+    return 1.0 if top <= limit else math.ldexp(1.0, -math.frexp(top / limit)[1])
+
+
+def _unscale_leaves(node: dict, factor: float) -> None:
+    if "leaf" in node:
+        node["leaf"] = [v * factor for v in node["leaf"]]
+    else:
+        _unscale_leaves(node["left"], factor)
+        _unscale_leaves(node["right"], factor)
+
+
 def _sse(y: np.ndarray) -> float:
     # Regression impurity: the sum of squared deviations from the mean.
     return float(((y - y.mean()) ** 2).sum())
@@ -611,6 +628,7 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
     if len(dataset) < 2:
         raise ConfigError("training needs at least two rows")
     base = as_rng(rng)
+    scale = 1.0
     if dataset.task == CLASSIFICATION:
         n_outputs = len(dataset.class_names)
         y = np.asarray(dataset.target, dtype=int)
@@ -622,12 +640,19 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
     else:
         n_outputs = 1
         y = np.asarray(dataset.target, dtype=float)
+        # Targets near the float limit would overflow every squared sum and
+        # leave each tree one leaf: grow on y times an exact power of two.
+        scale = _square_safe_scale(y)
+        y = y * scale
     # One row per feature: floats, or level codes for a categorical feature.
     X = np.ascontiguousarray(dataset.rows.matrix.T)
     n = len(dataset)
     gens = [base.spawn(t).generator() for t in range(params.n_trees)]
     boots = [np.sort(gen.integers(0, n, size=n)) for gen in gens]
     trees = _grow_trees(X, y, boots, gens, dataset.space, params, dataset.task, n_outputs)
+    if scale != 1.0:
+        for tree in trees:
+            _unscale_leaves(tree, 1.0 / scale)
     return TreeEnsemble(dataset.space, trees, dataset.task, dataset.class_names, params)
 
 
@@ -637,8 +662,10 @@ def accuracy(model: TreeEnsemble, dataset: Dataset) -> float:
     if dataset.task == CLASSIFICATION:
         predicted = np.argmax(outputs, axis=1)
         return float(np.mean(predicted == np.asarray(dataset.target)))
-    t = np.asarray(dataset.target, dtype=float)
-    ss_res = float(np.sum((outputs[:, 0] - t) ** 2))
+    t, predicted = np.asarray(dataset.target, dtype=float), outputs[:, 0]
+    scale = _square_safe_scale(np.concatenate([t, predicted]))  # r2 does not change
+    t, predicted = t * scale, predicted * scale
+    ss_res = float(np.sum((predicted - t) ** 2))
     ss_tot = float(np.sum((t - t.mean()) ** 2))
     if ss_tot == 0.0:
         return 1.0 if ss_res == 0.0 else 0.0

@@ -35,10 +35,10 @@ def test_criterion_01_linear_exactness(capsys, linear_bundle):
     start = time.perf_counter()
     exp = ck.explain_instance(pred, util, space, space.instance([0.5] * 4), n=100, rng=42)
     elapsed = time.perf_counter() - start
-    _check(failures, np.allclose(exp.ci_vector(), LINEAR_WEIGHTS, atol=1e-9),
-           f"ci {exp.ci_vector()} != weights within 1e-9")
-    _check(failures, np.allclose(exp.cu_vector(), 0.5, atol=1e-9),
-           f"cu {exp.cu_vector()} != 0.5 within 1e-9")
+    _check(failures, np.allclose([v.ci for v in exp.values], LINEAR_WEIGHTS, atol=1e-9),
+           f"ci {[v.ci for v in exp.values]} != weights within 1e-9")
+    _check(failures, np.allclose([v.cu for v in exp.values], 0.5, atol=1e-9),
+           f"cu {[v.cu for v in exp.values]} != 0.5 within 1e-9")
     _check(failures, np.allclose(exp.influence_vector(), 0.0, atol=1e-9),
            f"influence {exp.influence_vector()} != 0 within 1e-9")
     _check(failures, elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s")
@@ -95,10 +95,10 @@ def test_criterion_03_oscillatory_benchmark(capsys, nonlinear_bundle):
     want_ci = (0.300, 0.128, 0.321, 0.251)
     want_cu = (0.416, 0.416, 0.348, 0.202)
     want_phi = (-0.025, -0.011, -0.049, -0.075)
-    _check(failures, np.allclose(exp.ci_vector(), want_ci, atol=0.01),
-           f"ci {np.round(exp.ci_vector(), 4)} vs {want_ci}")
-    _check(failures, np.allclose(exp.cu_vector(), want_cu, atol=0.01),
-           f"cu {np.round(exp.cu_vector(), 4)} vs {want_cu}")
+    _check(failures, np.allclose([v.ci for v in exp.values], want_ci, atol=0.01),
+           f"ci {np.round([v.ci for v in exp.values], 4)} vs {want_ci}")
+    _check(failures, np.allclose([v.cu for v in exp.values], want_cu, atol=0.01),
+           f"cu {np.round([v.cu for v in exp.values], 4)} vs {want_cu}")
     _check(failures, np.allclose(exp.influence_vector(), want_phi, atol=0.01),
            f"influence {np.round(exp.influence_vector(), 4)} vs {want_phi}")
     elapsed = time.perf_counter() - start

@@ -956,6 +956,23 @@ class TestHugeConstants:
         assert "column 'a'" in err and "midpoint must be finite" in err
 
 
+class TestHugeRegressionTarget:
+    def test_targets_near_1e300_still_split(self, tmp_path, capsys):
+        # The squared sums of such targets overflow unless they are scaled.
+        rows = [(k / 11, (7 * k % 12) / 11) for k in range(12)]
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,y\n" + "".join(
+            f"{a!r},{b!r},{(1 if a > 0.5 else -1) * 1e300 * (1 + b)!r}\n" for a, b in rows
+        ))
+        model = tmp_path / "model.json"
+        assert run("train", "--data", str(data), "--target", "y", "--trees", "5",
+                   "--model-out", str(model)) == 0
+        out = capsys.readouterr().out
+        assert "holdout r2=" in out and "nan" not in out
+        trees = json.loads(model.read_text())["trees"]
+        assert any("feature" in tree for tree in trees)  # not all single leaves
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize(
         "message, shown",

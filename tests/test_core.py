@@ -351,20 +351,21 @@ class TestRows:
         pred = MixedModel()
         util = ck.OutputUtility.single("y", out_min=-2.0, out_max=2.0)
         ck.explain_instance(pred, util, space, x, n=6, rng=ck.SeededRng(3))
-        assert len(pred.batches) == len(space)
-        for i, batch in enumerate(pred.batches):
-            assert all(type(r) is ck.Instance for r in batch)
-            assert all(
-                (float, str, float) == tuple(type(v) for v in r.values) for r in batch
-            )
-            feat = space[i]
+        # Every feature's sample set, in feature order, in one batch.
+        assert len(pred.batches) == 1
+        batch = pred.batches[0]
+        assert all(type(r) is ck.Instance for r in batch)
+        assert all((float, str, float) == tuple(type(v) for v in r.values) for r in batch)
+        want = []
+        for i, feat in enumerate(space):
             if feat.is_numeric:
                 gen = ck.SeededRng(3).spawn(i).generator()
                 varied = [x.values[i], feat.min, feat.max]
                 varied += [float(v) for v in gen.uniform(feat.min, feat.max, size=6)]
             else:
                 varied = list(feat.levels)
-            assert exact(batch) == exact([replaced(x, i, v) for v in varied])
+            want += [replaced(x, i, v) for v in varied]
+        assert exact(batch) == exact(want)
 
     def test_decode_index_slice_and_equality(self):
         space = mixed_space()
@@ -483,7 +484,7 @@ class TestRows:
         background = ck.uniform_instances(space, 9, 4)
         ck.explain_instance(pred, util, space, x, n=10, rng=1)
         ck.shapley_mc(pred, space, x, background, budget=7, rng=2)
-        assert counts == [13] * 4 + [7 * 5, 9]
+        assert counts == [13 * 4, 7 * 5, 9]  # the four sample sets share one call
         assert len(values) == sum(counts)
         assert all(type(v) is float for row in values for v in row)
         assert values[-9:] == [r.values for r in background]

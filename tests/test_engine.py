@@ -183,8 +183,8 @@ class TestExplainInstance:
     def test_linear_exact_midpoint(self, linear_bundle, linear_mid):
         pred, space, util = linear_bundle
         exp = ck.explain_instance(pred, util, space, linear_mid, n=100, rng=42)
-        assert np.allclose(exp.ci_vector(), [0.4, 0.3, 0.2, 0.1], atol=1e-9)
-        assert np.allclose(exp.cu_vector(), [0.5, 0.5, 0.5, 0.5], atol=1e-9)
+        assert np.allclose([v.ci for v in exp.values], [0.4, 0.3, 0.2, 0.1], atol=1e-9)
+        assert np.allclose([v.cu for v in exp.values], [0.5, 0.5, 0.5, 0.5], atol=1e-9)
         assert np.allclose(exp.influence_vector(), 0.0, atol=1e-9)
         assert exp.y == pytest.approx(0.5, abs=1e-12)
         assert all(v.flags == () for v in exp.values)
@@ -203,8 +203,8 @@ class TestExplainInstance:
         pred, space, util = nonlinear_resolved
         x = space.instance([0.63, 0.63, 0.59, 0.81])
         exp = ck.explain_instance(pred, util, space, x, n=1000, rng=42)
-        assert np.allclose(exp.ci_vector(), [0.300, 0.128, 0.321, 0.251], atol=0.01)
-        assert np.allclose(exp.cu_vector(), [0.416, 0.416, 0.348, 0.202], atol=0.01)
+        assert np.allclose([v.ci for v in exp.values], [0.300, 0.128, 0.321, 0.251], atol=0.01)
+        assert np.allclose([v.cu for v in exp.values], [0.416, 0.416, 0.348, 0.202], atol=0.01)
         assert np.allclose(
             exp.influence_vector(), [-0.025, -0.011, -0.049, -0.075], atol=0.01
         )
@@ -292,6 +292,14 @@ class TestExplainInstance:
         pred, space, util = linear_bundle
         with pytest.raises(ck.ConfigError):
             ck.explain_instance(pred, util, space, linear_mid, phi0=1.5)
+
+    @pytest.mark.parametrize("n", [-1, -3])  # -3 leaves numeric sample sets no rows
+    def test_negative_sample_count_rejected(self, linear_bundle, linear_mid, n):
+        pred, space, util = linear_bundle
+        with pytest.raises(ck.ConfigError, match="non-negative"):
+            ck.explain_instance(pred, util, space, linear_mid, n=n)
+        with pytest.raises(ck.ConfigError, match="non-negative"):
+            ck.global_ci(pred, util, space, [linear_mid] * 3, n=n)
 
     def test_unresolved_range_rejected(self, nonlinear_bundle, linear_mid):
         pred, space, util = nonlinear_bundle

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import ciukit as ck
-from conftest import LINEAR_WEIGHTS, nonlinear_joint_range, term_extremes
+from ciukit.engine import _ciu_intervals
+from conftest import LINEAR_WEIGHTS, MixedModel, mixed_space, nonlinear_joint_range, term_extremes
 
 
 class TestNormalize:
@@ -74,6 +75,64 @@ class TestGlobalCi:
             ck.global_ci(pred, util, space, [])
 
 
+def _explain_each(pred, util, space, rows, n, seed):
+    return [
+        ck.explain_instance(pred, util, space, x, n=n, rng=ck.SeededRng(seed).spawn(r))
+        for r, x in enumerate(rows)
+    ]
+
+
+def _summary_of(exps):
+    """global_ci's summary rebuilt from one explanation per instance."""
+    ci = np.array([[v.ci for v in e.values] for e in exps])
+    degenerate = [any(e.values[i].degenerate for e in exps) for i in range(ci.shape[1])]
+    return tuple(ci.mean(axis=0).tolist()), tuple(ck.core.sample_sd(ci).tolist()), tuple(degenerate)
+
+
+class TestGlobalCiBlocks:
+    """global_ci sends the sample sets of as many instances as fit in one
+    chunk to the predictor in one call; each instance still gets exactly
+    the values explain_instance gives it."""
+
+    def test_three_blocks_match_explain_instance(self, linear_bundle):
+        _, space, _ = linear_bundle
+        calls = []
+
+        def fn(m):
+            calls.append(len(m))
+            # x2 matters only where x1 > 0.5 and x4 never: degenerate intervals
+            return np.maximum(m[:, 0] - 0.5, 0.0) * m[:, 1] + m[:, 2] ** 2
+
+        pred = ck.FunctionPredictor(fn)
+        util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.5)
+        rows = ck.uniform_instances(space, 400, ck.SeededRng(8))
+        g = ck.global_ci(pred, util, space, rows, n=100, rng=9)
+        per_instance = 4 * 103  # 159 instances fit in one 65536-row chunk
+        assert calls == [159 * per_instance, 159 * per_instance, 82 * per_instance]
+        exps = _explain_each(pred, util, space, rows, 100, 9)
+        assert (g.mean, g.spread, g.degenerate) == _summary_of(exps)
+        assert g.degenerate == (False, True, False, True)
+
+    def test_mixed_space_source_rows_match_explain_instance(self):
+        space = mixed_space()
+        pred = MixedModel()
+        util = ck.OutputUtility.single("y", out_min=-2.0, out_max=2.0)
+        rows = ck.uniform_instances(space, 400, ck.SeededRng(4))
+        assert len(set(rows.matrix[:, 1].tolist())) == 3  # the source level varies
+        g = ck.global_ci(pred, util, space, rows, n=100, rng=5)
+        assert [len(b) for b in pred.batches] == [313 * 209, 87 * 209]
+        exps = _explain_each(pred, util, space, rows, 100, 5)
+        assert (g.mean, g.spread, g.degenerate) == _summary_of(exps)
+        # Each instance's y comes from its own source row, which for the
+        # categorical feature sits at a different place in every set.
+        streams = [ck.SeededRng(5).spawn(r) for r in range(len(rows))]
+        intervals = _ciu_intervals(pred, space, rows, streams, 0, 100)
+        want = [[[v.ymin, v.ymax, v.y] for v in e.values] for e in exps]
+        assert intervals.transpose(1, 2, 0).tolist() == want
+        own = pred.evaluate(rows)[:, 0]
+        assert (intervals[2] == own[:, None]).all()
+
+
 class TestGlobalShapley:
     def test_linear_weight_proportions(self, linear_bundle):
         pred, space, _ = linear_bundle
@@ -139,6 +198,24 @@ class TestRunGlobal:
             ck.run_global(pred, util, space, "anova")
         with pytest.raises(ck.ConfigError):
             ck.run_global(pred, util, space, "ci", iterations=0)
+
+    def test_an_iteration_summing_to_zero_stays_a_typed_error(self):
+        # Neither feature moves the output alone at (0.1, 0.1): both ci are 0.
+        pred = ck.FunctionPredictor(
+            lambda m: np.maximum(m[:, 0] - 0.5, 0.0) * np.maximum(m[:, 1] - 0.5, 0.0)
+        )
+        space = ck.FeatureSpace(
+            (ck.FeatureSpec.numeric("a", 0.0, 1.0), ck.FeatureSpec.numeric("b", 0.0, 1.0))
+        )
+        util = ck.OutputUtility.single("y", out_min=0.0, out_max=0.25)
+        rows = [ck.Instance((0.9, 0.9)), ck.Instance((0.1, 0.1))]
+        kwargs = dict(instances_per_iteration=1, rng=0, rows=rows)
+        with pytest.raises(
+            ck.DegenerateRangeError, match="^ci, iteration 7: importances sum to zero or less"
+        ):
+            ck.run_global(pred, util, space, "ci", iterations=20, **kwargs)
+        # the seven iterations before it drew the other row
+        assert ck.run_global(pred, util, space, "ci", iterations=7, **kwargs).n_iterations == 7
 
     def test_json_dict(self, linear_bundle):
         pred, space, util = linear_bundle

@@ -15,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ciukit as ck
+from ciukit.core import _CHUNK
+from ciukit.tabular import _ROUTE_BLOCK
+from conftest import write_classification_csv
 
 EPS = 1e-7
 
@@ -263,3 +266,51 @@ def test_affine_rescale_of_outputs_keeps_ci_and_cu(problem, n, seed, scale, shif
         assert r.ci == pytest.approx(p.ci, rel=1e-9, abs=1e-12)
         if p.ymax - p.ymin > 1e-6:  # narrower intervals lose digits to rounding
             assert r.cu == pytest.approx(p.cu, abs=1e-6)
+
+
+_SPLIT_ROWS = _CHUNK + 1000
+_TREES = 20
+
+
+@pytest.fixture(scope="module")
+def row_batches(tmp_path_factory):
+    """Each shipped predictor kind with one batch of uniform rows over its
+    space and the outputs of that whole batch in a single call."""
+    path = write_classification_csv(tmp_path_factory.mktemp("split") / "d.csv", n=300)
+    model = ck.train_ensemble(
+        ck.load_csv(path, target="label"), ck.TreeParams(n_trees=_TREES, max_depth=4), rng=3
+    )
+    out = {}
+    for name, pred, space in (
+        ("linear", *ck.builtin_model("linear")[:2]),
+        ("nonlinear", *ck.builtin_model("nonlinear")[:2]),
+        ("trees", model, model.space),  # "grade" is categorical
+    ):
+        rows = ck.uniform_instances(space, _SPLIT_ROWS, ck.SeededRng(11))
+        out[name] = pred, rows, pred.evaluate(rows).tobytes()
+    return out
+
+
+# Cut points near the evaluator's chunk and the ensemble's routing block.
+_edges = [_CHUNK - 1, _CHUNK, _CHUNK + 1, _ROUTE_BLOCK // _TREES, 3 * (_ROUTE_BLOCK // _TREES) + 1]
+cuts = st.lists(st.sampled_from(_edges) | st.integers(1, _SPLIT_ROWS - 1), max_size=6)
+
+
+@pytest.mark.parametrize("name", ["linear", "nonlinear", "trees"])
+@settings(max_examples=10, deadline=None)
+@given(cuts=cuts)
+def test_rows_are_independent_of_the_batch_split(row_batches, name, cuts):
+    # The row contract of Predictor: a row's output bits do not depend on
+    # the other rows of its batch, so stacking and chunking change nothing.
+    pred, rows, whole = row_batches[name]
+    bounds = [0, *sorted(set(cuts)), len(rows)]
+    parts = [pred.evaluate(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tobytes() == whole
+
+
+@pytest.mark.parametrize("name", ["linear", "nonlinear", "trees"])
+def test_one_row_batches_and_chunks_match_the_whole_batch(row_batches, name):
+    pred, rows, whole = row_batches[name]
+    assert ck.core.evaluate_rows(pred, rows).tobytes() == whole  # split at _CHUNK
+    ones = np.concatenate([pred.evaluate(rows[k : k + 1]) for k in range(300)])
+    assert ones.tobytes() == whole[: ones.nbytes]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -557,6 +558,22 @@ class TestLockstepGrowth:
         ck.save_model(tmp_path / "one.json", ck.train_ensemble(clean_dataset, params, rng=6))
         one = (tmp_path / "one.json").read_bytes()
         assert one == (tmp_path / "default.json").read_bytes()
+
+
+class TestHugeRegressionTarget:
+    """Targets near the float limit: the squared impurity sums would overflow,
+    so the grower works on y times an exact power of two."""
+
+    def test_scaled_targets_grow_the_scaled_trees(self, tmp_path):
+        small = ck.load_csv(write_regression_csv(tmp_path / "data.csv"), target="y")
+        factor = 2.0**990  # every |y| * factor stays below 1e299
+        big = dataclasses.replace(small, target=tuple(v * factor for v in small.target))
+        params = ck.TreeParams(n_trees=5, max_depth=6)
+        want = ck.train_ensemble(small, params, rng=3)
+        got = ck.train_ensemble(big, params, rng=3)
+        rows = list(small.rows)
+        assert np.array_equal(got.evaluate(rows), want.evaluate(rows) * factor)
+        assert ck.accuracy(got, big) == ck.accuracy(want, small)
 
 
 def has_level_split(node: dict) -> bool:
