@@ -313,13 +313,27 @@ def encode_rows(space: FeatureSpace, rows: Sequence[Instance]) -> np.ndarray:
     return out.T
 
 
+def square_safe_scale(values: np.ndarray) -> float:
+    """1.0, or the power of two that brings ``values`` so far below the float
+    limit that no squared sum over them (regression impurities, r2, spreads)
+    can overflow. Multiplying by it is exact unless a value turns subnormal."""
+    top = float(np.abs(values).max(initial=0.0))
+    limit = math.sqrt(np.finfo(float).max) / (4 * max(1, len(values)))
+    return 1.0 if top <= limit else math.ldexp(1.0, -math.frexp(top / limit)[1])
+
+
 def sample_sd(matrix: np.ndarray) -> np.ndarray:
     """Sample standard deviation of each column; zero when there is only one
     row, and exactly zero for a column of identical values (float averaging
-    would otherwise leave a residue of a few ulps)."""
+    would otherwise leave a residue of a few ulps). Finite values whose
+    squares overflow get their sd from the matrix times a power of two."""
     if matrix.shape[0] < 2:
         return np.zeros(matrix.shape[1])
-    out = matrix.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = matrix.std(axis=0, ddof=1)
+        if not np.isfinite(out).all() and np.isfinite(matrix).all():
+            scale = square_safe_scale(matrix)
+            out = (matrix * scale).std(axis=0, ddof=1) / scale
     out[matrix.max(axis=0) == matrix.min(axis=0)] = 0.0
     return out
 

@@ -34,6 +34,7 @@ from .core import (
     feature_to_json,
     finite_number,
     read_json,
+    square_safe_scale,
 )
 from .sampling import as_rng
 
@@ -257,15 +258,6 @@ def _gini_sums(counts: np.ndarray, n: np.ndarray) -> np.ndarray:
     return n * (1.0 - ((counts / n[:, None]) ** 2).sum(axis=1))
 
 
-def _square_safe_scale(values: np.ndarray) -> float:
-    """1.0, or the power of two that brings ``values`` so far below the float
-    limit that no squared sum over them (regression impurities, r2) can
-    overflow. Multiplying by it is exact unless a value turns subnormal."""
-    top = float(np.abs(values).max(initial=0.0))
-    limit = math.sqrt(np.finfo(float).max) / (4 * max(1, len(values)))
-    return 1.0 if top <= limit else math.ldexp(1.0, -math.frexp(top / limit)[1])
-
-
 def _unscale_leaves(node: dict, factor: float) -> None:
     if "leaf" in node:
         node["leaf"] = [v * factor for v in node["leaf"]]
@@ -442,125 +434,120 @@ def _grow_trees(X, y, boots, gens, space, params, task, n_outputs) -> list[dict]
             stack += [(right, idx[~mask], depth + 1), (left, idx[mask], depth + 1)]
 
 
-# Rows routed per block: trees x rows stays under this many node indices,
-# which bounds the routing temporaries at a few MB for any batch size.
+# Rows routed per block: rows x max(trees, routing columns) stays under this
+# many entries, which bounds the routing temporaries at a few MB for any batch.
 _ROUTE_BLOCK = 2**15
 
 
 class _FlatTrees(NamedTuple):
     """All trees of an ensemble as parallel node arrays.
 
-    Node ``k`` sends a row left when ``lo[k] <= x[feature[k]] <= hi[k]``:
-    ``[-inf, threshold]`` for a numeric split and ``[code, code]`` for a
-    categorical one, so unseen levels (code -1) go right. Its right child is
-    ``children[2k]`` and its left child ``children[2k + 1]``, so the test's
-    outcome indexes the next node directly. Leaves are their own children,
-    so every row can take the same number of steps.
+    Node ``k`` of the preorder has the id ``2k``; its entries sit at ``2k``
+    and ``2k + 1``. It sends a row left when ``x[column] <= threshold``. A
+    numeric split reads its feature; a split on level code c of feature i
+    reads an indicator column, 1.0 where x_i differs from c, against 0.5, so
+    unseen levels (code -1) go right. Leaves test +inf and are their own
+    children, so every row takes the same steps to ``children[id + go_left]``.
     """
 
-    feature: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    column: np.ndarray  # a feature i, or d + p for the indicator of pair p
+    threshold: np.ndarray
+    pair_feature: np.ndarray  # feature i of each indicator column
+    pair_code: np.ndarray  # and level code c, as a float
     children: np.ndarray
-    leaf_row: np.ndarray  # column of leaf_values for leaves, 0 elsewhere
+    leaf_row: np.ndarray  # column of leaf_values for leaves
     leaf_values: np.ndarray  # (n_outputs, leaves)
-    roots: np.ndarray  # one node index per tree
+    roots: np.ndarray  # one node id per tree
     depth: int  # levels below the deepest tree's root
 
 
-def _split_test(node: dict, space: FeatureSpace, codes: list[dict], where: str):
-    """Validate one split node; return (feature, lo, hi) of its left branch."""
-    if not {"feature", "left", "right"} <= node.keys() or ("threshold" in node) == ("level" in node):
-        raise DataFormatError(
-            f"{where}: a node needs 'leaf', or 'feature', 'left', 'right' "
-            "and one of 'threshold' or 'level'"
-        )
-    i = node["feature"]
-    if type(i) is not int or not 0 <= i < len(codes):
-        raise DataFormatError(f"{where}: feature index {i!r} out of range")
-    name = space.features[i].name
-    if "threshold" in node:
-        if codes[i] is not None:
-            raise DataFormatError(f"{where}: threshold split on categorical feature {name!r}")
-        return i, -math.inf, finite_number(node["threshold"], f"{where}: threshold", DataFormatError)
-    if codes[i] is None:
-        raise DataFormatError(f"{where}: level split on numeric feature {name!r}")
-    level = node["level"]
-    code = codes[i].get(level) if type(level) is str else None
-    if code is None:
-        raise DataFormatError(f"{where}: feature {name!r} has no level {level!r}")
-    return i, code, code
-
-
-def _leaf_matrix(leaves: list, leaf_tree: list[int]) -> np.ndarray:
-    """Leaf output lists, already of equal length, as an (n_outputs, leaves) matrix."""
-    try:
-        values = np.asarray(leaves)
-    except ValueError:  # ragged: a list nested inside some leaf
-        values = None
-    if values is None or values.ndim != 2 or values.dtype.kind not in "iuf":
-        raise DataFormatError("leaf values must be numbers")
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        t = leaf_tree[int(np.argmin(finite))]
-        raise DataFormatError(f"tree {t}: leaf values must be finite numbers")
-    return np.ascontiguousarray(values.T, dtype=float)
-
-
 def _flatten(trees: Sequence[dict], space: FeatureSpace, n_outputs: int) -> _FlatTrees:
-    """Compile dict trees into one set of node arrays, validating each node."""
+    """Compile dict trees into node arrays in preorder; the first bad node raises."""
     if not trees:
         raise DataFormatError("the ensemble has no trees")
-    # Level -> split code per categorical feature; None marks a numeric one.
-    codes = [
-        None if f.is_numeric else {lev: float(k) for k, lev in enumerate(f.levels)}
-        for f in space
-    ]
-    feature, lo, hi, children, leaf_row = [], [], [], [], []
-    leaves, leaf_tree, roots = [], [], []
-    depth = 0
+    d, inf = len(space), math.inf
+    # Level -> code per categorical feature; None marks a numeric one.
+    codes = [None if f.is_numeric else {lev: k for k, lev in enumerate(f.levels)} for f in space]
+    pairs = {}  # (feature, level code) -> its indicator column
+    column, threshold, depths, leaves, roots = [], [], [], [], []
     for t, tree in enumerate(trees):
-        where = f"tree {t}"
-        roots.append(len(feature))
-        # (node, level, slot in children that points at it)
-        stack = [(tree, 0, None)]
+        roots.append(len(column))
+        stack = [(tree, 0)]  # (node, its depth)
         while stack:
-            node, level, slot = stack.pop()
-            k = len(feature)
-            if slot is not None:
-                children[slot] = k
-            if level > depth:
-                depth = level
+            node, depth = stack.pop()
+            depths.append(depth)
             if type(node) is not dict:
-                raise DataFormatError(f"{where}: a node must be a JSON object")
-            children += (k, k)
+                raise DataFormatError(f"tree {t}: a node must be a JSON object")
             if "leaf" in node:
                 values = node["leaf"]
                 if type(values) not in (list, tuple) or len(values) != n_outputs:
-                    raise DataFormatError(f"{where}: a leaf needs a list of {n_outputs} outputs")
-                leaf_row.append(len(leaves))
-                leaves.append(values)
-                leaf_tree.append(t)
-                feature.append(0)
-                lo.append(-math.inf)
-                hi.append(math.inf)
+                    raise DataFormatError(f"tree {t}: a leaf needs a list of {n_outputs} outputs")
+                leaves += values
+                column.append(0)
+                threshold.append(inf)
                 continue
-            i, low, high = _split_test(node, space, codes, where)
-            leaf_row.append(0)
-            feature.append(i)
-            lo.append(low)
-            hi.append(high)
-            stack.append((node["right"], level + 1, 2 * k))
-            stack.append((node["left"], level + 1, 2 * k + 1))
+            numeric = "threshold" in node
+            shaped = "feature" in node and "left" in node and "right" in node
+            if not shaped or numeric == ("level" in node):
+                raise DataFormatError(
+                    f"tree {t}: a node needs 'leaf', or 'feature', 'left', 'right' "
+                    "and one of 'threshold' or 'level'"
+                )
+            i = node["feature"]
+            if type(i) is not int or not 0 <= i < d:
+                raise DataFormatError(f"tree {t}: feature index {i!r} out of range")
+            code_of = codes[i]
+            if numeric != (code_of is None):
+                kind = "threshold split on categorical" if numeric else "level split on numeric"
+                raise DataFormatError(f"tree {t}: {kind} feature {space.features[i].name!r}")
+            if numeric:
+                value = node["threshold"]
+                if type(value) is not float or not -inf < value < inf:
+                    value = finite_number(value, f"tree {t}: threshold", DataFormatError)
+                column.append(i)
+                threshold.append(value)
+            else:
+                level = node["level"]
+                if type(level) is not str or level not in code_of:
+                    name = space.features[i].name
+                    raise DataFormatError(f"tree {t}: feature {name!r} has no level {level!r}")
+                column.append(pairs.setdefault((i, code_of[level]), d + len(pairs)))
+                threshold.append(0.5)
+            depth += 1
+            stack.append((node["right"], depth))
+            stack.append((node["left"], depth))
+    try:
+        leaf_values = np.asarray(leaves)
+    except ValueError:  # ragged: a list nested inside some leaf
+        leaf_values = None
+    if leaf_values is None or leaf_values.ndim != 1 or leaf_values.dtype.kind not in "iuf":
+        raise DataFormatError("leaf values must be numbers")
+    leaf_values = leaf_values.reshape(-1, n_outputs)
+    finite = np.isfinite(leaf_values).all(axis=1)
+    threshold = np.asarray(threshold)
+    is_leaf = threshold == inf
+    if not finite.all():
+        t = np.searchsorted(roots, np.flatnonzero(is_leaf)[np.argmin(finite)], side="right") - 1
+        raise DataFormatError(f"tree {t}: leaf values must be finite numbers")
+    # A split's left child is the next node. Its right child is the next node
+    # at the same depth after that one, since the left subtree lies deeper.
+    order = np.argsort(depths, kind="stable")
+    after = np.empty_like(order)
+    after[order[:-1]] = order[1:]
+    split = np.flatnonzero(~is_leaf)
+    children = np.repeat(2 * np.arange(len(order)), 2).reshape(-1, 2)  # a leaf's own id
+    children[split] = 2 * np.column_stack([after[split + 1], split + 1])  # (right, left)
+    pair = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
     return _FlatTrees(
-        np.asarray(feature, dtype=np.intp),
-        np.asarray(lo, dtype=float),
-        np.asarray(hi, dtype=float),
-        np.asarray(children, dtype=np.intp),
-        np.asarray(leaf_row, dtype=np.intp),
-        _leaf_matrix(leaves, leaf_tree),
-        np.asarray(roots, dtype=np.intp),
-        depth,
+        np.repeat(np.asarray(column, dtype=np.intp), 2),
+        np.repeat(threshold, 2),
+        pair[:, 0],
+        pair[:, 1].astype(float),
+        children.ravel(),
+        np.repeat(np.cumsum(is_leaf) - is_leaf, 2),  # the leaves before each node
+        np.ascontiguousarray(leaf_values.T, dtype=float),
+        2 * np.asarray(roots, dtype=np.intp),
+        max(depths),
     )
 
 
@@ -595,25 +582,27 @@ class TreeEnsemble(Predictor):
     def evaluate(self, instances: Sequence[Instance]) -> np.ndarray:
         flat = self._flat
         n, d = len(instances), len(self.space)
-        n_trees = len(flat.roots)
-        # Row-major (rows, features) matrix, flattened: row r's feature i is x[r * d + i].
-        x = encode_rows(self.space, instances).ravel()
+        n_trees, width = len(flat.roots), d + len(flat.pair_feature)
+        x = encode_rows(self.space, instances)
         total = np.zeros((n, self.n_outputs))
-        block = max(1, _ROUTE_BLOCK // n_trees)
+        block = max(1, _ROUTE_BLOCK // max(n_trees, width))
         for start in range(0, n, block):
-            offsets = np.arange(start, min(start + block, n)) * d
-            node = np.repeat(flat.roots[:, None], offsets.size, axis=1)  # (trees, rows)
+            rows = x[start : start + block]
+            m = len(rows)
+            # Features, then indicator columns: row r's column c is xb[r * width + c].
+            xb = np.hstack([rows, rows[:, flat.pair_feature] != flat.pair_code]).ravel()
+            offsets = np.arange(m) * width
+            node = np.repeat(flat.roots[:, None], m, axis=1)  # (trees, rows)
             for _ in range(flat.depth):
-                v = x[offsets + flat.feature[node]]
-                go_left = (flat.lo[node] <= v) & (v <= flat.hi[node])
-                node = flat.children[2 * node + go_left]
-            leaf = flat.leaf_row[node]
+                go_left = xb.take(offsets + flat.column.take(node)) <= flat.threshold.take(node)
+                node = flat.children.take(node + go_left)
+            leaf = flat.leaf_row.take(node)
             # A zero row, then one row per tree: cumsum adds them in tree order,
             # so totals match a per-tree walk bit for bit.
-            terms = np.zeros((n_trees + 1, offsets.size))
+            terms = np.zeros((n_trees + 1, m))
             for j, values in enumerate(flat.leaf_values):
-                np.take(values, leaf, out=terms[1:])
-                total[start : start + offsets.size, j] = np.cumsum(terms, axis=0)[-1]
+                values.take(leaf, out=terms[1:])
+                total[start : start + m, j] = np.cumsum(terms, axis=0, out=terms)[-1]
         return total / n_trees
 
 
@@ -642,7 +631,7 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
         y = np.asarray(dataset.target, dtype=float)
         # Targets near the float limit would overflow every squared sum and
         # leave each tree one leaf: grow on y times an exact power of two.
-        scale = _square_safe_scale(y)
+        scale = square_safe_scale(y)
         y = y * scale
     # One row per feature: floats, or level codes for a categorical feature.
     X = np.ascontiguousarray(dataset.rows.matrix.T)
@@ -663,7 +652,7 @@ def accuracy(model: TreeEnsemble, dataset: Dataset) -> float:
         predicted = np.argmax(outputs, axis=1)
         return float(np.mean(predicted == np.asarray(dataset.target)))
     t, predicted = np.asarray(dataset.target, dtype=float), outputs[:, 0]
-    scale = _square_safe_scale(np.concatenate([t, predicted]))  # r2 does not change
+    scale = square_safe_scale(np.concatenate([t, predicted]))  # r2 does not change
     t, predicted = t * scale, predicted * scale
     ss_res = float(np.sum((predicted - t) ** 2))
     ss_tot = float(np.sum((t - t.mean()) ** 2))

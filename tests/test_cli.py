@@ -350,6 +350,21 @@ MALFORMED_MODELS = {
     "feature-bounds-overflow": lambda doc: doc["features"][0].update(min=-1.7e308, max=1.7e308),
 }
 
+_NODE_SHAPE = "a node needs 'leaf', or 'feature', 'left', 'right' and one of 'threshold' or 'level'"
+# The whole message of each node-level case, after "error: model <path>: ".
+NODE_MESSAGES = {
+    "split-without-right": f"tree 0: {_NODE_SHAPE}",
+    "neither-leaf-nor-split": f"tree 0: {_NODE_SHAPE}",
+    "feature-out-of-range": "tree 0: feature index 7 out of range",
+    "threshold-on-categorical": "tree 0: threshold split on categorical feature 'g'",
+    "level-on-numeric": "tree 0: level split on numeric feature 'a'",
+    "undeclared-level": "tree 0: feature 'g' has no level 'mid'",
+    "short-leaf": "tree 0: a leaf needs a list of 2 outputs",
+    "nan-threshold": "tree 0: threshold must be a finite number",
+    "infinite-leaf": "tree 0: leaf values must be finite numbers",
+    "huge-integer-threshold": "tree 0: threshold must be a finite number",
+}
+
 
 def _regression_model(*names: str) -> dict:
     """A one-leaf regression model over numeric features on [0, 1]."""
@@ -400,6 +415,33 @@ class TestMalformedModel:
         assert self.explain(tmp_path, doc) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: model ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(NODE_MESSAGES))
+    def test_node_case_names_its_tree_and_fault(self, tmp_path, capsys, case):
+        doc = _good_model()
+        MALFORMED_MODELS[case](doc)
+        assert self.explain(tmp_path, doc) == 3
+        path = tmp_path / "model.json"
+        assert capsys.readouterr().err == f"error: model {path}: {NODE_MESSAGES[case]}\n"
+
+    def test_first_bad_node_in_preorder_is_named(self, tmp_path, capsys):
+        # The undeclared level lies three splits down the left branch; the
+        # out-of-range feature is the root's right child, nearer the root
+        # but later in preorder.
+        leaf = {"leaf": [0.5, 0.5]}
+        deep = {"feature": 1, "level": "mid", "left": leaf, "right": leaf}
+        for _ in range(2):
+            deep = {"feature": 0, "threshold": 0.25, "left": deep, "right": leaf}
+        doc = _good_model()
+        doc["trees"].append({
+            "feature": 0, "threshold": 0.5, "left": deep,
+            "right": {"feature": 9, "threshold": 0.5, "left": leaf, "right": leaf},
+        })
+        doc["params"]["n_trees"] = 2
+        assert self.explain(tmp_path, doc) == 3
+        path = tmp_path / "model.json"
+        message = "tree 1: feature 'g' has no level 'mid'"
+        assert capsys.readouterr().err == f"error: model {path}: {message}\n"
 
     def test_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "model.json"
@@ -957,20 +999,42 @@ class TestHugeConstants:
 
 
 class TestHugeRegressionTarget:
-    def test_targets_near_1e300_still_split(self, tmp_path, capsys):
-        # The squared sums of such targets overflow unless they are scaled.
+    @staticmethod
+    def train(tmp_path) -> int:
+        """Train 5 trees on 12 rows with targets near +-1e300 into model.json."""
         rows = [(k / 11, (7 * k % 12) / 11) for k in range(12)]
         data = tmp_path / "data.csv"
         data.write_text("a,b,y\n" + "".join(
             f"{a!r},{b!r},{(1 if a > 0.5 else -1) * 1e300 * (1 + b)!r}\n" for a, b in rows
         ))
-        model = tmp_path / "model.json"
-        assert run("train", "--data", str(data), "--target", "y", "--trees", "5",
-                   "--model-out", str(model)) == 0
+        return run("train", "--data", str(data), "--target", "y", "--trees", "5",
+                   "--model-out", str(tmp_path / "model.json"))
+
+    def test_targets_near_1e300_still_split(self, tmp_path, capsys):
+        # The squared sums of such targets overflow unless they are scaled.
+        assert self.train(tmp_path) == 0
         out = capsys.readouterr().out
         assert "holdout r2=" in out and "nan" not in out
-        trees = json.loads(model.read_text())["trees"]
+        trees = json.loads((tmp_path / "model.json").read_text())["trees"]
         assert any("feature" in tree for tree in trees)  # not all single leaves
+
+    def test_shapley_and_spreads_near_1e300_stay_finite(self, tmp_path):
+        # Every output is finite, but the squares of the Shapley jumps and of
+        # the global and stability scores overflow unless they are scaled.
+        assert self.train(tmp_path) == 0
+        model, x = str(tmp_path / "model.json"), "[0.3, 0.5]"
+        for argv in (
+            ["explain", "--instance", x, "--method", "shapley"],
+            ["global"],
+            ["stability", "--instance", x],
+        ):
+            out = tmp_path / argv[0]
+            assert run(*argv, "--model", model, "--output-dir", str(out), "--format", "json") == 0
+            reports = sorted(out.glob("*.json"))
+            assert reports
+            for report in reports:
+                text = report.read_text()
+                assert "NaN" not in text and "Infinity" not in text
 
 
 class TestOutOfMemory:

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 from types import ModuleType
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import ciukit as ck
-from ciukit.core import evaluate_rows
+from ciukit.core import evaluate_rows, sample_sd
 from conftest import (
     LINEAR_WEIGHTS,
     MixedModel,
@@ -639,3 +640,15 @@ class TestConfigIO:
         with pytest.raises(ck.ConfigError, match="max must be a finite number"):
             ck.load_config(path)
 
+
+class TestSampleSd:
+    def test_near_the_float_limit_scales_exactly(self):
+        # The squares of values near 1e298 overflow; scaling by a power of
+        # two is exact, so the sd scales bit for bit, with no warning.
+        m = np.random.Generator(np.random.PCG64(3)).normal(size=(30, 4))
+        m[:, 2] = 1.5  # a constant column stays exactly zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = sample_sd(m * 2.0**990)
+        assert huge.tobytes() == (sample_sd(m) * 2.0**990).tobytes()
+        assert huge[2] == 0.0 and np.isfinite(huge).all()

@@ -291,18 +291,25 @@ def row_batches(tmp_path_factory):
     return out
 
 
-# Cut points near the evaluator's chunk and the ensemble's routing block.
-_edges = [_CHUNK - 1, _CHUNK, _CHUNK + 1, _ROUTE_BLOCK // _TREES, 3 * (_ROUTE_BLOCK // _TREES) + 1]
-cuts = st.lists(st.sampled_from(_edges) | st.integers(1, _SPLIT_ROWS - 1), max_size=6)
+def _route_block(model: ck.TreeEnsemble) -> int:
+    """Rows per routing block, by the formula of ``TreeEnsemble.evaluate``:
+    trees or routing columns (features plus indicator columns) times rows
+    stay under ``_ROUTE_BLOCK``."""
+    width = len(model.space) + len(model._flat.pair_feature)
+    return max(1, _ROUTE_BLOCK // max(len(model.trees), width))
 
 
 @pytest.mark.parametrize("name", ["linear", "nonlinear", "trees"])
 @settings(max_examples=10, deadline=None)
-@given(cuts=cuts)
-def test_rows_are_independent_of_the_batch_split(row_batches, name, cuts):
+@given(data=st.data())
+def test_rows_are_independent_of_the_batch_split(row_batches, name, data):
     # The row contract of Predictor: a row's output bits do not depend on
     # the other rows of its batch, so stacking and chunking change nothing.
     pred, rows, whole = row_batches[name]
+    # Cut points near the evaluator's chunk and the ensemble's routing block.
+    block = _route_block(row_batches["trees"][0])
+    edges = [_CHUNK - 1, _CHUNK, _CHUNK + 1, block, 3 * block + 1]
+    cuts = data.draw(st.lists(st.sampled_from(edges) | st.integers(1, len(rows) - 1), max_size=6))
     bounds = [0, *sorted(set(cuts)), len(rows)]
     parts = [pred.evaluate(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert np.concatenate(parts).tobytes() == whole

@@ -656,6 +656,48 @@ class TestCompiledRouting:
         for row in clean_dataset.rows[:5]:
             assert_matches_reference(model, [row])
 
+    def test_many_split_levels_size_the_block_by_width(self):
+        # Three trees split on ~130 (feature, level) pairs, each routed as
+        # its own indicator column: the block is _ROUTE_BLOCK // width rows.
+        levels = tuple(f"L{k}" for k in range(150))
+        space = ck.FeatureSpace(
+            (ck.FeatureSpec.numeric("a", 0.0, 1.0), ck.FeatureSpec.categorical("g", levels))
+        )
+        gen = np.random.Generator(np.random.PCG64(8))
+
+        def grow(depth):
+            if depth == 0:
+                return {"leaf": [float(gen.normal())]}
+            if gen.integers(4) == 0:
+                split = {"feature": 0, "threshold": float(gen.uniform())}
+            else:
+                split = {"feature": 1, "level": levels[gen.integers(len(levels))]}
+            return {**split, "left": grow(depth - 1), "right": grow(depth - 1)}
+
+        model = ck.TreeEnsemble(space, [grow(7) for _ in range(3)], "regression")
+        width = len(space) + len(model._flat.pair_feature)
+        assert width > len(model.trees)
+        rows = [
+            ck.Instance((float(gen.uniform()), levels[k % 150] if k % 7 else "unseen"))
+            for k in range(2 * (_ROUTE_BLOCK // width) + 1)  # three blocks
+        ]
+        assert_matches_reference(model, rows)
+        for row in rows[:30]:
+            assert_matches_reference(model, [row])
+
+    def test_numeric_only_model_has_no_indicator_columns(self, tmp_path):
+        cells = np.random.Generator(np.random.PCG64(6)).uniform(0, 1, (300, 2)).tolist()
+        path = tmp_path / "numeric.csv"
+        path.write_text("a,b,y\n" + "".join(
+            f"{a!r},{b!r},{'yes' if a * b > 0.2 else 'no'}\n" for a, b in cells
+        ))
+        model = ck.train_ensemble(ck.load_csv(path, target="y"), ck.TreeParams(100, 4), rng=4)
+        assert len(model._flat.pair_feature) == 0
+        rows = ck.uniform_instances(model.space, 400, ck.SeededRng(2))  # two blocks
+        assert_matches_reference(model, rows)
+        for row in rows[:10]:
+            assert_matches_reference(model, [row])
+
     def test_negative_zero_leaves(self):
         # a sum started at 0.0 turns -0.0 leaves into 0.0
         model = ck.TreeEnsemble(MIXED_SPACE, [{"leaf": [-0.0]}] * 3, "regression")
