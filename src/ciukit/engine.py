@@ -13,6 +13,10 @@ larger outputs are better, ymax otherwise). Influence is signed: features
 pushing the output above the neutral utility phi0 get positive values, with
 range [-phi0, 1 - phi0].
 
+One kernel, ``_ciu_intervals``, finds every interval: it writes each
+feature's sample set (the source value, both endpoints and n uniform draws,
+or every level) straight into one predictor batch for many instances.
+
 ``resolve_utility`` finds an undeclared output range with the same
 single-feature variation, polishing the best uniform and corner probes.
 """
@@ -33,11 +37,10 @@ from .core import (
     Predictor,
     Rows,
     _CHUNK,
+    encode_rows,
     evaluate_rows,
 )
-from .sampling import (
-    as_rng, build_sample_set, ceteris_paribus_grid, corner_instances, uniform_instances,
-)
+from .sampling import _varied, as_rng, ceteris_paribus_grid, corner_instances, uniform_instances
 
 # Relative slack before an interval endpoint counts as leaving the declared
 # output range. Protects against pure rounding noise at the boundaries;
@@ -147,7 +150,7 @@ def _sweep(
             if feat.is_numeric:
                 candidates = ceteris_paribus_grid(space, current, i, _SWEEP_GRID)
             else:
-                candidates = build_sample_set(space, current, i, 0)[0]
+                candidates = _varied(space, current, i, np.arange(len(feat.levels)))
             ys = sign * evaluate_rows(predictor, candidates)[:, output]
             k = int(np.argmax(ys))
             if ys[k] > best:
@@ -244,28 +247,44 @@ def _ciu_intervals(
     predictor: Predictor, space: FeatureSpace, instances, streams, output: int, n: int
 ) -> np.ndarray:
     """(3, instances, features) array of each instance's per-feature ymin,
-    ymax and y: the min, max and source row of feature i's
-    ``build_sample_set`` from the stream ``streams[r].spawn(i)``. The set
-    holds both numeric endpoints, so the interval is exact for per-feature
-    monotone predictors even with n = 0. All instances' sets share one
-    layout, so those of as many instances as fit in ``_CHUNK`` rows go to
-    the predictor in one call."""
+    ymax and y over its sample sets.
+
+    Instance r's set for feature i is x_r with slot i varied. A numeric slot
+    holds x_r's own value, min, max, then n draws from the stream
+    ``streams[r].spawn(i)``; the endpoints make the interval exact for
+    per-feature monotone predictors even with n = 0. A categorical slot holds
+    every level once, in declared order, so x_r's own row sits at its level
+    code. Each instance is encoded once and repeated into one block of rows;
+    the blocks of as many instances as fit in ``_CHUNK`` rows go to the
+    predictor as one batch in one call."""
+    if n < 0:
+        raise ConfigError("sample count must be non-negative")
     sizes = [n + 3 if feat.is_numeric else len(feat.levels) for feat in space]
     width = sum(sizes)
     starts = np.cumsum(sizes) - sizes
-    block = max(1, _CHUNK // max(1, width))  # a negative n fails in build_sample_set
+    numeric = np.array([feat.is_numeric for feat in space])
+    block = max(1, _CHUNK // width)
     out = np.empty((3, len(instances), len(space)))
     for lo in range(0, len(instances), block):
-        sets = [
-            build_sample_set(space, x, i, n, stream.spawn(i))
-            for x, stream in zip(instances[lo : lo + block], streams[lo : lo + block])
-            for i in range(len(space))
-        ]
-        ys = evaluate_rows(predictor, Rows(space, np.vstack([s.matrix for s, _ in sets])))
-        firsts = (np.arange(len(ys) // width)[:, None] * width + starts).ravel()
-        ys, sources = ys[:, output], firsts + [source for _, source in sets]
-        low, high = np.minimum.reduceat(ys, firsts), np.maximum.reduceat(ys, firsts)
-        out[:, lo : lo + block] = np.reshape([low, high, ys[sources]], (3, -1, len(space)))
+        xs = encode_rows(space, [space.instance(x.values) for x in instances[lo : lo + block]])
+        matrix = np.repeat(xs, width, axis=0)
+        sets = matrix.reshape(len(xs), width, len(space))  # a view: writes land in matrix
+        for i, (feat, start, size) in enumerate(zip(space, starts, sizes)):
+            if feat.is_numeric:
+                sets[:, start + 1 : start + 3, i] = feat.min, feat.max
+                sets[:, start + 3 : start + size, i] = [
+                    s.spawn(i).generator().uniform(feat.min, feat.max, n)
+                    for s in streams[lo : lo + block]
+                ]
+            else:
+                sets[:, start : start + size, i] = np.arange(size)
+        ys = evaluate_rows(predictor, Rows(space, matrix))[:, output].reshape(len(xs), width)
+        sources = starts + np.where(numeric, 0, xs).astype(int)
+        out[:, lo : lo + block] = (
+            np.minimum.reduceat(ys, starts, axis=1),
+            np.maximum.reduceat(ys, starts, axis=1),
+            np.take_along_axis(ys, sources, axis=1),
+        )
     return out
 
 

@@ -64,37 +64,6 @@ def _varied(space: FeatureSpace, x: Instance, feature: int, column) -> Rows:
     return Rows(space, matrix)
 
 
-def build_sample_set(
-    space: FeatureSpace,
-    x: Instance,
-    feature: int,
-    n: int = 100,
-    rng=None,
-) -> tuple[Rows, int]:
-    """Vary one feature of ``x`` while holding the others fixed.
-
-    Returns the perturbed instances and the position of the one that carries
-    the source's own value; all of them agree with ``x`` elsewhere.
-
-    Numeric features produce exactly n + 3 instances: the source value, both
-    interval endpoints, and n uniform draws. The endpoints make min/max
-    estimates exact for predictors that are monotone in the feature.
-    Categorical features produce each declared level exactly once and ignore
-    ``n``; the source's own level is the member it already has.
-    """
-    if not 0 <= feature < len(space):
-        raise ConfigError(f"feature index {feature} out of range")
-    if n < 0:
-        raise ConfigError("sample count must be non-negative")
-    feat = space[feature]
-    if feat.is_numeric:
-        draws = as_rng(rng).generator().uniform(feat.min, feat.max, size=n)
-        column = np.concatenate([[x.values[feature], feat.min, feat.max], draws])
-        return _varied(space, x, feature, column), 0
-    rows = _varied(space, x, feature, np.arange(len(feat.levels)))
-    return rows, feat.levels.index(x.values[feature])
-
-
 def ceteris_paribus_grid(
     space: FeatureSpace,
     x: Instance,

@@ -10,6 +10,7 @@ stays inside the convex hull of the training targets.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -316,7 +317,11 @@ def _score_numeric(values, ranks, y, sizes, task, n_outputs, min_leaf, parent):
             tot[k], tot2[k] = ys[a:b].sum(), squares[a:b].sum()
         c, c2, t, t2 = csum[p], csum2[p], tot[s], tot2[s]
         gains = (t2 - t**2 / sizes[s]) - (c2 - c**2 / nl) - ((t2 - c2) - (t - c) ** 2 / nr)
-    return _first_best(s, gains, (vs[p] + vs[p + 1]) / 2.0, len(sizes))
+    lower, upper = vs[p], vs[p + 1]
+    with np.errstate(over="ignore"):  # near the float limit the sum overflows
+        mid = (lower + upper) / 2.0
+    # Between adjacent floats the midpoint rounds to an end; the lower one splits alike.
+    return _first_best(s, gains, np.where((lower <= mid) & (mid < upper), mid, lower), len(sizes))
 
 
 def _score_categorical(codes, y, sizes, task, n_outputs, min_leaf, parent):
@@ -461,6 +466,22 @@ class _FlatTrees(NamedTuple):
     depth: int  # levels below the deepest tree's root
 
 
+def _leaf_error(leaves: list, threshold: list, roots: list, n_outputs: int):
+    """The error of the first leaf in preorder whose values are not finite
+    numbers, naming its tree, or None. ``threshold`` is inf at each leaf."""
+    for k, node in enumerate(np.flatnonzero(np.asarray(threshold) == math.inf).tolist()):
+        t = bisect.bisect_right(roots, node) - 1
+        try:
+            values = np.asarray(leaves[k * n_outputs : (k + 1) * n_outputs])
+        except ValueError:  # ragged: a list nested inside the leaf
+            return DataFormatError(f"tree {t}: leaf values must be numbers")
+        if values.ndim != 1 or values.dtype.kind not in "iuf":
+            return DataFormatError(f"tree {t}: leaf values must be numbers")
+        if not np.isfinite(values).all():
+            return DataFormatError(f"tree {t}: leaf values must be finite numbers")
+    return None
+
+
 def _flatten(trees: Sequence[dict], space: FeatureSpace, n_outputs: int) -> _FlatTrees:
     """Compile dict trees into node arrays in preorder; the first bad node raises."""
     if not trees:
@@ -470,65 +491,70 @@ def _flatten(trees: Sequence[dict], space: FeatureSpace, n_outputs: int) -> _Fla
     codes = [None if f.is_numeric else {lev: k for k, lev in enumerate(f.levels)} for f in space]
     pairs = {}  # (feature, level code) -> its indicator column
     column, threshold, depths, leaves, roots = [], [], [], [], []
-    for t, tree in enumerate(trees):
-        roots.append(len(column))
-        stack = [(tree, 0)]  # (node, its depth)
-        while stack:
-            node, depth = stack.pop()
-            depths.append(depth)
-            if type(node) is not dict:
-                raise DataFormatError(f"tree {t}: a node must be a JSON object")
-            if "leaf" in node:
-                values = node["leaf"]
-                if type(values) not in (list, tuple) or len(values) != n_outputs:
-                    raise DataFormatError(f"tree {t}: a leaf needs a list of {n_outputs} outputs")
-                leaves += values
-                column.append(0)
-                threshold.append(inf)
-                continue
-            numeric = "threshold" in node
-            shaped = "feature" in node and "left" in node and "right" in node
-            if not shaped or numeric == ("level" in node):
-                raise DataFormatError(
-                    f"tree {t}: a node needs 'leaf', or 'feature', 'left', 'right' "
-                    "and one of 'threshold' or 'level'"
-                )
-            i = node["feature"]
-            if type(i) is not int or not 0 <= i < d:
-                raise DataFormatError(f"tree {t}: feature index {i!r} out of range")
-            code_of = codes[i]
-            if numeric != (code_of is None):
-                kind = "threshold split on categorical" if numeric else "level split on numeric"
-                raise DataFormatError(f"tree {t}: {kind} feature {space.features[i].name!r}")
-            if numeric:
-                value = node["threshold"]
-                if type(value) is not float or not -inf < value < inf:
-                    value = finite_number(value, f"tree {t}: threshold", DataFormatError)
-                column.append(i)
-                threshold.append(value)
-            else:
-                level = node["level"]
-                if type(level) is not str or level not in code_of:
-                    name = space.features[i].name
-                    raise DataFormatError(f"tree {t}: feature {name!r} has no level {level!r}")
-                column.append(pairs.setdefault((i, code_of[level]), d + len(pairs)))
-                threshold.append(0.5)
-            depth += 1
-            stack.append((node["right"], depth))
-            stack.append((node["left"], depth))
+    try:
+        for t, tree in enumerate(trees):
+            roots.append(len(column))
+            stack = [(tree, 0)]  # (node, its depth)
+            while stack:
+                node, depth = stack.pop()
+                depths.append(depth)
+                if type(node) is not dict:
+                    raise DataFormatError(f"tree {t}: a node must be a JSON object")
+                if "leaf" in node:
+                    values = node["leaf"]
+                    if type(values) not in (list, tuple) or len(values) != n_outputs:
+                        raise DataFormatError(
+                            f"tree {t}: a leaf needs a list of {n_outputs} outputs"
+                        )
+                    leaves += values
+                    column.append(0)
+                    threshold.append(inf)
+                    continue
+                numeric = "threshold" in node
+                shaped = "feature" in node and "left" in node and "right" in node
+                if not shaped or numeric == ("level" in node):
+                    raise DataFormatError(
+                        f"tree {t}: a node needs 'leaf', or 'feature', 'left', 'right' "
+                        "and one of 'threshold' or 'level'"
+                    )
+                i = node["feature"]
+                if type(i) is not int or not 0 <= i < d:
+                    raise DataFormatError(f"tree {t}: feature index {i!r} out of range")
+                code_of = codes[i]
+                if numeric != (code_of is None):
+                    kind = "threshold split on categorical" if numeric else "level split on numeric"
+                    raise DataFormatError(f"tree {t}: {kind} feature {space.features[i].name!r}")
+                if numeric:
+                    value = node["threshold"]
+                    if type(value) is not float or not -inf < value < inf:
+                        value = finite_number(value, f"tree {t}: threshold", DataFormatError)
+                    column.append(i)
+                    threshold.append(value)
+                else:
+                    level = node["level"]
+                    if type(level) is not str or level not in code_of:
+                        name = space.features[i].name
+                        raise DataFormatError(f"tree {t}: feature {name!r} has no level {level!r}")
+                    column.append(pairs.setdefault((i, code_of[level]), d + len(pairs)))
+                    threshold.append(0.5)
+                depth += 1
+                stack.append((node["right"], depth))
+                stack.append((node["left"], depth))
+    except DataFormatError as err:  # a bad leaf before this node goes first
+        raise _leaf_error(leaves, threshold, roots, n_outputs) or err
     try:
         leaf_values = np.asarray(leaves)
     except ValueError:  # ragged: a list nested inside some leaf
         leaf_values = None
-    if leaf_values is None or leaf_values.ndim != 1 or leaf_values.dtype.kind not in "iuf":
-        raise DataFormatError("leaf values must be numbers")
+    if (
+        leaf_values is None or leaf_values.ndim != 1 or leaf_values.dtype.kind not in "iuf"
+        or not np.isfinite(leaf_values).all()
+    ):
+        bad = _leaf_error(leaves, threshold, roots, n_outputs)
+        raise bad or DataFormatError("leaf values must be numbers")
     leaf_values = leaf_values.reshape(-1, n_outputs)
-    finite = np.isfinite(leaf_values).all(axis=1)
     threshold = np.asarray(threshold)
     is_leaf = threshold == inf
-    if not finite.all():
-        t = np.searchsorted(roots, np.flatnonzero(is_leaf)[np.argmin(finite)], side="right") - 1
-        raise DataFormatError(f"tree {t}: leaf values must be finite numbers")
     # A split's left child is the next node. Its right child is the next node
     # at the same depth after that one, since the left subtree lies deeper.
     order = np.argsort(depths, kind="stable")

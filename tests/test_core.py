@@ -406,8 +406,9 @@ class TestRows:
     def test_undeclared_label_is_a_config_error(self):
         space = mixed_space()
         x = ck.Instance((0.5, "z", 0.5))  # built without the space's checks
+        util = ck.OutputUtility.single("y", out_min=-2.0, out_max=2.0)
         with pytest.raises(ck.ConfigError, match="'c'"):
-            ck.build_sample_set(space, x, 0, n=3)
+            ck.explain_instance(MixedModel(), util, space, x, n=3)
         with pytest.raises(ck.ConfigError, match="'c'"):
             ck.permutation_importance(MixedModel(), space, [x, x], [0.0, 0.0])
         with pytest.raises(ck.ConfigError, match="'c'"):
@@ -544,8 +545,8 @@ PUBLIC_NAMES = [
     "Explanation", "FeatureSpace", "FeatureSpec", "FunctionPredictor", "GlobalImportance",
     "Instance", "METHOD_INFLUENCE", "METHOD_LIME", "METHOD_SHAPLEY", "NUMERIC", "OutputSpec",
     "OutputUtility", "Predictor", "Rows", "SeededRng", "SingularSystemError",
-    "StabilityReport", "TreeEnsemble", "TreeParams", "accuracy", "as_rng", "build_sample_set",
-    "builtin_model", "ceteris_paribus_curve", "ceteris_paribus_grid", "config_from_json",
+    "StabilityReport", "TreeEnsemble", "TreeParams", "accuracy", "as_rng", "builtin_model",
+    "ceteris_paribus_curve", "ceteris_paribus_grid", "config_from_json",
     "estimate_output_range", "explain_instance", "global_ci", "global_mean_abs_shapley",
     "holdout_split", "lime_surrogate", "linear_reference_predictor", "load_config", "load_csv",
     "load_model", "nonlinear_reference_predictor", "normalize_importances",
@@ -559,7 +560,7 @@ PUBLIC_NAMES = [
 def test_package_exports_every_public_name_and_no_module():
     # The whole public surface: adding or removing a name must change this list.
     assert ck.__all__ == PUBLIC_NAMES
-    assert len(ck.__all__) == 67
+    assert len(ck.__all__) == 66
     assert not any(isinstance(getattr(ck, name), ModuleType) for name in ck.__all__)
     assert not any(name.startswith("_") for name in ck.__all__)
 

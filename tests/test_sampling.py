@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import ciukit as ck
+from ciukit import engine
+from ciukit.engine import _ciu_intervals
 from ciukit.sampling import corner_instances
 from conftest import exact, mixed_space, replaced
 
@@ -42,14 +44,47 @@ def varied_values(instances, feature):
     return tuple(inst.values[feature] for inst in instances)
 
 
+def sample_sets(space, instances, n, seed=0):
+    """The CIU sample sets that ``_ciu_intervals`` sends to the predictor
+    for ``instances`` under the streams (seed, r), one list of instances per
+    (instance, feature) slot, with the kernel's intervals and its batch sizes.
+
+    The recording predictor returns each row's position among all rows sent,
+    so an interval reads (first row, last row, source row) of its set.
+    """
+    seen, batches = [], []
+
+    class Recording(ck.Predictor):
+        def evaluate(self, rows):
+            rows = list(rows)
+            batches.append(len(rows))
+            seen.extend(rows)
+            return np.arange(len(seen) - len(rows), len(seen), dtype=float)[:, None]
+
+    streams = [ck.SeededRng(seed).spawn(r) for r in range(len(instances))]
+    intervals = _ciu_intervals(Recording(), space, instances, streams, 0, n)
+    sizes = [n + 3 if f.is_numeric else len(f.levels) for f in space]
+    sets, at = [], 0
+    for _ in instances:
+        sets.append([])
+        for size in sizes:
+            sets[-1].append(seen[at : at + size])
+            at += size
+    assert at == len(seen)
+    return sets, intervals, batches
+
+
 class TestSampleSets:
+    """Each instance's sample sets, as the CIU kernel builds them."""
+
     def test_numeric_contains_source_and_endpoints(self, linear_bundle):
         _, space, _ = linear_bundle
         x = space.instance([0.5, 0.5, 0.5, 0.5])
-        instances, position = ck.build_sample_set(space, x, 0, n=2, rng=1)
+        sets, intervals, _ = sample_sets(space, [x], n=2, seed=1)
+        instances = sets[0][0]
         assert len(instances) == 5
         assert instances[0] == x
-        assert position == 0
+        assert intervals[:, 0, 0].tolist() == [0, 4, 0]  # y is the source row
         varied = varied_values(instances, 0)
         assert varied[0] == 0.5 and varied[1] == 0.0 and varied[2] == 1.0
         assert all(0.0 <= v <= 1.0 for v in varied)
@@ -57,17 +92,18 @@ class TestSampleSets:
     def test_numeric_n0_is_three_points(self, linear_bundle):
         _, space, _ = linear_bundle
         x = space.instance([0.2, 0.4, 0.6, 0.8])
-        instances, _ = ck.build_sample_set(space, x, 2, n=0)
-        assert len(instances) == 3
-        assert varied_values(instances, 2) == (0.6, 0.0, 1.0)
+        sets, _, batches = sample_sets(space, [x], n=0)
+        assert batches == [4 * 3]
+        assert varied_values(sets[0][2], 2) == (0.6, 0.0, 1.0)
 
     def test_only_varied_feature_changes(self, linear_bundle):
         _, space, _ = linear_bundle
         x = space.instance([0.1, 0.2, 0.3, 0.4])
-        instances, _ = ck.build_sample_set(space, x, 1, n=50, rng=3)
-        for inst in instances:
-            for j in (0, 2, 3):
-                assert inst.values[j] == x.values[j]
+        sets, _, _ = sample_sets(space, [x], n=50, seed=3)
+        for i, instances in enumerate(sets[0]):
+            for inst in instances:
+                for j in range(4):
+                    assert j == i or inst.values[j] == x.values[j]
 
     def test_categorical_levels_once_each(self):
         space = ck.FeatureSpace(
@@ -77,43 +113,45 @@ class TestSampleSets:
             )
         )
         x = space.instance(["b", 0.3])
-        instances, position = ck.build_sample_set(space, x, 0, n=100, rng=1)
+        sets, intervals, _ = sample_sets(space, [x], n=100, seed=1)
+        instances = sets[0][0]
         assert len(instances) == 3
         assert varied_values(instances, 0) == ("a", "b", "d")
-        assert instances[position].values[0] == "b"
+        assert intervals[:, 0, 0].tolist() == [0, 2, 1]  # y is the row of level "b"
+        assert instances[1] == x
 
     def test_undeclared_level_names_the_feature(self):
         space = ck.FeatureSpace(
             (ck.FeatureSpec.categorical("c", ["a", "b"]), ck.FeatureSpec.numeric("x", 0, 1))
         )
         with pytest.raises(ck.ConfigError, match="'c'"):
-            ck.build_sample_set(space, ck.Instance(("z", 0.3)), 0, n=5)
+            sample_sets(space, [ck.Instance(("z", 0.3))], n=5)
 
     def test_single_level_categorical(self):
         space = ck.FeatureSpace(
             (ck.FeatureSpec.categorical("c", ["only"]), ck.FeatureSpec.numeric("x", 0, 1))
         )
-        instances, _ = ck.build_sample_set(space, space.instance(["only", 0.2]), 0, n=5)
-        assert len(instances) == 1
+        sets, intervals, _ = sample_sets(space, [space.instance(["only", 0.2])], n=5)
+        assert len(sets[0][0]) == 1
+        assert intervals[:, 0, 0].tolist() == [0, 0, 0]
 
     def test_seeded_reproducibility(self, linear_bundle):
         _, space, _ = linear_bundle
         x = space.instance([0.5, 0.5, 0.5, 0.5])
-        a = ck.build_sample_set(space, x, 0, n=20, rng=ck.SeededRng(9))
-        b = ck.build_sample_set(space, x, 0, n=20, rng=ck.SeededRng(9))
-        c = ck.build_sample_set(space, x, 0, n=20, rng=ck.SeededRng(10))
+        a = sample_sets(space, [x, x], n=20, seed=9)[0]
+        b = sample_sets(space, [x, x], n=20, seed=9)[0]
+        c = sample_sets(space, [x, x], n=20, seed=10)[0]
         assert a == b
         assert a != c
+        assert a[0] != a[1]  # each instance has its own stream
 
     def test_bad_arguments(self, linear_bundle):
         _, space, _ = linear_bundle
         x = space.instance([0.5, 0.5, 0.5, 0.5])
-        with pytest.raises(ck.ConfigError):
-            ck.build_sample_set(space, x, 4, n=10)
-        with pytest.raises(ck.ConfigError):
-            ck.build_sample_set(space, x, -1, n=10)
-        with pytest.raises(ck.ConfigError):
-            ck.build_sample_set(space, x, 0, n=-1)
+        with pytest.raises(ck.ConfigError, match="non-negative"):
+            sample_sets(space, [x], n=-1)
+        with pytest.raises(ck.ConfigError, match="expected 4 values, got 3"):
+            sample_sets(space, [x, ck.Instance((0.5, 0.5, 0.5))], n=10)
 
 
 class TestCeterisParibusGrid:
@@ -182,7 +220,7 @@ class TestUniformInstances:
 
 
 # Per-row reference builders: one Instance per perturbed row, from the same
-# streams as the library's matrix-backed builders.
+# streams as the library's matrix-backed builders and the CIU kernel.
 
 
 def reference_sample_set(space, x, feature, n, rng):
@@ -232,17 +270,25 @@ class TestMatchesPerRowReference:
     """The matrix-backed builders decode to exactly the rows, value types
     and order of a builder that makes one Instance per row."""
 
-    @pytest.mark.parametrize("feature", [0, 1, 2])
     @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_build_sample_set(self, feature, seed):
+    def test_ciu_sample_sets(self, monkeypatch, seed):
+        monkeypatch.setattr(engine, "_CHUNK", 300)  # 3 instances of 89 rows per batch
         space = mixed_space()
-        x = space.instance([1.25, "q", 0.3])
-        rows, position = ck.build_sample_set(space, x, feature, n=40, rng=ck.SeededRng(seed))
-        ref, ref_position = reference_sample_set(space, x, feature, 40, ck.SeededRng(seed))
-        assert isinstance(rows, ck.Rows)
-        assert exact(rows) == exact(ref)
-        assert list(rows) == ref
-        assert position == ref_position
+        xs = [
+            space.instance(v)
+            for v in ([1.25, "q", 0.3], [-3.0, "p", 0.5], [2, "r", 1], [0.0, "r", -0.25],
+                      [-1.0, "p", 7.0], [0.5, "q", 0.0], [1.75, "p", 0.999])
+        ]
+        sets, intervals, batches = sample_sets(space, xs, n=40, seed=seed)
+        assert batches == [3 * 89, 3 * 89, 89]
+        at = 0
+        for r, x in enumerate(xs):
+            for i in range(len(space)):
+                stream = ck.SeededRng(seed).spawn(r).spawn(i)
+                ref, position = reference_sample_set(space, x, i, 40, stream)
+                assert exact(sets[r][i]) == exact(ref)
+                assert intervals[:, r, i].tolist() == [at, at + len(ref) - 1, at + position]
+                at += len(ref)
 
     @pytest.mark.parametrize("feature,size", [(0, 101), (2, 1025), (2, 2)])
     def test_ceteris_paribus_grid(self, feature, size):

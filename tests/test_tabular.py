@@ -381,8 +381,9 @@ def reference_score_numeric(v, y, task, n_outputs, min_leaf):
         gains = parent - sse_l - sse_r
     k = int(np.argmax(gains))
     gain = float(gains[k])
-    threshold = float((vs[cut[k]] + vs[cut[k] + 1]) / 2.0)
-    return gain, threshold
+    lower, upper = float(vs[cut[k]]), float(vs[cut[k] + 1])
+    threshold = (lower + upper) / 2.0  # a Python float: inf where the sum overflows
+    return gain, threshold if lower <= threshold < upper else lower
 
 
 def reference_score_categorical(v, y, task, n_outputs, min_leaf):
@@ -529,6 +530,27 @@ def test_categorical_tie_goes_to_the_lowest_code():
     (scored,) = score_segments(segments, "classification", 3, 1, numeric=False)
     assert scored == reference_score_categorical(*segments[0], "classification", 3, 1)
     assert scored[1] == 1
+
+
+@pytest.mark.parametrize(
+    "lower,upper",
+    [
+        # adjacent floats whose midpoint rounds up to the upper one
+        (math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)),
+        (-1e-299, -9.999999999999999e-300),
+        (1.6e308, 1.7e308),  # their sum overflows
+    ],
+)
+def test_split_threshold_separates_the_rows_it_scored(tmp_path, lower, upper):
+    path = tmp_path / "two_values.csv"
+    floor = min(0.0, 2.0 * lower)  # keeps the column's midpoint finite
+    rows = [(floor, "no"), (lower, "no"), (upper, "yes"), (upper, "yes")] * 3
+    path.write_text("x,y\n" + "".join(f"{v!r},{c}\n" for v, c in rows))
+    dataset = ck.load_csv(path, "y")
+    model = ck.train_ensemble(dataset, ck.TreeParams(n_trees=2, max_depth=1), rng=0)
+    for tree in model.trees:
+        assert tree["threshold"] == lower or lower < tree["threshold"] < upper
+    assert model.evaluate(dataset.rows)[:, 1].tolist() == [0.0, 0.0, 1.0, 1.0] * 3
 
 
 class TestLockstepGrowth:
@@ -708,6 +730,34 @@ class TestCompiledRouting:
         assert model.evaluate([]).shape == (0, 2)
         regression = ck.TreeEnsemble(MIXED_SPACE, [{"leaf": [1.0]}], "regression")
         assert regression.evaluate([]).shape == (0, 1)
+
+
+class TestFirstBadNodeRaises:
+    """Leaf values are checked after the walk over all trees, yet the error
+    names the first bad node in preorder and its tree."""
+
+    SPACE = ck.FeatureSpace(tuple(ck.FeatureSpec.numeric(n, 0.0, 1.0) for n in "abc"))
+
+    @staticmethod
+    def split(i, left, right):
+        return {"feature": i, "threshold": 0.5, "left": left, "right": right}
+
+    def test_infinite_leaf_before_a_bad_feature_index(self):
+        trees = [
+            self.split(0, {"leaf": [1.0]}, {"leaf": [math.inf]}),
+            self.split(3, {"leaf": [1.0]}, {"leaf": [0.0]}),
+        ]
+        with pytest.raises(ck.DataFormatError, match=r"^tree 0: leaf values must be finite numbers$"):
+            ck.TreeEnsemble(self.SPACE, trees, "regression")
+
+    def test_non_number_leaf_names_its_tree(self):
+        trees = [
+            self.split(1, {"leaf": [1.0]}, {"leaf": [0.0]}),
+            self.split(2, {"leaf": ["x"]}, {"leaf": [math.inf]}),
+            {"leaf": [None]},
+        ]
+        with pytest.raises(ck.DataFormatError, match=r"^tree 1: leaf values must be numbers$"):
+            ck.TreeEnsemble(self.SPACE, trees, "regression")
 
 
 @st.composite
