@@ -270,6 +270,20 @@ class TestMatchesPerRowReference:
     """The matrix-backed builders decode to exactly the rows, value types
     and order of a builder that makes one Instance per row."""
 
+    @pytest.mark.parametrize("feature", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_build_sample_set(self, feature, seed):
+        space = mixed_space()
+        x = space.instance([1.25, "q", 0.3])
+        sets, intervals, _ = sample_sets(space, [x], n=40, seed=seed)
+        stream = ck.SeededRng(seed).spawn(0).spawn(feature)
+        ref, ref_position = reference_sample_set(space, x, feature, 40, stream)
+        assert exact(sets[0][feature]) == exact(ref)
+        assert sets[0][feature] == ref
+        first = int(intervals[0, 0, feature])
+        assert intervals[1, 0, feature] == first + len(ref) - 1
+        assert intervals[2, 0, feature] == first + ref_position
+
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_ciu_sample_sets(self, monkeypatch, seed):
         monkeypatch.setattr(engine, "_CHUNK", 300)  # 3 instances of 89 rows per batch
