@@ -230,3 +230,65 @@ class TestTextBars:
         text = ck.text_influence_bars(("a",), (0.125,), "shapley-mc")
         assert "(shapley-mc)" in text.splitlines()[0]
         assert "+0.1250" in text
+
+
+class TestFlaggedExplanationBytes:
+    """Every report of an explanation whose features carry flags, pinned as
+    literal text. 1.2 * x1 + 0.5 on a declared [0, 1] output range leaves the
+    range through x1 (instability) and holds x2..x4 at the constant 1.1
+    (degenerate and instability both). The arithmetic is a few correctly
+    rounded float operations, so the bytes are the same on every platform."""
+
+    SPACE = ck.reference_feature_space()
+    PRED = ck.FunctionPredictor(lambda m: 1.2 * m[:, 0] + 0.5)
+    UTIL = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
+    INFLUENCE_X1 = 1.3322676295501878e-16
+    CU_X1 = 0.5000000000000001
+
+    @pytest.fixture(scope="class")
+    def exp(self):
+        x = self.SPACE.instance([0.5] * 4)
+        return ck.explain_instance(self.PRED, self.UTIL, self.SPACE, x, n=20, rng=1)
+
+    def test_json_features(self, exp):
+        flat = {"value": 0.5, "ci": 0.0, "cu": 0.0, "influence": -0.0, "ymin": 1.1, "ymax": 1.1,
+                "flags": ["degenerate", "instability"]}
+        features = exp.to_json_dict()["features"]
+        assert features == [
+            {"name": "x1", "value": 0.5, "ci": 1.2, "cu": self.CU_X1,
+             "influence": self.INFLUENCE_X1, "ymin": 0.5, "ymax": 1.7, "flags": ["instability"]},
+        ] + [{"name": name, **flat} for name in ("x2", "x3", "x4")]
+        assert [list(f) for f in features] == [
+            ["name", "value", "ci", "cu", "influence", "ymin", "ymax", "flags"]
+        ] * 4
+        assert [repr(f["influence"]) for f in features[1:]] == ["-0.0"] * 3
+
+    def test_text_bars(self, exp):
+        flat = "|" + " " * 40 + "| ci=0.000 cu=0.000 phi=-0.000 [degenerate,instability]"
+        assert ck.text_ciu_bars(exp).splitlines() == [
+            "output y = 1.1000  (phi0=0.5, seed=1)",
+            "x1 |" + "█" * 20 + "░" * 20 + "| ci=1.200 cu=0.500 phi=+0.000 [instability]",
+        ] + [f"{name} {flat}" for name in ("x2", "x3", "x4")]
+
+    def test_svg_notes(self, exp):
+        notes = [t for t in ck.render_ciu_barplot(exp).splitlines() if "ci=" in t]
+        grey = 'font-family="sans-serif" font-size="12" fill="#888888"'
+        assert notes == [
+            f'<text x="786.00" y="76" {grey}>ci=1.200 cu=0.500 [instability]</text>',
+        ] + [
+            f'<text x="206.00" y="{y}" {grey}>ci=0.000 cu=0.000 [degenerate,instability]</text>'
+            for y in (116, 156, 196)
+        ]
+
+    def test_explain_csv_rows(self, tmp_path, monkeypatch):
+        from ciukit import cli
+
+        monkeypatch.setattr(cli, "_setup", lambda args: (self.PRED, self.SPACE, self.UTIL, None))
+        argv = ["explain", "--predictor", "linear", "--instance", "[0.5,0.5,0.5,0.5]",
+                "--method", "ciu", "--samples", "20", "--seed", "1",
+                "--format", "csv", "--output-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert (tmp_path / "explain_report.csv").read_text(encoding="utf-8").splitlines() == [
+            "method,feature,influence,ci,cu,ymin,ymax,flags",
+            f"ciu,x1,{self.INFLUENCE_X1!r},1.2,{self.CU_X1!r},0.5,1.7,instability",
+        ] + [f"ciu,{name},-0.0,0.0,0.0,1.1,1.1,degenerate instability" for name in ("x2", "x3", "x4")]
