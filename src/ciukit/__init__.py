@@ -36,7 +36,6 @@ from .core import (
 )
 from .sampling import SeededRng, as_rng, ceteris_paribus_grid, uniform_instances
 from .engine import (
-    CiuValue,
     CpCurve,
     Explanation,
     ceteris_paribus_curve,
@@ -51,7 +50,6 @@ from .baselines import (
     AttributionVector,
     lime_surrogate,
     permutation_importance,
-    shapley_enumerate,
     shapley_mc,
 )
 from .global_importance import (

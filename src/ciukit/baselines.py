@@ -199,42 +199,6 @@ def shapley_mc(
     )
 
 
-def shapley_enumerate(
-    predictor: Predictor,
-    space: FeatureSpace,
-    x: Instance,
-    background: Sequence[Instance],
-    output: int = 0,
-) -> np.ndarray:
-    """Exact Shapley values by full subset enumeration (reference oracle).
-
-    Coalition value v(S) is the mean prediction over the background set with
-    features in S taken from x. Cost grows as 2^n, so this is restricted to
-    n <= 12 and meant for validating the sampled estimator.
-    """
-    n = len(space)
-    if n > 12:
-        raise ConfigError("exact enumeration is limited to 12 features")
-    if not background:
-        raise ConfigError("shapley enumeration needs a non-empty background set")
-    x_enc, bg = encode_instance(space, x), encode_rows(space, background)
-    bits = 1 << np.arange(n)
-    values = {}
-    for mask in range(1 << n):  # features in mask come from x, the rest from the background
-        mixed = Rows(space, np.where(mask & bits, x_enc, bg))
-        values[mask] = float(np.mean(evaluate_rows(predictor, mixed)[:, output]))
-    fact = [math.factorial(k) for k in range(n + 1)]
-    phi = np.zeros(n)
-    for i in range(n):
-        for mask in range(1 << n):
-            if mask >> i & 1:
-                continue
-            s = bin(mask).count("1")
-            weight = fact[s] * fact[n - s - 1] / fact[n]
-            phi[i] += weight * (values[mask | 1 << i] - values[mask])
-    return phi
-
-
 def _normalized_columns(
     space: FeatureSpace, rows: Sequence[Instance], x: Instance
 ) -> tuple[np.ndarray, np.ndarray]:

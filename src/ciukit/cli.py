@@ -329,7 +329,7 @@ def cmd_explain(args) -> None:
             ))
             files["explain_ciu.svg"] = partial(render_ciu_barplot, result)
             texts.append(text_ciu_bars(result))
-            phi, title = result.influence_vector(), "Contextual influence"
+            phi, title = result.influence, "Contextual influence"
             limit = max(args.phi0, 1.0 - args.phi0)
         elif method == "shapley":
             result, block = _timed(args, lambda: shapley_mc(

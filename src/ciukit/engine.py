@@ -50,40 +50,27 @@ _OVERSHOOT_TOL = 1e-9
 _SWEEP_GRID = 1025
 _SWEEP_PASSES = 4
 
-FLAG_DEGENERATE = "degenerate"
-FLAG_INSTABILITY = "instability"
-
-
-@dataclass(frozen=True)
-class CiuValue:
-    """Per-feature explanation values plus the interval they came from."""
-
-    ci: float
-    cu: float
-    influence: float
-    ymin: float
-    ymax: float
-    y: float
-    degenerate: bool = False
-    instability: bool = False
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        out = []
-        if self.degenerate:
-            out.append(FLAG_DEGENERATE)
-        if self.instability:
-            out.append(FLAG_INSTABILITY)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Explanation:
-    """Result of explaining one instance for one output."""
+    """Result of explaining one instance for one output.
+
+    Each per-feature quantity is a column: a tuple with one entry per
+    feature, in feature order. ``ci``, ``cu`` and ``influence`` come from
+    the interval [``ymin``, ``ymax``] that the output reaches as the feature
+    varies; ``degenerate`` and ``instability`` are its flags. ``y`` is the
+    explained instance's output.
+    """
 
     feature_names: tuple[str, ...]
     feature_values: tuple
-    values: tuple[CiuValue, ...]
+    ci: tuple[float, ...]
+    cu: tuple[float, ...]
+    influence: tuple[float, ...]
+    ymin: tuple[float, ...]
+    ymax: tuple[float, ...]
+    degenerate: tuple[bool, ...]
+    instability: tuple[bool, ...]
     output_index: int
     output_name: str
     y: float
@@ -92,28 +79,20 @@ class Explanation:
     seed: int
     estimated_range: bool = False
 
-    def influence_vector(self) -> np.ndarray:
-        return np.array([v.influence for v in self.values])
+    def flags(self, i: int) -> tuple[str, ...]:
+        """Feature i's flag names: degenerate, then instability, when set."""
+        return ("degenerate",) * self.degenerate[i] + ("instability",) * self.instability[i]
 
     def sorted_indices_by_ci(self) -> list[int]:
         """Feature order for display: importance descending, ties stable."""
-        return sorted(range(len(self.values)), key=lambda i: (-self.values[i].ci, i))
+        return sorted(range(len(self.ci)), key=lambda i: (-self.ci[i], i))
 
     def to_json_dict(self) -> dict:
-        features = []
-        for name, value, v in zip(self.feature_names, self.feature_values, self.values):
-            features.append(
-                {
-                    "name": name,
-                    "value": value,
-                    "ci": float(v.ci),
-                    "cu": float(v.cu),
-                    "influence": float(v.influence),
-                    "ymin": float(v.ymin),
-                    "ymax": float(v.ymax),
-                    "flags": list(v.flags),
-                }
-            )
+        keys = ("name", "value", "ci", "cu", "influence", "ymin", "ymax", "flags")
+        columns = (
+            self.feature_names, self.feature_values, self.ci, self.cu, self.influence,
+            self.ymin, self.ymax, [list(self.flags(i)) for i in range(len(self.ci))],
+        )
         return {
             "method": "ciu",
             "output": int(self.output_index),
@@ -122,7 +101,7 @@ class Explanation:
             "seed": int(self.seed),
             "samples": int(self.sample_count),
             "estimated_range": bool(self.estimated_range),
-            "features": features,
+            "features": [dict(zip(keys, row)) for row in zip(*columns)],
             "y": float(self.y),
         }
 
@@ -311,12 +290,11 @@ def explain_instance(
     base = as_rng(rng)
     ymin, ymax, y = _ciu_intervals(predictor, space, [x], [base], output, n)[:, 0]
     ci, cu, influence, degenerate, instability = _ciu(ymin, ymax, y, spec, phi0)
-    columns = (ci, cu, influence, ymin, ymax, y, degenerate, instability)
-    values = tuple(CiuValue(*v) for v in zip(*(c.tolist() for c in columns)))
+    columns = (ci, cu, influence, ymin, ymax, degenerate, instability)
     return Explanation(
-        feature_names=space.names,
-        feature_values=tuple(x.values),
-        values=values,
+        space.names,
+        tuple(x.values),
+        *(tuple(c.tolist()) for c in columns),
         output_index=output,
         output_name=spec.name,
         y=y[-1].item(),

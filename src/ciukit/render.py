@@ -73,12 +73,12 @@ def render_ciu_barplot(explanation: Explanation) -> str:
         "bar = importance, filled = utility position</text>"
     )
     for r, i in enumerate(order):
-        v = explanation.values[i]
+        ci, cu, flags = explanation.ci[i], explanation.cu[i], explanation.flags(i)
         y = TOP + r * ROW_H
         bar_y = y + 8
         bar_h = ROW_H - 16
-        ci_w = min(max(v.ci, 0.0), 1.0) * BAR_AREA
-        cu_w = ci_w * min(max(v.cu, 0.0), 1.0)
+        ci_w = min(max(ci, 0.0), 1.0) * BAR_AREA
+        cu_w = ci_w * min(max(cu, 0.0), 1.0)
         label = f"{explanation.feature_names[i]} = {_fmt_value(explanation.feature_values[i])}"
         parts.append(
             f'<text x="{LABEL_W - 8}" y="{bar_y + bar_h - 6}" text-anchor="end" '
@@ -92,9 +92,9 @@ def render_ciu_barplot(explanation: Explanation) -> str:
             f'<rect x="{LABEL_W}" y="{bar_y}" width="{_px(cu_w)}" height="{bar_h}" '
             f'fill="{BLUE}"/>'
         )
-        note = f"ci={v.ci:.3f} cu={v.cu:.3f}"
-        if v.flags:
-            note += " [" + ",".join(v.flags) + "]"
+        note = f"ci={ci:.3f} cu={cu:.3f}"
+        if flags:
+            note += " [" + ",".join(flags) + "]"
         parts.append(
             f'<text x="{_px(LABEL_W + ci_w + 6)}" y="{bar_y + bar_h - 6}" '
             f"{FONT} fill=\"{GRAY}\">{_esc(note)}</text>"
@@ -310,16 +310,15 @@ def text_ciu_bars(explanation: Explanation) -> str:
     ]
     width = max(len(n) for n in explanation.feature_names)
     for i in explanation.sorted_indices_by_ci():
-        v = explanation.values[i]
-        ci = min(max(v.ci, 0.0), 1.0)
-        cu = min(max(v.cu, 0.0), 1.0)
-        total = round(ci * _BAR_COLS)
-        solid = round(ci * cu * _BAR_COLS)
+        ci, cu, flags = explanation.ci[i], explanation.cu[i], explanation.flags(i)
+        shown_ci, shown_cu = min(max(ci, 0.0), 1.0), min(max(cu, 0.0), 1.0)
+        total = round(shown_ci * _BAR_COLS)
+        solid = round(shown_ci * shown_cu * _BAR_COLS)
         bar = "█" * solid + "░" * max(total - solid, 0)
-        flags = f" [{','.join(v.flags)}]" if v.flags else ""
+        note = f" [{','.join(flags)}]" if flags else ""
         lines.append(
             f"{explanation.feature_names[i]:<{width}} |{bar:<{_BAR_COLS}}| "
-            f"ci={v.ci:.3f} cu={v.cu:.3f} phi={v.influence:+.3f}{flags}"
+            f"ci={ci:.3f} cu={cu:.3f} phi={explanation.influence[i]:+.3f}{note}"
         )
     return "\n".join(lines)
 

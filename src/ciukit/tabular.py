@@ -471,11 +471,12 @@ def _leaf_error(leaves: list, threshold: list, roots: list, n_outputs: int):
     numbers, naming its tree, or None. ``threshold`` is inf at each leaf."""
     for k, node in enumerate(np.flatnonzero(np.asarray(threshold) == math.inf).tolist()):
         t = bisect.bisect_right(roots, node) - 1
+        leaf = leaves[k * n_outputs : (k + 1) * n_outputs]
         try:
-            values = np.asarray(leaves[k * n_outputs : (k + 1) * n_outputs])
+            values = np.asarray(leaf)
         except ValueError:  # ragged: a list nested inside the leaf
             return DataFormatError(f"tree {t}: leaf values must be numbers")
-        if values.ndim != 1 or values.dtype.kind not in "iuf":
+        if values.ndim != 1 or values.dtype.kind not in "iuf" or bool in map(type, leaf):
             return DataFormatError(f"tree {t}: leaf values must be numbers")
         if not np.isfinite(values).all():
             return DataFormatError(f"tree {t}: leaf values must be finite numbers")
@@ -548,6 +549,7 @@ def _flatten(trees: Sequence[dict], space: FeatureSpace, n_outputs: int) -> _Fla
         leaf_values = None
     if (
         leaf_values is None or leaf_values.ndim != 1 or leaf_values.dtype.kind not in "iuf"
+        or bool in set(map(type, leaves))  # numpy casts a JSON true beside a float to 1.0
         or not np.isfinite(leaf_values).all()
     ):
         bad = _leaf_error(leaves, threshold, roots, n_outputs)

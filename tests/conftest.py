@@ -7,10 +7,14 @@ tests never just compare the library against itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import ciukit as ck
+from ciukit.core import encode_rows, evaluate_rows
+from ciukit.sampling import encode_instance
 
 # The oscillatory benchmark is a sum of one term per feature, so per-feature
 # output intervals and the joint range follow from per-term extremes.
@@ -51,6 +55,37 @@ def expected_nonlinear_ciu(values, joint: tuple[float, float]):
         cu = (ti - lo) / (hi - lo)
         out.append((ci, cu))
     return out
+
+
+def shapley_enumerate(predictor, space, x, background, output: int = 0) -> np.ndarray:
+    """Exact Shapley values by full subset enumeration, the oracle for the
+    sampled estimator.
+
+    Coalition value v(S) is the mean prediction over the background set with
+    features in S taken from x, one predictor batch per coalition. Cost grows
+    as 2^n, so this is restricted to n <= 12.
+    """
+    n = len(space)
+    if n > 12:
+        raise ck.ConfigError("exact enumeration is limited to 12 features")
+    if not background:
+        raise ck.ConfigError("shapley enumeration needs a non-empty background set")
+    x_enc, bg = encode_instance(space, x), encode_rows(space, background)
+    bits = 1 << np.arange(n)
+    values = {}
+    for mask in range(1 << n):  # features in mask come from x, the rest from the background
+        mixed = ck.Rows(space, np.where(mask & bits, x_enc, bg))
+        values[mask] = float(np.mean(evaluate_rows(predictor, mixed)[:, output]))
+    fact = [math.factorial(k) for k in range(n + 1)]
+    phi = np.zeros(n)
+    for i in range(n):
+        for mask in range(1 << n):
+            if mask >> i & 1:
+                continue
+            s = bin(mask).count("1")
+            weight = fact[s] * fact[n - s - 1] / fact[n]
+            phi[i] += weight * (values[mask | 1 << i] - values[mask])
+    return phi
 
 
 @pytest.fixture(scope="session")

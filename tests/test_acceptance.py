@@ -14,7 +14,7 @@ import numpy as np
 
 import ciukit as ck
 from ciukit import cli
-from conftest import LINEAR_WEIGHTS, write_classification_csv
+from conftest import LINEAR_WEIGHTS, shapley_enumerate, write_classification_csv
 
 
 def _verdict(capsys, num, name, failures):
@@ -35,12 +35,12 @@ def test_criterion_01_linear_exactness(capsys, linear_bundle):
     start = time.perf_counter()
     exp = ck.explain_instance(pred, util, space, space.instance([0.5] * 4), n=100, rng=42)
     elapsed = time.perf_counter() - start
-    _check(failures, np.allclose([v.ci for v in exp.values], LINEAR_WEIGHTS, atol=1e-9),
-           f"ci {[v.ci for v in exp.values]} != weights within 1e-9")
-    _check(failures, np.allclose([v.cu for v in exp.values], 0.5, atol=1e-9),
-           f"cu {[v.cu for v in exp.values]} != 0.5 within 1e-9")
-    _check(failures, np.allclose(exp.influence_vector(), 0.0, atol=1e-9),
-           f"influence {exp.influence_vector()} != 0 within 1e-9")
+    _check(failures, np.allclose(exp.ci, LINEAR_WEIGHTS, atol=1e-9),
+           f"ci {exp.ci} != weights within 1e-9")
+    _check(failures, np.allclose(exp.cu, 0.5, atol=1e-9),
+           f"cu {exp.cu} != 0.5 within 1e-9")
+    _check(failures, np.allclose(exp.influence, 0.0, atol=1e-9),
+           f"influence {exp.influence} != 0 within 1e-9")
     _check(failures, elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s")
     _verdict(capsys, 1, "additive predictor recovered exactly at the midpoint", failures)
 
@@ -95,12 +95,12 @@ def test_criterion_03_oscillatory_benchmark(capsys, nonlinear_bundle):
     want_ci = (0.300, 0.128, 0.321, 0.251)
     want_cu = (0.416, 0.416, 0.348, 0.202)
     want_phi = (-0.025, -0.011, -0.049, -0.075)
-    _check(failures, np.allclose([v.ci for v in exp.values], want_ci, atol=0.01),
-           f"ci {np.round([v.ci for v in exp.values], 4)} vs {want_ci}")
-    _check(failures, np.allclose([v.cu for v in exp.values], want_cu, atol=0.01),
-           f"cu {np.round([v.cu for v in exp.values], 4)} vs {want_cu}")
-    _check(failures, np.allclose(exp.influence_vector(), want_phi, atol=0.01),
-           f"influence {np.round(exp.influence_vector(), 4)} vs {want_phi}")
+    _check(failures, np.allclose(exp.ci, want_ci, atol=0.01),
+           f"ci {np.round(exp.ci, 4)} vs {want_ci}")
+    _check(failures, np.allclose(exp.cu, want_cu, atol=0.01),
+           f"cu {np.round(exp.cu, 4)} vs {want_cu}")
+    _check(failures, np.allclose(exp.influence, want_phi, atol=0.01),
+           f"influence {np.round(exp.influence, 4)} vs {want_phi}")
     elapsed = time.perf_counter() - start
     _check(failures, elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s")
     _verdict(capsys, 3, "oscillatory benchmark values reproduced", failures)
@@ -157,7 +157,7 @@ def test_criterion_05_shapley_correctness(capsys, linear_bundle, nonlinear_bundl
     for k in range(3):
         vals = tuple(gen.uniform(0, 1, 4))
         x = nspace.instance(vals)
-        exact = ck.shapley_enumerate(npred, nspace, x, nbg)
+        exact = shapley_enumerate(npred, nspace, x, nbg)
         att = ck.shapley_mc(npred, nspace, x, nbg, budget=3000, rng=100 + k)
         gaps = np.abs(np.asarray(att.phi) - exact) / np.asarray(att.se)
         _check(failures, (gaps <= 3.0).all(),
@@ -173,12 +173,11 @@ def test_criterion_06_instability_flag(capsys):
     util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
     failures = []
     exp = ck.explain_instance(pred, util, space, space.instance([0.5] * 4), n=100, rng=1)
-    v1, v2 = exp.values[0], exp.values[1]
-    _check(failures, v1.instability, "feature 1 interval leaves [0, 1] but is unflagged")
-    _check(failures, abs(v1.ci - 1.2) <= 1e-9,
-           f"ci {v1.ci} was clamped; expected the raw 1.2")
-    _check(failures, not v2.instability, "feature 2 stays inside [0, 1] but is flagged")
-    _check(failures, "instability" in v1.flags, "flag list misses 'instability'")
+    _check(failures, exp.instability[0], "feature 1 interval leaves [0, 1] but is unflagged")
+    _check(failures, abs(exp.ci[0] - 1.2) <= 1e-9,
+           f"ci {exp.ci[0]} was clamped; expected the raw 1.2")
+    _check(failures, not exp.instability[1], "feature 2 stays inside [0, 1] but is flagged")
+    _check(failures, "instability" in exp.flags(0), "flag list misses 'instability'")
     _verdict(capsys, 6, "out-of-range interval is flagged, never clamped", failures)
 
 
@@ -188,12 +187,12 @@ def test_criterion_07_degenerate_feature(capsys):
     util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
     failures = []
     exp = ck.explain_instance(pred, util, space, space.instance([0.5] * 4), n=100, rng=1)
-    v = exp.values[3]
-    _check(failures, v.ci == 0.0 and v.cu == 0.0 and v.influence == 0.0,
-           f"ignored feature reported ci={v.ci} cu={v.cu} influence={v.influence}")
-    _check(failures, v.degenerate and "degenerate" in v.flags,
+    ci, cu, phi = exp.ci[3], exp.cu[3], exp.influence[3]
+    _check(failures, ci == 0.0 and cu == 0.0 and phi == 0.0,
+           f"ignored feature reported ci={ci} cu={cu} influence={phi}")
+    _check(failures, exp.degenerate[3] and "degenerate" in exp.flags(3),
            "collapsed interval not flagged degenerate")
-    _check(failures, not any(w.degenerate for w in exp.values[:3]),
+    _check(failures, not any(exp.degenerate[:3]),
            "a live feature was flagged degenerate")
     _verdict(capsys, 7, "ignored feature collapses to zero with a degenerate flag", failures)
 

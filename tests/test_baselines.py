@@ -3,7 +3,7 @@ import pytest
 
 import ciukit as ck
 from ciukit.core import evaluate_rows
-from conftest import LINEAR_WEIGHTS, MixedModel, exact, mixed_space, replaced
+from conftest import LINEAR_WEIGHTS, MixedModel, exact, mixed_space, replaced, shapley_enumerate
 
 
 def uniform_rows(space, n, seed):
@@ -121,7 +121,7 @@ class TestShapleyMc:
         gen = np.random.Generator(np.random.PCG64(32))
         for k in range(3):
             x = space.instance(tuple(gen.uniform(0, 1, 4)))
-            exact = ck.shapley_enumerate(pred, space, x, bg)
+            exact = shapley_enumerate(pred, space, x, bg)
             att = ck.shapley_mc(pred, space, x, bg, budget=3000, rng=k)
             for phi, se, truth in zip(att.phi, att.se, exact):
                 assert abs(phi - truth) <= 3.0 * se + 1e-12
@@ -212,7 +212,7 @@ class TestShapleyMc:
         x = space.instance([0.9, 0.1, 0.6, 0.4])
         means = np.mean([[r.values[i] for i in range(4)] for r in bg], axis=0)
         want = np.asarray(LINEAR_WEIGHTS) * (np.asarray(x.values, float) - means)
-        got = ck.shapley_enumerate(pred, space, x, bg)
+        got = shapley_enumerate(pred, space, x, bg)
         assert np.allclose(got, want, atol=1e-10)
 
     def test_enumeration_feature_cap(self, linear_bundle):
@@ -220,7 +220,7 @@ class TestShapleyMc:
         space = ck.FeatureSpace(specs)
         pred = ck.FunctionPredictor(lambda m: m.sum(axis=1))
         with pytest.raises(ck.ConfigError):
-            ck.shapley_enumerate(pred, space, space.midpoint(), uniform_rows(space, 5, 1))
+            shapley_enumerate(pred, space, space.midpoint(), uniform_rows(space, 5, 1))
 
 
 class TestLimeSurrogate:
@@ -392,7 +392,7 @@ class TestMatchesPerRowReference:
         x = space.instance([0.2, "p", 0.8])
         background = list(ck.uniform_instances(space, 7, ck.SeededRng(4)))
         pred = MixedModel()
-        ck.shapley_enumerate(pred, space, x, background)
+        shapley_enumerate(pred, space, x, background)
         for mask, got in enumerate(pred.batches):
             want = []
             for z in background:

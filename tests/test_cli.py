@@ -344,6 +344,7 @@ MALFORMED_MODELS = {
     "short-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[1.0]),
     "nan-threshold": lambda doc: doc["trees"][0].update(threshold=float("nan")),
     "infinite-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[float("inf"), 0.0]),
+    "bool-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[True, 0.0]),
     "huge-integer-threshold": lambda doc: doc["trees"][0].update(threshold=10**400),
     "levels-not-strings": lambda doc: doc["features"][1].update(levels=["lo", "hi", 5]),
     "feature-bound-string": lambda doc: doc["features"][0].update(max="one"),
@@ -362,6 +363,7 @@ NODE_MESSAGES = {
     "short-leaf": "tree 0: a leaf needs a list of 2 outputs",
     "nan-threshold": "tree 0: threshold must be a finite number",
     "infinite-leaf": "tree 0: leaf values must be finite numbers",
+    "bool-leaf": "tree 0: leaf values must be numbers",
     "huge-integer-threshold": "tree 0: threshold must be a finite number",
 }
 

@@ -540,7 +540,7 @@ def test_imports_run_one_way():
 
 
 PUBLIC_NAMES = [
-    "ALL_METHODS", "AttributionVector", "Budgets", "CATEGORICAL", "CiuValue", "ConfigError",
+    "ALL_METHODS", "AttributionVector", "Budgets", "CATEGORICAL", "ConfigError",
     "CpCurve", "DataFormatError", "Dataset", "DegenerateRangeError", "ExplainerError",
     "Explanation", "FeatureSpace", "FeatureSpec", "FunctionPredictor", "GlobalImportance",
     "Instance", "METHOD_INFLUENCE", "METHOD_LIME", "METHOD_SHAPLEY", "NUMERIC", "OutputSpec",
@@ -552,7 +552,7 @@ PUBLIC_NAMES = [
     "load_model", "nonlinear_reference_predictor", "normalize_importances",
     "permutation_importance", "reference_feature_space", "render_ciu_barplot", "render_cp_plot",
     "render_influence_barplot", "render_spread_plot", "resolve_utility", "run_global",
-    "run_stability", "save_model", "shapley_enumerate", "shapley_mc", "stability_csv",
+    "run_stability", "save_model", "shapley_mc", "stability_csv",
     "summarize", "text_ciu_bars", "text_influence_bars", "train_ensemble", "uniform_instances",
 ]
 
@@ -560,7 +560,7 @@ PUBLIC_NAMES = [
 def test_package_exports_every_public_name_and_no_module():
     # The whole public surface: adding or removing a name must change this list.
     assert ck.__all__ == PUBLIC_NAMES
-    assert len(ck.__all__) == 66
+    assert len(ck.__all__) == 64
     assert not any(isinstance(getattr(ck, name), ModuleType) for name in ck.__all__)
     assert not any(name.startswith("_") for name in ck.__all__)
 

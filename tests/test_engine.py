@@ -81,35 +81,35 @@ class TestEstimateMinmax:
 
     def test_linear_first_feature_exact(self, linear_bundle, linear_mid):
         pred, space, util = linear_bundle
-        v = ck.explain_instance(pred, util, space, linear_mid, n=100, rng=1).values[0]
-        assert v.ymin == pytest.approx(0.3, abs=1e-12)
-        assert v.ymax == pytest.approx(0.7, abs=1e-12)
-        assert v.y == pytest.approx(0.5, abs=1e-12)
+        exp = ck.explain_instance(pred, util, space, linear_mid, n=100, rng=1)
+        assert exp.ymin[0] == pytest.approx(0.3, abs=1e-12)
+        assert exp.ymax[0] == pytest.approx(0.7, abs=1e-12)
+        assert exp.y == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_predictor(self, linear_bundle, linear_mid):
         _, space, util = linear_bundle
         pred = ck.FunctionPredictor(lambda x: np.full(len(x), 2.5))
-        v = ck.explain_instance(pred, util, space, linear_mid, n=10, rng=1).values[1]
-        assert v.ymin == v.ymax == v.y == 2.5
-        assert v.degenerate and v.ci == v.cu == 0.0
+        exp = ck.explain_instance(pred, util, space, linear_mid, n=10, rng=1)
+        assert exp.ymin[1] == exp.ymax[1] == exp.y == 2.5
+        assert exp.degenerate[1] and exp.ci[1] == exp.cu[1] == 0.0
 
     def test_nonlinear_interior_extremum(self, nonlinear_resolved):
         # The fourth term has its minimum inside the interval, not at an
         # endpoint, so random draws must find it approximately.
         pred, space, util = nonlinear_resolved
         x = space.instance([0.63, 0.63, 0.59, 0.81])
-        v = ck.explain_instance(pred, util, space, x, n=1000, rng=5).values[3]
+        exp = ck.explain_instance(pred, util, space, x, n=1000, rng=5)
         lo, hi = term_extremes(3)
-        assert (v.ymax - v.ymin) == pytest.approx(hi - lo, abs=0.01)
-        assert (v.ymax - v.ymin) == pytest.approx(0.78125, abs=0.01)
+        assert (exp.ymax[3] - exp.ymin[3]) == pytest.approx(hi - lo, abs=0.01)
+        assert (exp.ymax[3] - exp.ymin[3]) == pytest.approx(0.78125, abs=0.01)
 
     def test_monotone_exact_with_zero_draws(self, linear_bundle):
         pred, space, util = linear_bundle
         x = space.instance([0.9, 0.1, 0.7, 0.3])
-        v = ck.explain_instance(pred, util, space, x, n=0).values[1]
+        exp = ck.explain_instance(pred, util, space, x, n=0)
         got = evaluate_rows(pred, [x])[0, 0]
-        assert v.y == got
-        assert v.ymax - v.ymin == pytest.approx(0.3, abs=1e-12)
+        assert exp.y == got
+        assert exp.ymax[1] - exp.ymin[1] == pytest.approx(0.3, abs=1e-12)
 
 
 class TestCiuFormulas:
@@ -183,11 +183,11 @@ class TestExplainInstance:
     def test_linear_exact_midpoint(self, linear_bundle, linear_mid):
         pred, space, util = linear_bundle
         exp = ck.explain_instance(pred, util, space, linear_mid, n=100, rng=42)
-        assert np.allclose([v.ci for v in exp.values], [0.4, 0.3, 0.2, 0.1], atol=1e-9)
-        assert np.allclose([v.cu for v in exp.values], [0.5, 0.5, 0.5, 0.5], atol=1e-9)
-        assert np.allclose(exp.influence_vector(), 0.0, atol=1e-9)
+        assert np.allclose(exp.ci, [0.4, 0.3, 0.2, 0.1], atol=1e-9)
+        assert np.allclose(exp.cu, [0.5, 0.5, 0.5, 0.5], atol=1e-9)
+        assert np.allclose(exp.influence, 0.0, atol=1e-9)
         assert exp.y == pytest.approx(0.5, abs=1e-12)
-        assert all(v.flags == () for v in exp.values)
+        assert all(exp.flags(i) == () for i in range(4))
 
     def test_nonlinear_matches_term_oracle(self, nonlinear_resolved):
         pred, space, util = nonlinear_resolved
@@ -195,19 +195,17 @@ class TestExplainInstance:
         exp = ck.explain_instance(pred, util, space, x, n=1000, rng=42)
         spec = util.spec(0)
         want = expected_nonlinear_ciu(x.values, (spec.out_min, spec.out_max))
-        for v, (ci, cu) in zip(exp.values, want):
-            assert v.ci == pytest.approx(ci, abs=5e-3)
-            assert v.cu == pytest.approx(cu, abs=5e-3)
+        for got_ci, got_cu, (ci, cu) in zip(exp.ci, exp.cu, want):
+            assert got_ci == pytest.approx(ci, abs=5e-3)
+            assert got_cu == pytest.approx(cu, abs=5e-3)
 
     def test_nonlinear_published_values(self, nonlinear_resolved):
         pred, space, util = nonlinear_resolved
         x = space.instance([0.63, 0.63, 0.59, 0.81])
         exp = ck.explain_instance(pred, util, space, x, n=1000, rng=42)
-        assert np.allclose([v.ci for v in exp.values], [0.300, 0.128, 0.321, 0.251], atol=0.01)
-        assert np.allclose([v.cu for v in exp.values], [0.416, 0.416, 0.348, 0.202], atol=0.01)
-        assert np.allclose(
-            exp.influence_vector(), [-0.025, -0.011, -0.049, -0.075], atol=0.01
-        )
+        assert np.allclose(exp.ci, [0.300, 0.128, 0.321, 0.251], atol=0.01)
+        assert np.allclose(exp.cu, [0.416, 0.416, 0.348, 0.202], atol=0.01)
+        assert np.allclose(exp.influence, [-0.025, -0.011, -0.049, -0.075], atol=0.01)
         assert exp.estimated_range
 
     def test_influence_is_ci_times_cu_offset(self, nonlinear_resolved):
@@ -216,8 +214,8 @@ class TestExplainInstance:
         for phi0 in (0.0, 0.25, 0.5, 1.0):
             x = space.instance(tuple(gen.uniform(0, 1, 4)))
             exp = ck.explain_instance(pred, util, space, x, n=50, phi0=phi0, rng=3)
-            for v in exp.values:
-                assert v.influence == v.ci * (v.cu - phi0)
+            for phi, ci, cu in zip(exp.influence, exp.ci, exp.cu):
+                assert phi == ci * (cu - phi0)
 
     def test_bounds_invariants(self, nonlinear_resolved):
         pred, space, util = nonlinear_resolved
@@ -225,20 +223,19 @@ class TestExplainInstance:
         for seed in range(10):
             x = space.instance(tuple(gen.uniform(0, 1, 4)))
             exp = ck.explain_instance(pred, util, space, x, n=30, rng=seed)
-            for v in exp.values:
-                assert v.ymin <= v.y <= v.ymax
-                assert 0.0 <= v.cu <= 1.0
-                assert v.ci >= 0.0
+            for ymin, ymax, ci, cu in zip(exp.ymin, exp.ymax, exp.ci, exp.cu):
+                assert ymin <= exp.y <= ymax
+                assert 0.0 <= cu <= 1.0
+                assert ci >= 0.0
 
     def test_degenerate_ignored_feature(self):
         space = ck.reference_feature_space()
         pred = ck.FunctionPredictor(lambda x: x @ np.asarray([0.5, 0.3, 0.2, 0.0]))
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
         exp = ck.explain_instance(pred, util, space, space.instance([0.5] * 4), rng=1)
-        v = exp.values[3]
-        assert v.ci == 0.0 and v.cu == 0.0 and v.influence == 0.0
-        assert v.degenerate and "degenerate" in v.flags
-        assert not exp.values[0].degenerate
+        assert exp.ci[3] == 0.0 and exp.cu[3] == 0.0 and exp.influence[3] == 0.0
+        assert exp.degenerate[3] and "degenerate" in exp.flags(3)
+        assert not exp.degenerate[0]
 
     def test_instability_flag_unclamped(self):
         # predictor leaves its declared [0, 1] range when x1 is pushed high
@@ -246,11 +243,10 @@ class TestExplainInstance:
         pred = ck.FunctionPredictor(lambda x: 1.2 * x[:, 0] + 0.05 * x[:, 1])
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
         exp = ck.explain_instance(pred, util, space, space.instance([0.5, 0.5, 0.5, 0.5]), rng=1)
-        v = exp.values[0]
-        assert v.instability and "instability" in v.flags
-        assert v.ci == pytest.approx(1.2, abs=1e-9)  # reported, not clamped
-        assert v.ymax == pytest.approx(1.225, abs=1e-9)
-        assert not exp.values[1].instability
+        assert exp.instability[0] and "instability" in exp.flags(0)
+        assert exp.ci[0] == pytest.approx(1.2, abs=1e-9)  # reported, not clamped
+        assert exp.ymax[0] == pytest.approx(1.225, abs=1e-9)
+        assert not exp.instability[1]
 
     def test_categorical_matches_exhaustive_enumeration(self):
         space = ck.FeatureSpace(
@@ -276,8 +272,8 @@ class TestExplainInstance:
             ys = [evaluate_rows(pred, [space.instance(v)])[0, 0] for v in variants]
             ci = (max(ys) - min(ys)) / 1.0
             cu = 0.0 if max(ys) == min(ys) else (y - min(ys)) / (max(ys) - min(ys))
-            assert exp.values[i].ci == ci
-            assert exp.values[i].cu == cu
+            assert exp.ci[i] == ci
+            assert exp.cu[i] == cu
 
     def test_seed_determinism(self, nonlinear_resolved):
         pred, space, util = nonlinear_resolved
@@ -285,8 +281,22 @@ class TestExplainInstance:
         a = ck.explain_instance(pred, util, space, x, n=200, rng=5)
         b = ck.explain_instance(pred, util, space, x, n=200, rng=5)
         c = ck.explain_instance(pred, util, space, x, n=200, rng=6)
-        assert a.values == b.values
-        assert a.values != c.values  # interior extrema move with the draws
+        assert a == b
+        assert (a.ymin, a.ymax) != (c.ymin, c.ymax)  # interior extrema move with the draws
+
+    def test_explanation_is_a_value(self, nonlinear_resolved):
+        pred, space, util = nonlinear_resolved
+        x = space.instance([0.2, 0.8, 0.4, 0.6])
+        a, b, c = (ck.explain_instance(pred, util, space, x, n=50, rng=s) for s in (5, 5, 6))
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        kinds = {"ci": float, "cu": float, "influence": float, "ymin": float, "ymax": float,
+                 "degenerate": bool, "instability": bool}
+        for name, kind in kinds.items():
+            column = getattr(a, name)
+            assert type(column) is tuple and len(column) == len(space)
+            assert all(type(v) is kind for v in column), name
+        assert type(a.y) is float
 
     def test_phi0_validation(self, linear_bundle, linear_mid):
         pred, space, util = linear_bundle
@@ -341,9 +351,9 @@ class TestCeterisParibusCurve:
         pred, space, util = nonlinear_resolved
         x = space.instance([0.63, 0.63, 0.59, 0.81])
         curve = ck.ceteris_paribus_curve(pred, space, x, 3, grid_size=101)
-        v = ck.explain_instance(pred, util, space, x, n=1000, rng=2).values[3]
-        assert curve.ymin == pytest.approx(v.ymin, abs=0.01)
-        assert curve.ymax == pytest.approx(v.ymax, abs=0.01)
+        exp = ck.explain_instance(pred, util, space, x, n=1000, rng=2)
+        assert curve.ymin == pytest.approx(exp.ymin[3], abs=0.01)
+        assert curve.ymax == pytest.approx(exp.ymax[3], abs=0.01)
 
     def test_errors(self, linear_bundle, linear_mid):
         pred, space, _ = linear_bundle

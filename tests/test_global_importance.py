@@ -84,8 +84,8 @@ def _explain_each(pred, util, space, rows, n, seed):
 
 def _summary_of(exps):
     """global_ci's summary rebuilt from one explanation per instance."""
-    ci = np.array([[v.ci for v in e.values] for e in exps])
-    degenerate = [any(e.values[i].degenerate for e in exps) for i in range(ci.shape[1])]
+    ci = np.array([e.ci for e in exps])
+    degenerate = [any(column) for column in zip(*(e.degenerate for e in exps))]
     return tuple(ci.mean(axis=0).tolist()), tuple(ck.core.sample_sd(ci).tolist()), tuple(degenerate)
 
 
@@ -127,7 +127,7 @@ class TestGlobalCiBlocks:
         # categorical feature sits at a different place in every set.
         streams = [ck.SeededRng(5).spawn(r) for r in range(len(rows))]
         intervals = _ciu_intervals(pred, space, rows, streams, 0, 100)
-        want = [[[v.ymin, v.ymax, v.y] for v in e.values] for e in exps]
+        want = [[[lo, hi, e.y] for lo, hi in zip(e.ymin, e.ymax)] for e in exps]
         assert intervals.transpose(1, 2, 0).tolist() == want
         own = pred.evaluate(rows)[:, 0]
         assert (intervals[2] == own[:, None]).all()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ciukit as ck
 from ciukit.core import _CHUNK
 from ciukit.tabular import _ROUTE_BLOCK
-from conftest import write_classification_csv
+from conftest import shapley_enumerate, write_classification_csv
 
 EPS = 1e-7
 
@@ -96,11 +96,11 @@ def test_influence_bounded_unless_unstable(problem, phi0, n, seed, out_min, widt
     pred = Smooth(space, weights, freqs, scores)
     util = ck.OutputUtility.single("y", out_min=out_min, out_max=out_min + width)
     exp = ck.explain_instance(pred, util, space, x, n=n, phi0=phi0, rng=seed)
-    for v in exp.values:
-        assert 0.0 <= v.cu <= 1.0
-        if not v.instability:
-            assert 0.0 <= v.ci <= 1.0 + EPS
-            assert -phi0 - EPS <= v.influence <= 1.0 - phi0 + EPS
+    for ci, cu, phi, instability in zip(exp.ci, exp.cu, exp.influence, exp.instability):
+        assert 0.0 <= cu <= 1.0
+        if not instability:
+            assert 0.0 <= ci <= 1.0 + EPS
+            assert -phi0 - EPS <= phi <= 1.0 - phi0 + EPS
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,12 +115,12 @@ def test_linear_exact_at_endpoints_with_no_draws(problem, intercept, seed):
     util = ck.OutputUtility.single("y", out_min=lo, out_max=lo + width)
     exp = ck.explain_instance(pred, util, space, x, n=0, rng=seed)
     y = intercept + float(np.dot(w, x.values))
-    for i, v in enumerate(exp.values):
+    for i in range(len(space)):
         # Moving feature i to its endpoints shifts y by w_i * (end - x_i).
         ends = [y + w[i] * (end - x.values[i]) for end in (space[i].min, space[i].max)]
-        assert v.ymin == pytest.approx(min(ends), rel=1e-12, abs=1e-12)
-        assert v.ymax == pytest.approx(max(ends), rel=1e-12, abs=1e-12)
-        assert v.ci == pytest.approx(abs(w[i]) * spans[i] / width, rel=1e-12, abs=1e-12)
+        assert exp.ymin[i] == pytest.approx(min(ends), rel=1e-12, abs=1e-12)
+        assert exp.ymax[i] == pytest.approx(max(ends), rel=1e-12, abs=1e-12)
+        assert exp.ci[i] == pytest.approx(abs(w[i]) * spans[i] / width, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,7 +144,7 @@ def test_permuting_features_permutes_ciu(problem, order, n, seed):
         )
         inst = sub.instance([x.values[i] for i in idx])
         exp = ck.explain_instance(pred, util, sub, inst, n=n, rng=seed)
-        return np.array([[v.ci, v.cu, v.influence, v.ymin, v.ymax] for v in exp.values])
+        return np.array([exp.ci, exp.cu, exp.influence, exp.ymin, exp.ymax]).T
 
     # Monotone models are exact from the endpoints, so the interior draws,
     # which follow feature positions, cannot tell the two orders apart.
@@ -201,16 +201,16 @@ def test_influence_against_the_background_mean_is_shapley(
     pred = Smooth(space, weights, freqs, scores)
     util = ck.OutputUtility.single("y", out_min=out_min, out_max=out_min + width)
     background = ck.uniform_instances(space, n_background, seed + 1)  # independent columns
-    phi = ck.shapley_enumerate(pred, space, x, background)
+    phi = shapley_enumerate(pred, space, x, background)
     exp = ck.explain_instance(pred, util, space, x, n=n, rng=seed)
-    for i, v in enumerate(exp.values):
-        if v.degenerate:  # g_i is constant: no importance, no influence
-            assert v.ci == 0.0 and phi[i] == pytest.approx(0.0, abs=1e-12)
+    for i in range(len(space)):
+        if exp.degenerate[i]:  # g_i is constant: no importance, no influence
+            assert exp.ci[i] == 0.0 and phi[i] == pytest.approx(0.0, abs=1e-12)
             continue
         rest = exp.y - pred.term(i, x.values[i])
         mean_g = rest + float(np.mean([pred.term(i, z.values[i]) for z in background]))
-        r = (mean_g - v.ymin) / (v.ymax - v.ymin)
-        assert width * v.ci * (v.cu - r) == pytest.approx(phi[i], rel=1e-9, abs=1e-9)
+        r = (mean_g - exp.ymin[i]) / (exp.ymax[i] - exp.ymin[i])
+        assert width * exp.ci[i] * (exp.cu[i] - r) == pytest.approx(phi[i], rel=1e-9, abs=1e-9)
 
 
 def _explain_twice(problem, n, seed, util_a, util_b, pred_b=None):
@@ -231,12 +231,12 @@ def test_flipping_the_utility_slope_mirrors_cu(problem, n, seed, a):
     rising = ck.OutputUtility.single("y", a=a, out_min=-4.0, out_max=4.0)
     falling = ck.OutputUtility.single("y", a=-a, out_min=-4.0, out_max=4.0)
     up, down = _explain_twice(problem, n, seed, rising, falling)
-    for u, d in zip(up.values, down.values):
-        assert d.ci == u.ci
-        if u.degenerate:  # no interval, no worst end: cu is 0 either way
-            assert d.cu == u.cu == 0.0
-        elif u.ymax - u.ymin > 1e-6:  # narrower intervals lose digits to rounding
-            assert d.cu == pytest.approx(1.0 - u.cu, abs=1e-8)
+    assert down.ci == up.ci
+    for i, (u_cu, d_cu) in enumerate(zip(up.cu, down.cu)):
+        if up.degenerate[i]:  # no interval, no worst end: cu is 0 either way
+            assert d_cu == u_cu == 0.0
+        elif up.ymax[i] - up.ymin[i] > 1e-6:  # narrower intervals lose digits to rounding
+            assert d_cu == pytest.approx(1.0 - u_cu, abs=1e-8)
 
 
 class Rescaled(ck.Predictor):
@@ -262,10 +262,10 @@ def test_affine_rescale_of_outputs_keeps_ci_and_cu(problem, n, seed, scale, shif
     moved = ck.OutputUtility.single("y", out_min=scale * lo + shift, out_max=scale * hi + shift)
     pred = Rescaled(Smooth(space, weights, freqs, scores), scale, shift)
     plain, rescaled = _explain_twice(problem, n, seed, util, moved, pred)
-    for p, r in zip(plain.values, rescaled.values):
-        assert r.ci == pytest.approx(p.ci, rel=1e-9, abs=1e-12)
-        if p.ymax - p.ymin > 1e-6:  # narrower intervals lose digits to rounding
-            assert r.cu == pytest.approx(p.cu, abs=1e-6)
+    for i, (p_ci, r_ci) in enumerate(zip(plain.ci, rescaled.ci)):
+        assert r_ci == pytest.approx(p_ci, rel=1e-9, abs=1e-12)
+        if plain.ymax[i] - plain.ymin[i] > 1e-6:  # narrower intervals lose digits to rounding
+            assert rescaled.cu[i] == pytest.approx(plain.cu[i], abs=1e-6)
 
 
 _SPLIT_ROWS = _CHUNK + 1000

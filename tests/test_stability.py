@@ -61,7 +61,7 @@ class TestRunStability:
             exp = ck.explain_instance(
                 pred, util, space, x, n=100, rng=ck.SeededRng(11).spawn(r)
             )
-            assert rep.runs[r] == tuple(exp.influence_vector())
+            assert rep.runs[r] == exp.influence
 
     def test_shared_background_keeps_shapley_centered(self, linear_bundle):
         # all runs see one background, so the across-run mean converges on

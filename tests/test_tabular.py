@@ -759,6 +759,18 @@ class TestFirstBadNodeRaises:
         with pytest.raises(ck.DataFormatError, match=r"^tree 1: leaf values must be numbers$"):
             ck.TreeEnsemble(self.SPACE, trees, "regression")
 
+    @pytest.mark.parametrize("other", [[0.5], [False], [1]])
+    def test_bool_leaf_is_not_a_number(self, other):
+        trees = [
+            self.split(0, {"leaf": [0.25]}, {"leaf": [0.75]}),
+            self.split(1, {"leaf": other}, {"leaf": [True]}),
+            {"leaf": [0.5]},
+        ]
+        with pytest.raises(ck.DataFormatError, match=r"^tree 1: leaf values must be numbers$"):
+            ck.TreeEnsemble(self.SPACE, trees, "regression")
+        with pytest.raises(ck.DataFormatError, match=r"^tree 0: leaf values must be numbers$"):
+            ck.TreeEnsemble(self.SPACE, [{"leaf": [True]}, {"leaf": other}], "regression")
+
 
 @st.composite
 def random_tree(draw, depth: int, n_outputs: int) -> dict:
