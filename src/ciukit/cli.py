@@ -434,11 +434,11 @@ def cmd_stability(args) -> None:
     texts = []
     for method in methods:
         rep, block = _timed(args, lambda: run_stability(
-            predictor, utility, space, x,
-            methods=[method], runs=args.runs, budgets=budgets,
+            predictor, utility, space, x, method,
+            runs=args.runs, budgets=budgets,
             seed=args.seed, phi0=args.phi0, output=args.output_index,
             background=background,
-        )[method])
+        ))
         tag = rep.method.replace("-", "_")
         files[f"stability_{tag}.json"] = block
         files[f"stability_{tag}.csv"] = partial(stability_csv, rep)

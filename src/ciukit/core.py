@@ -440,12 +440,11 @@ class OutputUtility:
     @staticmethod
     def single(
         name: str = "y",
-        a: float = 1.0,
-        b: float = 0.0,
         out_min: float | None = None,
         out_max: float | None = None,
     ) -> "OutputUtility":
-        return OutputUtility((OutputSpec(name, a, b, out_min, out_max),))
+        """One output with utility u(y) = y: larger outputs are better."""
+        return OutputUtility((OutputSpec(name, out_min=out_min, out_max=out_max),))
 
     @staticmethod
     def classification(class_names: Sequence[str]) -> "OutputUtility":

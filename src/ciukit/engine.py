@@ -110,10 +110,11 @@ def _sweep(
     predictor: Predictor,
     space: FeatureSpace,
     start: Instance,
+    y_start: float,
     output: int,
     want_max: bool,
 ) -> float:
-    """Coordinate-wise grid refinement from a starting point.
+    """Coordinate-wise grid refinement from a starting point and its output.
 
     Repeatedly sweeps each coordinate over a dense grid (all levels for
     categorical features) and keeps the best value found. Exact for
@@ -122,7 +123,7 @@ def _sweep(
     """
     sign = 1.0 if want_max else -1.0
     current = start
-    best = sign * float(evaluate_rows(predictor, [current])[0, output])
+    best = sign * y_start
     for _ in range(_SWEEP_PASSES):
         improved = False
         for i, feat in enumerate(space):
@@ -160,10 +161,9 @@ def estimate_output_range(
     probes = (uniform_instances(space, budget, rng), corner_instances(space))
     points = Rows(space, np.vstack([p.matrix for p in probes]))
     ys = evaluate_rows(predictor, points)[:, output]
-    lo_start = points[int(np.argmin(ys))]
-    hi_start = points[int(np.argmax(ys))]
-    lo = _sweep(predictor, space, lo_start, output, want_max=False)
-    hi = _sweep(predictor, space, hi_start, output, want_max=True)
+    k_lo, k_hi = int(np.argmin(ys)), int(np.argmax(ys))
+    lo = _sweep(predictor, space, points[k_lo], float(ys[k_lo]), output, want_max=False)
+    hi = _sweep(predictor, space, points[k_hi], float(ys[k_hi]), output, want_max=True)
     return lo, hi
 
 

@@ -131,19 +131,17 @@ def global_mean_abs_shapley(
     budget: int = 200,
     rng=None,
     output: int = 0,
-    background: Sequence[Instance] | None = None,
 ) -> GlobalImportance:
     """Mean absolute sampled Shapley value over an instance sample.
 
-    The background defaults to the instance sample itself.
+    The instance sample is also the background.
     """
     if not instances:
         raise ConfigError("global importance needs at least one instance")
-    bg = instances if background is None else background
     base = as_rng(rng)
     scores = np.empty((len(instances), len(space)))
     for r, x in enumerate(instances):
-        att = shapley_mc(predictor, space, x, bg, budget, base.spawn(r), output)
+        att = shapley_mc(predictor, space, x, instances, budget, base.spawn(r), output)
         scores[r] = np.abs(att.phi)
     degenerate = np.zeros(len(space), dtype=bool)
     return _summary("shapley", space, scores, degenerate, len(instances))

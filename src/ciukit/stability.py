@@ -34,10 +34,6 @@ class Budgets:
     shapley_budget: int = 200
     lime_samples: int = 1000
 
-    def __post_init__(self) -> None:
-        if min(self.ciu_samples, self.shapley_budget, self.lime_samples) < 1:
-            raise ConfigError("budgets must be positive")
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -96,64 +92,61 @@ def run_stability(
     utility: OutputUtility,
     space: FeatureSpace,
     x: Instance,
-    methods: Sequence[str] = ALL_METHODS,
+    method: str,
     runs: int = 50,
     budgets: Budgets = Budgets(),
     seed: int = 42,
     phi0: float = 0.5,
     output: int = 0,
     background: Sequence[Instance] | None = None,
-) -> dict[str, StabilityReport]:
-    """Benchmark explanation stability: R independent seeded runs per method.
+) -> StabilityReport:
+    """Benchmark one method's explanation stability: R independent seeded runs.
 
-    Every method sees the same instance, the same budgets, and run-indexed
-    random streams. Methods whose estimates have no sampling noise (the
+    Every run sees the same instance, the same budgets, and its run-indexed
+    random stream, so every method called with the same seed sees the same
+    streams. Methods whose estimates have no sampling noise (the
     endpoint-anchored influence on monotone predictors) come back with zero
     spread; Monte-Carlo methods show their seed-to-seed variation.
     """
     if runs < 2:
         raise ConfigError("stability needs at least two runs")
     check_phi0(phi0)
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ConfigError(f"unknown method {m!r}; use one of {ALL_METHODS}")
+    if method not in ALL_METHODS:
+        raise ConfigError(f"unknown method {method!r}; use one of {ALL_METHODS}")
     base = as_rng(seed)
-    if background is None and METHOD_SHAPLEY in methods:
-        # The background is part of the problem setup, like a dataset, so it
-        # is drawn once and shared by every run; per-run spread then reflects
-        # only the estimator's own sampling noise. The spawn index is far
-        # outside any realistic run count.
-        background = uniform_instances(space, 1000, base.spawn(987654321))
-    reports = {}
     streams = [base.spawn(r) for r in range(runs)]
-    for m in methods:
-        if m == METHOD_INFLUENCE:
-            # Run r is explain_instance under stream r; all runs share one call.
-            utility.range_width(output)  # fail fast when the range is unresolved
-            intervals = _ciu_intervals(
-                predictor, space, [x] * runs, streams, output, budgets.ciu_samples
-            )
-            values = tuple(map(tuple, _ciu(*intervals, utility.spec(output), phi0)[2].tolist()))
-        elif m == METHOD_SHAPLEY:
-            values = tuple(
-                shapley_mc(predictor, space, x, background, budgets.shapley_budget, s, output).phi
-                for s in streams
-            )
-        else:
-            values = tuple(
-                lime_surrogate(predictor, space, x, budgets.lime_samples, rng=s, output=output).phi
-                for s in streams
-            )
-        reports[m] = StabilityReport(
-            method=m,
-            feature_names=space.names,
-            runs=values,
-            seed=base.seed,
-            budgets=budgets,
-            phi0=phi0,
-            output_index=output,
+    if method == METHOD_INFLUENCE:
+        # Run r is explain_instance under stream r; all runs share one call.
+        utility.range_width(output)  # fail fast when the range is unresolved
+        intervals = _ciu_intervals(
+            predictor, space, [x] * runs, streams, output, budgets.ciu_samples
         )
-    return reports
+        values = tuple(map(tuple, _ciu(*intervals, utility.spec(output), phi0)[2].tolist()))
+    elif method == METHOD_SHAPLEY:
+        if background is None:
+            # The background is part of the problem setup, like a dataset, so
+            # it is drawn once and shared by every run; per-run spread then
+            # reflects only the estimator's own sampling noise. The spawn
+            # index is far outside any realistic run count.
+            background = uniform_instances(space, 1000, base.spawn(987654321))
+        values = tuple(
+            shapley_mc(predictor, space, x, background, budgets.shapley_budget, s, output).phi
+            for s in streams
+        )
+    else:
+        values = tuple(
+            lime_surrogate(predictor, space, x, budgets.lime_samples, rng=s, output=output).phi
+            for s in streams
+        )
+    return StabilityReport(
+        method=method,
+        feature_names=space.names,
+        runs=values,
+        seed=base.seed,
+        budgets=budgets,
+        phi0=phi0,
+        output_index=output,
+    )
 
 
 def summarize(report: StabilityReport) -> str:

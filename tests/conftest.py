@@ -88,6 +88,34 @@ def shapley_enumerate(predictor, space, x, background, output: int = 0) -> np.nd
     return phi
 
 
+def exact_tree_interval(model, x, feature: int, output: int = 0) -> tuple[float, float]:
+    """The exact (ymin, ymax) of a tree ensemble as one feature of x varies,
+    the oracle for the sampled CIU interval.
+
+    Along one feature the ensemble is a step function. For a numeric feature
+    every step ends at a split threshold t on it (rows with value <= t go
+    left), so its min, its max, x's own value and every threshold inside
+    the bounds reach every step. A categorical feature takes every level.
+    """
+    space = model.space
+    feat = space[feature]
+    if feat.is_numeric:
+        points = {feat.min, feat.max, x.values[feature]}
+        stack = list(model.trees)
+        while stack:
+            node = stack.pop()
+            if "leaf" not in node:
+                if node["feature"] == feature and feat.min <= node["threshold"] <= feat.max:
+                    points.add(node["threshold"])
+                stack += (node["left"], node["right"])
+        points = sorted(points)
+    else:
+        points = feat.levels
+    rows = [replaced(x, feature, v) for v in points]
+    ys = evaluate_rows(model, rows)[:, output]
+    return float(ys.min()), float(ys.max())
+
+
 @pytest.fixture(scope="session")
 def linear_bundle():
     return ck.builtin_model("linear")

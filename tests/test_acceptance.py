@@ -112,7 +112,10 @@ def test_criterion_04_stability_benchmark(capsys, linear_bundle):
     start = time.perf_counter()
     x = space.instance([0.63, 0.63, 0.59, 0.81])
     budgets = ck.Budgets(ciu_samples=100, shapley_budget=200, lime_samples=1000)
-    reports = ck.run_stability(pred, util, space, x, runs=50, budgets=budgets, seed=42)
+    reports = {
+        m: ck.run_stability(pred, util, space, x, m, runs=50, budgets=budgets, seed=42)
+        for m in ck.ALL_METHODS
+    }
 
     ciu_sd = reports[ck.METHOD_INFLUENCE].sd()
     _check(failures, (ciu_sd == 0.0).all(),
@@ -122,11 +125,10 @@ def test_criterion_04_stability_benchmark(capsys, linear_bundle):
         _check(failures, (sd > 0.0).all(), f"{m} sd {sd} has a zero entry")
 
     bigger = ck.run_stability(
-        pred, util, space, x,
-        methods=[ck.METHOD_SHAPLEY], runs=50,
+        pred, util, space, x, ck.METHOD_SHAPLEY, runs=50,
         budgets=ck.Budgets(ciu_samples=100, shapley_budget=800, lime_samples=1000),
         seed=42,
-    )[ck.METHOD_SHAPLEY]
+    )
     ratio = bigger.sd() / reports[ck.METHOD_SHAPLEY].sd()
     _check(failures, (ratio <= 0.75).all(),
            f"shapley sd ratio at 4x budget {np.round(ratio, 3)} exceeds 0.75")

@@ -545,6 +545,22 @@ class TestStability:
         assert code == 0
         assert not (tmp_path / "stability_shapley_mc.json").exists()
 
+    def test_each_method_checks_its_own_budget(self, tmp_path, capsys):
+        # --samples 0 gives endpoint-only intervals, as in explain and global:
+        # exact for the monotone linear predictor, so every run agrees
+        argv = ["stability", "--predictor", "linear", "--instance", MID,
+                "--output-dir", str(tmp_path), "--format", "json"]
+        assert run(*argv, "--methods", "contextual-influence", "--samples", "0") == 0
+        doc = json.loads((tmp_path / "stability_contextual_influence.json").read_text())
+        values = doc["results"]["values"]
+        assert doc["results"]["budgets"]["ciu_samples"] == 0
+        assert all(r == values[0] for r in values)  # a zero sd on every feature
+        for extra in (["--methods", "shapley-mc", "--shapley-budget", "0"],
+                      ["--methods", "lime-surrogate", "--lime-samples", "3"]):
+            capsys.readouterr()
+            assert run(*argv, *extra) == 2
+            _one_line_error(capsys)
+
 
 class TestGlobal:
     def test_builtin_defaults(self, tmp_path, capsys):

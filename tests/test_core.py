@@ -574,7 +574,7 @@ class TestConfigIO:
                 ck.FeatureSpec.categorical("sex", ["f", "m"]),
             )
         )
-        util = ck.OutputUtility.single("risk", a=-1.0, b=1.0, out_min=0.0, out_max=top)
+        util = ck.OutputUtility((ck.OutputSpec("risk", -1.0, 1.0, 0.0, top),))
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "features": [

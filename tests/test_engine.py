@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 import ciukit as ck
 from ciukit.core import evaluate_rows
 from ciukit.engine import _ciu
-from conftest import expected_nonlinear_ciu, term_extremes
+from conftest import (
+    exact_tree_interval,
+    expected_nonlinear_ciu,
+    term_extremes,
+    write_classification_csv,
+)
 
 
 @pytest.fixture
@@ -324,6 +329,28 @@ class TestExplainInstance:
         for entry in doc["features"]:
             for key in ("name", "ci", "cu", "influence", "ymin", "ymax", "flags"):
                 assert key in entry
+
+
+class TestExactTreeIntervals:
+    """Sampled CIU intervals of a tree ensemble against the exact ones."""
+
+    def test_sampled_intervals_lie_inside_the_exact_ones(self, tmp_path):
+        ds = ck.load_csv(write_classification_csv(tmp_path / "d.csv", n=200), "label")
+        model = ck.train_ensemble(ds, ck.TreeParams(n_trees=10, max_depth=4), rng=1)
+        util = ds.utility()
+        shortfall = 0.0
+        for r in range(20):
+            x = ds.rows[r]
+            exp = ck.explain_instance(model, util, ds.space, x, output=0, n=100, rng=42)
+            for i, feat in enumerate(ds.space):
+                lo, hi = exact_tree_interval(model, x, i, output=0)
+                assert lo <= exp.ymin[i] and exp.ymax[i] <= hi
+                if not feat.is_numeric:  # every level is sampled: exact
+                    assert (exp.ymin[i], exp.ymax[i]) == (lo, hi)
+                shortfall = max(shortfall, (hi - lo) - (exp.ymax[i] - exp.ymin[i]))
+        # n = 100 uniform draws miss steps narrower than their gaps, by up to
+        # this share of the probability range; exact tree intervals make it 0
+        assert shortfall == pytest.approx(0.09, abs=1e-9)
 
 
 class TestCeterisParibusCurve:

@@ -228,8 +228,8 @@ def _explain_twice(problem, n, seed, util_a, util_b, pred_b=None):
     problem=problems(), n=st.integers(0, 20), seed=st.integers(0, 2**16), a=st.floats(0.1, 5.0)
 )
 def test_flipping_the_utility_slope_mirrors_cu(problem, n, seed, a):
-    rising = ck.OutputUtility.single("y", a=a, out_min=-4.0, out_max=4.0)
-    falling = ck.OutputUtility.single("y", a=-a, out_min=-4.0, out_max=4.0)
+    rising = ck.OutputUtility((ck.OutputSpec("y", a, 0.0, -4.0, 4.0),))
+    falling = ck.OutputUtility((ck.OutputSpec("y", -a, 0.0, -4.0, 4.0),))
     up, down = _explain_twice(problem, n, seed, rising, falling)
     assert down.ci == up.ci
     for i, (u_cu, d_cu) in enumerate(zip(up.cu, down.cu)):

@@ -191,8 +191,8 @@ class TestSpreadPlot:
         pred, space, util = linear_bundle
         x = space.instance([0.2, 0.9, 0.4, 0.7])
         rep = ck.run_stability(
-            pred, util, space, x, methods=[ck.METHOD_LIME], runs=8, seed=3
-        )[ck.METHOD_LIME]
+            pred, util, space, x, ck.METHOD_LIME, runs=8, seed=3
+        )
         svg = ck.render_spread_plot(rep)
         assert ET.fromstring(svg).attrib["height"] == str(40 * 4 + 80)
         for name in space.names:
@@ -202,8 +202,8 @@ class TestSpreadPlot:
         pred, space, util = linear_bundle
         x = space.instance([0.5] * 4)
         rep = ck.run_stability(
-            pred, util, space, x, methods=[ck.METHOD_INFLUENCE], runs=3, seed=3
-        )[ck.METHOD_INFLUENCE]
+            pred, util, space, x, ck.METHOD_INFLUENCE, runs=3, seed=3
+        )
         svg = ck.render_spread_plot(rep)
         ET.fromstring(svg)
 

@@ -8,7 +8,7 @@ import ciukit as ck
 def linear_reports(linear_bundle):
     pred, space, util = linear_bundle
     x = space.instance([0.63, 0.63, 0.59, 0.81])
-    return ck.run_stability(pred, util, space, x, runs=20, seed=42)
+    return {m: ck.run_stability(pred, util, space, x, m, runs=20, seed=42) for m in ck.ALL_METHODS}
 
 
 class TestRunStability:
@@ -39,12 +39,11 @@ class TestRunStability:
         sds = {}
         for budget in (200, 800):
             rep = ck.run_stability(
-                pred, util, space, x,
-                methods=[ck.METHOD_SHAPLEY],
+                pred, util, space, x, ck.METHOD_SHAPLEY,
                 runs=50,
                 budgets=ck.Budgets(shapley_budget=budget),
                 seed=42,
-            )[ck.METHOD_SHAPLEY]
+            )
             sds[budget] = rep.sd()
         ratio = sds[800] / sds[200]
         # 4x the walks should cut the Monte-Carlo spread by about half
@@ -55,8 +54,8 @@ class TestRunStability:
         pred, space, util = linear_bundle
         x = space.instance([0.2, 0.9, 0.4, 0.7])
         rep = ck.run_stability(
-            pred, util, space, x, methods=[ck.METHOD_INFLUENCE], runs=5, seed=11
-        )[ck.METHOD_INFLUENCE]
+            pred, util, space, x, ck.METHOD_INFLUENCE, runs=5, seed=11
+        )
         for r in range(5):
             exp = ck.explain_instance(
                 pred, util, space, x, n=100, rng=ck.SeededRng(11).spawn(r)
@@ -69,8 +68,8 @@ class TestRunStability:
         pred, space, util = linear_bundle
         x = space.instance([1.0, 0.5, 0.5, 0.5])
         rep = ck.run_stability(
-            pred, util, space, x, methods=[ck.METHOD_SHAPLEY], runs=30, seed=4
-        )[ck.METHOD_SHAPLEY]
+            pred, util, space, x, ck.METHOD_SHAPLEY, runs=30, seed=4
+        )
         assert rep.mean()[0] == pytest.approx(0.2, abs=0.02)
 
     def test_explicit_background_is_used(self, linear_bundle):
@@ -78,9 +77,8 @@ class TestRunStability:
         x = space.instance([0.5] * 4)
         bg = [space.instance([0.0] * 4)] * 3
         rep = ck.run_stability(
-            pred, util, space, x,
-            methods=[ck.METHOD_SHAPLEY], runs=3, seed=1, background=bg,
-        )[ck.METHOD_SHAPLEY]
+            pred, util, space, x, ck.METHOD_SHAPLEY, runs=3, seed=1, background=bg
+        )
         # against an all-zeros background every walk jumps by exactly w_i / 2
         assert np.allclose(rep.matrix(), np.asarray([0.2, 0.15, 0.1, 0.05]), atol=1e-12)
 
@@ -88,11 +86,22 @@ class TestRunStability:
         pred, space, util = linear_bundle
         x = space.midpoint()
         with pytest.raises(ck.ConfigError):
-            ck.run_stability(pred, util, space, x, methods=["gradients"])
+            ck.run_stability(pred, util, space, x, "gradients")
         with pytest.raises(ck.ConfigError):
-            ck.run_stability(pred, util, space, x, runs=1)
-        with pytest.raises(ck.ConfigError):
-            ck.Budgets(ciu_samples=0)
+            ck.run_stability(pred, util, space, x, ck.METHOD_INFLUENCE, runs=1)
+        # each method checks its own budget when it runs: CIU takes n >= 0
+        # (0 gives endpoint-only intervals), Shapley at least one walk and
+        # LIME at least 2 * d samples
+        zero = ck.Budgets(ciu_samples=0, shapley_budget=0, lime_samples=0)
+        rep = ck.run_stability(pred, util, space, x, ck.METHOD_INFLUENCE, runs=2, budgets=zero)
+        assert (rep.sd() == 0.0).all()
+        for method, budgets in (
+            (ck.METHOD_INFLUENCE, ck.Budgets(ciu_samples=-1)),
+            (ck.METHOD_SHAPLEY, ck.Budgets(shapley_budget=0)),
+            (ck.METHOD_LIME, ck.Budgets(lime_samples=2 * len(space) - 1)),
+        ):
+            with pytest.raises(ck.ConfigError):
+                ck.run_stability(pred, util, space, x, method, runs=2, budgets=budgets)
 
 
 class TestReportOutputs:
