@@ -31,7 +31,9 @@ from .sampling import as_rng, encode_instance, uniform_instances
 METHOD_INFLUENCE = "contextual-influence"
 METHOD_SHAPLEY = "shapley-mc"
 METHOD_LIME = "lime-surrogate"
-_METHODS = (METHOD_INFLUENCE, METHOD_SHAPLEY, METHOD_LIME)
+ALL_METHODS = (METHOD_INFLUENCE, METHOD_SHAPLEY, METHOD_LIME)
+# Column shuffles per feature in permutation importance.
+_PFI_REPEATS = 5
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class AttributionVector:
     se: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
+        if self.method not in ALL_METHODS:
             raise ConfigError(f"unknown attribution method {self.method!r}")
         if len(self.phi) != len(self.feature_names):
             raise ConfigError("phi and feature_names must have equal length")
@@ -98,13 +100,12 @@ def permutation_importance(
     rows: Sequence[Instance],
     targets: Sequence,
     loss: str = "mae",
-    repeats: int = 5,
     rng=None,
     output: int = 0,
 ) -> np.ndarray:
     """Loss increase when one feature's column is shuffled across rows.
 
-    For each feature, the column values are permuted ``repeats`` times
+    For each feature, the column values are permuted five times
     (breaking the feature-target association while keeping the marginal
     distribution) and the mean loss delta against the unshuffled baseline
     is reported. A feature the model ignores scores exactly 0 because the
@@ -117,8 +118,6 @@ def permutation_importance(
         raise ConfigError("permutation importance needs at least two rows")
     if len(targets) != len(rows):
         raise ConfigError("targets and rows must have equal length")
-    if repeats < 1:
-        raise ConfigError("repeats must be positive")
     base = as_rng(rng)
     batch = Rows(space, encode_rows(space, rows))
     baseline = _loss_value(loss, evaluate_rows(predictor, batch), targets, output)
@@ -126,7 +125,7 @@ def permutation_importance(
     for i in range(len(space)):
         # Row r draws exactly what the r-th gen.permutation(len(rows)) would.
         orders = base.spawn(i).generator().permuted(
-            np.tile(np.arange(len(rows)), (repeats, 1)), axis=1
+            np.tile(np.arange(len(rows)), (_PFI_REPEATS, 1)), axis=1
         )
         total = 0.0
         for order in orders:
@@ -135,7 +134,7 @@ def permutation_importance(
             total += _loss_value(
                 loss, evaluate_rows(predictor, Rows(space, shuffled)), targets, output
             )
-        deltas[i] = total / repeats - baseline
+        deltas[i] = total / _PFI_REPEATS - baseline
     return deltas
 
 
@@ -225,8 +224,6 @@ def lime_surrogate(
     space: FeatureSpace,
     x: Instance,
     n_samples: int = 1000,
-    kernel_width: float | None = None,
-    ridge: float = 1e-3,
     rng=None,
     output: int = 0,
 ) -> AttributionVector:
@@ -240,29 +237,23 @@ def lime_surrogate(
         phi_i = coef_i * (normalized x_i - sample mean of normalized draws)
 
     so a feature sitting at the population average contributes about zero.
-    The intercept is left unpenalized. Kernel width defaults to
-    0.75 * sqrt(n_features).
+    The kernel width is 0.75 * sqrt(n_features), and the ridge penalty of
+    1e-3 leaves the intercept unpenalized.
     """
     n = len(space)
     if n_samples < 2 * n:
         raise ConfigError("surrogate needs at least 2 * n_features samples")
-    if kernel_width is None:
-        kernel_width = 0.75 * math.sqrt(n)
-    if kernel_width <= 0:
-        raise ConfigError("kernel width must be positive")
-    if ridge < 0:
-        raise ConfigError("ridge penalty must be non-negative")
     base = as_rng(rng)
     rows = uniform_instances(space, n_samples, base)
     ys = evaluate_rows(predictor, rows)[:, output]
     with np.errstate(all="ignore"):  # an overflow is rejected below
         z, xn = _normalized_columns(space, rows, x)
         d2 = np.sum((z - xn) ** 2, axis=1)
-        weights = np.exp(-d2 / kernel_width**2)
+        weights = np.exp(-d2 / (0.75 * math.sqrt(n)) ** 2)
         design = np.column_stack([np.ones(n_samples), z])
         wd = design * weights[:, None]
         gram = design.T @ wd
-        gram[1:, 1:] += ridge * np.eye(n)
+        gram[1:, 1:] += 1e-3 * np.eye(n)
         rhs = wd.T @ ys
         try:
             beta = np.linalg.solve(gram, rhs)

@@ -128,7 +128,7 @@ class FeatureSpace:
         raise ConfigError(f"unknown feature {name!r}")
 
     def instance(self, values: Sequence) -> Instance:
-        """Validating constructor: checks arity and categorical labels.
+        """Validating constructor: checks arity, numbers and categorical labels.
 
         Numeric values outside bounds are accepted.
         """
@@ -139,19 +139,7 @@ class FeatureSpace:
         out = []
         for feat, value in zip(self.features, values):
             if feat.is_numeric:
-                try:
-                    if isinstance(value, bool):  # JSON true/false is not a number
-                        raise TypeError
-                    v = float(value)
-                except OverflowError:  # an integer beyond the float range
-                    v = math.inf
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"feature {feat.name!r}: expected a number, got {value!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ConfigError(f"feature {feat.name!r}: value must be finite")
-                out.append(v)
+                out.append(finite_number(value, f"feature {feat.name!r}: value"))
             else:
                 if value not in feat.levels:
                     raise ConfigError(
@@ -478,9 +466,11 @@ def feature_to_json(feat: FeatureSpec) -> dict:
 
 
 def finite_number(value, what: str, error: type[ExplainerError] = ConfigError) -> float:
-    """A JSON number as a finite float; anything else raises ``error``."""
+    """A Python or numpy int or float as a finite float; anything else, a
+    bool or a string included, raises ``error``."""
+    number = isinstance(value, (int, float, np.integer, np.floating))
     try:
-        v = float(value) if type(value) in (int, float) else math.nan
+        v = float(value) if number and not isinstance(value, bool) else math.nan
     except OverflowError:  # an integer beyond the float range
         v = math.inf
     if not math.isfinite(v):

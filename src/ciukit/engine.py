@@ -40,7 +40,7 @@ from .core import (
     encode_rows,
     evaluate_rows,
 )
-from .sampling import _varied, as_rng, ceteris_paribus_grid, corner_instances, uniform_instances
+from .sampling import as_rng, ceteris_paribus_grid, corner_instances, uniform_instances
 
 # Relative slack before an interval endpoint counts as leaving the declared
 # output range. Protects against pure rounding noise at the boundaries;
@@ -109,12 +109,12 @@ class Explanation:
 def _sweep(
     predictor: Predictor,
     space: FeatureSpace,
-    start: Instance,
+    row: np.ndarray,
     y_start: float,
     output: int,
     want_max: bool,
 ) -> float:
-    """Coordinate-wise grid refinement from a starting point and its output.
+    """Coordinate-wise grid refinement from an encoded starting row and its output.
 
     Repeatedly sweeps each coordinate over a dense grid (all levels for
     categorical features) and keeps the best value found. Exact for
@@ -122,20 +122,21 @@ def _sweep(
     local polish otherwise.
     """
     sign = 1.0 if want_max else -1.0
-    current = start
     best = sign * y_start
     for _ in range(_SWEEP_PASSES):
         improved = False
         for i, feat in enumerate(space):
             if feat.is_numeric:
-                candidates = ceteris_paribus_grid(space, current, i, _SWEEP_GRID)
+                column = np.linspace(feat.min, feat.max, _SWEEP_GRID)
             else:
-                candidates = _varied(space, current, i, np.arange(len(feat.levels)))
-            ys = sign * evaluate_rows(predictor, candidates)[:, output]
+                column = np.arange(len(feat.levels))
+            candidates = np.repeat(row[None, :], len(column), axis=0)
+            candidates[:, i] = column
+            ys = sign * evaluate_rows(predictor, Rows(space, candidates))[:, output]
             k = int(np.argmax(ys))
             if ys[k] > best:
                 best = float(ys[k])
-                current = candidates[k]
+                row = candidates[k]
                 improved = True
         if not improved:
             break
@@ -162,8 +163,8 @@ def estimate_output_range(
     points = Rows(space, np.vstack([p.matrix for p in probes]))
     ys = evaluate_rows(predictor, points)[:, output]
     k_lo, k_hi = int(np.argmin(ys)), int(np.argmax(ys))
-    lo = _sweep(predictor, space, points[k_lo], float(ys[k_lo]), output, want_max=False)
-    hi = _sweep(predictor, space, points[k_hi], float(ys[k_hi]), output, want_max=True)
+    lo = _sweep(predictor, space, points.matrix[k_lo], float(ys[k_lo]), output, want_max=False)
+    hi = _sweep(predictor, space, points.matrix[k_hi], float(ys[k_hi]), output, want_max=True)
     return lo, hi
 
 
@@ -351,8 +352,9 @@ def ceteris_paribus_curve(
     """Trace the output over an evenly spaced sweep of one numeric feature."""
     check_phi0(phi0)
     grid = ceteris_paribus_grid(space, x, feature, grid_size)
-    ys = evaluate_rows(predictor, grid)[:, output]
-    y_value = float(evaluate_rows(predictor, [x])[0, output])
+    batch = Rows(space, np.vstack([grid.matrix, encode_rows(space, [x])]))
+    ys = evaluate_rows(predictor, batch)[:, output]  # the grid's rows, then x's
+    ys, y_value = ys[:-1], float(ys[-1])
     ymin = min(float(ys.min()), y_value)
     ymax = max(float(ys.max()), y_value)
     return CpCurve(

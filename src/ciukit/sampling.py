@@ -57,13 +57,6 @@ def encode_instance(space: FeatureSpace, x: Instance) -> np.ndarray:
     return encode_rows(space, [space.instance(x.values)])[0]
 
 
-def _varied(space: FeatureSpace, x: Instance, feature: int, column) -> Rows:
-    """Copies of x, one per entry of ``column``, that take feature's value from it."""
-    matrix = np.repeat(encode_instance(space, x)[None, :], len(column), axis=0)
-    matrix[:, feature] = column
-    return Rows(space, matrix)
-
-
 def ceteris_paribus_grid(
     space: FeatureSpace,
     x: Instance,
@@ -80,7 +73,9 @@ def ceteris_paribus_grid(
         )
     if grid_size < 2:
         raise ConfigError("grid needs at least the two endpoints")
-    return _varied(space, x, feature, np.linspace(feat.min, feat.max, grid_size))
+    matrix = np.repeat(encode_instance(space, x)[None, :], grid_size, axis=0)
+    matrix[:, feature] = np.linspace(feat.min, feat.max, grid_size)
+    return Rows(space, matrix)
 
 
 def uniform_instances(space: FeatureSpace, count: int, rng=None) -> Rows:

@@ -7,23 +7,15 @@ the same inputs give the same attributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import ConfigError, FeatureSpace, Instance, OutputUtility, Predictor, sample_sd
-from .baselines import (
-    METHOD_INFLUENCE,
-    METHOD_LIME,
-    METHOD_SHAPLEY,
-    lime_surrogate,
-    shapley_mc,
-)
+from .baselines import ALL_METHODS, METHOD_INFLUENCE, METHOD_SHAPLEY, lime_surrogate, shapley_mc
 from .engine import _ciu, _ciu_intervals, check_phi0
 from .sampling import as_rng, uniform_instances
-
-ALL_METHODS = (METHOD_INFLUENCE, METHOD_SHAPLEY, METHOD_LIME)
 
 
 @dataclass(frozen=True)
@@ -77,11 +69,7 @@ class StabilityReport:
             "runs": int(self.n_runs),
             "phi0": float(self.phi0),
             "output": int(self.output_index),
-            "budgets": {
-                "ciu_samples": self.budgets.ciu_samples,
-                "shapley_budget": self.budgets.shapley_budget,
-                "lime_samples": self.budgets.lime_samples,
-            },
+            "budgets": asdict(self.budgets),
             "feature_names": list(self.feature_names),
             "values": [[float(v) for v in run] for run in self.runs],
         }

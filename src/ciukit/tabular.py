@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -218,14 +218,8 @@ def holdout_split(dataset: Dataset, fraction: float = 0.25, rng=None) -> tuple[D
 
     def take(indices):
         indices = np.sort(indices)
-        return Dataset(
-            dataset.space,
-            dataset.rows[indices],
-            tuple(dataset.target[i] for i in indices),
-            dataset.target_name,
-            dataset.task,
-            dataset.class_names,
-        )
+        target = tuple(dataset.target[i] for i in indices)
+        return replace(dataset, rows=dataset.rows[indices], target=target)
 
     return take(order[n_test:]), take(order[:n_test])
 
@@ -694,12 +688,7 @@ def save_model(path, model: TreeEnsemble) -> None:
         "kind": "tree-ensemble",
         "task": model.task,
         "class_names": list(model.class_names),
-        "params": {
-            "n_trees": model.params.n_trees,
-            "max_depth": model.params.max_depth,
-            "min_leaf": model.params.min_leaf,
-            "feature_subsample": model.params.feature_subsample,
-        },
+        "params": asdict(model.params),
         "features": [feature_to_json(f) for f in model.space],
         "trees": list(model.trees),
     }

@@ -66,8 +66,6 @@ class TestPermutationImportance:
             ck.permutation_importance(pred, space, rows[:1], targets[:1])
         with pytest.raises(ck.ConfigError):
             ck.permutation_importance(pred, space, rows[:10], targets[:9])
-        with pytest.raises(ck.ConfigError):
-            ck.permutation_importance(pred, space, rows[:10], targets[:10], repeats=0)
         with pytest.raises(ck.ConfigError, match="unknown loss 'huber'"):
             ck.permutation_importance(pred, space, rows[:10], targets[:10], loss="huber")
 
@@ -295,10 +293,6 @@ class TestLimeSurrogate:
         x = space.instance([0.5] * 4)
         with pytest.raises(ck.ConfigError):
             ck.lime_surrogate(pred, space, x, n_samples=7)
-        with pytest.raises(ck.ConfigError):
-            ck.lime_surrogate(pred, space, x, kernel_width=0.0)
-        with pytest.raises(ck.ConfigError):
-            ck.lime_surrogate(pred, space, x, ridge=-1.0)
 
 
 class TestAttributionVector:
@@ -380,8 +374,8 @@ class TestMatchesPerRowReference:
         rows = ck.uniform_instances(space, 50, ck.SeededRng(seed + 2))
         pred = MixedModel()
         targets = MixedModel().evaluate(rows)[:, 0] + 0.1
-        ck.permutation_importance(pred, space, rows, targets, repeats=3, rng=seed)
-        ref = reference_shuffles(space, list(rows), 3, seed)
+        ck.permutation_importance(pred, space, rows, targets, rng=seed)
+        ref = reference_shuffles(space, list(rows), 5, seed)
         assert len(pred.batches) == 1 + len(ref)
         assert exact(pred.batches[0]) == exact(rows)
         for got, want in zip(pred.batches[1:], ref):

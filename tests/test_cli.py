@@ -231,12 +231,87 @@ class TestExitCodes:
         assert run(*base, "--instance", "[true, 0, 0, 0]") == 2
         assert run(*base, "--instance", f"[0, {10**400}, 0, 0]") == 2
         err = capsys.readouterr().err
-        assert "'x1': expected a number, got True" in err and "'x2'" in err
+        assert "'x1': value must be a finite number" in err and "'x2'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "instance",
+        ['["0_5",0.5,0.5,0.5]', '{"x1":" 0.5 ","x2":0.5,"x3":0.5,"x4":0.5}'],
+        ids=["list", "object"],
+    )
+    def test_string_for_a_number_exits_2(self, tmp_path, capsys, instance):
+        assert run(
+            "explain", "--predictor", "linear", "--instance", instance,
+            "--output-dir", str(tmp_path),
+        ) == 2
+        assert "feature 'x1': value must be a finite number" in _one_line_error(capsys)
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "explain" in capsys.readouterr().out
+
+
+# Usage and input faults, each with its argv ("{dir}" holds lin.csv, 60 rows
+# over the linear predictor's features, two.csv, 2 rows, and forest.json, a
+# model of an unknown task), exit code and part of its one error line.
+ERROR_PATHS = {
+    "data-without-target": (
+        ["explain", "--predictor", "linear", "--data", "{dir}/lin.csv", "--instance", MID],
+        2, "--data needs --target",
+    ),
+    "predictor-and-model": (
+        ["explain", "--predictor", "linear", "--model", "{dir}/forest.json", "--instance", MID],
+        2, "either --predictor or --model",
+    ),
+    "row-not-a-number": (
+        ["explain", "--predictor", "linear", "--data", "{dir}/lin.csv", "--target", "y",
+         "--instance", "row:abc"],
+        2, "bad row index in 'row:abc'",
+    ),
+    "row-past-the-end": (
+        ["explain", "--predictor", "linear", "--data", "{dir}/lin.csv", "--target", "y",
+         "--instance", "row:60"],
+        2, "row 60 out of range (dataset has 60 rows)",
+    ),
+    "instance-scalar": (
+        ["explain", "--predictor", "linear", "--instance", "5"],
+        2, "--instance JSON must be a list or an object",
+    ),
+    "no-format": (
+        ["explain", "--predictor", "linear", "--instance", MID, "--format", ","],
+        2, "at least one output format is required",
+    ),
+    "no-method": (
+        ["explain", "--predictor", "linear", "--instance", MID, "--method", ","],
+        2, "at least one method is required",
+    ),
+    "unknown-model-task": (
+        ["explain", "--model", "{dir}/forest.json", "--instance", '[0.3, "lo"]'],
+        3, "unknown task 'forest'",
+    ),
+    "train-one-row-left": (
+        ["train", "--data", "{dir}/two.csv", "--target", "y", "--holdout", "0.5",
+         "--model-out", "{dir}/m.json"],
+        2, "training needs at least two rows",
+    ),
+}
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+    def test_exit_code_and_one_error_line(self, tmp_path, capsys, case):
+        argv, code, message = ERROR_PATHS[case]
+        rows = [f"{k / 60!r},0.5,0.5,0.5,{k / 60!r}" for k in range(60)]
+        (tmp_path / "lin.csv").write_text("\n".join(["x1,x2,x3,x4,y", *rows]) + "\n")
+        (tmp_path / "two.csv").write_text("a,y\n0.0,1.0\n1.0,2.0\n")
+        (tmp_path / "forest.json").write_text(json.dumps({**_good_model(), "task": "forest"}))
+        out = tmp_path / "out"
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        if argv[0] != "train":
+            argv += ["--output-dir", str(out)]
+        assert run(*argv) == code
+        assert message in _one_line_error(capsys)
+        assert not out.exists()
 
 
 # A valid argv per subcommand ("{dir}" is a directory holding d.csv), and

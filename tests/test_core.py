@@ -124,6 +124,16 @@ class TestInstances:
         with pytest.raises(ck.ConfigError):
             space.instance([math.nan, 0.5, 0.5, 0.5])
 
+    def test_numbers_are_python_or_numpy_numbers(self, linear_bundle):
+        _, space, _ = linear_bundle
+        with pytest.raises(ck.ConfigError, match="'x1': value must be a finite number"):
+            space.instance(["0.5", 0.5, 0.5, 0.5])
+        with pytest.raises(ck.ConfigError, match="'x1': value must be a finite number"):
+            space.instance([True, 0.5, 0.5, 0.5])
+        inst = space.instance([np.float64(0.1), np.int64(3), 2, np.float32(0.25)])
+        assert inst.values == (0.1, 3.0, 2.0, 0.25)
+        assert all(type(v) is float for v in inst.values)
+
     def test_replaced(self, linear_bundle):
         # Instances are frozen: a changed copy leaves the original as it was.
         _, space, _ = linear_bundle

@@ -382,6 +382,30 @@ class TestCeterisParibusCurve:
         assert curve.ymin == pytest.approx(exp.ymin[3], abs=0.01)
         assert curve.ymax == pytest.approx(exp.ymax[3], abs=0.01)
 
+    @pytest.mark.parametrize("model", ["nonlinear", "tree"])
+    def test_grid_and_instance_go_in_one_call(self, tmp_path, model):
+        if model == "nonlinear":
+            inner, space, _ = ck.builtin_model("nonlinear")
+            x = space.instance([0.63, 0.63, 0.59, 0.81])
+        else:
+            data = ck.load_csv(write_classification_csv(tmp_path / "d.csv", n=120), "label")
+            inner = ck.train_ensemble(data, ck.TreeParams(5, 4), rng=3)
+            space, x = data.space, data.rows[7]
+        calls = []
+
+        class Recording(ck.Predictor):
+            n_outputs = inner.n_outputs
+
+            def evaluate(self, instances):
+                calls.append(len(instances))
+                return inner.evaluate(instances)
+
+        curve = ck.ceteris_paribus_curve(Recording(), space, x, 0, grid_size=11)
+        assert calls == [12]  # 11 grid rows, then x
+        grid = ck.ceteris_paribus_grid(space, x, 0, 11)
+        assert curve.ys == tuple(evaluate_rows(inner, grid)[:, 0].tolist())
+        assert curve.y_value == evaluate_rows(inner, [x])[0, 0]
+
     def test_errors(self, linear_bundle, linear_mid):
         pred, space, _ = linear_bundle
         with pytest.raises(ck.ConfigError):
