@@ -22,11 +22,11 @@ from .core import (
     Predictor,
     Rows,
     SingularSystemError,
-    encode_rows,
+    as_rows,
     evaluate_rows,
     sample_sd,
 )
-from .sampling import as_rng, encode_instance, uniform_instances
+from .sampling import as_rng, uniform_instances
 
 METHOD_INFLUENCE = "contextual-influence"
 METHOD_SHAPLEY = "shapley-mc"
@@ -119,7 +119,7 @@ def permutation_importance(
     if len(targets) != len(rows):
         raise ConfigError("targets and rows must have equal length")
     base = as_rng(rng)
-    batch = Rows(space, encode_rows(space, rows))
+    batch = as_rows(space, rows)
     baseline = _loss_value(loss, evaluate_rows(predictor, batch), targets, output)
     deltas = np.zeros(len(space))
     for i in range(len(space)):
@@ -163,10 +163,11 @@ def shapley_mc(
         raise ConfigError("shapley estimation needs a non-empty background set")
     if budget < 1:
         raise ConfigError("budget must be positive")
+    x_row = as_rows(space, [x]).matrix[0]
+    bg = as_rows(space, background)
     base = as_rng(rng)
     gen = base.generator()
     n = len(space)
-    bg = Rows(space, encode_rows(space, background))
     # Stream order: every walk's feature order, then every walk's background
     # row. Row t of the orders draws exactly what the t-th gen.permutation(n)
     # would.
@@ -176,7 +177,7 @@ def shapley_mc(
     rank = np.argsort(orders, axis=1)
     step = np.arange(n + 1)[None, :, None]
     z = bg.matrix[picks][:, None, :]
-    walks = np.where(rank[:, None, :] < step, encode_instance(space, x), z)
+    walks = np.where(rank[:, None, :] < step, x_row, z)
     ys = evaluate_rows(predictor, Rows(space, walks.reshape(-1, n)))[:, output]
     bg_ys = evaluate_rows(predictor, bg)[:, output]
     with np.errstate(all="ignore"):  # an overflow is rejected below
@@ -198,24 +199,22 @@ def shapley_mc(
     )
 
 
-def _normalized_columns(
-    space: FeatureSpace, rows: Sequence[Instance], x: Instance
-) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_columns(rows: Rows, x_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min-max normalized design matrix and the explained point's row.
 
     Numeric features map their interval to [0, 1]; categorical features
     become match-with-x indicators (so the explained point is always 1).
     """
-    z = encode_rows(space, rows)
-    x_enc = encode_instance(space, x)
+    space = rows.space
+    z = np.array(rows.matrix, order="F")  # contiguous columns: z.mean sums each pairwise
     xn = np.ones(len(space))
     for i, feat in enumerate(space):
         if feat.is_numeric:
             width = feat.max - feat.min
             z[:, i] = (z[:, i] - feat.min) / width
-            xn[i] = (x_enc[i] - feat.min) / width
+            xn[i] = (x_row[i] - feat.min) / width
         else:
-            z[:, i] = z[:, i] == x_enc[i]
+            z[:, i] = z[:, i] == x_row[i]
     return z, xn
 
 
@@ -243,11 +242,12 @@ def lime_surrogate(
     n = len(space)
     if n_samples < 2 * n:
         raise ConfigError("surrogate needs at least 2 * n_features samples")
+    x_row = as_rows(space, [x]).matrix[0]
     base = as_rng(rng)
     rows = uniform_instances(space, n_samples, base)
     ys = evaluate_rows(predictor, rows)[:, output]
     with np.errstate(all="ignore"):  # an overflow is rejected below
-        z, xn = _normalized_columns(space, rows, x)
+        z, xn = _normalized_columns(rows, x_row)
         d2 = np.sum((z - xn) ** 2, axis=1)
         weights = np.exp(-d2 / (0.75 * math.sqrt(n)) ** 2)
         design = np.column_stack([np.ones(n_samples), z])

@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .core import (
@@ -100,6 +100,7 @@ def _subcommand(sub, name: str, func, summary: str, options: str) -> argparse.Ar
     return p
 
 
+@cache  # built once per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ciukit",

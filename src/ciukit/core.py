@@ -158,13 +158,14 @@ class FeatureSpace:
 
 
 class Rows(Sequence):
-    """A batch of instances held as one read-only matrix in the
-    ``encode_rows`` encoding: floats, and level codes for categorical features.
+    """A batch of instances held as one read-only matrix: finite floats, and
+    level codes for categorical features.
 
     An integer index decodes one ``Instance``; any other numpy index (a
     slice, a list or an array of ints) gives another ``Rows``. Code that
     iterates a batch sees plain instances, while the toolkit's own
-    predictors read the matrix and skip the per-row objects.
+    predictors read the matrix and skip the per-row objects. ``as_rows``
+    turns any batch argument into one.
     """
 
     def __init__(self, space: FeatureSpace, matrix: np.ndarray):
@@ -174,6 +175,8 @@ class Rows(Sequence):
         if self.matrix.ndim != 2 or self.matrix.shape[1] != len(space):
             raise ConfigError(f"a batch matrix needs {len(space)} columns")
         for feat, column in zip(space, self.matrix.T):
+            if feat.is_numeric and not np.isfinite(column).all():
+                raise ConfigError(f"feature {feat.name!r}: value must be a finite number")
             if not feat.is_numeric and not np.isin(column, np.arange(len(feat.levels))).all():
                 raise ConfigError(f"feature {feat.name!r}: a label not in declared levels")
 
@@ -211,8 +214,8 @@ class Predictor:
     instances into one batch and splits large batches, and the results must
     not change with that layout. The toolkit only ever calls this method,
     through ``evaluate_rows``, so any model that honors it can be explained.
-    The batch is a sized sequence of ``Instance``s, often a matrix-backed
-    ``Rows``; iterating it always works.
+    The toolkit always hands it a matrix-backed ``Rows``; iterating that
+    still yields plain ``Instance``s.
     """
 
     n_outputs: int = 1
@@ -280,25 +283,25 @@ def evaluate_rows(predictor: Predictor, rows: Sequence[Instance]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
-def encode_rows(space: FeatureSpace, rows: Sequence[Instance]) -> np.ndarray:
-    """Rows as a float matrix of shape (len(rows), len(space)).
+def as_rows(space: FeatureSpace, instances: Sequence[Instance]) -> Rows:
+    """The one way in for a batch argument: ``instances`` as a ``Rows`` of
+    ``space``.
 
-    Numeric values pass through; categorical labels become their level
-    index, and a label the feature does not declare becomes -1. The matrix
-    is the transpose of a (features, rows) array, so each feature's column
-    is contiguous: reductions over rows then add in the same order as over
-    a per-feature list. It is a writable copy, also for a ``Rows`` batch.
+    A ``Rows`` of this space comes back as it is. Any other sequence is
+    checked row by row by ``FeatureSpace.instance``, which raises
+    ConfigError on a wrong count, a value that is not a finite number or an
+    undeclared label, and then encoded.
     """
-    if isinstance(rows, Rows) and rows.space == space:
-        return np.array(rows.matrix, order="F")
-    out = np.empty((len(space), len(rows)))
-    for i, feat in enumerate(space):
-        column = [r.values[i] for r in rows]
+    if isinstance(instances, Rows) and instances.space == space:
+        return instances
+    checked = [space.instance(x.values).values for x in instances]
+    matrix = np.empty((len(space), len(checked)))
+    for feat, out, column in zip(space, matrix, zip(*checked)):
         if not feat.is_numeric:
             index = {lev: k for k, lev in enumerate(feat.levels)}
-            column = [index.get(v, -1) for v in column]
-        out[i] = np.array(column, dtype=float)  # faster than assigning the list
-    return out.T
+            column = [index[v] for v in column]
+        out[:] = np.array(column, dtype=float)  # faster than assigning the sequence
+    return Rows(space, matrix.T)
 
 
 def square_safe_scale(values: np.ndarray) -> float:

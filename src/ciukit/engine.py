@@ -37,7 +37,7 @@ from .core import (
     Predictor,
     Rows,
     _CHUNK,
-    encode_rows,
+    as_rows,
     evaluate_rows,
 )
 from .sampling import as_rng, ceteris_paribus_grid, corner_instances, uniform_instances
@@ -223,30 +223,29 @@ def _ciu(ymin: np.ndarray, ymax: np.ndarray, y: np.ndarray, spec: OutputSpec, ph
     return ci, cu, ci * (cu - phi0), degenerate, instability
 
 
-def _ciu_intervals(
-    predictor: Predictor, space: FeatureSpace, instances, streams, output: int, n: int
-) -> np.ndarray:
-    """(3, instances, features) array of each instance's per-feature ymin,
-    ymax and y over its sample sets.
+def _ciu_intervals(predictor: Predictor, rows: Rows, streams, output: int, n: int) -> np.ndarray:
+    """(3, rows, features) array of each row's per-feature ymin, ymax and y
+    over its sample sets.
 
-    Instance r's set for feature i is x_r with slot i varied. A numeric slot
+    Row r's set for feature i is x_r with slot i varied. A numeric slot
     holds x_r's own value, min, max, then n draws from the stream
     ``streams[r].spawn(i)``; the endpoints make the interval exact for
     per-feature monotone predictors even with n = 0. A categorical slot holds
     every level once, in declared order, so x_r's own row sits at its level
-    code. Each instance is encoded once and repeated into one block of rows;
-    the blocks of as many instances as fit in ``_CHUNK`` rows go to the
-    predictor as one batch in one call."""
+    code. Each row is repeated into one block of rows; the blocks of as many
+    rows as fit in ``_CHUNK`` rows go to the predictor as one batch in one
+    call."""
     if n < 0:
         raise ConfigError("sample count must be non-negative")
+    space = rows.space
     sizes = [n + 3 if feat.is_numeric else len(feat.levels) for feat in space]
     width = sum(sizes)
     starts = np.cumsum(sizes) - sizes
     numeric = np.array([feat.is_numeric for feat in space])
     block = max(1, _CHUNK // width)
-    out = np.empty((3, len(instances), len(space)))
-    for lo in range(0, len(instances), block):
-        xs = encode_rows(space, [space.instance(x.values) for x in instances[lo : lo + block]])
+    out = np.empty((3, len(rows), len(space)))
+    for lo in range(0, len(rows), block):
+        xs = rows.matrix[lo : lo + block]
         matrix = np.repeat(xs, width, axis=0)
         sets = matrix.reshape(len(xs), width, len(space))  # a view: writes land in matrix
         for i, (feat, start, size) in enumerate(zip(space, starts, sizes)):
@@ -289,7 +288,7 @@ def explain_instance(
     utility.range_width(output)  # fail fast when the range is unresolved
     spec = utility.spec(output)
     base = as_rng(rng)
-    ymin, ymax, y = _ciu_intervals(predictor, space, [x], [base], output, n)[:, 0]
+    ymin, ymax, y = _ciu_intervals(predictor, as_rows(space, [x]), [base], output, n)[:, 0]
     ci, cu, influence, degenerate, instability = _ciu(ymin, ymax, y, spec, phi0)
     columns = (ci, cu, influence, ymin, ymax, degenerate, instability)
     return Explanation(
@@ -352,7 +351,7 @@ def ceteris_paribus_curve(
     """Trace the output over an evenly spaced sweep of one numeric feature."""
     check_phi0(phi0)
     grid = ceteris_paribus_grid(space, x, feature, grid_size)
-    batch = Rows(space, np.vstack([grid.matrix, encode_rows(space, [x])]))
+    batch = Rows(space, np.vstack([grid.matrix, as_rows(space, [x]).matrix]))
     ys = evaluate_rows(predictor, batch)[:, output]  # the grid's rows, then x's
     ys, y_value = ys[:-1], float(ys[-1])
     ymin = min(float(ys.min()), y_value)

@@ -15,8 +15,7 @@ from .core import (
     Instance,
     OutputUtility,
     Predictor,
-    Rows,
-    encode_rows,
+    as_rows,
     evaluate_rows,
     sample_sd,
 )
@@ -119,7 +118,7 @@ def global_ci(
         raise ConfigError("global importance needs at least one instance")
     utility.range_width(output)  # fail fast when the range is unresolved
     streams = [as_rng(rng).spawn(r) for r in range(len(instances))]
-    intervals = _ciu_intervals(predictor, space, instances, streams, output, n)
+    intervals = _ciu_intervals(predictor, as_rows(space, instances), streams, output, n)
     ci, _, _, degenerate, _ = _ciu(*intervals, utility.spec(output), phi0=0.5)
     return _summary("ci", space, ci, degenerate.any(axis=0), len(instances))
 
@@ -138,10 +137,11 @@ def global_mean_abs_shapley(
     """
     if not instances:
         raise ConfigError("global importance needs at least one instance")
+    sample = as_rows(space, instances)
     base = as_rng(rng)
     scores = np.empty((len(instances), len(space)))
-    for r, x in enumerate(instances):
-        att = shapley_mc(predictor, space, x, instances, budget, base.spawn(r), output)
+    for r, x in enumerate(sample):
+        att = shapley_mc(predictor, space, x, sample, budget, base.spawn(r), output)
         scores[r] = np.abs(att.phi)
     degenerate = np.zeros(len(space), dtype=bool)
     return _summary("shapley", space, scores, degenerate, len(instances))
@@ -178,7 +178,7 @@ def run_global(
     if iterations < 1:
         raise ConfigError("iterations must be positive")
     if rows is not None:
-        rows = Rows(space, encode_rows(space, rows))
+        rows = as_rows(space, rows)
     count = instances_per_iteration if rows is None else min(instances_per_iteration, len(rows))
     if count < 1:
         raise ConfigError("global importance needs at least one instance")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FeatureSpace, Instance, Rows, encode_rows
+from .core import ConfigError, FeatureSpace, Instance, Rows, as_rows
 
 _CORNER_CAP_BITS = 12
 
@@ -51,12 +51,6 @@ def as_rng(value) -> SeededRng:
     raise ConfigError(f"expected an int seed or SeededRng, got {type(value).__name__}")
 
 
-def encode_instance(space: FeatureSpace, x: Instance) -> np.ndarray:
-    """x's row in the ``encode_rows`` encoding. Values the space does not
-    accept (a wrong count, an undeclared label) raise ConfigError."""
-    return encode_rows(space, [space.instance(x.values)])[0]
-
-
 def ceteris_paribus_grid(
     space: FeatureSpace,
     x: Instance,
@@ -73,7 +67,7 @@ def ceteris_paribus_grid(
         )
     if grid_size < 2:
         raise ConfigError("grid needs at least the two endpoints")
-    matrix = np.repeat(encode_instance(space, x)[None, :], grid_size, axis=0)
+    matrix = np.repeat(as_rows(space, [x]).matrix, grid_size, axis=0)
     matrix[:, feature] = np.linspace(feat.min, feat.max, grid_size)
     return Rows(space, matrix)
 
@@ -107,7 +101,7 @@ def corner_instances(space: FeatureSpace) -> Rows:
     corners; categorical coordinates stay at the midpoint choice."""
     numeric = [i for i, f in enumerate(space) if f.is_numeric][:_CORNER_CAP_BITS]
     bits = np.array(list(itertools.product((0, 1), repeat=len(numeric))), dtype=bool)
-    matrix = np.repeat(encode_instance(space, space.midpoint())[None, :], len(bits), axis=0)
+    matrix = np.repeat(as_rows(space, [space.midpoint()]).matrix, len(bits), axis=0)
     for i, column in zip(numeric, bits.T):
         matrix[:, i] = np.where(column, space[i].max, space[i].min)
     return Rows(space, matrix)

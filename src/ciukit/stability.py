@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, FeatureSpace, Instance, OutputUtility, Predictor, sample_sd
+from .core import ConfigError, FeatureSpace, Instance, OutputUtility, Predictor, as_rows, sample_sd
 from .baselines import ALL_METHODS, METHOD_INFLUENCE, METHOD_SHAPLEY, lime_surrogate, shapley_mc
 from .engine import _ciu, _ciu_intervals, check_phi0
 from .sampling import as_rng, uniform_instances
@@ -106,9 +106,8 @@ def run_stability(
     if method == METHOD_INFLUENCE:
         # Run r is explain_instance under stream r; all runs share one call.
         utility.range_width(output)  # fail fast when the range is unresolved
-        intervals = _ciu_intervals(
-            predictor, space, [x] * runs, streams, output, budgets.ciu_samples
-        )
+        rows = as_rows(space, [x])[[0] * runs]
+        intervals = _ciu_intervals(predictor, rows, streams, output, budgets.ciu_samples)
         values = tuple(map(tuple, _ciu(*intervals, utility.spec(output), phi0)[2].tolist()))
     elif method == METHOD_SHAPLEY:
         if background is None:
@@ -117,6 +116,7 @@ def run_stability(
             # reflects only the estimator's own sampling noise. The spawn
             # index is far outside any realistic run count.
             background = uniform_instances(space, 1000, base.spawn(987654321))
+        background = as_rows(space, background)  # checked and encoded once for every run
         values = tuple(
             shapley_mc(predictor, space, x, background, budgets.shapley_budget, s, output).phi
             for s in streams

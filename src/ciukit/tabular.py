@@ -29,8 +29,8 @@ from .core import (
     OutputUtility,
     Predictor,
     Rows,
+    as_rows,
     config_from_json,
-    encode_rows,
     evaluate_rows,
     feature_to_json,
     finite_number,
@@ -444,9 +444,9 @@ class _FlatTrees(NamedTuple):
     Node ``k`` of the preorder has the id ``2k``; its entries sit at ``2k``
     and ``2k + 1``. It sends a row left when ``x[column] <= threshold``. A
     numeric split reads its feature; a split on level code c of feature i
-    reads an indicator column, 1.0 where x_i differs from c, against 0.5, so
-    unseen levels (code -1) go right. Leaves test +inf and are their own
-    children, so every row takes the same steps to ``children[id + go_left]``.
+    reads an indicator column, 1.0 where x_i differs from c, against 0.5.
+    Leaves test +inf and are their own children, so every row takes the
+    same steps to ``children[id + go_left]``.
     """
 
     column: np.ndarray  # a feature i, or d + p for the indicator of pair p
@@ -602,10 +602,9 @@ class TreeEnsemble(Predictor):
         self._flat = _flatten(self.trees, space, self.n_outputs)
 
     def evaluate(self, instances: Sequence[Instance]) -> np.ndarray:
-        flat = self._flat
-        n, d = len(instances), len(self.space)
+        flat, x = self._flat, as_rows(self.space, instances).matrix
+        n, d = len(x), len(self.space)
         n_trees, width = len(flat.roots), d + len(flat.pair_feature)
-        x = encode_rows(self.space, instances)
         total = np.zeros((n, self.n_outputs))
         block = max(1, _ROUTE_BLOCK // max(n_trees, width))
         for start in range(0, n, block):

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import ciukit as ck
-from ciukit.core import encode_rows, evaluate_rows
-from ciukit.sampling import encode_instance
+from ciukit.core import as_rows, evaluate_rows
 
 # The oscillatory benchmark is a sum of one term per feature, so per-feature
 # output intervals and the joint range follow from per-term extremes.
@@ -70,7 +69,7 @@ def shapley_enumerate(predictor, space, x, background, output: int = 0) -> np.nd
         raise ck.ConfigError("exact enumeration is limited to 12 features")
     if not background:
         raise ck.ConfigError("shapley enumeration needs a non-empty background set")
-    x_enc, bg = encode_instance(space, x), encode_rows(space, background)
+    x_enc, bg = as_rows(space, [x]).matrix[0], as_rows(space, background).matrix
     bits = 1 << np.arange(n)
     values = {}
     for mask in range(1 << n):  # features in mask come from x, the rest from the background

@@ -657,6 +657,18 @@ class TestGlobal:
         assert len(lines) == 1 + 3 * 4
         assert "method: ci" in capsys.readouterr().out
 
+    def test_one_parser_per_process_keeps_no_state(self, tmp_path):
+        # main parses every call with one parser; a call's options do not
+        # reach the next call
+        assert cli.build_parser() is cli.build_parser()
+        common = ("global", "--predictor", "linear", "--iterations", "1", "--instances", "5",
+                  "--samples", "5", "--shapley-budget", "5", "--format", "json")
+        assert run(*common, "--methods", "ci", "--output-dir", str(tmp_path / "ci")) == 0
+        assert run(*common, "--output-dir", str(tmp_path / "default")) == 0
+        for name, methods in (("ci", ["ci"]), ("default", ["ci", "pfi-mae", "shapley"])):
+            doc = json.loads((tmp_path / name / "global_report.json").read_text())
+            assert [b["method"] for b in doc["results"]] == methods
+
     def test_repeated_method_runs_once(self, tmp_path):
         reports = {}
         for methods in ("ci,shapley,ci", "ci,shapley"):

@@ -442,17 +442,33 @@ class TestRows:
         assert np.array_equal(np.vstack([b.matrix for b in seen]), rows.matrix)
         assert seen[1][0] == rows[65536]
 
-    def test_encode_rows_returns_a_copy(self):
+    def test_as_rows_returns_a_rows_as_it_is(self):
         space = mixed_space()
         rows = ck.uniform_instances(space, 20, 5)
-        before = rows.matrix.copy()
-        encoded = ck.core.encode_rows(space, rows)
-        assert np.array_equal(encoded, before)
-        assert encoded.flags.f_contiguous and encoded.flags.writeable
-        encoded[:] = 0.0
-        assert np.array_equal(rows.matrix, before)
-        # the same encoding as from the decoded instances
-        assert np.array_equal(ck.core.encode_rows(space, list(rows)), before)
+        assert ck.core.as_rows(space, rows) is rows  # no copy and no decode
+        # the same encoding from the decoded instances
+        assert ck.core.as_rows(space, list(rows)) == rows
+        # a batch of another space is checked against this one
+        other = ck.FeatureSpace((space[1], space[0], space[2]))
+        with pytest.raises(ck.ConfigError, match="^feature 'c': label .* not in declared levels$"):
+            ck.core.as_rows(other, rows)
+
+    @pytest.mark.parametrize("seed", [0, 5, 91])
+    def test_as_rows_round_trip(self, seed):
+        space = mixed_space()
+        rows = ck.uniform_instances(space, 50, seed)
+        again = ck.core.as_rows(space, list(rows))
+        assert again == rows and again is not rows
+        assert ck.core.as_rows(space, []) == rows[:0]
+
+    def test_non_finite_cell_rejected(self):
+        space = ck.FeatureSpace(
+            (ck.FeatureSpec.numeric("a", 0.0, 1.0), ck.FeatureSpec.numeric("b", 0.0, 1.0))
+        )
+        for name, matrix in (("a", [[math.nan, 0.2], [math.inf, 0.3]]),
+                             ("b", [[0.5, 0.2], [0.5, -math.inf]])):
+            with pytest.raises(ck.ConfigError, match=f"^feature '{name}': value must be a finite"):
+                ck.Rows(space, matrix)
 
     def test_categorical_batch_to_function_predictor(self):
         space = mixed_space()
@@ -500,6 +516,68 @@ class TestRows:
         assert len(values) == sum(counts)
         assert all(type(v) is float for row in values for v in row)
         assert values[-9:] == [r.values for r in background]
+
+
+# Rows that FeatureSpace.instance rejects, each in a batch of mixed_space
+# behind one good row.
+MALFORMED_ROWS = {
+    "short": (0.5, "p"),
+    "string-number": ("0.5", "p", 0.5),
+    "bool-number": (True, "p", 0.5),
+    "nan": (0.5, "q", math.nan),
+    "undeclared-label": (0.5, "z", 0.5),
+}
+
+
+def _stump():
+    split = {"feature": 0, "threshold": 0.5, "left": {"leaf": [1.0]}, "right": {"leaf": [2.0]}}
+    return ck.TreeEnsemble(mixed_space(), [split], "regression")
+
+
+_STUMP_UTILITY = ck.OutputUtility.single("y", 0.0, 3.0)
+
+
+# Every entry point that takes a batch of instances, called on ``batch``.
+BATCH_ENTRIES = {
+    "shapley_mc-background": lambda space, x, batch: ck.shapley_mc(
+        _stump(), space, x, batch, budget=3
+    ),
+    "permutation_importance": lambda space, x, batch: ck.permutation_importance(
+        _stump(), space, batch, [0.0] * len(batch)
+    ),
+    "global_ci": lambda space, x, batch: ck.global_ci(
+        _stump(), _STUMP_UTILITY, space, batch, n=3
+    ),
+    "global_mean_abs_shapley": lambda space, x, batch: ck.global_mean_abs_shapley(
+        _stump(), space, batch, budget=3
+    ),
+    "run_global-rows": lambda space, x, batch: ck.run_global(
+        _stump(), _STUMP_UTILITY, space, "ci", iterations=1,
+        rows=batch, n=3,
+    ),
+    "run_stability-background": lambda space, x, batch: ck.run_stability(
+        _stump(), _STUMP_UTILITY, space, x, "shapley-mc", runs=2,
+        budgets=ck.Budgets(shapley_budget=3), background=batch,
+    ),
+    "TreeEnsemble.evaluate": lambda space, x, batch: _stump().evaluate(batch),
+}
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS)
+@pytest.mark.parametrize("entry", BATCH_ENTRIES)
+def test_malformed_batch_is_a_config_error(entry, row):
+    """Every batch argument is checked by FeatureSpace.instance, with its
+    message: no IndexError, and no malformed row read as a number or a code."""
+    space = mixed_space()
+    x = space.instance([0.5, "q", 0.5])
+    bad = ck.Instance(MALFORMED_ROWS[row])  # built without the space's checks
+    with pytest.raises(ck.ConfigError) as want:
+        space.instance(bad.values)
+    with pytest.raises(ck.ConfigError) as got:
+        BATCH_ENTRIES[entry](space, x, [x, bad])
+    assert str(got.value) == str(want.value)
+    # the same batch without the bad row is accepted
+    BATCH_ENTRIES[entry](space, x, [x, space.instance([1.5, "r", 0.0])])
 
 
 _X = {"name": "x", "type": "numeric", "min": 0, "max": 1}

@@ -126,7 +126,7 @@ class TestGlobalCiBlocks:
         # Each instance's y comes from its own source row, which for the
         # categorical feature sits at a different place in every set.
         streams = [ck.SeededRng(5).spawn(r) for r in range(len(rows))]
-        intervals = _ciu_intervals(pred, space, rows, streams, 0, 100)
+        intervals = _ciu_intervals(pred, rows, streams, 0, 100)
         want = [[[lo, hi, e.y] for lo, hi in zip(e.ymin, e.ymax)] for e in exps]
         assert intervals.transpose(1, 2, 0).tolist() == want
         own = pred.evaluate(rows)[:, 0]

@@ -5,6 +5,7 @@ import pytest
 
 import ciukit as ck
 from ciukit import engine
+from ciukit.core import as_rows
 from ciukit.engine import _ciu_intervals
 from ciukit.sampling import corner_instances
 from conftest import exact, mixed_space, replaced
@@ -46,8 +47,9 @@ def varied_values(instances, feature):
 
 def sample_sets(space, instances, n, seed=0):
     """The CIU sample sets that ``_ciu_intervals`` sends to the predictor
-    for ``instances`` under the streams (seed, r), one list of instances per
-    (instance, feature) slot, with the kernel's intervals and its batch sizes.
+    for ``instances`` (through ``as_rows``, as every caller of the kernel)
+    under the streams (seed, r), one list of instances per (instance,
+    feature) slot, with the kernel's intervals and its batch sizes.
 
     The recording predictor returns each row's position among all rows sent,
     so an interval reads (first row, last row, source row) of its set.
@@ -62,7 +64,7 @@ def sample_sets(space, instances, n, seed=0):
             return np.arange(len(seen) - len(rows), len(seen), dtype=float)[:, None]
 
     streams = [ck.SeededRng(seed).spawn(r) for r in range(len(instances))]
-    intervals = _ciu_intervals(Recording(), space, instances, streams, 0, n)
+    intervals = _ciu_intervals(Recording(), as_rows(space, instances), streams, 0, n)
     sizes = [n + 3 if f.is_numeric else len(f.levels) for f in space]
     sets, at = [], 0
     for _ in instances:

@@ -33,7 +33,7 @@ def write_dataset_csv(dataset, path):
 
 
 def reference_leaf(node: dict, values) -> list:
-    """Walk one row down one stored dict tree; unseen levels match no split."""
+    """Walk one row down one stored dict tree."""
     if "leaf" in node:
         return node["leaf"]
     v = values[node["feature"]]
@@ -119,7 +119,7 @@ class TestSchemaInference:
     def test_rows_are_one_encoded_batch(self, clean_dataset):
         rows = clean_dataset.rows
         assert isinstance(rows, ck.Rows) and rows.space == clean_dataset.space
-        assert np.array_equal(rows.matrix, ck.core.encode_rows(rows.space, list(rows)))
+        assert ck.core.as_rows(rows.space, list(rows)) == rows
         assert set(rows.matrix[:, 3].tolist()) == {0.0, 1.0}  # grade's level codes
 
     def test_explicit_schema_respected(self, tmp_path, clean_dataset):
@@ -324,11 +324,12 @@ class TestTreeEnsemble:
         rows = list(clean_dataset.rows[:20])
         assert np.array_equal(a.evaluate(rows), b.evaluate(rows))
 
-    def test_unknown_level_still_routes(self, clean_dataset):
+    def test_unknown_level_is_a_config_error(self, clean_dataset):
         model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=5), rng=1)
         raw = ck.Instance((0.5, 0.5, 0.0, "unseen"))
-        out = model.evaluate([raw])
-        assert np.isfinite(out).all()
+        name = clean_dataset.space[3].name
+        with pytest.raises(ck.ConfigError, match=f"^feature '{name}': label 'unseen' not in"):
+            model.evaluate([raw])
 
     def test_params_validation(self):
         with pytest.raises(ck.ConfigError):
@@ -625,7 +626,13 @@ class TestCompiledRouting:
         assert_matches_reference(model, list(clean_dataset.rows[:200]))
 
     def test_unseen_levels(self, clean_dataset):
-        model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=20), rng=1)
+        # A level the space declares but no training row holds: no split
+        # tests it, so every level split sends it right.
+        trained = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=20), rng=1)
+        *numeric, grade = clean_dataset.space
+        wider = ck.FeatureSpec.categorical(grade.name, grade.levels + ("unseen",))
+        space = ck.FeatureSpace((*numeric, wider))
+        model = ck.TreeEnsemble(space, trained.trees, trained.task, trained.class_names)
         rows = [ck.Instance(r.values[:3] + ("unseen",)) for r in clean_dataset.rows[:50]]
         assert_matches_reference(model, rows)
 
@@ -662,7 +669,7 @@ class TestCompiledRouting:
         rows = [
             ck.Instance((a, g, 0.0, h))
             for a in (0.0, 0.1, 0.25, 0.5, 0.6, 0.7, 0.9, 1.0)
-            for g in ("x", "y", "w")
+            for g in ("x", "y", "z")
             for h in ("u", "v")
         ]
         assert_matches_reference(model, rows)
@@ -700,7 +707,7 @@ class TestCompiledRouting:
         width = len(space) + len(model._flat.pair_feature)
         assert width > len(model.trees)
         rows = [
-            ck.Instance((float(gen.uniform()), levels[k % 150] if k % 7 else "unseen"))
+            ck.Instance((float(gen.uniform()), levels[k % 150]))
             for k in range(2 * (_ROUTE_BLOCK // width) + 1)  # three blocks
         ]
         assert_matches_reference(model, rows)
@@ -795,7 +802,7 @@ def random_row(draw) -> ck.Instance:
         if feat.is_numeric:
             values.append(draw(st.sampled_from(GRID) | st.floats(-1.5, 1.5)))
         else:
-            values.append(draw(st.sampled_from(feat.levels + ("unseen",))))
+            values.append(draw(st.sampled_from(feat.levels)))
     return ck.Instance(tuple(values))
 
 
