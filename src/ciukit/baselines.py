@@ -173,16 +173,19 @@ def shapley_mc(
     # would.
     orders = gen.permuted(np.tile(np.arange(n), (budget, 1)), axis=1)
     picks = gen.integers(0, len(bg.matrix), size=budget)
-    # Step s of walk t takes x's value for every feature ranked below s.
-    rank = np.argsort(orders, axis=1)
-    step = np.arange(n + 1)[None, :, None]
+    # rank[t, i] is feature i's place in walk t's order. Step s of walk t
+    # takes x's value for every feature ranked below s.
+    rank = np.empty_like(orders)
+    rank[np.arange(budget)[:, None], orders] = np.arange(n)
+    below = np.arange(n)[:, None] < np.arange(n + 1)  # [rank, step]
     z = bg.matrix[picks][:, None, :]
-    walks = np.where(rank[:, None, :] < step, x_row, z)
+    walks = np.where(below.take(rank, axis=0).transpose(0, 2, 1), x_row, z)
     ys = evaluate_rows(predictor, Rows(space, walks.reshape(-1, n)))[:, output]
     bg_ys = evaluate_rows(predictor, bg)[:, output]
     with np.errstate(all="ignore"):  # an overflow is rejected below
-        jumps = np.diff(ys.reshape(budget, n + 1), axis=1)
-        samples = np.take_along_axis(jumps, rank, axis=1)  # feature i's jump in walk t
+        # Feature i's jump in walk t: the output after its step less the one before.
+        at = rank + np.arange(0, len(ys), n + 1)[:, None]
+        samples = ys[at + 1] - ys[at]
         phi = samples.mean(axis=0)
         se = sample_sd(samples) / math.sqrt(budget)
         intercept = float(np.mean(bg_ys))
@@ -190,12 +193,12 @@ def shapley_mc(
         raise DataFormatError("shapley estimates overflow: predictor outputs too large to average")
     return AttributionVector(
         feature_names=space.names,
-        phi=tuple(float(v) for v in phi),
+        phi=tuple(phi.tolist()),
         intercept=intercept,
         method=METHOD_SHAPLEY,
         n_samples=budget,
         seed=base.seed,
-        se=tuple(float(v) for v in se),
+        se=tuple(se.tolist()),
     )
 
 

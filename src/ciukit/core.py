@@ -174,8 +174,11 @@ class Rows(Sequence):
         self.matrix.flags.writeable = False
         if self.matrix.ndim != 2 or self.matrix.shape[1] != len(space):
             raise ConfigError(f"a batch matrix needs {len(space)} columns")
+        # One pass checks every numeric column; a column pass only names the
+        # first bad feature, in declaration order.
+        finite = np.isfinite(self.matrix).all()
         for feat, column in zip(space, self.matrix.T):
-            if feat.is_numeric and not np.isfinite(column).all():
+            if feat.is_numeric and not finite and not np.isfinite(column).all():
                 raise ConfigError(f"feature {feat.name!r}: value must be a finite number")
             if not feat.is_numeric and not np.isin(column, np.arange(len(feat.levels))).all():
                 raise ConfigError(f"feature {feat.name!r}: a label not in declared levels")
@@ -290,11 +293,16 @@ def as_rows(space: FeatureSpace, instances: Sequence[Instance]) -> Rows:
     A ``Rows`` of this space comes back as it is. Any other sequence is
     checked row by row by ``FeatureSpace.instance``, which raises
     ConfigError on a wrong count, a value that is not a finite number or an
-    undeclared label, and then encoded.
+    undeclared label, and then encoded. An item that is not an ``Instance``
+    raises ConfigError naming its index.
     """
     if isinstance(instances, Rows) and instances.space == space:
         return instances
-    checked = [space.instance(x.values).values for x in instances]
+    checked = []
+    for k, x in enumerate(instances):
+        if not isinstance(x, Instance):
+            raise ConfigError(f"batch item {k}: expected an Instance, got {type(x).__name__}")
+        checked.append(space.instance(x.values).values)
     matrix = np.empty((len(space), len(checked)))
     for feat, out, column in zip(space, matrix, zip(*checked)):
         if not feat.is_numeric:

@@ -40,7 +40,13 @@ from .core import (
     as_rows,
     evaluate_rows,
 )
-from .sampling import as_rng, ceteris_paribus_grid, corner_instances, uniform_instances
+from .sampling import (
+    _generators,
+    as_rng,
+    ceteris_paribus_grid,
+    corner_instances,
+    uniform_instances,
+)
 
 # Relative slack before an interval endpoint counts as leaving the declared
 # output range. Protects against pure rounding noise at the boundaries;
@@ -234,7 +240,7 @@ def _ciu_intervals(predictor: Predictor, rows: Rows, streams, output: int, n: in
     every level once, in declared order, so x_r's own row sits at its level
     code. Each row is repeated into one block of rows; the blocks of as many
     rows as fit in ``_CHUNK`` rows go to the predictor as one batch in one
-    call."""
+    call, and a block's numeric streams are seeded in one pass."""
     if n < 0:
         raise ConfigError("sample count must be non-negative")
     space = rows.space
@@ -242,18 +248,21 @@ def _ciu_intervals(predictor: Predictor, rows: Rows, streams, output: int, n: in
     width = sum(sizes)
     starts = np.cumsum(sizes) - sizes
     numeric = np.array([feat.is_numeric for feat in space])
+    varied = [i for i, feat in enumerate(space) if feat.is_numeric]
     block = max(1, _CHUNK // width)
     out = np.empty((3, len(rows), len(space)))
     for lo in range(0, len(rows), block):
         xs = rows.matrix[lo : lo + block]
         matrix = np.repeat(xs, width, axis=0)
         sets = matrix.reshape(len(xs), width, len(space))  # a view: writes land in matrix
+        gens = _generators(
+            [(s.seed, s.path + (i,)) for i in varied for s in streams[lo : lo + block]]
+        )
         for i, (feat, start, size) in enumerate(zip(space, starts, sizes)):
             if feat.is_numeric:
                 sets[:, start + 1 : start + 3, i] = feat.min, feat.max
                 sets[:, start + 3 : start + size, i] = [
-                    s.spawn(i).generator().uniform(feat.min, feat.max, n)
-                    for s in streams[lo : lo + block]
+                    next(gens).uniform(feat.min, feat.max, n) for _ in range(len(xs))
                 ]
             else:
                 sets[:, start : start + size, i] = np.arange(size)

@@ -179,6 +179,8 @@ def run_global(
         raise ConfigError("iterations must be positive")
     if rows is not None:
         rows = as_rows(space, rows)
+        if targets is not None and len(targets) != len(rows):
+            raise ConfigError("targets and rows must have equal length")
     count = instances_per_iteration if rows is None else min(instances_per_iteration, len(rows))
     if count < 1:
         raise ConfigError("global importance needs at least one instance")

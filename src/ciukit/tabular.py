@@ -37,7 +37,7 @@ from .core import (
     read_json,
     square_safe_scale,
 )
-from .sampling import as_rng
+from .sampling import _generators, as_rng
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -657,7 +657,7 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
     # One row per feature: floats, or level codes for a categorical feature.
     X = np.ascontiguousarray(dataset.rows.matrix.T)
     n = len(dataset)
-    gens = [base.spawn(t).generator() for t in range(params.n_trees)]
+    gens = list(_generators([(base.seed, base.path + (t,)) for t in range(params.n_trees)]))
     boots = [np.sort(gen.integers(0, n, size=n)) for gen in gens]
     trees = _grow_trees(X, y, boots, gens, dataset.space, params, dataset.task, n_outputs)
     if scale != 1.0:

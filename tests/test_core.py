@@ -461,6 +461,32 @@ class TestRows:
         assert again == rows and again is not rows
         assert ck.core.as_rows(space, []) == rows[:0]
 
+    @pytest.mark.parametrize(
+        "space",
+        [
+            ck.FeatureSpace(tuple(ck.FeatureSpec.numeric(f"x{k}", 0.0, 1.0) for k in (1, 2, 3))),
+            ck.FeatureSpace(
+                (
+                    ck.FeatureSpec.categorical("c", ["p", "q"]),
+                    ck.FeatureSpec.numeric("x1", 0.0, 1.0),
+                    ck.FeatureSpec.numeric("x2", 0.0, 1.0),
+                )
+            ),
+        ],
+    )
+    def test_first_bad_feature_is_named(self, space):
+        x1, x2 = space.index("x1"), space.index("x2")
+        matrix = np.zeros((4, 3))
+        matrix[1, x2] = math.nan
+        matrix[3, x1] = math.inf
+        with pytest.raises(ck.ConfigError, match="^feature 'x1': value must be a finite number$"):
+            ck.Rows(space, matrix)
+        if "c" in space.names:
+            matrix = np.zeros((4, 3))
+            matrix[2, space.index("c")] = 2.0
+            with pytest.raises(ck.ConfigError, match="^feature 'c': a label not in declared levels$"):
+                ck.Rows(space, matrix)
+
     def test_non_finite_cell_rejected(self):
         space = ck.FeatureSpace(
             (ck.FeatureSpec.numeric("a", 0.0, 1.0), ck.FeatureSpec.numeric("b", 0.0, 1.0))
@@ -578,6 +604,14 @@ def test_malformed_batch_is_a_config_error(entry, row):
     assert str(got.value) == str(want.value)
     # the same batch without the bad row is accepted
     BATCH_ENTRIES[entry](space, x, [x, space.instance([1.5, "r", 0.0])])
+
+
+@pytest.mark.parametrize("entry", BATCH_ENTRIES)
+def test_batch_item_that_is_not_an_instance_is_named(entry):
+    space = mixed_space()
+    x = space.instance([0.5, "q", 0.5])
+    with pytest.raises(ck.ConfigError, match="^batch item 1: expected an Instance, got tuple$"):
+        BATCH_ENTRIES[entry](space, x, [x, (0.5, "q", 0.5)])
 
 
 _X = {"name": "x", "type": "numeric", "min": 0, "max": 1}

@@ -199,6 +199,15 @@ class TestRunGlobal:
         with pytest.raises(ck.ConfigError):
             ck.run_global(pred, util, space, "ci", iterations=0)
 
+    @pytest.mark.parametrize("count", [5, 15])
+    def test_targets_must_match_rows(self, linear_bundle, count):
+        pred, space, util = linear_bundle
+        rows = ck.uniform_instances(space, 10, 3)
+        with pytest.raises(ck.ConfigError, match="^targets and rows must have equal length$"):
+            ck.run_global(
+                pred, util, space, "pfi-mae", iterations=1, rows=rows, targets=[0.0] * count
+            )
+
     def test_an_iteration_summing_to_zero_stays_a_typed_error(self):
         # Neither feature moves the output alone at (0.1, 0.1): both ci are 0.
         pred = ck.FunctionPredictor(

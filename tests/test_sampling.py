@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ciukit as ck
 from ciukit import engine
 from ciukit.core import as_rows
 from ciukit.engine import _ciu_intervals
-from ciukit.sampling import corner_instances
+from ciukit.sampling import _generators, corner_instances
 from conftest import exact, mixed_space, replaced
 
 
@@ -39,6 +41,62 @@ class TestSeededRng:
         assert ck.as_rng(r) is r
         with pytest.raises(ck.ConfigError):
             ck.as_rng("42")
+
+
+def assert_same_streams(streams):
+    """``_generators(streams)`` holds numpy's SeedSequence state words for
+    each (seed, path) and draws what ``SeededRng(seed, path).generator()``
+    draws. numpy's stream-compatibility policy keeps that hash fixed; a
+    numpy release that moved it fails here."""
+    gens = list(_generators(streams))
+    assert len(gens) == len(streams)
+    for (seed, path), gen in zip(streams, gens):
+        words = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
+        assert np.array_equal(gen.bit_generator.seed_seq.generate_state(4, np.uint64), words)
+        want = ck.SeededRng(seed, path).generator()
+        assert np.array_equal(gen.random(16), want.random(16))
+
+
+# Seeds below 2**128 and path words below 2**32 are hashed in one pass,
+# larger ones one by one.
+seeds = st.integers(0, 2**32 - 1) | st.integers(0, 2**40 - 1) | st.integers(2**128, 2**130)
+words = st.integers(0, 2**32 - 1) | st.integers(0, 2**33 - 1)
+
+
+class TestGenerators:
+    """Seeding many streams in one pass gives each stream's own draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, length=st.integers(0, 4), data=st.data())
+    def test_one_seed_and_path_length(self, seed, length, data):
+        paths = data.draw(st.lists(st.tuples(*[words] * length), min_size=1, max_size=12))
+        assert_same_streams([(seed, path) for path in paths])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(seeds, st.lists(words, max_size=4).map(tuple)), max_size=8))
+    def test_mixed_seeds_and_path_lengths(self, streams):
+        assert_same_streams(streams)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, path=st.lists(words, max_size=4).map(tuple))
+    def test_one_stream(self, seed, path):
+        assert_same_streams([(seed, path)])
+
+    def test_a_kernel_call_is_seeded_in_one_pass(self):
+        # the CLI's global ci streams: (method, iteration, 1, instance, feature)
+        streams = [(7, (0, 0, 1, r, i)) for r in range(50) for i in range(4)]
+        gens = list(_generators(streams))
+        assert not any(isinstance(g.bit_generator.seed_seq, np.random.SeedSequence) for g in gens)
+        assert_same_streams(streams)
+
+    def test_global_ci_builds_no_generator_one_by_one(self, nonlinear_resolved, monkeypatch):
+        pred, space, util = nonlinear_resolved
+        sample = ck.uniform_instances(space, 50, 3)
+        built = []
+        real = ck.SeededRng.generator
+        monkeypatch.setattr(ck.SeededRng, "generator", lambda s: built.append(s) or real(s))
+        ck.global_ci(pred, util, space, sample, n=10, rng=ck.SeededRng(1, (0, 0)))
+        assert built == []
 
 
 def varied_values(instances, feature):
