@@ -22,6 +22,7 @@ from .core import (
     Predictor,
     Rows,
     SingularSystemError,
+    _check_output,
     as_rows,
     evaluate_rows,
     sample_sd,
@@ -112,6 +113,7 @@ def permutation_importance(
     predictions do not change. ``loss`` is ``"mae"`` or
     ``"classification-error"``.
     """
+    _check_output(predictor, output)
     if loss not in ("mae", "classification-error"):
         raise ConfigError(f"unknown loss {loss!r}")
     if len(rows) < 2:
@@ -159,6 +161,7 @@ def shapley_mc(
     f(x) - mean f(background draws). Outputs too large to average raise
     DataFormatError.
     """
+    _check_output(predictor, output)
     if not background:
         raise ConfigError("shapley estimation needs a non-empty background set")
     if budget < 1:
@@ -242,6 +245,7 @@ def lime_surrogate(
     The kernel width is 0.75 * sqrt(n_features), and the ridge penalty of
     1e-3 leaves the intercept unpenalized.
     """
+    _check_output(predictor, output)
     n = len(space)
     if n_samples < 2 * n:
         raise ConfigError("surrogate needs at least 2 * n_features samples")

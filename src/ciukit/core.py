@@ -259,6 +259,13 @@ class FunctionPredictor(Predictor):
         return out
 
 
+def _check_output(predictor: Predictor, output) -> None:
+    """Reject an output index that is no int (a bool is none) in [0, n_outputs)."""
+    index = type(output) is int or isinstance(output, np.integer)
+    if not index or not 0 <= output < predictor.n_outputs:
+        raise ConfigError(f"output index {output} out of range")
+
+
 def evaluate_rows(predictor: Predictor, rows: Sequence[Instance]) -> np.ndarray:
     """The one way the toolkit calls a predictor: shape (len(rows), n_outputs).
 
@@ -476,16 +483,16 @@ def feature_to_json(feat: FeatureSpec) -> dict:
     return {"name": feat.name, "type": CATEGORICAL, "levels": list(feat.levels)}
 
 
-def finite_number(value, what: str, error: type[ExplainerError] = ConfigError) -> float:
+def finite_number(value, what: str) -> float:
     """A Python or numpy int or float as a finite float; anything else, a
-    bool or a string included, raises ``error``."""
+    bool or a string included, raises ConfigError."""
     number = isinstance(value, (int, float, np.integer, np.floating))
     try:
         v = float(value) if number and not isinstance(value, bool) else math.nan
     except OverflowError:  # an integer beyond the float range
         v = math.inf
     if not math.isfinite(v):
-        raise error(f"{what} must be a finite number")
+        raise ConfigError(f"{what} must be a finite number")
     return v
 
 

@@ -37,6 +37,7 @@ from .core import (
     Predictor,
     Rows,
     _CHUNK,
+    _check_output,
     as_rows,
     evaluate_rows,
 )
@@ -358,6 +359,7 @@ def ceteris_paribus_curve(
     phi0: float = 0.5,
 ) -> CpCurve:
     """Trace the output over an evenly spaced sweep of one numeric feature."""
+    _check_output(predictor, output)
     check_phi0(phi0)
     grid = ceteris_paribus_grid(space, x, feature, grid_size)
     batch = Rows(space, np.vstack([grid.matrix, as_rows(space, [x]).matrix]))

@@ -15,6 +15,7 @@ from .core import (
     Instance,
     OutputUtility,
     Predictor,
+    _check_output,
     as_rows,
     evaluate_rows,
     sample_sd,
@@ -135,6 +136,7 @@ def global_mean_abs_shapley(
 
     The instance sample is also the background.
     """
+    _check_output(predictor, output)
     if not instances:
         raise ConfigError("global importance needs at least one instance")
     sample = as_rows(space, instances)

@@ -42,11 +42,12 @@ class SeededRng:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        for i in (self.seed, *self.path):  # a few ints, so spawn stays cheap; a bool is none
+            if not (type(i) is int or isinstance(i, np.integer)) or i < 0:
+                raise ConfigError(f"seed and spawn indices must be non-negative ints, got {i!r}")
 
     def spawn(self, *indices: int) -> "SeededRng":
-        return SeededRng(self.seed, self.path + tuple(int(i) for i in indices))
+        return SeededRng(self.seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, FeatureSpace, Instance, OutputUtility, Predictor, as_rows, sample_sd
+from .core import _check_output
 from .baselines import ALL_METHODS, METHOD_INFLUENCE, METHOD_SHAPLEY, lime_surrogate, shapley_mc
 from .engine import _ciu, _ciu_intervals, check_phi0
 from .sampling import as_rng, uniform_instances
@@ -96,6 +97,7 @@ def run_stability(
     endpoint-anchored influence on monotone predictors) come back with zero
     spread; Monte-Carlo methods show their seed-to-seed variation.
     """
+    _check_output(predictor, output)
     if runs < 2:
         raise ConfigError("stability needs at least two runs")
     check_phi0(phi0)

@@ -10,12 +10,13 @@ stays inside the convex hull of the training targets.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
+from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from .core import (
     config_from_json,
     evaluate_rows,
     feature_to_json,
-    finite_number,
     read_json,
     square_safe_scale,
 )
@@ -240,25 +240,17 @@ class TreeParams:
             raise ConfigError("feature_subsample must be 'sqrt' or 'all'")
 
 
-def _leaf(y: np.ndarray, n_outputs: int, task: str) -> dict:
-    if task == CLASSIFICATION:
-        counts = np.bincount(y, minlength=n_outputs)
-        return {"leaf": [float(v) for v in counts / counts.sum()]}
-    return {"leaf": [float(y.mean())]}
+def _add_leaf(tree: dict, y: np.ndarray, n_outputs: int, task: str) -> None:
+    """Append a leaf over targets ``y`` to a tree's columns: class frequencies, or the mean."""
+    counts = np.bincount(y, minlength=n_outputs) if task == CLASSIFICATION else None
+    tree["feature"].append(-1)
+    tree["leaf"] += [float(y.mean())] if counts is None else (counts / counts.sum()).tolist()
 
 
 def _gini_sums(counts: np.ndarray, n: np.ndarray) -> np.ndarray:
     # Gini impurity times the row count, per row of exact class counts. Each
     # row is C-contiguous and summed on its own, so it is one node's 1-D sum.
     return n * (1.0 - ((counts / n[:, None]) ** 2).sum(axis=1))
-
-
-def _unscale_leaves(node: dict, factor: float) -> None:
-    if "leaf" in node:
-        node["leaf"] = [v * factor for v in node["leaf"]]
-    else:
-        _unscale_leaves(node["left"], factor)
-        _unscale_leaves(node["right"], factor)
 
 
 def _sse(y: np.ndarray) -> float:
@@ -384,28 +376,28 @@ _SCORE_BLOCK = 2**12
 
 
 def _grow_trees(X, y, boots, gens, space, params, task, n_outputs) -> list[dict]:
-    """Grow one tree per (bootstrap rows, generator) pair, all in lockstep:
-    each step draws candidates for every tree's next node in preorder that
-    is not a leaf, from that tree's generator, and scores them all at once.
-    Leaves draw nothing, so every tree is the one grown alone."""
+    """Grow one tree per (bootstrap rows, generator) pair, all in lockstep: each step
+    draws candidates for every tree's next node in preorder that is not a leaf, from
+    that tree's generator, and scores them all at once. Leaves draw nothing, so every
+    tree is the one grown alone, its nodes appended to its columns in preorder."""
     n_feat = len(space)
     k = max(1, round(math.sqrt(n_feat))) if params.feature_subsample == "sqrt" else n_feat
     numeric = [f.is_numeric for f in space]
     ranks = np.array([np.unique(row, return_inverse=True)[1] for row in X])
-    trees = [{} for _ in boots]
-    # per tree, the nodes left to grow as (node to fill, rows, depth), next last
-    stacks = [[(tree, boot, 0)] for tree, boot in zip(trees, boots)]
+    trees = [{"feature": [], "split": [], "leaf": []} for _ in boots]
+    # per tree, the nodes left to grow as (rows, depth), next last
+    stacks = [[(boot, 0)] for boot in boots]
     while True:
-        nodes, jobs = [], []  # (node, rows, depth, stack) and (rows, sorted candidates)
-        for stack, gen in zip(stacks, gens):
+        nodes, jobs = [], []  # (tree, rows, depth, stack) and (rows, sorted candidates)
+        for tree, stack, gen in zip(trees, stacks, gens):
             while stack:
-                node, idx, depth = stack.pop()
+                idx, depth = stack.pop()
                 node_y = y[idx]
                 stop = depth >= params.max_depth or len(idx) < 2 * params.min_leaf
                 if stop or (node_y == node_y[0]).all():
-                    node.update(_leaf(node_y, n_outputs, task))
+                    _add_leaf(tree, node_y, n_outputs, task)
                     continue
-                nodes.append((node, idx, depth, stack))
+                nodes.append((tree, idx, depth, stack))
                 jobs.append((idx, sorted(gen.choice(n_feat, size=k, replace=False).tolist())))
                 break
         if not jobs:
@@ -417,25 +409,26 @@ def _grow_trees(X, y, boots, gens, space, params, task, n_outputs) -> list[dict]
             if after is None or size + len(after[0]) * k > _SCORE_BLOCK:
                 best += _best_splits(X, ranks, y, block, numeric, task, n_outputs, params.min_leaf)
                 block, size = [], 0
-        for (node, idx, depth, stack), found in zip(nodes, best):
+        for (tree, idx, depth, stack), found in zip(nodes, best):
             if found is None or found[0] <= _MIN_GAIN:
-                node.update(_leaf(y[idx], n_outputs, task))
+                _add_leaf(tree, y[idx], n_outputs, task)
                 continue
             _, feature, value = found
             v = X[feature, idx]
             if numeric[feature]:
                 mask = v <= value
-                node.update(feature=feature, threshold=value)
             else:
                 mask = v == value
-                node.update(feature=feature, level=space[feature].levels[value])
-            node["left"], node["right"] = left, right = {}, {}
-            stack += [(right, idx[~mask], depth + 1), (left, idx[mask], depth + 1)]
+                value = space[feature].levels[value]
+            tree["feature"].append(feature)
+            tree["split"].append(value)
+            stack += [(idx[~mask], depth + 1), (idx[mask], depth + 1)]
 
 
 # Rows routed per block: rows x max(trees, routing columns) stays under this
-# many entries, which bounds the routing temporaries at a few MB for any batch.
-_ROUTE_BLOCK = 2**15
+# many entries, so each 8-byte routing temporary stays under 128 KiB, where
+# glibc's malloc would map (and fault in) fresh pages for every one of them.
+_ROUTE_BLOCK = 16_000
 
 
 class _FlatTrees(NamedTuple):
@@ -460,125 +453,116 @@ class _FlatTrees(NamedTuple):
     depth: int  # levels below the deepest tree's root
 
 
-def _leaf_error(leaves: list, threshold: list, roots: list, n_outputs: int):
-    """The error of the first leaf in preorder whose values are not finite
-    numbers, naming its tree, or None. ``threshold`` is inf at each leaf."""
-    for k, node in enumerate(np.flatnonzero(np.asarray(threshold) == math.inf).tolist()):
-        t = bisect.bisect_right(roots, node) - 1
-        leaf = leaves[k * n_outputs : (k + 1) * n_outputs]
-        try:
-            values = np.asarray(leaf)
-        except ValueError:  # ragged: a list nested inside the leaf
-            return DataFormatError(f"tree {t}: leaf values must be numbers")
-        if values.ndim != 1 or values.dtype.kind not in "iuf" or bool in map(type, leaf):
-            return DataFormatError(f"tree {t}: leaf values must be numbers")
-        if not np.isfinite(values).all():
-            return DataFormatError(f"tree {t}: leaf values must be finite numbers")
-    return None
+def _array(values: list, types: set, dtype) -> np.ndarray | None:
+    """``values`` as an array if each has one of ``types`` and converts, else None."""
+    try:
+        return np.array(values, dtype=dtype) if set(map(type, values)) <= types else None
+    except OverflowError:  # an int beyond the dtype
+        return None
 
 
-def _flatten(trees: Sequence[dict], space: FeatureSpace, n_outputs: int) -> _FlatTrees:
-    """Compile dict trees into node arrays in preorder; the first bad node raises."""
+def _compile(trees: Sequence[dict], space: FeatureSpace, n_outputs: int) -> _FlatTrees:
+    """Check all trees' columns at once and compile them; a fault names the first bad tree."""
     if not trees:
         raise DataFormatError("the ensemble has no trees")
-    d, inf = len(space), math.inf
-    # Level -> code per categorical feature; None marks a numeric one.
-    codes = [None if f.is_numeric else {lev: k for k, lev in enumerate(f.levels)} for f in space]
-    pairs = {}  # (feature, level code) -> its indicator column
-    column, threshold, depths, leaves, roots = [], [], [], [], []
     try:
-        for t, tree in enumerate(trees):
-            roots.append(len(column))
-            stack = [(tree, 0)]  # (node, its depth)
-            while stack:
-                node, depth = stack.pop()
-                depths.append(depth)
-                if type(node) is not dict:
-                    raise DataFormatError(f"tree {t}: a node must be a JSON object")
-                if "leaf" in node:
-                    values = node["leaf"]
-                    if type(values) not in (list, tuple) or len(values) != n_outputs:
-                        raise DataFormatError(
-                            f"tree {t}: a leaf needs a list of {n_outputs} outputs"
-                        )
-                    leaves += values
-                    column.append(0)
-                    threshold.append(inf)
-                    continue
-                numeric = "threshold" in node
-                shaped = "feature" in node and "left" in node and "right" in node
-                if not shaped or numeric == ("level" in node):
-                    raise DataFormatError(
-                        f"tree {t}: a node needs 'leaf', or 'feature', 'left', 'right' "
-                        "and one of 'threshold' or 'level'"
-                    )
-                i = node["feature"]
-                if type(i) is not int or not 0 <= i < d:
-                    raise DataFormatError(f"tree {t}: feature index {i!r} out of range")
-                code_of = codes[i]
-                if numeric != (code_of is None):
-                    kind = "threshold split on categorical" if numeric else "level split on numeric"
-                    raise DataFormatError(f"tree {t}: {kind} feature {space.features[i].name!r}")
-                if numeric:
-                    value = node["threshold"]
-                    if type(value) is not float or not -inf < value < inf:
-                        value = finite_number(value, f"tree {t}: threshold", DataFormatError)
-                    column.append(i)
-                    threshold.append(value)
-                else:
-                    level = node["level"]
-                    if type(level) is not str or level not in code_of:
-                        name = space.features[i].name
-                        raise DataFormatError(f"tree {t}: feature {name!r} has no level {level!r}")
-                    column.append(pairs.setdefault((i, code_of[level]), d + len(pairs)))
-                    threshold.append(0.5)
-                depth += 1
-                stack.append((node["right"], depth))
-                stack.append((node["left"], depth))
-    except DataFormatError as err:  # a bad leaf before this node goes first
-        raise _leaf_error(leaves, threshold, roots, n_outputs) or err
-    try:
-        leaf_values = np.asarray(leaves)
-    except ValueError:  # ragged: a list nested inside some leaf
-        leaf_values = None
-    if (
-        leaf_values is None or leaf_values.ndim != 1 or leaf_values.dtype.kind not in "iuf"
-        or bool in set(map(type, leaves))  # numpy casts a JSON true beside a float to 1.0
-        or not np.isfinite(leaf_values).all()
-    ):
-        bad = _leaf_error(leaves, threshold, roots, n_outputs)
-        raise bad or DataFormatError("leaf values must be numbers")
-    leaf_values = leaf_values.reshape(-1, n_outputs)
-    threshold = np.asarray(threshold)
-    is_leaf = threshold == inf
-    # A split's left child is the next node. Its right child is the next node
-    # at the same depth after that one, since the left subtree lies deeper.
-    order = np.argsort(depths, kind="stable")
+        return _compile_columns(trees, space, n_outputs)
+    except DataFormatError:
+        for t, tree in enumerate(trees):  # find the first tree with a fault of its own
+            try:
+                _compile_columns([tree], space, n_outputs)
+            except DataFormatError as e:
+                raise DataFormatError(f"tree {t}: {e}") from None
+        raise
+
+
+def _compile_columns(trees: Sequence[dict], space: FeatureSpace, n_outputs: int) -> _FlatTrees:
+    names = ("feature", "split", "leaf")
+    for tree in trees:
+        if type(tree) is not dict or any(type(tree.get(k)) not in (list, tuple) for k in names):
+            raise DataFormatError("a tree needs 'feature', 'split' and 'leaf' lists")
+    # Each column of all trees end to end.
+    col = {k: list(chain.from_iterable(tree[k] for tree in trees)) for k in names}
+    leaf_values = _array(col["leaf"], {float, int}, float)
+    if leaf_values is None or not np.isfinite(leaf_values).all():
+        numbers = set(map(type, col["leaf"])) <= {float, int}  # a JSON true is a bool
+        raise DataFormatError(f"leaf values must be {'finite ' if numbers else ''}numbers")
+    d = len(space)
+    feature = _array(col["feature"], {int}, np.intp)
+    if feature is None or ((feature < -1) | (feature >= d)).any():
+        i = next(i for i in col["feature"] if type(i) is not int or not -1 <= i < d)
+        raise DataFormatError(f"feature index {i!r} out of range")
+    is_split = feature >= 0
+    split = np.flatnonzero(is_split)
+    sizes = np.array([len(tree["feature"]) for tree in trees])
+    starts = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    # c[k] counts splits less leaves before node k. A full binary tree in preorder
+    # has one leaf more than splits, and no shorter prefix of it has.
+    c = np.zeros(len(feature) + 1, dtype=np.intp)
+    np.cumsum(np.where(is_split, 1, -1), out=c[1:])
+    if not np.array_equal(np.flatnonzero(c[1:] < c[starts][tree_of]), np.cumsum(sizes) - 1):
+        raise DataFormatError("'feature' is not a full binary tree in preorder")
+    n_splits = np.bincount(tree_of[split], minlength=len(trees))
+    if [len(tree["split"]) for tree in trees] != n_splits.tolist():
+        raise DataFormatError(f"{len(col['split'])} split values for {len(split)} splits")
+    if [len(tree["leaf"]) for tree in trees] != ((sizes - n_splits) * n_outputs).tolist():
+        leaves = f"{len(feature) - len(split)} leaves of {n_outputs} outputs"
+        raise DataFormatError(f"{len(col['leaf'])} leaf values for {leaves}")
+
+    by_number = np.array([f.is_numeric for f in space])[feature[split]]
+    at_number, at_level = split[by_number], split[~by_number]  # split nodes by kind
+    threshold = _array(list(compress(col["split"], by_number.tolist())), {float, int}, float)
+    keys = list(zip(feature[at_level].tolist(), compress(col["split"], (~by_number).tolist())))
+    code_of = {(i, level): code for i, f in enumerate(space) for code, level in enumerate(f.levels)}
+    codes = list(map(code_of.get, keys)) if all(type(v) is str for _, v in keys) else [None]
+    if threshold is None or not np.isfinite(threshold).all() or None in codes:
+        for value, feat in zip(col["split"], (space[i] for i in feature[split].tolist())):
+            number, name = type(value) in (float, int), feat.name  # a bool is no number
+            if not feat.is_numeric and number:
+                raise DataFormatError(f"threshold split on categorical feature {name!r}")
+            if not feat.is_numeric and value not in feat.levels:
+                raise DataFormatError(f"feature {name!r} has no level {value!r}")
+            if feat.is_numeric and type(value) is str:
+                raise DataFormatError(f"level split on numeric feature {name!r}")
+            if feat.is_numeric and not (number and abs(value) <= sys.float_info.max):
+                raise DataFormatError("threshold must be a finite number")
+    # One indicator column per (feature, level code) pair that a split tests.
+    width = 1 + max(len(f.levels) for f in space)
+    level_pair = feature[at_level] * width + np.array(codes, dtype=np.intp)
+    pairs, pair_column = np.unique(level_pair, return_inverse=True)
+    # A split's right child follows its left subtree, where c first returns to c[split].
+    key = c + np.append(tree_of, len(trees))  # at most the depth, so a radix sort orders it
+    order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
     after = np.empty_like(order)
     after[order[:-1]] = order[1:]
-    split = np.flatnonzero(~is_leaf)
-    children = np.repeat(2 * np.arange(len(order)), 2).reshape(-1, 2)  # a leaf's own id
-    children[split] = 2 * np.column_stack([after[split + 1], split + 1])  # (right, left)
-    pair = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+    depth, frontier = 0, starts
+    while (frontier := frontier[is_split[frontier]]).size:
+        depth += 1
+        frontier = np.concatenate([frontier + 1, after[frontier]])
+    column = np.where(is_split, feature, 0)  # a leaf tests column 0 against +inf
+    column[at_level] = d + pair_column
+    threshold_of = np.where(is_split, 0.5, math.inf)  # a level split tests 0.5
+    threshold_of[at_number] = threshold
+    children = np.repeat(2 * np.arange(len(feature)), 2)  # a leaf's own id
+    children[2 * split] = 2 * after[split]  # right
+    children[2 * split + 1] = 2 * split + 2  # left
     return _FlatTrees(
-        np.repeat(np.asarray(column, dtype=np.intp), 2),
-        np.repeat(threshold, 2),
-        pair[:, 0],
-        pair[:, 1].astype(float),
-        children.ravel(),
-        np.repeat(np.cumsum(is_leaf) - is_leaf, 2),  # the leaves before each node
-        np.ascontiguousarray(leaf_values.T, dtype=float),
-        2 * np.asarray(roots, dtype=np.intp),
-        max(depths),
+        np.repeat(column, 2), np.repeat(threshold_of, 2), pairs // width,
+        (pairs % width).astype(float), children,
+        np.repeat(np.cumsum(~is_split) - ~is_split, 2),  # the leaves before each node
+        np.ascontiguousarray(leaf_values.reshape(-1, n_outputs).T), 2 * starts, depth,
     )
 
 
 class TreeEnsemble(Predictor):
     """Average of bagged CART trees; outputs are class probabilities or a mean.
 
-    ``trees`` keeps the nested-dict form that the model JSON stores; the
-    constructor validates it and compiles it into flat node arrays, which
-    ``evaluate`` routes every row through level by level.
+    ``trees`` holds one object per tree, as the model JSON does, of columns
+    over its nodes in preorder: ``feature``, a feature index or -1 at a leaf;
+    ``split``, per split, a numeric threshold (``x <= threshold`` goes left)
+    or a level (that level goes left); ``leaf``, n_outputs values per leaf.
+    They are checked and compiled into flat node arrays for ``evaluate``.
     """
 
     def __init__(
@@ -599,7 +583,7 @@ class TreeEnsemble(Predictor):
         self.n_outputs = len(self.class_names) if task == CLASSIFICATION else 1
         if self.n_outputs < 1:
             raise DataFormatError("a classification model needs class names")
-        self._flat = _flatten(self.trees, space, self.n_outputs)
+        self._flat = _compile(self.trees, space, self.n_outputs)
 
     def evaluate(self, instances: Sequence[Instance]) -> np.ndarray:
         flat, x = self._flat, as_rows(self.space, instances).matrix
@@ -662,7 +646,7 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
     trees = _grow_trees(X, y, boots, gens, dataset.space, params, dataset.task, n_outputs)
     if scale != 1.0:
         for tree in trees:
-            _unscale_leaves(tree, 1.0 / scale)
+            tree["leaf"] = [v / scale for v in tree["leaf"]]  # exact: scale is a power of two
     return TreeEnsemble(dataset.space, trees, dataset.task, dataset.class_names, params)
 
 
@@ -685,6 +669,7 @@ def accuracy(model: TreeEnsemble, dataset: Dataset) -> float:
 def save_model(path, model: TreeEnsemble) -> None:
     doc = {
         "kind": "tree-ensemble",
+        "format": 2,  # one object of preorder columns per tree
         "task": model.task,
         "class_names": list(model.class_names),
         "params": asdict(model.params),
@@ -702,6 +687,9 @@ def load_model(path) -> TreeEnsemble:
     doc = read_json(path, DataFormatError, "model")
     if not isinstance(doc, dict) or doc.get("kind") != "tree-ensemble":
         raise DataFormatError(f"model {path}: not a tree-ensemble document")
+    if doc.get("format") != 2:  # earlier versions wrote nested trees and no "format"
+        found = "the nested tree format" if "format" not in doc else f"format {doc['format']!r}"
+        raise DataFormatError(f"model {path}: {found} is not read; retrain the model for format 2")
     try:
         space, _ = config_from_json({"features": doc.get("features")})
     except ConfigError as e:

@@ -87,6 +87,41 @@ def shapley_enumerate(predictor, space, x, background, output: int = 0) -> np.nd
     return phi
 
 
+def tree_columns(node: dict) -> dict:
+    """A tree written as nested split and leaf dicts ({"leaf": values}, or
+    "feature", "threshold" or "level", "left" and "right") as the preorder
+    columns a ``TreeEnsemble`` takes."""
+    tree = {"feature": [], "split": [], "leaf": []}
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if "leaf" in node:
+            tree["feature"].append(-1)
+            tree["leaf"] += node["leaf"]
+        else:
+            tree["feature"].append(node["feature"])
+            tree["split"].append(node["threshold"] if "threshold" in node else node["level"])
+            stack += (node["right"], node["left"])
+    return tree
+
+
+def nested_tree(tree: dict) -> dict:
+    """A ``TreeEnsemble``'s preorder columns as nested split and leaf dicts,
+    the inverse of ``tree_columns``."""
+    features, splits, leaves = (iter(tree[k]) for k in ("feature", "split", "leaf"))
+    n_outputs = len(tree["leaf"]) // tree["feature"].count(-1)
+
+    def node() -> dict:
+        i = next(features)
+        if i < 0:
+            return {"leaf": [next(leaves) for _ in range(n_outputs)]}
+        value = next(splits)
+        kind = "level" if isinstance(value, str) else "threshold"
+        return {"feature": i, kind: value, "left": node(), "right": node()}
+
+    return node()
+
+
 def exact_tree_interval(model, x, feature: int, output: int = 0) -> tuple[float, float]:
     """The exact (ymin, ymax) of a tree ensemble as one feature of x varies,
     the oracle for the sampled CIU interval.
@@ -100,7 +135,7 @@ def exact_tree_interval(model, x, feature: int, output: int = 0) -> tuple[float,
     feat = space[feature]
     if feat.is_numeric:
         points = {feat.min, feat.max, x.values[feature]}
-        stack = list(model.trees)
+        stack = [nested_tree(tree) for tree in model.trees]
         while stack:
             node = stack.pop()
             if "leaf" not in node:

@@ -366,9 +366,11 @@ class TestFlagsPerSubcommand:
 
 
 def _good_model() -> dict:
-    """A one-tree model over a numeric and a categorical feature."""
+    """A one-tree model over a numeric and a categorical feature: a split on
+    a <= 0.5, whose left child splits on g == "lo"."""
     return {
         "kind": "tree-ensemble",
+        "format": 2,
         "task": "classification",
         "class_names": ["no", "yes"],
         "params": {"n_trees": 1, "max_depth": 2, "min_leaf": 1, "feature_subsample": "all"},
@@ -378,24 +380,28 @@ def _good_model() -> dict:
         ],
         "trees": [
             {
-                "feature": 0,
-                "threshold": 0.5,
-                "left": {
-                    "feature": 1,
-                    "level": "lo",
-                    "left": {"leaf": [1.0, 0.0]},
-                    "right": {"leaf": [0.5, 0.5]},
-                },
-                "right": {"leaf": [0.0, 1.0]},
+                "feature": [0, 1, -1, -1, -1],
+                "split": [0.5, "lo"],
+                "leaf": [1.0, 0.0, 0.5, 0.5, 0.0, 1.0],
             }
         ],
     }
 
 
-def _with_split(doc: dict, **split) -> None:
+def _with_split(doc: dict, feature, value) -> None:
     """Replace the level split under the root, which the explained row
     (a=0.3, g="lo") reaches."""
-    doc["trees"][0]["left"] = {**split, "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.5, 0.5]}}
+    tree = doc["trees"][0]
+    tree["feature"][1], tree["split"][1] = feature, value
+
+
+def _set(column: str, k: int, value):
+    """A mutation that sets entry k of the tree's column to value."""
+
+    def mutate(doc: dict) -> None:
+        doc["trees"][0][column][k] = value
+
+    return mutate
 
 
 MALFORMED_MODELS = {
@@ -404,42 +410,64 @@ MALFORMED_MODELS = {
     "unknown-param": lambda doc: doc["params"].update(depth=3),
     "zero-trees-param": lambda doc: doc["params"].update(n_trees=0),
     "class-names-string": lambda doc: doc.update(class_names="ny"),
-    "split-without-right": lambda doc: doc["trees"][0]["left"].pop("right"),
-    "neither-leaf-nor-split": lambda doc: doc["trees"][0].update(right={"value": 1.0}),
-    # on the root's right branch, which no explained row reaches
-    "feature-out-of-range": lambda doc: doc["trees"][0].update(
-        right={
-            "feature": 7, "threshold": 0.5,
-            "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.0, 1.0]},
-        }
-    ),
-    "threshold-on-categorical": lambda doc: _with_split(doc, feature=1, threshold=0.5),
-    "level-on-numeric": lambda doc: _with_split(doc, feature=0, level="lo"),
-    "undeclared-level": lambda doc: _with_split(doc, feature=1, level="mid"),
-    "short-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[1.0]),
-    "nan-threshold": lambda doc: doc["trees"][0].update(threshold=float("nan")),
-    "infinite-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[float("inf"), 0.0]),
-    "bool-leaf": lambda doc: doc["trees"][0]["right"].update(leaf=[True, 0.0]),
-    "huge-integer-threshold": lambda doc: doc["trees"][0].update(threshold=10**400),
+    "nested-format": lambda doc: doc.pop("format"),
+    "format-3": lambda doc: doc.update(format=3),
+    "format-string": lambda doc: doc.update(format="2"),
+    "tree-not-object": lambda doc: doc["trees"].append([0, -1, -1]),
+    "neither-leaf-nor-split": lambda doc: doc["trees"][0].pop("split"),
+    "column-not-list": lambda doc: doc["trees"][0].update(feature="01"),
+    "feature-out-of-range": _set("feature", 0, 7),
+    "feature-below-leaf": _set("feature", 4, -2),
+    "bool-feature": _set("feature", 0, False),
+    "float-feature": _set("feature", 0, 0.0),
+    "split-without-right": lambda doc: doc["trees"][0]["feature"].pop(),
+    "node-after-last-leaf": lambda doc: doc["trees"][0]["feature"].append(-1),
+    "extra-split-value": lambda doc: doc["trees"][0]["split"].append(0.25),
+    "threshold-on-categorical": lambda doc: _with_split(doc, 1, 0.5),
+    "level-on-numeric": lambda doc: _with_split(doc, 0, "lo"),
+    "undeclared-level": lambda doc: _with_split(doc, 1, "mid"),
+    "null-level": lambda doc: _with_split(doc, 1, None),
+    "nan-threshold": _set("split", 0, float("nan")),
+    "bool-threshold": _set("split", 0, True),
+    "huge-integer-threshold": _set("split", 0, 10**400),
+    "short-leaf": lambda doc: doc["trees"][0]["leaf"].pop(),
+    "infinite-leaf": _set("leaf", 4, float("inf")),
+    "bool-leaf": _set("leaf", 4, True),
+    "string-leaf": _set("leaf", 0, "1.0"),
     "levels-not-strings": lambda doc: doc["features"][1].update(levels=["lo", "hi", 5]),
     "feature-bound-string": lambda doc: doc["features"][0].update(max="one"),
     "feature-bounds-overflow": lambda doc: doc["features"][0].update(min=-1.7e308, max=1.7e308),
 }
 
-_NODE_SHAPE = "a node needs 'leaf', or 'feature', 'left', 'right' and one of 'threshold' or 'level'"
-# The whole message of each node-level case, after "error: model <path>: ".
+_RETRAIN = "is not read; retrain the model for format 2"
+_COLUMNS = "a tree needs 'feature', 'split' and 'leaf' lists"
+_SHAPE = "'feature' is not a full binary tree in preorder"
+# The whole message of each format and tree case, after "error: model <path>: ".
 NODE_MESSAGES = {
-    "split-without-right": f"tree 0: {_NODE_SHAPE}",
-    "neither-leaf-nor-split": f"tree 0: {_NODE_SHAPE}",
+    "nested-format": f"the nested tree format {_RETRAIN}",
+    "format-3": f"format 3 {_RETRAIN}",
+    "format-string": f"format '2' {_RETRAIN}",
+    "tree-not-object": f"tree 1: {_COLUMNS}",
+    "neither-leaf-nor-split": f"tree 0: {_COLUMNS}",
+    "column-not-list": f"tree 0: {_COLUMNS}",
     "feature-out-of-range": "tree 0: feature index 7 out of range",
+    "feature-below-leaf": "tree 0: feature index -2 out of range",
+    "bool-feature": "tree 0: feature index False out of range",
+    "float-feature": "tree 0: feature index 0.0 out of range",
+    "split-without-right": f"tree 0: {_SHAPE}",
+    "node-after-last-leaf": f"tree 0: {_SHAPE}",
+    "extra-split-value": "tree 0: 3 split values for 2 splits",
     "threshold-on-categorical": "tree 0: threshold split on categorical feature 'g'",
     "level-on-numeric": "tree 0: level split on numeric feature 'a'",
     "undeclared-level": "tree 0: feature 'g' has no level 'mid'",
-    "short-leaf": "tree 0: a leaf needs a list of 2 outputs",
+    "null-level": "tree 0: feature 'g' has no level None",
     "nan-threshold": "tree 0: threshold must be a finite number",
+    "bool-threshold": "tree 0: threshold must be a finite number",
+    "huge-integer-threshold": "tree 0: threshold must be a finite number",
+    "short-leaf": "tree 0: 5 leaf values for 3 leaves of 2 outputs",
     "infinite-leaf": "tree 0: leaf values must be finite numbers",
     "bool-leaf": "tree 0: leaf values must be numbers",
-    "huge-integer-threshold": "tree 0: threshold must be a finite number",
+    "string-leaf": "tree 0: leaf values must be numbers",
 }
 
 
@@ -447,10 +475,11 @@ def _regression_model(*names: str) -> dict:
     """A one-leaf regression model over numeric features on [0, 1]."""
     return {
         "kind": "tree-ensemble",
+        "format": 2,
         "task": "regression",
         "params": {"n_trees": 1, "max_depth": 1, "min_leaf": 1, "feature_subsample": "all"},
         "features": [{"name": n, "type": "numeric", "min": 0.0, "max": 1.0} for n in names],
-        "trees": [{"leaf": [0.5]}],
+        "trees": [{"feature": [-1], "split": [], "leaf": [0.5]}],
     }
 
 
@@ -502,22 +531,35 @@ class TestMalformedModel:
         assert capsys.readouterr().err == f"error: model {path}: {NODE_MESSAGES[case]}\n"
 
     def test_first_bad_node_in_preorder_is_named(self, tmp_path, capsys):
-        # The undeclared level lies three splits down the left branch; the
-        # out-of-range feature is the root's right child, nearer the root
-        # but later in preorder.
-        leaf = {"leaf": [0.5, 0.5]}
-        deep = {"feature": 1, "level": "mid", "left": leaf, "right": leaf}
-        for _ in range(2):
-            deep = {"feature": 0, "threshold": 0.25, "left": deep, "right": leaf}
+        # Trees 1 and 2 each test undeclared levels; the first in preorder
+        # of tree 1 lies two splits down its left branch.
         doc = _good_model()
-        doc["trees"].append({
-            "feature": 0, "threshold": 0.5, "left": deep,
-            "right": {"feature": 9, "threshold": 0.5, "left": leaf, "right": leaf},
-        })
-        doc["params"]["n_trees"] = 2
+        doc["trees"] += [
+            {
+                "feature": [0, 0, 1, -1, -1, -1, 1, -1, -1],
+                "split": [0.5, 0.25, "mid", "top"],
+                "leaf": [0.5, 0.5] * 5,
+            },
+            {"feature": [1, -1, -1], "split": ["low"], "leaf": [0.5, 0.5] * 2},
+        ]
+        doc["params"]["n_trees"] = 3
         assert self.explain(tmp_path, doc) == 3
         path = tmp_path / "model.json"
         message = "tree 1: feature 'g' has no level 'mid'"
+        assert capsys.readouterr().err == f"error: model {path}: {message}\n"
+
+    def test_nested_format_names_the_format_and_asks_to_retrain(self, tmp_path, capsys):
+        # the one-tree model above as earlier versions wrote it
+        leaf = {"leaf": [0.5, 0.5]}
+        doc = _good_model()
+        del doc["format"]
+        doc["trees"] = [{
+            "feature": 0, "threshold": 0.5, "right": {"leaf": [0.0, 1.0]},
+            "left": {"feature": 1, "level": "lo", "left": {"leaf": [1.0, 0.0]}, "right": leaf},
+        }]
+        assert self.explain(tmp_path, doc) == 3
+        path = tmp_path / "model.json"
+        message = f"the nested tree format {_RETRAIN}"
         assert capsys.readouterr().err == f"error: model {path}: {message}\n"
 
     def test_not_utf8(self, tmp_path, capsys):
@@ -1105,14 +1147,18 @@ class TestHugeConstants:
 
 class TestHugeRegressionTarget:
     @staticmethod
-    def train(tmp_path) -> int:
-        """Train 5 trees on 12 rows with targets near +-1e300 into model.json."""
+    def data(tmp_path):
+        """12 rows with targets near +-1e300, as data.csv."""
         rows = [(k / 11, (7 * k % 12) / 11) for k in range(12)]
         data = tmp_path / "data.csv"
         data.write_text("a,b,y\n" + "".join(
             f"{a!r},{b!r},{(1 if a > 0.5 else -1) * 1e300 * (1 + b)!r}\n" for a, b in rows
         ))
-        return run("train", "--data", str(data), "--target", "y", "--trees", "5",
+        return data
+
+    def train(self, tmp_path) -> int:
+        """Train 5 trees on data.csv into model.json."""
+        return run("train", "--data", str(self.data(tmp_path)), "--target", "y", "--trees", "5",
                    "--model-out", str(tmp_path / "model.json"))
 
     def test_targets_near_1e300_still_split(self, tmp_path, capsys):
@@ -1121,7 +1167,16 @@ class TestHugeRegressionTarget:
         out = capsys.readouterr().out
         assert "holdout r2=" in out and "nan" not in out
         trees = json.loads((tmp_path / "model.json").read_text())["trees"]
-        assert any("feature" in tree for tree in trees)  # not all single leaves
+        assert any(tree["split"] for tree in trees)  # not all single leaves
+
+    def test_save_and_load_keep_every_output_bit(self, tmp_path):
+        dataset = ck.load_csv(self.data(tmp_path), "y")
+        model = ck.train_ensemble(dataset, ck.TreeParams(n_trees=5), rng=3)
+        assert any(abs(v) > 1e299 for tree in model.trees for v in tree["leaf"])
+        ck.save_model(tmp_path / "model.json", model)
+        again = ck.load_model(tmp_path / "model.json")
+        rows = ck.uniform_instances(model.space, 200, ck.SeededRng(1))
+        assert again.evaluate(rows).tobytes() == model.evaluate(rows).tobytes()
 
     def test_shapley_and_spreads_near_1e300_stay_finite(self, tmp_path):
         # Every output is finite, but the squares of the Shapley jumps and of

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 from types import ModuleType
@@ -556,7 +557,7 @@ MALFORMED_ROWS = {
 
 
 def _stump():
-    split = {"feature": 0, "threshold": 0.5, "left": {"leaf": [1.0]}, "right": {"leaf": [2.0]}}
+    split = {"feature": [0, -1, -1], "split": [0.5], "leaf": [1.0, 2.0]}  # x0 <= 0.5: 1.0, else 2.0
     return ck.TreeEnsemble(mixed_space(), [split], "regression")
 
 
@@ -612,6 +613,41 @@ def test_batch_item_that_is_not_an_instance_is_named(entry):
     x = space.instance([0.5, "q", 0.5])
     with pytest.raises(ck.ConfigError, match="^batch item 1: expected an Instance, got tuple$"):
         BATCH_ENTRIES[entry](space, x, [x, (0.5, "q", 0.5)])
+
+
+# Every library entry point that takes an output index, called with ``output``.
+OUTPUT_ENTRIES = {
+    "shapley_mc": lambda pred, space, util, x, output: ck.shapley_mc(
+        pred, space, x, [x], budget=2, output=output
+    ),
+    "lime_surrogate": lambda pred, space, util, x, output: ck.lime_surrogate(
+        pred, space, x, 20, output=output
+    ),
+    "permutation_importance": lambda pred, space, util, x, output: ck.permutation_importance(
+        pred, space, [x, x], [0.0, 0.0], output=output
+    ),
+    "ceteris_paribus_curve": lambda pred, space, util, x, output: ck.ceteris_paribus_curve(
+        pred, space, x, 0, grid_size=3, output=output
+    ),
+    "global_mean_abs_shapley": lambda pred, space, util, x, output: ck.global_mean_abs_shapley(
+        pred, space, [x, x], budget=2, output=output
+    ),
+    "run_stability": lambda pred, space, util, x, output: ck.run_stability(
+        pred, util, space, x, "lime-surrogate", runs=2, budgets=ck.Budgets(lime_samples=20),
+        output=output,
+    ),
+}
+
+
+@pytest.mark.parametrize("output", [-1, 1, 1.5, True], ids=["negative", "n_outputs", "float", "bool"])
+@pytest.mark.parametrize("entry", OUTPUT_ENTRIES)
+def test_output_index_out_of_range(nonlinear_bundle, entry, output):
+    pred, space, util = nonlinear_bundle  # one output
+    x = space.instance([0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(ck.ConfigError, match=f"^output index {re.escape(str(output))} out of range$"):
+        OUTPUT_ENTRIES[entry](pred, space, util, x, output)
+    for good in (0, np.int64(0)):
+        OUTPUT_ENTRIES[entry](pred, space, util, x, good)
 
 
 _X = {"name": "x", "type": "numeric", "min": 0, "max": 1}

@@ -151,7 +151,7 @@ GOLDEN = {
         'explain_report.json':
             '353b8ff7be8a30560e6478b3d63c93d1cc4e6f91b3c4a379ad16252cf455a592',
         'model.json':
-            '3d4ea189b90dbbc9c730b7bab7676b3695ee235adddf0f6be95aaca0d051684c',
+            '1ecbca249693ec37be74cff00f9eab2a72156b163437dbb2abcfcd85a40a6e18',
     },
     'explain-tree-regression': {
         'explain_ciu.svg':
@@ -167,7 +167,7 @@ GOLDEN = {
         'explain_report.json':
             '91a1de56d32b9ed603900209a00f192af02eb03cbafa7ea47f1dbd7f4488bdc9',
         'model.json':
-            'ceea747775b708cd7ccf6eafe86d6a463261e85b277d4844b27ab231f88a2ab7',
+            'efeaae937073755cd88ce085de45d0fb4662c683134e211b5ab2e48a968159ea',
     },
     'global-nonlinear': {
         'global_report.csv':
@@ -181,7 +181,7 @@ GOLDEN = {
         'global_report.json':
             '90f0986f468ea438760734043277889cb1f401b846bd98b44cd8b90669074f6a',
         'model.json':
-            '3d4ea189b90dbbc9c730b7bab7676b3695ee235adddf0f6be95aaca0d051684c',
+            '1ecbca249693ec37be74cff00f9eab2a72156b163437dbb2abcfcd85a40a6e18',
     },
     'global-tree-regression': {
         'global_report.csv':
@@ -189,7 +189,7 @@ GOLDEN = {
         'global_report.json':
             '1c4bc84c616fb094ec1213d4a2de91061e77df0aa4144d867005e2dc6932e61b',
         'model.json':
-            'ceea747775b708cd7ccf6eafe86d6a463261e85b277d4844b27ab231f88a2ab7',
+            'efeaae937073755cd88ce085de45d0fb4662c683134e211b5ab2e48a968159ea',
     },
     'stability-linear': {
         'stability_contextual_influence.csv':
@@ -213,7 +213,7 @@ GOLDEN = {
     },
     'stability-tree-mixed': {
         'model.json':
-            '3d4ea189b90dbbc9c730b7bab7676b3695ee235adddf0f6be95aaca0d051684c',
+            '1ecbca249693ec37be74cff00f9eab2a72156b163437dbb2abcfcd85a40a6e18',
         'stability_contextual_influence.csv':
             '4a9104d8f1e4f02665a0de2f703eb78af924b6c1fee59df2a6b1e2d881262469',
         'stability_contextual_influence.json':
@@ -235,11 +235,11 @@ GOLDEN = {
     },
     'train-tree-multiclass': {
         'model.json':
-            '68e94eda37600d4f1317e29b48da5c5180d4c35593a3c1fe2932d8699d8af180',
+            'a99d9dd8c6f33a2ec2363e35950bafbf8349c951ecf3bea40dfd99b10015e64e',
     },
     'train-tree-regression': {
         'model.json':
-            'ceea747775b708cd7ccf6eafe86d6a463261e85b277d4844b27ab231f88a2ab7',
+            'efeaae937073755cd88ce085de45d0fb4662c683134e211b5ab2e48a968159ea',
     },
     'whatif-linear': {
         'whatif_report.json':

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,27 @@ class TestSeededRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ck.ConfigError):
             ck.SeededRng(-1)
+
+    @pytest.mark.parametrize(
+        "seed, indices, bad",
+        [
+            (1.5, (), "1.5"),
+            (True, (), "True"),
+            (1, (-2,), "-2"),
+            (1, (2.7,), "2.7"),
+            (1, (0, False), "False"),
+            (1, ("3",), "'3'"),
+        ],
+    )
+    def test_bad_seed_or_index_is_rejected_when_made(self, seed, indices, bad):
+        message = f"seed and spawn indices must be non-negative ints, got {bad}"
+        with pytest.raises(ck.ConfigError, match=f"^{re.escape(message)}$"):
+            ck.SeededRng(seed).spawn(*indices)
+
+    def test_numpy_ints_pass(self):
+        rng = ck.SeededRng(np.int64(7)).spawn(np.uint8(3))
+        assert rng == ck.SeededRng(7, (3,))
+        assert rng.generator().random() == ck.SeededRng(7).spawn(3).generator().random()
 
     def test_as_rng_coercions(self):
         assert ck.as_rng(5) == ck.SeededRng(5)

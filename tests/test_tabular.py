@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 import ciukit as ck
 from ciukit import tabular
 from ciukit.tabular import _ROUTE_BLOCK, _score_categorical, _score_numeric
-from conftest import write_classification_csv, write_multiclass_csv, write_regression_csv
+from conftest import (
+    nested_tree,
+    tree_columns,
+    write_classification_csv,
+    write_multiclass_csv,
+    write_regression_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +40,7 @@ def write_dataset_csv(dataset, path):
 
 
 def reference_leaf(node: dict, values) -> list:
-    """Walk one row down one stored dict tree."""
+    """Walk one row down one tree as nested dicts."""
     if "leaf" in node:
         return node["leaf"]
     v = values[node["feature"]]
@@ -44,7 +51,7 @@ def reference_leaf(node: dict, values) -> list:
 def reference_evaluate(model, rows) -> np.ndarray:
     """Ensemble mean by a per-row, per-tree walk, summed in tree order."""
     total = np.zeros((len(rows), model.n_outputs))
-    for tree in model.trees:
+    for tree in map(nested_tree, model.trees):
         for r, row in enumerate(rows):
             total[r] += reference_leaf(tree, row.values)
     return total / len(model.trees)
@@ -405,16 +412,25 @@ def reference_score_categorical(v, y, task, n_outputs, min_leaf):
     return best
 
 
+def reference_leaf_node(y, task, n_outputs) -> dict:
+    """A leaf over targets ``y``: class frequencies, or the mean."""
+    if task == "classification":
+        counts = np.bincount(y, minlength=n_outputs)
+        return {"leaf": [float(v) for v in counts / counts.sum()]}
+    return {"leaf": [float(y.mean())]}
+
+
 def reference_grow(X, y, idx, depth, space, params, task, n_outputs, gen) -> dict:
     """One tree grown recursively, node by node and candidate by candidate,
-    with the same draws: the reference for the lockstep grower."""
+    with the same draws, as nested dicts: the reference for the lockstep
+    grower."""
     node_y = y[idx]
     if (
         depth >= params.max_depth
         or len(idx) < 2 * params.min_leaf
         or (node_y == node_y[0]).all()
     ):
-        return tabular._leaf(node_y, n_outputs, task)
+        return reference_leaf_node(node_y, task, n_outputs)
     n_feat = len(space)
     k = max(1, round(np.sqrt(n_feat))) if params.feature_subsample == "sqrt" else n_feat
     best = None  # (gain, feature, split value)
@@ -427,7 +443,7 @@ def reference_grow(X, y, idx, depth, space, params, task, n_outputs, gen) -> dic
         if scored is not None and (best is None or scored[0] > best[0]):
             best = (scored[0], i, scored[1])
     if best is None or best[0] <= tabular._MIN_GAIN:
-        return tabular._leaf(node_y, n_outputs, task)
+        return reference_leaf_node(node_y, task, n_outputs)
     _, feature, value = best
     v = X[feature, idx]
     if space[feature].is_numeric:
@@ -550,7 +566,8 @@ def test_split_threshold_separates_the_rows_it_scored(tmp_path, lower, upper):
     dataset = ck.load_csv(path, "y")
     model = ck.train_ensemble(dataset, ck.TreeParams(n_trees=2, max_depth=1), rng=0)
     for tree in model.trees:
-        assert tree["threshold"] == lower or lower < tree["threshold"] < upper
+        (threshold,) = tree["split"]
+        assert threshold == lower or lower < threshold < upper
     assert model.evaluate(dataset.rows)[:, 1].tolist() == [0.0, 0.0, 1.0, 1.0] * 3
 
 
@@ -572,7 +589,7 @@ class TestLockstepGrowth:
             else:
                 dataset = ck.load_csv(write_regression_csv(path), target="y")
         model = ck.train_ensemble(dataset, params, rng=4)
-        assert list(model.trees) == reference_trees(dataset, params, 4)
+        assert [nested_tree(tree) for tree in model.trees] == reference_trees(dataset, params, 4)
 
     def test_score_blocks_never_change_a_tree(self, monkeypatch, clean_dataset, tmp_path):
         params = ck.TreeParams(n_trees=12, max_depth=10)
@@ -599,10 +616,8 @@ class TestHugeRegressionTarget:
         assert ck.accuracy(got, big) == ck.accuracy(want, small)
 
 
-def has_level_split(node: dict) -> bool:
-    if "leaf" in node:
-        return False
-    return "level" in node or has_level_split(node["left"]) or has_level_split(node["right"])
+def has_level_split(tree: dict) -> bool:
+    return any(isinstance(value, str) for value in tree["split"])
 
 
 MIXED_SPACE = ck.FeatureSpace(
@@ -614,11 +629,12 @@ MIXED_SPACE = ck.FeatureSpace(
     )
 )
 GRID = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)  # shared by thresholds and row values
+LEAF = {"feature": [-1], "split": [], "leaf": [1.0]}  # a one-leaf tree of one output
 
 
 class TestCompiledRouting:
     """``evaluate`` routes through flat arrays; it must agree bit for bit with
-    a walk of the stored dict trees."""
+    a walk of each tree as nested dicts."""
 
     def test_classifier_with_categorical_splits(self, clean_dataset):
         model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=20), rng=1)
@@ -637,7 +653,7 @@ class TestCompiledRouting:
         assert_matches_reference(model, rows)
 
     def test_single_class_constant_model(self, clean_dataset):
-        model = ck.TreeEnsemble(clean_dataset.space, [{"leaf": [1.0]}], "classification", ["yes"])
+        model = ck.TreeEnsemble(clean_dataset.space, [LEAF], "classification", ["yes"])
         rows = list(clean_dataset.rows[:10])
         assert_matches_reference(model, rows)
         assert np.array_equal(model.evaluate(rows), np.ones((10, 1)))
@@ -665,7 +681,7 @@ class TestCompiledRouting:
         lopsided = {"feature": 1, "level": "y", "left": chain, "right": leaf(-2.0)}
         stump = {"feature": 3, "level": "v", "left": leaf(3.0), "right": leaf(4.0)}
         trees = [lopsided, leaf(0.5), stump]
-        model = ck.TreeEnsemble(MIXED_SPACE, trees, "regression")
+        model = ck.TreeEnsemble(MIXED_SPACE, list(map(tree_columns, trees)), "regression")
         rows = [
             ck.Instance((a, g, 0.0, h))
             for a in (0.0, 0.1, 0.25, 0.5, 0.6, 0.7, 0.9, 1.0)
@@ -703,7 +719,7 @@ class TestCompiledRouting:
                 split = {"feature": 1, "level": levels[gen.integers(len(levels))]}
             return {**split, "left": grow(depth - 1), "right": grow(depth - 1)}
 
-        model = ck.TreeEnsemble(space, [grow(7) for _ in range(3)], "regression")
+        model = ck.TreeEnsemble(space, [tree_columns(grow(7)) for _ in range(3)], "regression")
         width = len(space) + len(model._flat.pair_feature)
         assert width > len(model.trees)
         rows = [
@@ -722,26 +738,47 @@ class TestCompiledRouting:
         ))
         model = ck.train_ensemble(ck.load_csv(path, target="y"), ck.TreeParams(100, 4), rng=4)
         assert len(model._flat.pair_feature) == 0
-        rows = ck.uniform_instances(model.space, 400, ck.SeededRng(2))  # two blocks
+        rows = ck.uniform_instances(model.space, 400, ck.SeededRng(2))  # three blocks
         assert_matches_reference(model, rows)
         for row in rows[:10]:
             assert_matches_reference(model, [row])
 
     def test_negative_zero_leaves(self):
         # a sum started at 0.0 turns -0.0 leaves into 0.0
-        model = ck.TreeEnsemble(MIXED_SPACE, [{"leaf": [-0.0]}] * 3, "regression")
+        model = ck.TreeEnsemble(MIXED_SPACE, [tree_columns({"leaf": [-0.0]})] * 3, "regression")
         assert_matches_reference(model, [MIXED_SPACE.midpoint()])
 
     def test_empty_batch(self, clean_dataset):
         model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=5), rng=2)
         assert model.evaluate([]).shape == (0, 2)
-        regression = ck.TreeEnsemble(MIXED_SPACE, [{"leaf": [1.0]}], "regression")
+        regression = ck.TreeEnsemble(MIXED_SPACE, [LEAF], "regression")
         assert regression.evaluate([]).shape == (0, 1)
 
 
+def _stump(feature=0, split=0.5, leaf=(0.25, 0.75)) -> dict:
+    return {"feature": [feature, -1, -1], "split": [split], "leaf": list(leaf)}
+
+
+# A fault of each kind, put in trees 2 and 3 of four, with the message that names tree 2.
+LATER_TREE_FAULTS = {
+    "feature-index": (_stump(feature=3), "tree 2: feature index 3 out of range"),
+    "structure": (
+        {"feature": [0, -1], "split": [0.5], "leaf": [0.5]},
+        "tree 2: 'feature' is not a full binary tree in preorder",
+    ),
+    "split-count": (
+        {"feature": [-1], "split": [0.5], "leaf": [0.5]}, "tree 2: 1 split values for 0 splits"
+    ),
+    "threshold": (_stump(split=math.inf), "tree 2: threshold must be a finite number"),
+    "leaf-count": (_stump(leaf=[0.5]), "tree 2: 1 leaf values for 2 leaves of 1 outputs"),
+    "leaf-value": (_stump(leaf=[0.5, math.nan]), "tree 2: leaf values must be finite numbers"),
+}
+
+
 class TestFirstBadNodeRaises:
-    """Leaf values are checked after the walk over all trees, yet the error
-    names the first bad node in preorder and its tree."""
+    """Each check covers every tree at once and names the first tree that
+    fails it. Leaf values are checked first, so a bad leaf is named before a
+    bad node of a later tree."""
 
     SPACE = ck.FeatureSpace(tuple(ck.FeatureSpec.numeric(n, 0.0, 1.0) for n in "abc"))
 
@@ -749,13 +786,16 @@ class TestFirstBadNodeRaises:
     def split(i, left, right):
         return {"feature": i, "threshold": 0.5, "left": left, "right": right}
 
+    def ensemble(self, trees):
+        return ck.TreeEnsemble(self.SPACE, list(map(tree_columns, trees)), "regression")
+
     def test_infinite_leaf_before_a_bad_feature_index(self):
         trees = [
             self.split(0, {"leaf": [1.0]}, {"leaf": [math.inf]}),
             self.split(3, {"leaf": [1.0]}, {"leaf": [0.0]}),
         ]
         with pytest.raises(ck.DataFormatError, match=r"^tree 0: leaf values must be finite numbers$"):
-            ck.TreeEnsemble(self.SPACE, trees, "regression")
+            self.ensemble(trees)
 
     def test_non_number_leaf_names_its_tree(self):
         trees = [
@@ -764,7 +804,7 @@ class TestFirstBadNodeRaises:
             {"leaf": [None]},
         ]
         with pytest.raises(ck.DataFormatError, match=r"^tree 1: leaf values must be numbers$"):
-            ck.TreeEnsemble(self.SPACE, trees, "regression")
+            self.ensemble(trees)
 
     @pytest.mark.parametrize("other", [[0.5], [False], [1]])
     def test_bool_leaf_is_not_a_number(self, other):
@@ -774,9 +814,16 @@ class TestFirstBadNodeRaises:
             {"leaf": [0.5]},
         ]
         with pytest.raises(ck.DataFormatError, match=r"^tree 1: leaf values must be numbers$"):
-            ck.TreeEnsemble(self.SPACE, trees, "regression")
+            self.ensemble(trees)
         with pytest.raises(ck.DataFormatError, match=r"^tree 0: leaf values must be numbers$"):
-            ck.TreeEnsemble(self.SPACE, [{"leaf": [True]}, {"leaf": other}], "regression")
+            self.ensemble([{"leaf": [True]}, {"leaf": other}])
+
+    @pytest.mark.parametrize("fault", sorted(LATER_TREE_FAULTS))
+    def test_fault_in_a_later_tree_names_that_tree(self, fault):
+        tree, message = LATER_TREE_FAULTS[fault]
+        trees = [_stump(), {"feature": [-1], "split": [], "leaf": [0.5]}, tree, tree]
+        with pytest.raises(ck.DataFormatError, match=f"^{re.escape(message)}$"):
+            ck.TreeEnsemble(self.SPACE, trees, "regression")
 
 
 @st.composite
@@ -811,7 +858,7 @@ def random_model(draw) -> ck.TreeEnsemble:
     n_outputs = draw(st.integers(1, 3))
     depths = st.integers(0, 6)
     tree = depths.flatmap(lambda d: random_tree(d, n_outputs))
-    trees = draw(st.lists(tree, min_size=1, max_size=6))
+    trees = [tree_columns(t) for t in draw(st.lists(tree, min_size=1, max_size=6))]
     if n_outputs == 1:
         return ck.TreeEnsemble(MIXED_SPACE, trees, "regression")
     classes = [f"c{k}" for k in range(n_outputs)]
@@ -831,9 +878,21 @@ class TestModelPersistence:
         ck.save_model(path, model)
         again = ck.load_model(path)
         rows = list(clean_dataset.rows[:30])
-        assert np.array_equal(model.evaluate(rows), again.evaluate(rows))
+        assert again.evaluate(rows).tobytes() == model.evaluate(rows).tobytes()
         assert again.space == clean_dataset.space
         assert again.class_names == model.class_names
+
+    def test_file_holds_one_object_of_columns_per_tree(self, tmp_path, clean_dataset):
+        params = ck.TreeParams(n_trees=6)
+        ck.save_model(tmp_path / "model.json", ck.train_ensemble(clean_dataset, params, rng=5))
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert doc["format"] == 2 and len(doc["trees"]) == 6
+        for tree in doc["trees"]:
+            assert sorted(tree) == ["feature", "leaf", "split"]
+            n_leaves = tree["feature"].count(-1)
+            assert len(tree["leaf"]) == n_leaves * 2  # two classes
+            assert all(type(v) is float for v in tree["leaf"])
+            assert len(tree["split"]) == len(tree["feature"]) - n_leaves > 0
 
     def test_save_is_deterministic(self, tmp_path, clean_dataset):
         model = ck.train_ensemble(clean_dataset, ck.TreeParams(n_trees=4), rng=5)
