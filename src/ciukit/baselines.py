@@ -23,6 +23,7 @@ from .core import (
     Rows,
     SingularSystemError,
     _check_output,
+    _int_arg,
     as_rows,
     evaluate_rows,
     sample_sd,
@@ -116,8 +117,7 @@ def permutation_importance(
     _check_output(predictor, output)
     if loss not in ("mae", "classification-error"):
         raise ConfigError(f"unknown loss {loss!r}")
-    if len(rows) < 2:
-        raise ConfigError("permutation importance needs at least two rows")
+    _int_arg(len(rows), "len(rows)", 2)
     if len(targets) != len(rows):
         raise ConfigError("targets and rows must have equal length")
     base = as_rng(rng)
@@ -162,10 +162,8 @@ def shapley_mc(
     DataFormatError.
     """
     _check_output(predictor, output)
-    if not background:
-        raise ConfigError("shapley estimation needs a non-empty background set")
-    if budget < 1:
-        raise ConfigError("budget must be positive")
+    _int_arg(len(background), "len(background)", 1)
+    _int_arg(budget, "budget", 1)
     x_row = as_rows(space, [x]).matrix[0]
     bg = as_rows(space, background)
     base = as_rng(rng)
@@ -247,8 +245,7 @@ def lime_surrogate(
     """
     _check_output(predictor, output)
     n = len(space)
-    if n_samples < 2 * n:
-        raise ConfigError("surrogate needs at least 2 * n_features samples")
+    _int_arg(n_samples, "n_samples", 2 * n)
     x_row = as_rows(space, [x]).matrix[0]
     base = as_rng(rng)
     rows = uniform_instances(space, n_samples, base)

@@ -60,6 +60,9 @@ class FeatureSpec:
         if type(self.name) is not str or not self.name:
             raise ConfigError(f"feature name {self.name!r} must be a non-empty string")
         if self.kind == NUMERIC:
+            for key in ("min", "max"):
+                value = finite_number(getattr(self, key), f"feature {self.name!r}: {key}")
+                object.__setattr__(self, key, value)
             if not (math.isfinite(self.max - self.min) and math.isfinite(self.min + self.max)):
                 raise ConfigError(f"feature {self.name!r}: bounds, width and midpoint must be finite")
             if not self.min < self.max:
@@ -74,7 +77,7 @@ class FeatureSpec:
 
     @staticmethod
     def numeric(name: str, lo: float, hi: float) -> "FeatureSpec":
-        return FeatureSpec(name, NUMERIC, float(lo), float(hi))
+        return FeatureSpec(name, NUMERIC, lo, hi)
 
     @staticmethod
     def categorical(name: str, levels: Sequence[str]) -> "FeatureSpec":
@@ -233,7 +236,7 @@ class FunctionPredictor(Predictor):
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], n_outputs: int = 1):
         self.fn = fn
-        self.n_outputs = int(n_outputs)
+        self.n_outputs = _int_arg(n_outputs, "n_outputs", 1)
 
     def evaluate(self, instances: Sequence[Instance]) -> np.ndarray:
         if not len(instances):
@@ -260,10 +263,8 @@ class FunctionPredictor(Predictor):
 
 
 def _check_output(predictor: Predictor, output) -> None:
-    """Reject an output index that is no int (a bool is none) in [0, n_outputs)."""
-    index = type(output) is int or isinstance(output, np.integer)
-    if not index or not 0 <= output < predictor.n_outputs:
-        raise ConfigError(f"output index {output} out of range")
+    """Reject an output index outside [0, predictor.n_outputs)."""
+    _int_arg(output, "output index", 0, predictor.n_outputs)
 
 
 def evaluate_rows(predictor: Predictor, rows: Sequence[Instance]) -> np.ndarray:
@@ -401,13 +402,14 @@ class OutputSpec:
     estimated: bool = False
 
     def __post_init__(self) -> None:
+        for key in ("a", "b", "out_min", "out_max"):
+            value = getattr(self, key)
+            if value is not None or key in ("a", "b"):
+                object.__setattr__(self, key, finite_number(value, f"output {self.name!r}: {key}"))
         if self.a == 0.0:
             raise ConfigError(f"output {self.name!r}: utility slope a must be nonzero")
-        if self.out_min is not None and self.out_max is not None:
-            if not self.out_min < self.out_max:
-                raise ConfigError(
-                    f"output {self.name!r}: out_min must be strictly below out_max"
-                )
+        if self.declared and not self.out_min < self.out_max:
+            raise ConfigError(f"output {self.name!r}: out_min must be strictly below out_max")
 
     @property
     def declared(self) -> bool:
@@ -429,9 +431,7 @@ class OutputUtility:
         return len(self.outputs)
 
     def spec(self, output: int = 0) -> OutputSpec:
-        if not 0 <= output < len(self.outputs):
-            raise ConfigError(f"output index {output} out of range")
-        return self.outputs[output]
+        return self.outputs[_int_arg(output, "output index", 0, len(self.outputs))]
 
     def range_width(self, output: int = 0) -> float:
         """Width of the declared output range; errors if unknown."""
@@ -496,6 +496,20 @@ def finite_number(value, what: str) -> float:
     return v
 
 
+def _int_arg(value, what: str, least: int = 0, below: int | None = None) -> int:
+    """The one check of a count, a length or an index: a Python or numpy int,
+    not a bool, of at least ``least`` and, for an index, below ``below``,
+    returned as a Python int. Anything else raises ConfigError naming
+    ``what``: "<what> must be an int >= <least>, got <value>" for a count,
+    "<what> <value> out of range" for an index."""
+    if (type(value) is int or isinstance(value, np.integer)) and least <= value:
+        if below is None or value < below:
+            return int(value)
+    if below is None:
+        raise ConfigError(f"{what} must be an int >= {least}, got {value!r}")
+    raise ConfigError(f"{what} {value} out of range")
+
+
 def _feature_from_json(doc: dict) -> FeatureSpec:
     try:
         name = doc["name"]
@@ -505,8 +519,7 @@ def _feature_from_json(doc: dict) -> FeatureSpec:
     if kind == NUMERIC:
         if "min" not in doc or "max" not in doc:
             raise ConfigError(f"numeric feature {name!r} needs min and max")
-        lo, hi = (finite_number(doc[k], f"feature {name!r}: {k}") for k in ("min", "max"))
-        return FeatureSpec.numeric(name, lo, hi)
+        return FeatureSpec.numeric(name, doc["min"], doc["max"])
     if kind == CATEGORICAL:
         levels = doc.get("levels")
         if type(levels) is not list or not all(type(v) is str for v in levels):
@@ -518,18 +531,8 @@ def _feature_from_json(doc: dict) -> FeatureSpec:
 def _output_from_json(doc: dict) -> OutputSpec:
     if type(doc) is not dict:
         raise ConfigError("each 'outputs' entry must be a JSON object")
-    name = doc.get("name", "y")
-    where = f"output {name!r}"
-
-    def bound(key):
-        return None if doc.get(key) is None else finite_number(doc[key], f"{where}: {key}")
-
     return OutputSpec(
-        name=name,
-        a=finite_number(doc.get("A", 1.0), f"{where}: A"),
-        b=finite_number(doc.get("b", 0.0), f"{where}: b"),
-        out_min=bound("min"),
-        out_max=bound("max"),
+        doc.get("name", "y"), doc.get("A", 1.0), doc.get("b", 0.0), doc.get("min"), doc.get("max")
     )
 
 

@@ -38,8 +38,10 @@ from .core import (
     Rows,
     _CHUNK,
     _check_output,
+    _int_arg,
     as_rows,
     evaluate_rows,
+    finite_number,
 )
 from .sampling import (
     _generators,
@@ -164,8 +166,7 @@ def estimate_output_range(
     result is an inner approximation: every reported value was actually
     produced by the predictor.
     """
-    if budget <= 0:
-        raise ConfigError("range estimation needs a positive sampling budget")
+    _int_arg(budget, "range budget", 1)
     probes = (uniform_instances(space, budget, rng), corner_instances(space))
     points = Rows(space, np.vstack([p.matrix for p in probes]))
     ys = evaluate_rows(predictor, points)[:, output]
@@ -207,8 +208,8 @@ def resolve_utility(
 
 
 def check_phi0(phi0: float) -> None:
-    """Reject a neutral utility level outside [0, 1], NaN included."""
-    if not 0.0 <= phi0 <= 1.0:
+    """Reject a neutral utility level that is no finite number in [0, 1]."""
+    if not 0.0 <= finite_number(phi0, "phi0") <= 1.0:
         raise ConfigError("phi0 must lie in [0, 1]")
 
 
@@ -242,8 +243,7 @@ def _ciu_intervals(predictor: Predictor, rows: Rows, streams, output: int, n: in
     code. Each row is repeated into one block of rows; the blocks of as many
     rows as fit in ``_CHUNK`` rows go to the predictor as one batch in one
     call, and a block's numeric streams are seeded in one pass."""
-    if n < 0:
-        raise ConfigError("sample count must be non-negative")
+    _int_arg(n, "n", 0)
     space = rows.space
     sizes = [n + 3 if feat.is_numeric else len(feat.levels) for feat in space]
     width = sum(sizes)

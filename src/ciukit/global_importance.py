@@ -16,6 +16,7 @@ from .core import (
     OutputUtility,
     Predictor,
     _check_output,
+    _int_arg,
     as_rows,
     evaluate_rows,
     sample_sd,
@@ -115,8 +116,7 @@ def global_ci(
     as ``explain_instance`` gets it; the summary is their mean and sample
     standard deviation.
     """
-    if not instances:
-        raise ConfigError("global importance needs at least one instance")
+    _int_arg(len(instances), "len(instances)", 1)
     utility.range_width(output)  # fail fast when the range is unresolved
     streams = [as_rng(rng).spawn(r) for r in range(len(instances))]
     intervals = _ciu_intervals(predictor, as_rows(space, instances), streams, output, n)
@@ -137,8 +137,7 @@ def global_mean_abs_shapley(
     The instance sample is also the background.
     """
     _check_output(predictor, output)
-    if not instances:
-        raise ConfigError("global importance needs at least one instance")
+    _int_arg(len(instances), "len(instances)", 1)
     sample = as_rows(space, instances)
     base = as_rng(rng)
     scores = np.empty((len(instances), len(space)))
@@ -177,15 +176,13 @@ def run_global(
     """
     if method not in GLOBAL_METHODS:
         raise ConfigError(f"unknown global method {method!r}; use one of {GLOBAL_METHODS}")
-    if iterations < 1:
-        raise ConfigError("iterations must be positive")
+    _int_arg(iterations, "iterations", 1)
+    count = _int_arg(instances_per_iteration, "instances_per_iteration", 1)
     if rows is not None:
         rows = as_rows(space, rows)
+        count = min(count, _int_arg(len(rows), "len(rows)", 1))
         if targets is not None and len(targets) != len(rows):
             raise ConfigError("targets and rows must have equal length")
-    count = instances_per_iteration if rows is None else min(instances_per_iteration, len(rows))
-    if count < 1:
-        raise ConfigError("global importance needs at least one instance")
     base = as_rng(rng)
     per_iter = []
     degenerate = np.zeros(len(space), dtype=bool)

@@ -11,7 +11,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, FeatureSpace, Instance, Rows, as_rows
+from .core import ConfigError, FeatureSpace, Instance, Rows, _int_arg, as_rows
 
 _CORNER_CAP_BITS = 12
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on its pool of 4
@@ -42,9 +42,13 @@ class SeededRng:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.path) is not tuple:
+            raise ConfigError(f"a spawn path must be a tuple, got {type(self.path).__name__}")
         for i in (self.seed, *self.path):  # a few ints, so spawn stays cheap; a bool is none
             if not (type(i) is int or isinstance(i, np.integer)) or i < 0:
                 raise ConfigError(f"seed and spawn indices must be non-negative ints, got {i!r}")
+        if type(self.seed) is not int:  # a numpy seed is kept as a Python int
+            object.__setattr__(self, "seed", int(self.seed))
 
     def spawn(self, *indices: int) -> "SeededRng":
         return SeededRng(self.seed, self.path + indices)
@@ -137,14 +141,10 @@ def _generators(streams: Sequence[tuple[int, tuple[int, ...]]]) -> Iterator[np.r
 
 
 def as_rng(value) -> SeededRng:
-    """Coerce None (seed 0), an int seed, or a SeededRng."""
-    if value is None:
-        return SeededRng(0)
+    """Coerce None (seed 0), a seed, or a SeededRng; ``SeededRng`` checks the seed."""
     if isinstance(value, SeededRng):
         return value
-    if isinstance(value, (int, np.integer)):
-        return SeededRng(int(value))
-    raise ConfigError(f"expected an int seed or SeededRng, got {type(value).__name__}")
+    return SeededRng(0 if value is None else value)
 
 
 def ceteris_paribus_grid(
@@ -154,15 +154,12 @@ def ceteris_paribus_grid(
     grid_size: int = 101,
 ) -> Rows:
     """Evenly spaced sweep of one numeric feature, endpoints included."""
-    if not 0 <= feature < len(space):
-        raise ConfigError(f"feature index {feature} out of range")
-    feat = space[feature]
+    feat = space[_int_arg(feature, "feature index", 0, len(space))]
     if not feat.is_numeric:
         raise ConfigError(
             f"feature {feat.name!r} is categorical; grids need a numeric feature"
         )
-    if grid_size < 2:
-        raise ConfigError("grid needs at least the two endpoints")
+    _int_arg(grid_size, "grid_size", 2)
     matrix = np.repeat(as_rows(space, [x]).matrix, grid_size, axis=0)
     matrix[:, feature] = np.linspace(feat.min, feat.max, grid_size)
     return Rows(space, matrix)
@@ -176,8 +173,7 @@ def uniform_instances(space: FeatureSpace, count: int, rng=None) -> Rows:
     categorical columns, so an all-numeric space gives the same stream as
     drawing each value in turn.
     """
-    if count < 1:
-        raise ConfigError("instance count must be positive")
+    _int_arg(count, "count", 1)
     gen = as_rng(rng).generator()
     numeric = [i for i, f in enumerate(space) if f.is_numeric]
     categorical = [i for i, f in enumerate(space) if not f.is_numeric]

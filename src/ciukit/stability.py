@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, FeatureSpace, Instance, OutputUtility, Predictor, as_rows, sample_sd
-from .core import _check_output
+from .core import _check_output, _int_arg
 from .baselines import ALL_METHODS, METHOD_INFLUENCE, METHOD_SHAPLEY, lime_surrogate, shapley_mc
 from .engine import _ciu, _ciu_intervals, check_phi0
 from .sampling import as_rng, uniform_instances
@@ -47,8 +47,7 @@ class StabilityReport:
     def __post_init__(self) -> None:
         if not self.feature_names:
             raise ConfigError("stability report needs at least one feature")
-        if len(self.runs) < 2:
-            raise ConfigError("stability needs at least two runs")
+        _int_arg(len(self.runs), "len(runs)", 2)
 
     @property
     def n_runs(self) -> int:
@@ -98,8 +97,7 @@ def run_stability(
     spread; Monte-Carlo methods show their seed-to-seed variation.
     """
     _check_output(predictor, output)
-    if runs < 2:
-        raise ConfigError("stability needs at least two runs")
+    _int_arg(runs, "runs", 2)
     check_phi0(phi0)
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}; use one of {ALL_METHODS}")

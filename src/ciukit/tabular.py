@@ -30,6 +30,7 @@ from .core import (
     OutputUtility,
     Predictor,
     Rows,
+    _int_arg,
     as_rows,
     config_from_json,
     evaluate_rows,
@@ -234,8 +235,8 @@ class TreeParams:
     feature_subsample: str = "sqrt"  # "sqrt" or "all"
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ConfigError("tree parameters must be positive")
+        for key in ("n_trees", "max_depth", "min_leaf"):
+            object.__setattr__(self, key, _int_arg(getattr(self, key), key, 1))
         if self.feature_subsample not in ("sqrt", "all"):
             raise ConfigError("feature_subsample must be 'sqrt' or 'all'")
 
@@ -619,8 +620,7 @@ def train_ensemble(dataset: Dataset, params: TreeParams = TreeParams(), rng=None
     A single-class classification target yields a constant predictor and a
     warning rather than an error.
     """
-    if len(dataset) < 2:
-        raise ConfigError("training needs at least two rows")
+    _int_arg(len(dataset), "len(dataset)", 2)
     base = as_rng(rng)
     scale = 1.0
     if dataset.task == CLASSIFICATION:

@@ -181,7 +181,8 @@ class TestExitCodes:
             *argv, "--predictor", "linear", "--instance", MID, "--output-dir", str(out),
         ) == 2
         err = capsys.readouterr().err
-        assert "phi0 must lie in [0, 1]" in err and "Traceback" not in err
+        message = "phi0 must be a finite number" if argv[-1] == "nan" else "phi0 must lie in [0, 1]"
+        assert message in err and "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -292,7 +293,7 @@ ERROR_PATHS = {
     "train-one-row-left": (
         ["train", "--data", "{dir}/two.csv", "--target", "y", "--holdout", "0.5",
          "--model-out", "{dir}/m.json"],
-        2, "training needs at least two rows",
+        2, "len(dataset) must be an int >= 2, got 1",
     ),
 }
 
@@ -409,6 +410,7 @@ MALFORMED_MODELS = {
     "trees-empty": lambda doc: doc.update(trees=[]),
     "unknown-param": lambda doc: doc["params"].update(depth=3),
     "zero-trees-param": lambda doc: doc["params"].update(n_trees=0),
+    "float-trees-param": lambda doc: doc["params"].update(n_trees=2.5),
     "class-names-string": lambda doc: doc.update(class_names="ny"),
     "nested-format": lambda doc: doc.pop("format"),
     "format-3": lambda doc: doc.update(format=3),
@@ -442,8 +444,9 @@ MALFORMED_MODELS = {
 _RETRAIN = "is not read; retrain the model for format 2"
 _COLUMNS = "a tree needs 'feature', 'split' and 'leaf' lists"
 _SHAPE = "'feature' is not a full binary tree in preorder"
-# The whole message of each format and tree case, after "error: model <path>: ".
+# The whole message of each format, params and tree case, after "error: model <path>: ".
 NODE_MESSAGES = {
+    "float-trees-param": "bad params (n_trees must be an int >= 1, got 2.5)",
     "nested-format": f"the nested tree format {_RETRAIN}",
     "format-3": f"format 3 {_RETRAIN}",
     "format-string": f"format '2' {_RETRAIN}",
@@ -746,7 +749,8 @@ class TestGlobal:
         for bad in ("0", "-1"):
             capsys.readouterr()
             assert run(*common, "--instances", bad) == 2
-            assert "at least one instance" in capsys.readouterr().err
+            message = f"instances_per_iteration must be an int >= 1, got {bad}"
+            assert message in capsys.readouterr().err
 
 
     def test_method_numbers_do_not_depend_on_their_place(self, tmp_path):

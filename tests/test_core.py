@@ -9,6 +9,8 @@ from types import ModuleType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ciukit as ck
 from ciukit.core import evaluate_rows, sample_sd
@@ -177,6 +179,8 @@ class TestOutputUtility:
         assert util.n_outputs == 2
         spec = util.spec(1)
         assert (spec.a, spec.b, spec.out_min, spec.out_max) == (1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ck.ConfigError, match="^output index True out of range$"):
+            util.spec(True)  # a bool is no index, though True == 1
 
 
 class TestOutputRange:
@@ -636,6 +640,7 @@ OUTPUT_ENTRIES = {
         pred, util, space, x, "lime-surrogate", runs=2, budgets=ck.Budgets(lime_samples=20),
         output=output,
     ),
+    "OutputUtility.spec": lambda pred, space, util, x, output: util.spec(output),
 }
 
 
@@ -648,6 +653,177 @@ def test_output_index_out_of_range(nonlinear_bundle, entry, output):
         OUTPUT_ENTRIES[entry](pred, space, util, x, output)
     for good in (0, np.int64(0)):
         OUTPUT_ENTRIES[entry](pred, space, util, x, good)
+
+
+FEATURE_ENTRIES = {
+    "ceteris_paribus_grid": lambda pred, space, x, feature: ck.ceteris_paribus_grid(
+        space, x, feature, grid_size=3
+    ),
+    "ceteris_paribus_curve": lambda pred, space, x, feature: ck.ceteris_paribus_curve(
+        pred, space, x, feature, grid_size=3
+    ),
+}
+
+
+@pytest.mark.parametrize("feature", [-1, 4, 1.5, True], ids=["negative", "n_features", "float", "bool"])
+@pytest.mark.parametrize("entry", FEATURE_ENTRIES)
+def test_feature_index_out_of_range(linear_bundle, entry, feature):
+    pred, space, _ = linear_bundle  # four features
+    x = space.instance([0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(ck.ConfigError, match=f"^feature index {re.escape(str(feature))} out of range$"):
+        FEATURE_ENTRIES[entry](pred, space, x, feature)
+    for good in (3, np.int64(3)):
+        FEATURE_ENTRIES[entry](pred, space, x, good)
+
+
+_PRED, _SPACE, _UTIL = ck.builtin_model("linear")
+_MID = _SPACE.instance([0.5, 0.5, 0.5, 0.5])
+
+
+# Every count argument of the library: (its name in the message, its least
+# value, the call with the argument set to ``v``) on the linear builtin.
+COUNT_ENTRIES = {
+    "explain_instance-n": ("n", 0, lambda v: ck.explain_instance(
+        _PRED, _UTIL, _SPACE, _MID, n=v
+    )),
+    "global_ci-n": ("n", 0, lambda v: ck.global_ci(_PRED, _UTIL, _SPACE, [_MID], n=v)),
+    "estimate_output_range-budget": ("range budget", 1, lambda v: ck.estimate_output_range(
+        _PRED, _SPACE, budget=v
+    )),
+    "resolve_utility-budget": ("range budget", 1, lambda v: ck.resolve_utility(
+        _PRED, _SPACE, ck.OutputUtility.single("y"), budget=v
+    )),
+    "uniform_instances-count": ("count", 1, lambda v: ck.uniform_instances(_SPACE, v)),
+    "ceteris_paribus_grid-grid_size": ("grid_size", 2, lambda v: ck.ceteris_paribus_grid(
+        _SPACE, _MID, 0, v
+    )),
+    "ceteris_paribus_curve-grid_size": ("grid_size", 2, lambda v: ck.ceteris_paribus_curve(
+        _PRED, _SPACE, _MID, 0, v
+    )),
+    "shapley_mc-budget": ("budget", 1, lambda v: ck.shapley_mc(
+        _PRED, _SPACE, _MID, [_MID], budget=v
+    )),
+    "global_mean_abs_shapley-budget": ("budget", 1, lambda v: ck.global_mean_abs_shapley(
+        _PRED, _SPACE, [_MID], budget=v
+    )),
+    "lime_surrogate-n_samples": ("n_samples", 8, lambda v: ck.lime_surrogate(
+        _PRED, _SPACE, _MID, n_samples=v
+    )),
+    "run_global-iterations": ("iterations", 1, lambda v: ck.run_global(
+        _PRED, _UTIL, _SPACE, "ci", iterations=v, instances_per_iteration=2, n=2
+    )),
+    "run_global-instances_per_iteration": ("instances_per_iteration", 1, lambda v: ck.run_global(
+        _PRED, _UTIL, _SPACE, "ci", iterations=1, instances_per_iteration=v, n=2
+    )),
+    "run_stability-runs": ("runs", 2, lambda v: ck.run_stability(
+        _PRED, _UTIL, _SPACE, _MID, "contextual-influence", runs=v,
+        budgets=ck.Budgets(ciu_samples=2),
+    )),
+    "TreeParams-n_trees": ("n_trees", 1, lambda v: ck.TreeParams(n_trees=v)),
+    "TreeParams-max_depth": ("max_depth", 1, lambda v: ck.TreeParams(max_depth=v)),
+    "TreeParams-min_leaf": ("min_leaf", 1, lambda v: ck.TreeParams(min_leaf=v)),
+    "FunctionPredictor-n_outputs": ("n_outputs", 1, lambda v: ck.FunctionPredictor(
+        lambda m: m[:, :1] @ np.ones((1, v)), v
+    )),
+}
+
+
+@pytest.mark.parametrize("kind", ["below", "float", "bool"])
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_count_that_is_no_int_in_range(entry, kind):
+    name, least, call = COUNT_ENTRIES[entry]
+    value = {"below": least - 1, "float": 2.5, "bool": True}[kind]
+    message = f"{name} must be an int >= {least}, got {value!r}"
+    with pytest.raises(ck.ConfigError, match=f"^{re.escape(message)}$"):
+        call(value)
+    call(np.int64(least))
+
+
+def test_counts_are_kept_as_python_ints():
+    assert type(ck.TreeParams(n_trees=np.int64(3)).n_trees) is int
+    assert type(ck.FunctionPredictor(lambda m: m[:, 0], np.int64(1)).n_outputs) is int
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+@settings(max_examples=25, deadline=None)
+@given(
+    value=st.one_of(
+        st.integers(-3, 12),  # larger counts only cost time and memory
+        st.floats(),
+        st.booleans(),
+        st.integers(-3, 12).map(np.int64),
+        st.integers(-3, 12).map(np.int32),
+    )
+)
+def test_any_count_gives_a_result_or_a_config_error(entry, value):
+    try:
+        COUNT_ENTRIES[entry][2](value)
+    except ck.ConfigError:
+        pass
+
+
+# Every number a public constructor or check_phi0 takes, given a value that
+# is no finite number: (the call, the name its message gives).
+NUMBER_ENTRIES = {
+    "FeatureSpec.numeric-string": (lambda: ck.FeatureSpec.numeric("x", "a", 1), "feature 'x': min"),
+    "FeatureSpec-strings": (lambda: ck.FeatureSpec("x", "numeric", "0", "1"), "feature 'x': min"),
+    "FeatureSpec-bools": (lambda: ck.FeatureSpec("x", "numeric", False, True), "feature 'x': min"),
+    "FeatureSpec-infinite": (lambda: ck.FeatureSpec.numeric("x", 0, math.inf), "feature 'x': max"),
+    "OutputSpec-a-string": (lambda: ck.OutputSpec(a="x"), "output 'y': a"),
+    "OutputSpec-b-bool": (lambda: ck.OutputSpec(b=True), "output 'y': b"),
+    "OutputSpec-out_max-string": (lambda: ck.OutputSpec(out_min=0, out_max="1"), "output 'y': out_max"),
+    "OutputSpec-out_max-infinite": (lambda: ck.OutputSpec(out_max=math.inf), "output 'y': out_max"),
+    "explain_instance-phi0-bool": (lambda: ck.explain_instance(
+        _PRED, _UTIL, _SPACE, _MID, phi0=True
+    ), "phi0"),
+    "explain_instance-phi0-string": (lambda: ck.explain_instance(
+        _PRED, _UTIL, _SPACE, _MID, phi0="0.5"
+    ), "phi0"),
+}
+
+
+@pytest.mark.parametrize("entry", NUMBER_ENTRIES)
+def test_constructor_number_that_is_not_finite(entry):
+    call, name = NUMBER_ENTRIES[entry]
+    with pytest.raises(ck.ConfigError, match=f"^{re.escape(name)} must be a finite number$"):
+        call()
+
+
+def test_constructor_numbers_are_kept_as_floats():
+    feat = ck.FeatureSpec.numeric("x", np.int64(0), 1)
+    spec = ck.OutputSpec(a=np.int64(2), b=1, out_min=np.float32(0.5), out_max=2)
+    assert all(type(v) is float for v in (feat.min, feat.max, spec.a, spec.b, spec.out_min, spec.out_max))
+    assert (feat.min, feat.max, spec.a, spec.b, spec.out_min, spec.out_max) == (0, 1, 2, 1, 0.5, 2)
+
+
+# Every length rule, each called with one item fewer than it needs.
+LENGTH_ENTRIES = {
+    "shapley_mc": ("background", 1, lambda: ck.shapley_mc(
+        _PRED, _SPACE, _MID, []
+    )),
+    "permutation_importance": ("rows", 2, lambda: ck.permutation_importance(
+        _PRED, _SPACE, [_MID], [0.5]
+    )),
+    "global_ci": ("instances", 1, lambda: ck.global_ci(_PRED, _UTIL, _SPACE, [])),
+    "global_mean_abs_shapley": ("instances", 1, lambda: ck.global_mean_abs_shapley(
+        _PRED, _SPACE, []
+    )),
+    "run_global": ("rows", 1, lambda: ck.run_global(_PRED, _UTIL, _SPACE, "ci", rows=[])),
+    "train_ensemble": ("dataset", 2, lambda: ck.train_ensemble(
+        ck.Dataset(_SPACE, ck.Rows(_SPACE, np.full((1, 4), 0.5)), (0.5,), "y", "regression")
+    )),
+    "StabilityReport": ("runs", 2, lambda: ck.StabilityReport(
+        "shapley-mc", ("x1",), ((0.0,),), 0, ck.Budgets(), 0.5, 0
+    )),
+}
+
+
+@pytest.mark.parametrize("entry", LENGTH_ENTRIES)
+def test_too_short_a_sequence_is_named(entry):
+    name, least, call = LENGTH_ENTRIES[entry]
+    message = f"len({name}) must be an int >= {least}, got {least - 1}"
+    with pytest.raises(ck.ConfigError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 _X = {"name": "x", "type": "numeric", "min": 0, "max": 1}

@@ -311,9 +311,9 @@ class TestExplainInstance:
     @pytest.mark.parametrize("n", [-1, -3])  # -3 leaves numeric sample sets no rows
     def test_negative_sample_count_rejected(self, linear_bundle, linear_mid, n):
         pred, space, util = linear_bundle
-        with pytest.raises(ck.ConfigError, match="non-negative"):
+        with pytest.raises(ck.ConfigError, match=f"^n must be an int >= 0, got {n}$"):
             ck.explain_instance(pred, util, space, linear_mid, n=n)
-        with pytest.raises(ck.ConfigError, match="non-negative"):
+        with pytest.raises(ck.ConfigError, match=f"^n must be an int >= 0, got {n}$"):
             ck.global_ci(pred, util, space, [linear_mid] * 3, n=n)
 
     def test_unresolved_range_rejected(self, nonlinear_bundle, linear_mid):

@@ -61,8 +61,18 @@ class TestSeededRng:
         assert ck.as_rng(None) == ck.SeededRng(0)
         r = ck.SeededRng(9, (1,))
         assert ck.as_rng(r) is r
-        with pytest.raises(ck.ConfigError):
-            ck.as_rng("42")
+        seeded = ck.as_rng(np.int64(3))
+        assert seeded == ck.SeededRng(3) and type(seeded.seed) is int
+        for bad in ("42", True, 2.5, -1):
+            message = f"seed and spawn indices must be non-negative ints, got {bad!r}"
+            with pytest.raises(ck.ConfigError, match=f"^{re.escape(message)}$"):
+                ck.as_rng(bad)
+
+    @pytest.mark.parametrize("path", [[2], 2, None], ids=["list", "int", "none"])
+    def test_path_that_is_no_tuple_is_rejected_when_made(self, path):
+        message = f"a spawn path must be a tuple, got {type(path).__name__}"
+        with pytest.raises(ck.ConfigError, match=f"^{re.escape(message)}$"):
+            ck.SeededRng(1, path)
 
 
 def assert_same_streams(streams):
@@ -230,7 +240,7 @@ class TestSampleSets:
     def test_bad_arguments(self, linear_bundle):
         _, space, _ = linear_bundle
         x = space.instance([0.5, 0.5, 0.5, 0.5])
-        with pytest.raises(ck.ConfigError, match="non-negative"):
+        with pytest.raises(ck.ConfigError, match="^n must be an int >= 0, got -1$"):
             sample_sets(space, [x], n=-1)
         with pytest.raises(ck.ConfigError, match="expected 4 values, got 3"):
             sample_sets(space, [x, ck.Instance((0.5, 0.5, 0.5))], n=10)

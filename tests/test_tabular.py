@@ -385,7 +385,9 @@ def reference_score_numeric(v, y, task, n_outputs, min_leaf):
         right_n = n - left_n
         sse_l = csum2 - csum**2 / left_n
         sse_r = (tot2 - csum2) - (tot - csum) ** 2 / right_n
-        parent = tot2 - tot**2 / n
+        # tot * tot, as numpy squares an array: the libm pow behind a Python
+        # float's ** 2 is not always correctly rounded and can miss by an ulp
+        parent = tot2 - tot * tot / n
         gains = parent - sse_l - sse_r
     k = int(np.argmax(gains))
     gain = float(gains[k])
