@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ciukit
 from ciukit import cli
 from conftest import write_classification_csv, write_multiclass_csv, write_regression_csv
 
@@ -88,6 +89,13 @@ RUNS = {
         ["global", "--model", "{dir}/model.json", "--iterations", "2",
          "--instances", "30", "--samples", "20", "--shapley-budget", "20",
          "--format", "json,csv"],
+    ],
+    "whatif-tree-mixed": [
+        ["train", "--data", "{data}", "--target", "label", "--trees", "10",
+         "--depth", "4", "--model-out", "{dir}/model.json"],
+        ["whatif", "--model", "{dir}/model.json", "--data", "{data}",
+         "--target", "label", "--instance", "row:3", "--output-index", "1",
+         "--feature", "a,c", "--format", "json,svg"],
     ],
     "stability-tree-mixed": [
         ["train", "--data", "{data}", "--target", "label", "--trees", "10",
@@ -249,6 +257,16 @@ GOLDEN = {
         'whatif_x3.svg':
             '231ebe340826e6436f9fac460740dd4e1ce2bb2e4284f1ea11afa8d1d9c6f416',
     },
+    'whatif-tree-mixed': {
+        'model.json':
+            '1ecbca249693ec37be74cff00f9eab2a72156b163437dbb2abcfcd85a40a6e18',
+        'whatif_a.svg':
+            'f2938ce29a19f6a390641ab67fd0061305fe609a83ec3eabc6ec693d5bea849c',
+        'whatif_c.svg':
+            'd0dda4defc73bb6467de972391b8b68ad554b4911471d05b385f6715cffc8b94',
+        'whatif_report.json':
+            '1743d25e819589f259b9ec45ce192f28f98894907a5944f4844e38956a923311',
+    },
 }
 
 
@@ -325,6 +343,28 @@ def test_report_bytes_match_golden(name, tmp_path):
     changed = sorted(k for k in digests.keys() | GOLDEN[name].keys()
                      if digests.get(k) != GOLDEN[name].get(k))
     assert not changed, f"{name}: report bytes changed in {changed}"
+
+
+# Block sizes far below the defaults: the predictor batch (``_CHUNK``, at
+# every module that imports it by name), the tree-routing block and the
+# split-scoring block. A row's output must not depend on its batch, so every
+# report must keep its bytes when the work is cut into these blocks.
+SMALL_BLOCKS = {"_CHUNK": 97, "_ROUTE_BLOCK": 100, "_SCORE_BLOCK": 1}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_bytes_hold_under_small_blocks(name, tmp_path, monkeypatch):
+    if numeric_fingerprint() != PLATFORM_FINGERPRINT:
+        pytest.skip("float primitives differ from the platform the digests were taken on")
+    modules = [m for m in vars(ciukit).values() if isinstance(m, type(ciukit))]
+    patched = set()
+    for module in modules:
+        for attr, value in SMALL_BLOCKS.items():
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, value)
+                patched.add(attr)
+    assert patched == SMALL_BLOCKS.keys()
+    assert report_digests(name, tmp_path) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_RUNS))
