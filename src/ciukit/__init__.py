@@ -34,7 +34,7 @@ from .core import (
     nonlinear_reference_predictor,
     reference_feature_space,
 )
-from .sampling import SeededRng, as_rng, ceteris_paribus_grid, uniform_instances
+from .sampling import SeededRng, as_rng, uniform_instances
 from .engine import (
     CpCurve,
     Explanation,

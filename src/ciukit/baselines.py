@@ -26,6 +26,7 @@ from .core import (
     _int_arg,
     as_rows,
     evaluate_rows,
+    finite_number,
     sample_sd,
 )
 from .sampling import as_rng, uniform_instances
@@ -59,6 +60,7 @@ class AttributionVector:
     def __post_init__(self) -> None:
         if self.method not in ALL_METHODS:
             raise ConfigError(f"unknown attribution method {self.method!r}")
+        object.__setattr__(self, "phi", tuple(finite_number(v, "phi") for v in self.phi))
         if len(self.phi) != len(self.feature_names):
             raise ConfigError("phi and feature_names must have equal length")
         if self.se is not None and len(self.se) != len(self.phi):

@@ -402,6 +402,8 @@ class OutputSpec:
     estimated: bool = False
 
     def __post_init__(self) -> None:
+        if type(self.name) is not str or not self.name:
+            raise ConfigError(f"output name {self.name!r} must be a non-empty string")
         for key in ("a", "b", "out_min", "out_max"):
             value = getattr(self, key)
             if value is not None or key in ("a", "b"):

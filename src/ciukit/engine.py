@@ -13,12 +13,11 @@ larger outputs are better, ymax otherwise). Influence is signed: features
 pushing the output above the neutral utility phi0 get positive values, with
 range [-phi0, 1 - phi0].
 
-One kernel, ``_ciu_intervals``, finds every interval: it writes each
-feature's sample set (the source value, both endpoints and n uniform draws,
-or every level) straight into one predictor batch for many instances.
-
-``resolve_utility`` finds an undeclared output range with the same
-single-feature variation, polishing the best uniform and corner probes.
+One builder, ``_slot_outputs``, makes every single-feature batch, and its
+callers choose the points: ``_ciu_intervals`` each feature's sample set (the
+source value, both endpoints and n uniform draws, or every level) for many
+instances, ``resolve_utility``'s sweeps a dense grid from the best probes of
+an undeclared output range, and ``ceteris_paribus_curve`` a what-if grid.
 """
 
 from __future__ import annotations
@@ -43,13 +42,7 @@ from .core import (
     evaluate_rows,
     finite_number,
 )
-from .sampling import (
-    _generators,
-    as_rng,
-    ceteris_paribus_grid,
-    corner_instances,
-    uniform_instances,
-)
+from .sampling import _generators, as_rng, corner_instances, uniform_instances
 
 # Relative slack before an interval endpoint counts as leaving the declared
 # output range. Protects against pure rounding noise at the boundaries;
@@ -115,15 +108,38 @@ class Explanation:
         }
 
 
-def _sweep(
-    predictor: Predictor,
-    space: FeatureSpace,
-    row: np.ndarray,
-    y_start: float,
-    output: int,
-    want_max: bool,
-) -> float:
-    """Coordinate-wise grid refinement from an encoded starting row and its output.
+def _slot_outputs(predictor: Predictor, rows: Rows, sizes, points, output: int):
+    """Output ``output`` of each row of ``rows`` with one feature (slot) at a
+    time set to each of its points, and each (row, slot)'s offset into them.
+
+    ``sizes`` (rows × slots, or one size per slot for every row) counts the
+    points; size 0 leaves a slot alone. The sets of as many rows as fit in
+    ``_CHUNK`` rows, and of at least one, go to the predictor in one call,
+    and ``points(lo, hi)`` makes those of rows lo:hi just before it: row by
+    row, each row's slots in order.
+    """
+    width = len(rows.space)
+    sizes = np.zeros((len(rows), width), int) + sizes
+    ends = np.cumsum(sizes).reshape(sizes.shape)
+    offsets = ends - sizes
+    ys = np.empty(sizes.sum())
+    lo = 0
+    while lo < len(rows):
+        hi = max(lo + 1, int(np.searchsorted(ends[:, -1], offsets[lo, 0] + _CHUNK, "right")))
+        block = sizes[lo:hi]
+        matrix = np.repeat(rows.matrix[lo:hi], block.sum(axis=1), axis=0)
+        column = np.repeat(np.arange(block.size) % width, block.ravel())
+        # A new matrix is contiguous, so its flat view takes each point's write.
+        matrix.reshape(-1)[np.arange(0, matrix.size, width) + column] = np.ravel(points(lo, hi))
+        outputs = evaluate_rows(predictor, Rows(rows.space, matrix))
+        ys[offsets[lo, 0] : ends[hi - 1, -1]] = outputs[:, output]
+        lo = hi
+    return ys, offsets
+
+
+def _sweep(predictor: Predictor, probes: Rows, probe_ys, output: int, want_max: bool) -> float:
+    """Coordinate-wise grid refinement from the best of the probes, given
+    their outputs.
 
     Repeatedly sweeps each coordinate over a dense grid (all levels for
     categorical features) and keeps the best value found. Exact for
@@ -131,23 +147,25 @@ def _sweep(
     local polish otherwise.
     """
     sign = 1.0 if want_max else -1.0
-    best = sign * y_start
+    k = int(np.argmax(sign * probe_ys))
+    space, row, best = probes.space, probes.matrix[k], sign * float(probe_ys[k])
     for _ in range(_SWEEP_PASSES):
-        improved = False
+        before = best
         for i, feat in enumerate(space):
             if feat.is_numeric:
                 column = np.linspace(feat.min, feat.max, _SWEEP_GRID)
             else:
                 column = np.arange(len(feat.levels))
-            candidates = np.repeat(row[None, :], len(column), axis=0)
-            candidates[:, i] = column
-            ys = sign * evaluate_rows(predictor, Rows(space, candidates))[:, output]
+            sizes = len(column) * (np.arange(len(space)) == i)
+            ys = sign * _slot_outputs(
+                predictor, Rows(space, row[None]), sizes, lambda lo, hi: column, output
+            )[0]
             k = int(np.argmax(ys))
             if ys[k] > best:
                 best = float(ys[k])
-                row = candidates[k]
-                improved = True
-        if not improved:
+                row = row.copy()
+                row[i] = column[k]
+        if best == before:
             break
     return sign * best
 
@@ -170,10 +188,7 @@ def estimate_output_range(
     probes = (uniform_instances(space, budget, rng), corner_instances(space))
     points = Rows(space, np.vstack([p.matrix for p in probes]))
     ys = evaluate_rows(predictor, points)[:, output]
-    k_lo, k_hi = int(np.argmin(ys)), int(np.argmax(ys))
-    lo = _sweep(predictor, space, points.matrix[k_lo], float(ys[k_lo]), output, want_max=False)
-    hi = _sweep(predictor, space, points.matrix[k_hi], float(ys[k_hi]), output, want_max=True)
-    return lo, hi
+    return _sweep(predictor, points, ys, output, False), _sweep(predictor, points, ys, output, True)
 
 
 def resolve_utility(
@@ -240,41 +255,31 @@ def _ciu_intervals(predictor: Predictor, rows: Rows, streams, output: int, n: in
     ``streams[r].spawn(i)``; the endpoints make the interval exact for
     per-feature monotone predictors even with n = 0. A categorical slot holds
     every level once, in declared order, so x_r's own row sits at its level
-    code. Each row is repeated into one block of rows; the blocks of as many
-    rows as fit in ``_CHUNK`` rows go to the predictor as one batch in one
-    call, and a block's numeric streams are seeded in one pass."""
+    code. A block's numeric streams are seeded in one pass."""
     _int_arg(n, "n", 0)
     space = rows.space
-    sizes = [n + 3 if feat.is_numeric else len(feat.levels) for feat in space]
-    width = sum(sizes)
+    sizes = np.array([n + 3 if feat.is_numeric else len(feat.levels) for feat in space])
     starts = np.cumsum(sizes) - sizes
     numeric = np.array([feat.is_numeric for feat in space])
     varied = [i for i, feat in enumerate(space) if feat.is_numeric]
-    block = max(1, _CHUNK // width)
-    out = np.empty((3, len(rows), len(space)))
-    for lo in range(0, len(rows), block):
-        xs = rows.matrix[lo : lo + block]
-        matrix = np.repeat(xs, width, axis=0)
-        sets = matrix.reshape(len(xs), width, len(space))  # a view: writes land in matrix
-        gens = _generators(
-            [(s.seed, s.path + (i,)) for i in varied for s in streams[lo : lo + block]]
-        )
+
+    def points(lo: int, hi: int) -> np.ndarray:
+        sets = np.repeat(rows.matrix[lo:hi], sizes, axis=1)  # x_r's own value first
+        gens = _generators([(s.seed, s.path + (i,)) for i in varied for s in streams[lo:hi]])
         for i, (feat, start, size) in enumerate(zip(space, starts, sizes)):
             if feat.is_numeric:
-                sets[:, start + 1 : start + 3, i] = feat.min, feat.max
-                sets[:, start + 3 : start + size, i] = [
-                    next(gens).uniform(feat.min, feat.max, n) for _ in range(len(xs))
+                sets[:, start + 1 : start + 3] = feat.min, feat.max
+                sets[:, start + 3 : start + size] = [
+                    next(gens).uniform(feat.min, feat.max, n) for _ in range(hi - lo)
                 ]
             else:
-                sets[:, start : start + size, i] = np.arange(size)
-        ys = evaluate_rows(predictor, Rows(space, matrix))[:, output].reshape(len(xs), width)
-        sources = starts + np.where(numeric, 0, xs).astype(int)
-        out[:, lo : lo + block] = (
-            np.minimum.reduceat(ys, starts, axis=1),
-            np.maximum.reduceat(ys, starts, axis=1),
-            np.take_along_axis(ys, sources, axis=1),
-        )
-    return out
+                sets[:, start : start + size] = np.arange(size)
+        return sets
+
+    ys, at = _slot_outputs(predictor, rows, sizes, points, output)
+    sources = at + np.where(numeric, 0, rows.matrix).astype(int)
+    ends = (np.minimum.reduceat(ys, at.ravel()), np.maximum.reduceat(ys, at.ravel()))
+    return np.stack([*ends, ys[sources].ravel()]).reshape(3, *at.shape)
 
 
 def explain_instance(
@@ -358,19 +363,26 @@ def ceteris_paribus_curve(
     output: int = 0,
     phi0: float = 0.5,
 ) -> CpCurve:
-    """Trace the output over an evenly spaced sweep of one numeric feature."""
+    """Trace the output over an evenly spaced sweep of one numeric feature,
+    endpoints included."""
     _check_output(predictor, output)
     check_phi0(phi0)
-    grid = ceteris_paribus_grid(space, x, feature, grid_size)
-    batch = Rows(space, np.vstack([grid.matrix, as_rows(space, [x]).matrix]))
-    ys = evaluate_rows(predictor, batch)[:, output]  # the grid's rows, then x's
+    feat = space[_int_arg(feature, "feature index", 0, len(space))]
+    if not feat.is_numeric:
+        raise ConfigError(f"feature {feat.name!r} is categorical; grids need a numeric feature")
+    _int_arg(grid_size, "grid_size", 2)
+    row = as_rows(space, [x])
+    grid = np.linspace(feat.min, feat.max, grid_size)
+    points = np.append(grid, row.matrix[0, feature])  # the grid, then x's own value
+    sizes = len(points) * (np.arange(len(space)) == feature)
+    ys, _ = _slot_outputs(predictor, row, sizes, lambda lo, hi: points, output)
     ys, y_value = ys[:-1], float(ys[-1])
     ymin = min(float(ys.min()), y_value)
     ymax = max(float(ys.max()), y_value)
     return CpCurve(
-        feature_name=space[feature].name,
+        feature_name=feat.name,
         feature_index=feature,
-        xs=tuple(grid.matrix[:, feature].tolist()),
+        xs=tuple(grid.tolist()),
         ys=tuple(float(v) for v in ys),
         x_value=float(x.values[feature]),
         y_value=y_value,

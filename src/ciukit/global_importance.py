@@ -19,6 +19,7 @@ from .core import (
     _int_arg,
     as_rows,
     evaluate_rows,
+    finite_number,
     sample_sd,
 )
 from .baselines import permutation_importance, shapley_mc
@@ -69,7 +70,7 @@ class GlobalImportance:
 
 def normalize_importances(values: Sequence[float]) -> np.ndarray:
     """Scale importances to proportions that sum to one."""
-    v = np.asarray(values, dtype=float)
+    v = np.array([finite_number(x, "importance") for x in values])
     total = float(v.sum())
     if not np.isfinite(total):
         raise DegenerateRangeError("importances do not sum to a finite number")
@@ -214,7 +215,7 @@ def run_global(
             )
         try:
             per_iter.append(normalize_importances(raw))
-        except DegenerateRangeError as e:
+        except (ConfigError, DegenerateRangeError) as e:  # ConfigError: a non-finite raw value
             raise DegenerateRangeError(f"{method}, iteration {it}: {e}") from None
     return _summary(
         method, space, np.vstack(per_iter), degenerate, count, iterations, normalized=True

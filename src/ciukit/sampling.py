@@ -1,6 +1,5 @@
-"""Deterministic seeding and the shared row builders: uniform draws, box
-corners, and single-feature perturbations, each built as one matrix-backed
-``Rows`` batch."""
+"""Deterministic seeding and the shared row builders: uniform draws and box
+corners, each built as one matrix-backed ``Rows`` batch."""
 
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, FeatureSpace, Instance, Rows, _int_arg, as_rows
+from .core import ConfigError, FeatureSpace, Rows, _int_arg, as_rows
 
 _CORNER_CAP_BITS = 12
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on its pool of 4
@@ -145,24 +144,6 @@ def as_rng(value) -> SeededRng:
     if isinstance(value, SeededRng):
         return value
     return SeededRng(0 if value is None else value)
-
-
-def ceteris_paribus_grid(
-    space: FeatureSpace,
-    x: Instance,
-    feature: int,
-    grid_size: int = 101,
-) -> Rows:
-    """Evenly spaced sweep of one numeric feature, endpoints included."""
-    feat = space[_int_arg(feature, "feature index", 0, len(space))]
-    if not feat.is_numeric:
-        raise ConfigError(
-            f"feature {feat.name!r} is categorical; grids need a numeric feature"
-        )
-    _int_arg(grid_size, "grid_size", 2)
-    matrix = np.repeat(as_rows(space, [x]).matrix, grid_size, axis=0)
-    matrix[:, feature] = np.linspace(feat.min, feat.max, grid_size)
-    return Rows(space, matrix)
 
 
 def uniform_instances(space: FeatureSpace, count: int, rng=None) -> Rows:

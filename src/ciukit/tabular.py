@@ -35,6 +35,7 @@ from .core import (
     config_from_json,
     evaluate_rows,
     feature_to_json,
+    finite_number,
     read_json,
     square_safe_scale,
 )
@@ -207,7 +208,7 @@ def load_csv(
 
 def holdout_split(dataset: Dataset, fraction: float = 0.25, rng=None) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split into (train, test); both sides must be non-empty."""
-    if not 0.0 < fraction < 1.0:
+    if not 0.0 < finite_number(fraction, "holdout fraction") < 1.0:
         raise ConfigError("holdout fraction must be in (0, 1)")
     n = len(dataset)
     n_test = round(n * fraction)

@@ -303,6 +303,8 @@ class TestAttributionVector:
             ck.AttributionVector(("a",), (0.1,), 0.0, "mystery", 10, 0)
         with pytest.raises(ck.ConfigError):
             ck.AttributionVector(("a",), (0.1,), 0.0, "shapley-mc", 10, 0, se=(1.0, 2.0))
+        with pytest.raises(ck.ConfigError, match="^phi must be a finite number$"):
+            ck.AttributionVector(("a",), ("0.1",), 0.0, "shapley-mc", 10, 0)
 
     def test_json_dict(self):
         att = ck.AttributionVector(

@@ -1047,6 +1047,17 @@ class TestConfigAgainstPredictor:
         ) == 3
         assert "non-finite output" in _one_line_error(capsys)
 
+    def test_output_name_that_is_no_string_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        _config(config, ["x1", "x2", "x3", "x4"])
+        config.write_text(config.read_text().replace('"name": "y"', '"name": 5'))
+        assert run(
+            "explain", "--predictor", "linear", "--config", str(config),
+            "--instance", MID, "--output-dir", str(tmp_path / "out"),
+        ) == 2
+        assert "output name 5 must be a non-empty string" in _one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_model_features_must_match(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(_good_model()))

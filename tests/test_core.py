@@ -163,6 +163,12 @@ class TestOutputUtility:
         with pytest.raises(ck.ConfigError):
             ck.OutputSpec("y", out_min=1.0, out_max=1.0)
 
+    @pytest.mark.parametrize("name", [5, "", None, ["y"]])
+    def test_name_must_be_a_non_empty_string(self, name):
+        message = f"output name {name!r} must be a non-empty string"
+        with pytest.raises(ck.ConfigError, match=f"^{re.escape(message)}$"):
+            ck.OutputSpec(name)
+
     def test_range_width(self):
         util = ck.OutputUtility.single("y", out_min=-1.0, out_max=3.0)
         assert util.range_width(0) == 4.0
@@ -656,9 +662,6 @@ def test_output_index_out_of_range(nonlinear_bundle, entry, output):
 
 
 FEATURE_ENTRIES = {
-    "ceteris_paribus_grid": lambda pred, space, x, feature: ck.ceteris_paribus_grid(
-        space, x, feature, grid_size=3
-    ),
     "ceteris_paribus_curve": lambda pred, space, x, feature: ck.ceteris_paribus_curve(
         pred, space, x, feature, grid_size=3
     ),
@@ -694,9 +697,6 @@ COUNT_ENTRIES = {
         _PRED, _SPACE, ck.OutputUtility.single("y"), budget=v
     )),
     "uniform_instances-count": ("count", 1, lambda v: ck.uniform_instances(_SPACE, v)),
-    "ceteris_paribus_grid-grid_size": ("grid_size", 2, lambda v: ck.ceteris_paribus_grid(
-        _SPACE, _MID, 0, v
-    )),
     "ceteris_paribus_curve-grid_size": ("grid_size", 2, lambda v: ck.ceteris_paribus_curve(
         _PRED, _SPACE, _MID, 0, v
     )),
@@ -845,6 +845,7 @@ BAD_CONFIGS = {
     "levels-numbers": {"features": [{"name": "c", "type": "categorical", "levels": [1, 2]}]},
     "name-number": {"features": [{**_X, "name": 7}]},
     "name-list": {"features": [{**_X, "name": ["x"]}]},
+    "output-name-number": {"features": [_X], "outputs": [{"name": 5}]},
 }
 
 
@@ -880,7 +881,7 @@ PUBLIC_NAMES = [
     "Instance", "METHOD_INFLUENCE", "METHOD_LIME", "METHOD_SHAPLEY", "NUMERIC", "OutputSpec",
     "OutputUtility", "Predictor", "Rows", "SeededRng", "SingularSystemError",
     "StabilityReport", "TreeEnsemble", "TreeParams", "accuracy", "as_rng", "builtin_model",
-    "ceteris_paribus_curve", "ceteris_paribus_grid", "config_from_json",
+    "ceteris_paribus_curve", "config_from_json",
     "estimate_output_range", "explain_instance", "global_ci", "global_mean_abs_shapley",
     "holdout_split", "lime_surrogate", "linear_reference_predictor", "load_config", "load_csv",
     "load_model", "nonlinear_reference_predictor", "normalize_importances",
@@ -894,7 +895,7 @@ PUBLIC_NAMES = [
 def test_package_exports_every_public_name_and_no_module():
     # The whole public surface: adding or removing a name must change this list.
     assert ck.__all__ == PUBLIC_NAMES
-    assert len(ck.__all__) == 64
+    assert len(ck.__all__) == 63
     assert not any(isinstance(getattr(ck, name), ModuleType) for name in ck.__all__)
     assert not any(name.startswith("_") for name in ck.__all__)
 

@@ -402,7 +402,7 @@ class TestCeterisParibusCurve:
 
         curve = ck.ceteris_paribus_curve(Recording(), space, x, 0, grid_size=11)
         assert calls == [12]  # 11 grid rows, then x
-        grid = ck.ceteris_paribus_grid(space, x, 0, 11)
+        grid = [space.instance((v, *x.values[1:])) for v in curve.xs]
         assert curve.ys == tuple(evaluate_rows(inner, grid)[:, 0].tolist())
         assert curve.y_value == evaluate_rows(inner, [x])[0, 0]
 

@@ -20,6 +20,11 @@ class TestNormalize:
         with pytest.raises(ck.DegenerateRangeError):
             ck.normalize_importances([1.0, -1.0])
 
+    @pytest.mark.parametrize("values", [["a"], [1.0, None], [True, 1.0], [float("nan"), 1.0]])
+    def test_non_numbers_rejected(self, values):
+        with pytest.raises(ck.ConfigError, match="^importance must be a finite number$"):
+            ck.normalize_importances(values)
+
 
 class TestGlobalCi:
     def test_linear_weights_with_zero_spread(self, linear_bundle):
@@ -155,6 +160,15 @@ class TestGlobalShapley:
 
 
 class TestRunGlobal:
+    # _ciu warns as its interval width overflows; the error is what is checked here.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_importance_that_overflows_is_a_degenerate_range(self):
+        space = ck.FeatureSpace((ck.FeatureSpec.numeric("x", -1, 1),))
+        pred = ck.FunctionPredictor(lambda m: 1.7e308 * m[:, 0])  # its interval is 3.4e308 wide
+        util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
+        with pytest.raises(ck.DegenerateRangeError, match="^ci, iteration 0: "):
+            ck.run_global(pred, util, space, "ci", iterations=1, instances_per_iteration=2, n=2)
+
     def test_ci_iterations(self, linear_bundle):
         pred, space, util = linear_bundle
         imp = ck.run_global(

@@ -247,31 +247,34 @@ class TestSampleSets:
 
 
 class TestCeterisParibusGrid:
+    """The what-if grid of ``ceteris_paribus_curve``: evenly spaced, with
+    both endpoints."""
+
     def test_unit_interval_grid(self, linear_bundle):
-        _, space, _ = linear_bundle
+        pred, space, _ = linear_bundle
         x = space.instance([0.5, 0.5, 0.5, 0.5])
-        grid = ck.ceteris_paribus_grid(space, x, 0, 3)
-        assert [g.values[0] for g in grid] == [0.0, 0.5, 1.0]
-        grid2 = ck.ceteris_paribus_grid(space, x, 0, 2)
-        assert [g.values[0] for g in grid2] == [0.0, 1.0]
+        assert ck.ceteris_paribus_curve(pred, space, x, 0, 3).xs == (0.0, 0.5, 1.0)
+        assert ck.ceteris_paribus_curve(pred, space, x, 0, 2).xs == (0.0, 1.0)
 
     def test_asymmetric_interval(self):
         space = ck.FeatureSpace((ck.FeatureSpec.numeric("x", -1.0, 1.0),))
-        grid = ck.ceteris_paribus_grid(space, space.instance([0.0]), 0, 5)
-        assert [g.values[0] for g in grid] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        pred = ck.FunctionPredictor(lambda m: m[:, 0])
+        curve = ck.ceteris_paribus_curve(pred, space, space.instance([0.0]), 0, 5)
+        assert curve.xs == (-1.0, -0.5, 0.0, 0.5, 1.0)
 
     def test_categorical_rejected(self):
         space = ck.FeatureSpace(
             (ck.FeatureSpec.categorical("c", ["a", "b"]), ck.FeatureSpec.numeric("x", 0, 1))
         )
-        with pytest.raises(ck.ConfigError):
-            ck.ceteris_paribus_grid(space, space.instance(["a", 0.5]), 0, 10)
+        pred = ck.FunctionPredictor(lambda m: m[:, 1])
+        with pytest.raises(ck.ConfigError, match="'c' is categorical"):
+            ck.ceteris_paribus_curve(pred, space, space.instance(["a", 0.5]), 0, 10)
 
     def test_too_small_grid_rejected(self, linear_bundle):
-        _, space, _ = linear_bundle
+        pred, space, _ = linear_bundle
         x = space.instance([0.5, 0.5, 0.5, 0.5])
-        with pytest.raises(ck.ConfigError):
-            ck.ceteris_paribus_grid(space, x, 0, 1)
+        with pytest.raises(ck.ConfigError, match="^grid_size must be an int >= 2, got 1$"):
+            ck.ceteris_paribus_curve(pred, space, x, 0, 1)
 
 
 class TestUniformInstances:
@@ -398,10 +401,20 @@ class TestMatchesPerRowReference:
 
     @pytest.mark.parametrize("feature,size", [(0, 101), (2, 1025), (2, 2)])
     def test_ceteris_paribus_grid(self, feature, size):
+        """The what-if curve sends its grid's rows, then x's, in one call."""
         space = mixed_space()
         x = space.instance([-0.5, "r", 0.9])
-        grid = ck.ceteris_paribus_grid(space, x, feature, size)
-        assert exact(grid) == exact(reference_grid(space, x, feature, size))
+        batches = []
+
+        class Recording(ck.Predictor):
+            def evaluate(self, rows):
+                batches.append(list(rows))
+                return np.zeros((len(rows), 1))
+
+        curve = ck.ceteris_paribus_curve(Recording(), space, x, feature, size)
+        want = reference_grid(space, x, feature, size) + [x]
+        assert [exact(b) for b in batches] == [exact(want)]
+        assert curve.xs == tuple(g.values[feature] for g in want[:-1])
 
     @pytest.mark.parametrize("seed", [0, 3, 99])
     def test_uniform_instances(self, seed):

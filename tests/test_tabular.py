@@ -249,6 +249,11 @@ class TestHoldoutSplit:
         with pytest.raises(ck.ConfigError):
             ck.holdout_split(ds, 1.5)
 
+    @pytest.mark.parametrize("fraction", ["0.5", True, None, float("nan")])
+    def test_fraction_that_is_no_number(self, clean_dataset, fraction):
+        with pytest.raises(ck.ConfigError, match="^holdout fraction must be a finite number$"):
+            ck.holdout_split(clean_dataset, fraction)
+
     def test_disjoint_union(self, clean_dataset):
         train, test = ck.holdout_split(clean_dataset, 0.2, rng=5)
         everything = sorted(list(train.rows) + list(test.rows), key=lambda r: r.values)
