@@ -6,14 +6,12 @@ contextual utility (is the current value favorable?), and a signed
 influence score comparable with Shapley-style attributions. Ships with
 sampled Shapley values, a local linear surrogate, permutation importance,
 a stability benchmark harness, CSV ingestion with a bagged tree ensemble,
-and deterministic SVG/text rendering.
+and deterministic SVG/text rendering (``ciukit.render``).
 """
 
 from types import ModuleType as _ModuleType
 
 from .core import (
-    CATEGORICAL,
-    NUMERIC,
     ConfigError,
     DataFormatError,
     DegenerateRangeError,
@@ -28,18 +26,13 @@ from .core import (
     Rows,
     SingularSystemError,
     builtin_model,
-    config_from_json,
-    linear_reference_predictor,
     load_config,
-    nonlinear_reference_predictor,
-    reference_feature_space,
 )
-from .sampling import SeededRng, as_rng, uniform_instances
+from .sampling import SeededRng, uniform_instances
 from .engine import (
     CpCurve,
     Explanation,
     ceteris_paribus_curve,
-    estimate_output_range,
     explain_instance,
     resolve_utility,
 )
@@ -56,7 +49,6 @@ from .global_importance import (
     GlobalImportance,
     global_ci,
     global_mean_abs_shapley,
-    normalize_importances,
     run_global,
 )
 from .stability import (
@@ -64,8 +56,6 @@ from .stability import (
     Budgets,
     StabilityReport,
     run_stability,
-    stability_csv,
-    summarize,
 )
 from .tabular import (
     Dataset,
@@ -77,14 +67,6 @@ from .tabular import (
     load_model,
     save_model,
     train_ensemble,
-)
-from .render import (
-    render_ciu_barplot,
-    render_cp_plot,
-    render_influence_barplot,
-    render_spread_plot,
-    text_ciu_bars,
-    text_influence_bars,
 )
 
 __version__ = "0.1.0"

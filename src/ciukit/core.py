@@ -348,41 +348,6 @@ def sample_sd(matrix: np.ndarray) -> np.ndarray:
 _LINEAR_WEIGHTS = np.array([0.4, 0.3, 0.2, 0.1])
 
 
-def reference_feature_space() -> FeatureSpace:
-    """Four numeric features x1..x4, each on [0, 1]."""
-    return FeatureSpace(
-        tuple(FeatureSpec.numeric(f"x{i}", 0.0, 1.0) for i in range(1, 5))
-    )
-
-
-def linear_reference_predictor() -> Predictor:
-    """Weighted sum 0.4*x1 + 0.3*x2 + 0.2*x3 + 0.1*x4 over the unit box.
-
-    Weights are convex, so the output covers [0, 1] exactly.
-    """
-    # einsum, not BLAS's ``x @ w``: a row's bits then do not depend on the batch.
-    return FunctionPredictor(lambda x: np.einsum("ij,j->i", x, _LINEAR_WEIGHTS))
-
-
-def nonlinear_reference_predictor() -> Predictor:
-    """Oscillatory benchmark function over the unit box.
-
-    0.7*x1*sin(10*x1) + 0.3*x2*sin(10*x2) + x3^2 + (2*x4^4 - 1.5*x4^2).
-    The output range is not declared up front; estimate it before use.
-    """
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-        return (
-            0.7 * x1 * np.sin(10.0 * x1)
-            + 0.3 * x2 * np.sin(10.0 * x2)
-            + x3 ** 2
-            + (2.0 * x4 ** 4 - 1.5 * x4 ** 2)
-        )
-
-    return FunctionPredictor(f)
-
-
 @dataclass(frozen=True)
 class OutputSpec:
     """One model output plus its utility map u(y) = a*y + b.
@@ -463,20 +428,38 @@ class OutputUtility:
 
 
 def builtin_model(name: str) -> tuple[Predictor, FeatureSpace, OutputUtility]:
-    """Bundle a reference predictor with its feature space and utility."""
+    """A reference predictor, ``linear`` or ``nonlinear``, with its feature
+    space and utility. Each reads four numeric features x1..x4 on [0, 1].
+
+    ``linear`` is 0.4*x1 + 0.3*x2 + 0.2*x3 + 0.1*x4, whose convex weights
+    cover [0, 1] exactly, so its range is declared. ``nonlinear`` is the
+    oscillatory 0.7*x1*sin(10*x1) + 0.3*x2*sin(10*x2) + x3^2 +
+    (2*x4^4 - 1.5*x4^2), whose range is left undeclared; estimate it before
+    use (``resolve_utility``).
+    """
     if name == "linear":
-        return (
-            linear_reference_predictor(),
-            reference_feature_space(),
-            OutputUtility.single("y", out_min=0.0, out_max=1.0),
-        )
-    if name == "nonlinear":
-        return (
-            nonlinear_reference_predictor(),
-            reference_feature_space(),
-            OutputUtility.single("y"),
-        )
-    raise ConfigError(f"unknown builtin predictor {name!r}")
+
+        def fn(x: np.ndarray) -> np.ndarray:
+            # einsum, not BLAS's ``x @ w``: a row's bits then do not depend on the batch.
+            return np.einsum("ij,j->i", x, _LINEAR_WEIGHTS)
+
+        utility = OutputUtility.single("y", out_min=0.0, out_max=1.0)
+    elif name == "nonlinear":
+
+        def fn(x: np.ndarray) -> np.ndarray:
+            x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+            return (
+                0.7 * x1 * np.sin(10.0 * x1)
+                + 0.3 * x2 * np.sin(10.0 * x2)
+                + x3 ** 2
+                + (2.0 * x4 ** 4 - 1.5 * x4 ** 2)
+            )
+
+        utility = OutputUtility.single("y")
+    else:
+        raise ConfigError(f"unknown builtin predictor {name!r}")
+    space = FeatureSpace(tuple(FeatureSpec.numeric(f"x{i}", 0.0, 1.0) for i in range(1, 5)))
+    return FunctionPredictor(fn), space, utility
 
 
 def feature_to_json(feat: FeatureSpec) -> dict:

@@ -22,12 +22,14 @@ an undeclared output range, and ``ceteris_paribus_curve`` a what-if grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     ConfigError,
+    DataFormatError,
     DegenerateRangeError,
     FeatureSpace,
     Instance,
@@ -170,27 +172,6 @@ def _sweep(predictor: Predictor, probes: Rows, probe_ys, output: int, want_max: 
     return sign * best
 
 
-def estimate_output_range(
-    predictor: Predictor,
-    space: FeatureSpace,
-    output: int = 0,
-    budget: int = 10000,
-    rng=None,
-) -> tuple[float, float]:
-    """Estimate the attainable output interval of a black-box predictor.
-
-    Combines uniform random probes, numeric-bound corner points, and
-    coordinate-wise refinement sweeps started from the best probes. The
-    result is an inner approximation: every reported value was actually
-    produced by the predictor.
-    """
-    _int_arg(budget, "range budget", 1)
-    probes = (uniform_instances(space, budget, rng), corner_instances(space))
-    points = Rows(space, np.vstack([p.matrix for p in probes]))
-    ys = evaluate_rows(predictor, points)[:, output]
-    return _sweep(predictor, points, ys, output, False), _sweep(predictor, points, ys, output, True)
-
-
 def resolve_utility(
     predictor: Predictor,
     space: FeatureSpace,
@@ -200,9 +181,13 @@ def resolve_utility(
 ) -> OutputUtility:
     """Fill in every undeclared output range by estimation.
 
-    Estimated ranges are flagged so reports can distinguish them from
-    declarations. A predictor whose observed outputs collapse to one value
-    has no usable range and raises DegenerateRangeError.
+    An estimate combines ``budget`` uniform random probes, the numeric-bound
+    corner points, and coordinate-wise refinement sweeps started from the
+    best probes. It is an inner approximation: every reported value was
+    actually produced by the predictor. Estimated ranges are flagged so
+    reports can distinguish them from declarations. A predictor whose
+    observed outputs collapse to one value has no usable range and raises
+    DegenerateRangeError.
     """
     if utility.n_outputs != predictor.n_outputs:
         raise ConfigError(
@@ -211,7 +196,11 @@ def resolve_utility(
     outputs = []
     for j, spec in enumerate(utility.outputs):
         if not spec.declared:
-            lo, hi = estimate_output_range(predictor, space, j, budget, rng)
+            _int_arg(budget, "range budget", 1)
+            probes = (uniform_instances(space, budget, rng), corner_instances(space))
+            points = Rows(space, np.vstack([p.matrix for p in probes]))
+            ys = evaluate_rows(predictor, points)[:, j]
+            lo, hi = (_sweep(predictor, points, ys, j, want_max) for want_max in (False, True))
             scale = max(abs(lo), abs(hi), 1.0)
             if not hi - lo > 1e-12 * scale:
                 raise DegenerateRangeError(
@@ -234,16 +223,21 @@ def _ciu(ymin: np.ndarray, ymax: np.ndarray, y: np.ndarray, spec: OutputSpec, ph
 
     A degenerate interval (ymax == ymin) has cu = 0. ci above 1, where the
     predictor leaves its declared range, is reported as-is, never clamped.
+    An interval too wide for a float raises DataFormatError.
     """
     width = spec.out_max - spec.out_min
-    span = ymax - ymin
-    ci = span / width
     degenerate = ymax == ymin
     worst = ymin if spec.a > 0 else ymax
-    cu = np.divide(np.abs(y - worst), span, out=np.zeros(span.shape), where=~degenerate)
+    with np.errstate(all="ignore"):  # an overflow is rejected below
+        span = ymax - ymin
+        ci = span / width
+        cu = np.divide(np.abs(y - worst), span, out=np.zeros(span.shape), where=~degenerate)
+        influence = ci * (cu - phi0)
+    if not np.isfinite(influence).all():  # finite exactly when ci and cu are
+        raise DataFormatError("ciu estimates overflow: predictor outputs too far apart to measure")
     tol = _OVERSHOOT_TOL * max(1.0, abs(width))
     instability = (ymin < spec.out_min - tol) | (ymax > spec.out_max + tol)
-    return ci, cu, ci * (cu - phi0), degenerate, instability
+    return ci, cu, influence, degenerate, instability
 
 
 def _ciu_intervals(predictor: Predictor, rows: Rows, streams, output: int, n: int) -> np.ndarray:
@@ -379,6 +373,8 @@ def ceteris_paribus_curve(
     ys, y_value = ys[:-1], float(ys[-1])
     ymin = min(float(ys.min()), y_value)
     ymax = max(float(ys.max()), y_value)
+    if not math.isfinite(ymax - ymin):
+        raise DataFormatError("what-if curve overflows: predictor outputs too far apart to measure")
     return CpCurve(
         feature_name=feat.name,
         feature_index=feature,

@@ -14,6 +14,7 @@ import numpy as np
 
 import ciukit as ck
 from ciukit import cli
+from ciukit.global_importance import normalize_importances
 from conftest import LINEAR_WEIGHTS, shapley_enumerate, write_classification_csv
 
 
@@ -63,14 +64,14 @@ def test_criterion_02_global_recovery(capsys, linear_bundle):
            "global ci changed across seeds despite exact endpoint probes")
 
     targets = pred.evaluate(rows)[:, 0]
-    pfi = ck.normalize_importances(
+    pfi = normalize_importances(
         ck.permutation_importance(pred, space, rows, targets, rng=4)
     )
     _check(failures, np.allclose(pfi, LINEAR_WEIGHTS, atol=0.01),
            f"normalized permutation importance {pfi}")
 
     shap = ck.global_mean_abs_shapley(pred, space, rows, budget=300, rng=5)
-    norm = ck.normalize_importances(shap.mean)
+    norm = normalize_importances(shap.mean)
     _check(failures, np.allclose(norm, LINEAR_WEIGHTS, atol=0.05),
            f"normalized mean |shapley| {norm}")
 
@@ -170,7 +171,7 @@ def test_criterion_05_shapley_correctness(capsys, linear_bundle, nonlinear_bundl
 
 
 def test_criterion_06_instability_flag(capsys):
-    space = ck.reference_feature_space()
+    space = ck.builtin_model("linear")[1]
     pred = ck.FunctionPredictor(lambda m: 1.2 * m[:, 0] + 0.05 * m[:, 1])
     util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
     failures = []
@@ -184,7 +185,7 @@ def test_criterion_06_instability_flag(capsys):
 
 
 def test_criterion_07_degenerate_feature(capsys):
-    space = ck.reference_feature_space()
+    space = ck.builtin_model("linear")[1]
     pred = ck.FunctionPredictor(lambda m: m @ np.asarray([0.5, 0.3, 0.2, 0.0]))
     util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
     failures = []

@@ -3,6 +3,7 @@ import pytest
 
 import ciukit as ck
 from ciukit.core import evaluate_rows
+from ciukit.global_importance import normalize_importances
 from conftest import LINEAR_WEIGHTS, MixedModel, exact, mixed_space, replaced, shapley_enumerate
 
 
@@ -23,7 +24,7 @@ class TestPermutationImportance:
         pred, space, _ = linear_bundle
         rows, targets = linear_rows
         scores = ck.permutation_importance(pred, space, rows, targets, rng=7)
-        normalized = ck.normalize_importances(scores)
+        normalized = normalize_importances(scores)
         assert np.allclose(normalized, LINEAR_WEIGHTS, atol=0.01)
         assert list(np.argsort(scores)[::-1]) == [0, 1, 2, 3]
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ciukit as ck
-from ciukit.core import evaluate_rows, sample_sd
+from ciukit.core import config_from_json, evaluate_rows, sample_sd
 from conftest import (
     LINEAR_WEIGHTS,
     MixedModel,
@@ -215,7 +216,7 @@ class TestOutputRange:
         assert est.out_max <= hi + 1e-9
 
     def test_constant_predictor_degenerate(self):
-        space = ck.reference_feature_space()
+        space = ck.builtin_model("linear")[1]
         pred = ck.FunctionPredictor(lambda x: np.full(len(x), 3.0))
         util = ck.OutputUtility.single("y")
         with pytest.raises(ck.DegenerateRangeError):
@@ -227,9 +228,9 @@ class TestOutputRange:
             ck.resolve_utility(pred, space, util, budget=0).spec(0)
 
     def test_estimation_deterministic(self, nonlinear_bundle):
-        pred, space, _ = nonlinear_bundle
-        a = ck.estimate_output_range(pred, space, budget=2000, rng=5)
-        b = ck.estimate_output_range(pred, space, budget=2000, rng=5)
+        pred, space, util = nonlinear_bundle
+        a = ck.resolve_utility(pred, space, util, budget=2000, rng=5).spec(0)
+        b = ck.resolve_utility(pred, space, util, budget=2000, rng=5).spec(0)
         assert a == b
 
     def test_resolve_utility_marks_estimated(self, nonlinear_bundle):
@@ -238,9 +239,11 @@ class TestOutputRange:
         spec = resolved.spec(0)
         assert spec.estimated and spec.out_min is not None
         # declared ranges pass through untouched
-        _, _, lin_util = ck.builtin_model("linear")
-        same = ck.resolve_utility(ck.linear_reference_predictor(), space, lin_util)
+        lin_pred, _, lin_util = ck.builtin_model("linear")
+        same = ck.resolve_utility(lin_pred, space, lin_util)
         assert same.spec(0) == lin_util.spec(0)
+        # the range budget is read only for an output it estimates
+        assert ck.resolve_utility(lin_pred, space, lin_util, budget=0) == lin_util
 
     def test_categorical_space_estimation(self):
         space = ck.FeatureSpace(
@@ -256,9 +259,9 @@ class TestOutputRange:
                     [[(2.0 if i.values[0] == "d" else 0.0) + i.values[1]] for i in instances]
                 )
 
-        est = ck.estimate_output_range(Peaky(), space, budget=200, rng=3)
-        assert est[0] == pytest.approx(0.0, abs=1e-9)
-        assert est[1] == pytest.approx(3.0, abs=1e-9)
+        est = ck.resolve_utility(Peaky(), space, ck.OutputUtility.single("y"), budget=200, rng=3)
+        assert est.spec(0).out_min == pytest.approx(0.0, abs=1e-9)
+        assert est.spec(0).out_max == pytest.approx(3.0, abs=1e-9)
 
 
 class TestFunctionPredictor:
@@ -298,13 +301,13 @@ def _through_shapley(pred, space):
 
 
 def _through_range(pred, space):
-    ck.estimate_output_range(pred, space, budget=50)
+    ck.resolve_utility(pred, space, ck.OutputUtility.single("y"), budget=50)
 
 
 ENTRY_POINTS = {
     "explain_instance": _through_explain,
     "shapley_mc": _through_shapley,
-    "estimate_output_range": _through_range,
+    "resolve_utility": _through_range,
 }
 
 
@@ -445,7 +448,7 @@ class TestRows:
                 seen.append(instances)
                 return np.zeros((len(instances), 1))
 
-        space = ck.reference_feature_space()
+        space = ck.builtin_model("linear")[1]
         rows = ck.uniform_instances(space, 65536 + 10, 1)
         assert evaluate_rows(Recording(), rows).shape == (65546, 1)
         assert [len(b) for b in seen] == [65536, 10]
@@ -524,7 +527,7 @@ class TestRows:
             x[:] = 0.0  # allowed: it is the function's own copy
             return x[:, 0]
 
-        space = ck.reference_feature_space()
+        space = ck.builtin_model("linear")[1]
         rows = ck.uniform_instances(space, 8, 2)
         before = rows.matrix.copy()
         ck.FunctionPredictor(fn).evaluate(rows)
@@ -690,9 +693,6 @@ COUNT_ENTRIES = {
         _PRED, _UTIL, _SPACE, _MID, n=v
     )),
     "global_ci-n": ("n", 0, lambda v: ck.global_ci(_PRED, _UTIL, _SPACE, [_MID], n=v)),
-    "estimate_output_range-budget": ("range budget", 1, lambda v: ck.estimate_output_range(
-        _PRED, _SPACE, budget=v
-    )),
     "resolve_utility-budget": ("range budget", 1, lambda v: ck.resolve_utility(
         _PRED, _SPACE, ck.OutputUtility.single("y"), budget=v
     )),
@@ -875,29 +875,49 @@ def test_imports_run_one_way():
 
 
 PUBLIC_NAMES = [
-    "ALL_METHODS", "AttributionVector", "Budgets", "CATEGORICAL", "ConfigError",
-    "CpCurve", "DataFormatError", "Dataset", "DegenerateRangeError", "ExplainerError",
-    "Explanation", "FeatureSpace", "FeatureSpec", "FunctionPredictor", "GlobalImportance",
-    "Instance", "METHOD_INFLUENCE", "METHOD_LIME", "METHOD_SHAPLEY", "NUMERIC", "OutputSpec",
-    "OutputUtility", "Predictor", "Rows", "SeededRng", "SingularSystemError",
-    "StabilityReport", "TreeEnsemble", "TreeParams", "accuracy", "as_rng", "builtin_model",
-    "ceteris_paribus_curve", "config_from_json",
-    "estimate_output_range", "explain_instance", "global_ci", "global_mean_abs_shapley",
-    "holdout_split", "lime_surrogate", "linear_reference_predictor", "load_config", "load_csv",
-    "load_model", "nonlinear_reference_predictor", "normalize_importances",
-    "permutation_importance", "reference_feature_space", "render_ciu_barplot", "render_cp_plot",
-    "render_influence_barplot", "render_spread_plot", "resolve_utility", "run_global",
-    "run_stability", "save_model", "shapley_mc", "stability_csv",
-    "summarize", "text_ciu_bars", "text_influence_bars", "train_ensemble", "uniform_instances",
+    "ALL_METHODS", "AttributionVector", "Budgets", "ConfigError", "CpCurve",
+    "DataFormatError", "Dataset", "DegenerateRangeError", "ExplainerError", "Explanation",
+    "FeatureSpace", "FeatureSpec", "FunctionPredictor", "GlobalImportance", "Instance",
+    "METHOD_INFLUENCE", "METHOD_LIME", "METHOD_SHAPLEY", "OutputSpec", "OutputUtility",
+    "Predictor", "Rows", "SeededRng", "SingularSystemError", "StabilityReport",
+    "TreeEnsemble", "TreeParams", "accuracy", "builtin_model", "ceteris_paribus_curve",
+    "explain_instance", "global_ci", "global_mean_abs_shapley", "holdout_split",
+    "lime_surrogate", "load_config", "load_csv", "load_model", "permutation_importance",
+    "resolve_utility", "run_global", "run_stability", "save_model", "shapley_mc",
+    "train_ensemble", "uniform_instances",
 ]
 
 
 def test_package_exports_every_public_name_and_no_module():
     # The whole public surface: adding or removing a name must change this list.
     assert ck.__all__ == PUBLIC_NAMES
-    assert len(ck.__all__) == 63
+    assert len(ck.__all__) == 46
     assert not any(isinstance(getattr(ck, name), ModuleType) for name in ck.__all__)
     assert not any(name.startswith("_") for name in ck.__all__)
+
+
+def _settable(f) -> int:
+    """Parameters of a callable that a caller sets, self and cls aside."""
+    try:
+        params = inspect.signature(f).parameters
+    except (TypeError, ValueError):  # a builtin, such as an exception's constructor
+        return 0
+    return sum(p.name not in ("self", "cls") for p in params.values())
+
+
+def test_public_api_parameter_count():
+    # Each parameter of an exported function, of an exported class's
+    # constructor and of its public methods: the size of what a user can set.
+    total = 0
+    for obj in map(ck.__dict__.get, ck.__all__):
+        if inspect.isclass(obj):
+            own = [c for c in obj.__mro__ if c.__module__.startswith("ciukit")]
+            names = {n for c in own for n in vars(c) if not n.startswith("_")}
+            methods = [getattr(obj, n) for n in names]
+            total += _settable(obj) + sum(_settable(m) for m in methods if callable(m))
+        elif callable(obj):
+            total += _settable(obj)
+    assert total == 200
 
 
 class TestConfigIO:
@@ -935,13 +955,13 @@ class TestConfigIO:
 
     def test_bad_documents(self, tmp_path):
         with pytest.raises(ck.ConfigError):
-            ck.config_from_json({"outputs": []})
+            config_from_json({"outputs": []})
         with pytest.raises(ck.ConfigError):
-            ck.config_from_json({"features": [{"name": "x", "type": "numeric"}]})
+            config_from_json({"features": [{"name": "x", "type": "numeric"}]})
         with pytest.raises(ck.ConfigError):
-            ck.config_from_json({"features": [{"name": "c", "type": "categorical"}]})
+            config_from_json({"features": [{"name": "c", "type": "categorical"}]})
         with pytest.raises(ck.ConfigError):
-            ck.config_from_json({"features": [{"name": "x", "type": "weird"}]})
+            config_from_json({"features": [{"name": "x", "type": "weird"}]})
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(ck.ConfigError):
@@ -950,7 +970,7 @@ class TestConfigIO:
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_values_are_config_errors(self, case):
         with pytest.raises(ck.ConfigError):
-            ck.config_from_json(BAD_CONFIGS[case])
+            config_from_json(BAD_CONFIGS[case])
 
     @pytest.mark.parametrize(
         "text",

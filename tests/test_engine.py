@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ class TestExplainInstance:
                 assert ci >= 0.0
 
     def test_degenerate_ignored_feature(self):
-        space = ck.reference_feature_space()
+        space = ck.builtin_model("linear")[1]
         pred = ck.FunctionPredictor(lambda x: x @ np.asarray([0.5, 0.3, 0.2, 0.0]))
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
         exp = ck.explain_instance(pred, util, space, space.instance([0.5] * 4), rng=1)
@@ -244,7 +245,7 @@ class TestExplainInstance:
 
     def test_instability_flag_unclamped(self):
         # predictor leaves its declared [0, 1] range when x1 is pushed high
-        space = ck.reference_feature_space()
+        space = ck.builtin_model("linear")[1]
         pred = ck.FunctionPredictor(lambda x: 1.2 * x[:, 0] + 0.05 * x[:, 1])
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
         exp = ck.explain_instance(pred, util, space, space.instance([0.5, 0.5, 0.5, 0.5]), rng=1)
@@ -416,3 +417,26 @@ class TestCeterisParibusCurve:
         cat_pred = ck.FunctionPredictor(lambda x: x[:, 1])
         with pytest.raises(ck.ConfigError):
             ck.ceteris_paribus_curve(cat_pred, cat_space, cat_space.instance(["a", 0.5]), 0)
+
+
+# Each entry point that reads a CIU interval or a what-if span, called on
+# one feature x in [-1, 1] whose outputs span 3.4e308, wider than a float.
+OVERFLOW_ENTRIES = {
+    "explain_instance": lambda p, u, s, x: ck.explain_instance(p, u, s, x, n=2),
+    "global_ci": lambda p, u, s, x: ck.global_ci(p, u, s, [x, x], n=2),
+    "run_stability": lambda p, u, s, x: ck.run_stability(
+        p, u, s, x, ck.METHOD_INFLUENCE, runs=2, budgets=ck.Budgets(ciu_samples=2)
+    ),
+    "ceteris_paribus_curve": lambda p, u, s, x: ck.ceteris_paribus_curve(p, s, x, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVERFLOW_ENTRIES))
+def test_interval_wider_than_a_float_is_a_data_error(entry):
+    space = ck.FeatureSpace((ck.FeatureSpec.numeric("x", -1, 1),))
+    pred = ck.FunctionPredictor(lambda m: 1.7e308 * m[:, 0])
+    util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        with pytest.raises(ck.DataFormatError, match="overflow.*too far apart to measure$"):
+            OVERFLOW_ENTRIES[entry](pred, util, space, space.instance([0.5]))

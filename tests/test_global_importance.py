@@ -3,27 +3,28 @@ import pytest
 
 import ciukit as ck
 from ciukit.engine import _ciu_intervals
+from ciukit.global_importance import normalize_importances
 from conftest import LINEAR_WEIGHTS, MixedModel, mixed_space, nonlinear_joint_range, term_extremes
 
 
 class TestNormalize:
     def test_proportions(self):
-        assert np.allclose(ck.normalize_importances([2.0, 1.0, 1.0]), [0.5, 0.25, 0.25])
+        assert np.allclose(normalize_importances([2.0, 1.0, 1.0]), [0.5, 0.25, 0.25])
 
     def test_idempotent(self):
-        once = ck.normalize_importances([3.0, 1.0])
-        assert np.allclose(ck.normalize_importances(once), once)
+        once = normalize_importances([3.0, 1.0])
+        assert np.allclose(normalize_importances(once), once)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ck.DegenerateRangeError):
-            ck.normalize_importances([0.0, 0.0])
+            normalize_importances([0.0, 0.0])
         with pytest.raises(ck.DegenerateRangeError):
-            ck.normalize_importances([1.0, -1.0])
+            normalize_importances([1.0, -1.0])
 
     @pytest.mark.parametrize("values", [["a"], [1.0, None], [True, 1.0], [float("nan"), 1.0]])
     def test_non_numbers_rejected(self, values):
         with pytest.raises(ck.ConfigError, match="^importance must be a finite number$"):
-            ck.normalize_importances(values)
+            normalize_importances(values)
 
 
 class TestGlobalCi:
@@ -72,7 +73,7 @@ class TestGlobalCi:
         assert all(v == 0.0 for v in imp.mean)
         assert all(imp.degenerate)
         with pytest.raises(ck.DegenerateRangeError):
-            ck.normalize_importances(imp.mean)
+            normalize_importances(imp.mean)
 
     def test_empty_instances_rejected(self, linear_bundle):
         pred, space, util = linear_bundle
@@ -143,7 +144,7 @@ class TestGlobalShapley:
         pred, space, _ = linear_bundle
         rows = ck.uniform_instances(space, 300, ck.SeededRng(8))
         imp = ck.global_mean_abs_shapley(pred, space, rows, budget=200, rng=9)
-        got = ck.normalize_importances(imp.mean)
+        got = normalize_importances(imp.mean)
         assert np.allclose(got, LINEAR_WEIGHTS, atol=0.05)
         assert list(np.argsort(imp.mean)[::-1]) == [0, 1, 2, 3]
 
@@ -154,18 +155,19 @@ class TestGlobalShapley:
         pred = ck.FunctionPredictor(lambda m: m[:, 0])
         rows = ck.uniform_instances(space, 100, ck.SeededRng(2))
         imp = ck.global_mean_abs_shapley(pred, space, rows, budget=100, rng=3)
-        got = ck.normalize_importances(imp.mean)
+        got = normalize_importances(imp.mean)
         assert got[0] == 1.0
         assert got[1] == 0.0
 
 
 class TestRunGlobal:
-    # _ciu warns as its interval width overflows; the error is what is checked here.
+    # global_ci's mean warns as it overflows; the error is what is checked here.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_importance_that_overflows_is_a_degenerate_range(self):
-        space = ck.FeatureSpace((ck.FeatureSpec.numeric("x", -1, 1),))
-        pred = ck.FunctionPredictor(lambda m: 1.7e308 * m[:, 0])  # its interval is 3.4e308 wide
-        util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
+        # Each interval is finite, but each ci is 1.6e308, so their mean overflows.
+        space = ck.FeatureSpace(tuple(ck.FeatureSpec.numeric(n, 0, 1) for n in "ab"))
+        pred = ck.FunctionPredictor(lambda m: 0.8e308 * (m[:, 0] + m[:, 1]))
+        util = ck.OutputUtility.single("y", out_min=0.0, out_max=0.5)
         with pytest.raises(ck.DegenerateRangeError, match="^ci, iteration 0: "):
             ck.run_global(pred, util, space, "ci", iterations=1, instances_per_iteration=2, n=2)
 

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 import ciukit as ck
+from ciukit.render import (
+    render_ciu_barplot,
+    render_cp_plot,
+    render_influence_barplot,
+    render_spread_plot,
+    text_ciu_bars,
+    text_influence_bars,
+)
 
 BAR_AREA = 580
 LABEL_X = 200
@@ -28,13 +36,13 @@ def linear_explanation(linear_bundle):
 
 class TestCiuBarplot:
     def test_well_formed_and_sized(self, linear_explanation):
-        svg = ck.render_ciu_barplot(linear_explanation)
+        svg = render_ciu_barplot(linear_explanation)
         root = ET.fromstring(svg)
         assert root.attrib["width"] == "800"
         assert root.attrib["height"] == str(40 * 4 + 80) == "240"
 
     def test_bar_geometry(self, linear_explanation):
-        svg = ck.render_ciu_barplot(linear_explanation)
+        svg = render_ciu_barplot(linear_explanation)
         rects = body_rects(svg)
         translucent = [r for r in rects if "fill-opacity" in r]
         solid = [r for r in rects if "fill-opacity" not in r]
@@ -53,7 +61,7 @@ class TestCiuBarplot:
         exp = ck.explain_instance(
             pred, util, space, space.instance([1.0, 0.5, 0.5, 0.5]), n=20, rng=1
         )
-        svg = ck.render_ciu_barplot(exp)
+        svg = render_ciu_barplot(exp)
         rects = body_rects(svg)
         top_solid = [r for r in rects if "fill-opacity" not in r][0]
         top_translucent = [r for r in rects if "fill-opacity" in r][0]
@@ -65,7 +73,7 @@ class TestCiuBarplot:
         pred = ck.FunctionPredictor(lambda m: np.full(len(m), 0.5))
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
         exp = ck.explain_instance(pred, util, space, space.midpoint(), n=10, rng=1)
-        svg = ck.render_ciu_barplot(exp)
+        svg = render_ciu_barplot(exp)
         ET.fromstring(svg)
         assert "degenerate" in svg
         assert all(float(r["width"]) == 0.0 for r in body_rects(svg))
@@ -80,19 +88,19 @@ class TestCiuBarplot:
         pred = ck.FunctionPredictor(lambda m: 0.5 * (m[:, 0] + m[:, 1]))
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
         exp = ck.explain_instance(pred, util, space, space.midpoint(), n=10, rng=1)
-        svg = ck.render_ciu_barplot(exp)
+        svg = render_ciu_barplot(exp)
         ET.fromstring(svg)
         assert "a&lt;b" in svg and "c&amp;" in svg
 
     def test_deterministic_bytes(self, linear_explanation):
-        a = ck.render_ciu_barplot(linear_explanation)
-        b = ck.render_ciu_barplot(linear_explanation)
+        a = render_ciu_barplot(linear_explanation)
+        b = render_ciu_barplot(linear_explanation)
         assert a == b
 
 
 class TestInfluenceBarplot:
     def test_sides_and_magnitude_order(self):
-        svg = ck.render_influence_barplot(
+        svg = render_influence_barplot(
             ("p", "q", "r", "s"), (0.3, -0.2, 0.1, 0.0), (1.0, 2.0, 3.0, 4.0), "Signed"
         )
         rects = body_rects(svg)
@@ -112,7 +120,7 @@ class TestInfluenceBarplot:
         )
 
     def test_zero_vector_keeps_axis(self):
-        svg = ck.render_influence_barplot(("a", "b"), (0.0, 0.0), (1.0, 2.0), "Zero")
+        svg = render_influence_barplot(("a", "b"), (0.0, 0.0), (1.0, 2.0), "Zero")
         lines = elements(svg, "line")
         axis = [
             ln for ln in lines if ln["x1"] == ln["x2"] == f"{LABEL_X + BAR_AREA / 2:.2f}"
@@ -121,13 +129,13 @@ class TestInfluenceBarplot:
         ET.fromstring(svg)
 
     def test_custom_limit_clamps(self):
-        svg = ck.render_influence_barplot(("a",), (2.0,), (1.0,), "Clamped", limit=1.0)
+        svg = render_influence_barplot(("a",), (2.0,), (1.0,), "Clamped", limit=1.0)
         rect = body_rects(svg)[0]
         assert float(rect["width"]) == BAR_AREA / 2  # clamped to the panel
 
     def test_length_mismatch(self):
         with pytest.raises(ck.ConfigError):
-            ck.render_influence_barplot(("a",), (0.1, 0.2), (1.0,), "Mismatch")
+            render_influence_barplot(("a",), (0.1, 0.2), (1.0,), "Mismatch")
 
 
 class TestCpPlot:
@@ -135,7 +143,7 @@ class TestCpPlot:
         pred, space, _ = linear_bundle
         x = space.instance([0.5] * 4)
         curve = ck.ceteris_paribus_curve(pred, space, x, 0, grid_size=11)
-        svg = ck.render_cp_plot(curve, (0.0, 1.0))
+        svg = render_cp_plot(curve, (0.0, 1.0))
         polys = elements(svg, "polyline")
         assert len(polys) == 1
         pts = [tuple(map(float, p.split(","))) for p in polys[0]["points"].split()]
@@ -149,7 +157,7 @@ class TestCpPlot:
         pred, space, _ = linear_bundle
         x = space.instance([0.5] * 4)
         curve = ck.ceteris_paribus_curve(pred, space, x, 0, grid_size=11)
-        svg = ck.render_cp_plot(curve, (curve.ymin, curve.ymax))
+        svg = render_cp_plot(curve, (curve.ymin, curve.ymax))
         dot = elements(svg, "circle")[0]
         assert float(dot["cx"]) == pytest.approx(70 + 0.5 * 600, abs=0.01)
         # y = 0.5 is the midpoint of the padded [0.28, 0.72] band
@@ -159,7 +167,7 @@ class TestCpPlot:
         pred, space, _ = nonlinear_bundle
         x = space.instance([0.63, 0.63, 0.59, 0.81])
         curve = ck.ceteris_paribus_curve(pred, space, x, 3, grid_size=201)
-        svg = ck.render_cp_plot(curve, (0.0, 1.0))
+        svg = render_cp_plot(curve, (0.0, 1.0))
         pts = [
             tuple(map(float, p.split(",")))
             for p in elements(svg, "polyline")[0]["points"].split()
@@ -173,7 +181,7 @@ class TestCpPlot:
         pred, space, _ = linear_bundle
         x = space.instance([0.5] * 4)
         curve = ck.ceteris_paribus_curve(pred, space, x, 0)
-        svg = ck.render_cp_plot(curve, joint_range=(0.0, 1.0))
+        svg = render_cp_plot(curve, joint_range=(0.0, 1.0))
         for label in ("ymin=", "ymax=", "y(u0)=", "MIN=", "MAX="):
             assert label in svg
         assert len(elements(svg, "line")) >= 5
@@ -182,7 +190,7 @@ class TestCpPlot:
         _, space, _ = linear_bundle
         pred = ck.FunctionPredictor(lambda m: np.full(len(m), 0.25))
         curve = ck.ceteris_paribus_curve(pred, space, space.midpoint(), 2)
-        svg = ck.render_cp_plot(curve, (0.0, 1.0))
+        svg = render_cp_plot(curve, (0.0, 1.0))
         assert ET.fromstring(svg).attrib["height"] == "500"
 
 
@@ -193,7 +201,7 @@ class TestSpreadPlot:
         rep = ck.run_stability(
             pred, util, space, x, ck.METHOD_LIME, runs=8, seed=3
         )
-        svg = ck.render_spread_plot(rep)
+        svg = render_spread_plot(rep)
         assert ET.fromstring(svg).attrib["height"] == str(40 * 4 + 80)
         for name in space.names:
             assert name in svg
@@ -204,13 +212,13 @@ class TestSpreadPlot:
         rep = ck.run_stability(
             pred, util, space, x, ck.METHOD_INFLUENCE, runs=3, seed=3
         )
-        svg = ck.render_spread_plot(rep)
+        svg = render_spread_plot(rep)
         ET.fromstring(svg)
 
 
 class TestTextBars:
     def test_ciu_blocks(self, linear_explanation):
-        text = ck.text_ciu_bars(linear_explanation)
+        text = text_ciu_bars(linear_explanation)
         lines = text.splitlines()
         assert "output y = 0.5000" in lines[0]
         # top row: ci 0.4 of 40 columns, half of it solid
@@ -219,7 +227,7 @@ class TestTextBars:
         assert lines[1].startswith("x1")
 
     def test_influence_axis_alignment(self):
-        text = ck.text_influence_bars(("alpha", "b"), (-0.5, 0.25), "lime")
+        text = text_influence_bars(("alpha", "b"), (-0.5, 0.25), "lime")
         lines = text.splitlines()[1:]
         bars = [ln.index("|") for ln in lines]
         assert bars[0] == bars[1]
@@ -227,7 +235,7 @@ class TestTextBars:
         assert "|" + "█" * 10 + " " * 10 in lines[1]
 
     def test_value_suffix(self):
-        text = ck.text_influence_bars(("a",), (0.125,), "shapley-mc")
+        text = text_influence_bars(("a",), (0.125,), "shapley-mc")
         assert "(shapley-mc)" in text.splitlines()[0]
         assert "+0.1250" in text
 
@@ -239,7 +247,7 @@ class TestFlaggedExplanationBytes:
     (degenerate and instability both). The arithmetic is a few correctly
     rounded float operations, so the bytes are the same on every platform."""
 
-    SPACE = ck.reference_feature_space()
+    SPACE = ck.builtin_model("linear")[1]
     PRED = ck.FunctionPredictor(lambda m: 1.2 * m[:, 0] + 0.5)
     UTIL = ck.OutputUtility.single("y", out_min=0.0, out_max=1.0)
     INFLUENCE_X1 = 1.3322676295501878e-16
@@ -265,13 +273,13 @@ class TestFlaggedExplanationBytes:
 
     def test_text_bars(self, exp):
         flat = "|" + " " * 40 + "| ci=0.000 cu=0.000 phi=-0.000 [degenerate,instability]"
-        assert ck.text_ciu_bars(exp).splitlines() == [
+        assert text_ciu_bars(exp).splitlines() == [
             "output y = 1.1000  (phi0=0.5, seed=1)",
             "x1 |" + "█" * 20 + "░" * 20 + "| ci=1.200 cu=0.500 phi=+0.000 [instability]",
         ] + [f"{name} {flat}" for name in ("x2", "x3", "x4")]
 
     def test_svg_notes(self, exp):
-        notes = [t for t in ck.render_ciu_barplot(exp).splitlines() if "ci=" in t]
+        notes = [t for t in render_ciu_barplot(exp).splitlines() if "ci=" in t]
         grey = 'font-family="sans-serif" font-size="12" fill="#888888"'
         assert notes == [
             f'<text x="786.00" y="76" {grey}>ci=1.200 cu=0.500 [instability]</text>',

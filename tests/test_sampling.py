@@ -10,7 +10,7 @@ import ciukit as ck
 from ciukit import engine
 from ciukit.core import as_rows
 from ciukit.engine import _ciu_intervals
-from ciukit.sampling import _generators, corner_instances
+from ciukit.sampling import _generators, as_rng, corner_instances
 from conftest import exact, mixed_space, replaced
 
 
@@ -57,16 +57,16 @@ class TestSeededRng:
         assert rng.generator().random() == ck.SeededRng(7).spawn(3).generator().random()
 
     def test_as_rng_coercions(self):
-        assert ck.as_rng(5) == ck.SeededRng(5)
-        assert ck.as_rng(None) == ck.SeededRng(0)
+        assert as_rng(5) == ck.SeededRng(5)
+        assert as_rng(None) == ck.SeededRng(0)
         r = ck.SeededRng(9, (1,))
-        assert ck.as_rng(r) is r
-        seeded = ck.as_rng(np.int64(3))
+        assert as_rng(r) is r
+        seeded = as_rng(np.int64(3))
         assert seeded == ck.SeededRng(3) and type(seeded.seed) is int
         for bad in ("42", True, 2.5, -1):
             message = f"seed and spawn indices must be non-negative ints, got {bad!r}"
             with pytest.raises(ck.ConfigError, match=f"^{re.escape(message)}$"):
-                ck.as_rng(bad)
+                as_rng(bad)
 
     @pytest.mark.parametrize("path", [[2], 2, None], ids=["list", "int", "none"])
     def test_path_that_is_no_tuple_is_rejected_when_made(self, path):
@@ -321,7 +321,7 @@ class TestUniformInstances:
 def reference_sample_set(space, x, feature, n, rng):
     feat = space[feature]
     if feat.is_numeric:
-        gen = ck.as_rng(rng).generator()
+        gen = as_rng(rng).generator()
         rows = [x, replaced(x, feature, feat.min), replaced(x, feature, feat.max)]
         rows += [replaced(x, feature, float(v)) for v in gen.uniform(feat.min, feat.max, size=n)]
         return rows, 0
@@ -334,7 +334,7 @@ def reference_grid(space, x, feature, grid_size):
 
 
 def reference_uniform(space, count, rng):
-    gen = ck.as_rng(rng).generator()
+    gen = as_rng(rng).generator()
     numeric = [f for f in space if f.is_numeric]
     categorical = [f for f in space if not f.is_numeric]
     draws = gen.uniform(
@@ -418,10 +418,10 @@ class TestMatchesPerRowReference:
 
     @pytest.mark.parametrize("seed", [0, 3, 99])
     def test_uniform_instances(self, seed):
-        for space in (mixed_space(), ck.reference_feature_space()):
+        for space in (mixed_space(), ck.builtin_model("linear")[1]):
             rows = ck.uniform_instances(space, 257, ck.SeededRng(seed))
             assert exact(rows) == exact(reference_uniform(space, 257, ck.SeededRng(seed)))
 
     def test_corner_instances(self):
-        for space in (mixed_space(), ck.reference_feature_space()):
+        for space in (mixed_space(), ck.builtin_model("linear")[1]):
             assert exact(corner_instances(space)) == exact(reference_corners(space))

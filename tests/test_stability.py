@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ciukit as ck
+from ciukit.stability import stability_csv, summarize
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ class TestRunStability:
 
 class TestReportOutputs:
     def test_summarize_table(self, linear_reports):
-        text = ck.summarize(linear_reports[ck.METHOD_INFLUENCE])
+        text = summarize(linear_reports[ck.METHOD_INFLUENCE])
         lines = text.splitlines()
         assert "runs: 20" in lines[0]
         assert lines[1].split() == ["feature", "mean", "sd", "min", "max"]
@@ -115,7 +116,7 @@ class TestReportOutputs:
 
     def test_csv_long_format(self, linear_reports):
         rep = linear_reports[ck.METHOD_SHAPLEY]
-        rows = ck.stability_csv(rep)
+        rows = stability_csv(rep)
         assert rows[0] == ["method", "run", "feature", "value"]
         assert len(rows) == 1 + 20 * 4
         first = rows[1]
