@@ -693,6 +693,12 @@ COUNT_ENTRIES = {
         _PRED, _UTIL, _SPACE, _MID, n=v
     )),
     "global_ci-n": ("n", 0, lambda v: ck.global_ci(_PRED, _UTIL, _SPACE, [_MID], n=v)),
+    # The range estimate of an output after a declared one.
+    "estimate_output_range-budget": ("range budget", 1, lambda v: ck.resolve_utility(
+        ck.FunctionPredictor(lambda m: m[:, :2], 2), _SPACE,
+        ck.OutputUtility((ck.OutputSpec("a", out_min=0, out_max=1), ck.OutputSpec("b"))),
+        budget=v,
+    )),
     "resolve_utility-budget": ("range budget", 1, lambda v: ck.resolve_utility(
         _PRED, _SPACE, ck.OutputUtility.single("y"), budget=v
     )),
