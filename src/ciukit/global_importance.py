@@ -21,6 +21,7 @@ from .core import (
     evaluate_rows,
     finite_number,
     sample_sd,
+    square_safe_scale,
 )
 from .baselines import permutation_importance, shapley_mc
 from .engine import _ciu, _ciu_intervals
@@ -71,7 +72,8 @@ class GlobalImportance:
 def normalize_importances(values: Sequence[float]) -> np.ndarray:
     """Scale importances to proportions that sum to one."""
     v = np.array([finite_number(x, "importance") for x in values])
-    total = float(v.sum())
+    with np.errstate(over="ignore"):  # finite importances can sum past the float limit
+        total = float(v.sum())
     if not np.isfinite(total):
         raise DegenerateRangeError("importances do not sum to a finite number")
     if total <= 0.0:
@@ -88,11 +90,18 @@ def _summary(
     n_iterations: int = 1,
     normalized: bool = False,
 ) -> GlobalImportance:
-    """Column means and sample standard deviations of a score matrix."""
+    """Column means and sample standard deviations of a score matrix. Finite
+    scores whose sum overflows get their mean from the matrix times a power
+    of two, as ``sample_sd`` gets their spread."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = scores.mean(axis=0)
+        if not np.isfinite(mean).all() and np.isfinite(scores).all():
+            scale = square_safe_scale(scores)
+            mean = (scores * scale).mean(axis=0) / scale
     return GlobalImportance(
         method=method,
         feature_names=space.names,
-        mean=tuple(float(v) for v in scores.mean(axis=0)),
+        mean=tuple(float(v) for v in mean),
         spread=tuple(float(v) for v in sample_sd(scores)),
         n_instances=n_instances,
         n_iterations=n_iterations,

@@ -242,13 +242,6 @@ class TreeParams:
             raise ConfigError("feature_subsample must be 'sqrt' or 'all'")
 
 
-def _add_leaf(tree: dict, y: np.ndarray, n_outputs: int, task: str) -> None:
-    """Append a leaf over targets ``y`` to a tree's columns: class frequencies, or the mean."""
-    counts = np.bincount(y, minlength=n_outputs) if task == CLASSIFICATION else None
-    tree["feature"].append(-1)
-    tree["leaf"] += [float(y.mean())] if counts is None else (counts / counts.sum()).tolist()
-
-
 def _gini_sums(counts: np.ndarray, n: np.ndarray) -> np.ndarray:
     # Gini impurity times the row count, per row of exact class counts. Each
     # row is C-contiguous and summed on its own, so it is one node's 1-D sum.
@@ -339,37 +332,33 @@ def _score_categorical(codes, y, sizes, task, n_outputs, min_leaf, parent):
     return _first_best(s, gains, code, len(sizes))
 
 
-def _best_splits(X, ranks, y, jobs, numeric, task, n_outputs, min_leaf) -> list:
-    """Best (gain, feature, split value) or None per job (node rows, sorted
-    candidates); each (job, candidate) pair is a segment of one scorer call
-    per kind of feature, and ``ranks`` holds each row of ``X`` as dense ranks."""
-    idx = [rows for rows, _ in jobs]
-    n = np.array([len(rows) for rows in idx])
-    if task == CLASSIFICATION:
-        node = np.repeat(np.arange(len(jobs)) * n_outputs, n)
-        counts = np.bincount(node + y[np.concatenate(idx)], minlength=len(jobs) * n_outputs)
-        parent = _gini_sums(counts.reshape(len(jobs), n_outputs), n)
-    else:
-        parent = np.array([_sse(y[rows]) for rows in idx])
-    scores = {}
+def _best_splits(X, ranks, y, rows, starts, sizes, cand, parent, numeric, task, n_outputs,
+                 min_leaf):
+    """Best split of each node of a block as arrays (gain, feature, split
+    value); the gain is -inf where no split is allowed. Node j holds
+    ``sizes[j]`` of ``rows`` from ``starts[j]`` on, impurity ``parent[j]`` and
+    sorted candidates ``cand[j]``. Each (node, candidate) pair is a segment of
+    one scorer call per kind of feature, and ``ranks`` holds each row of ``X``
+    as dense ranks."""
+    gains = np.full(cand.shape, -math.inf)
+    values = np.zeros(cand.shape)
     for kind in (True, False):
-        segs = [(j, f) for j, (_, cand) in enumerate(jobs) for f in cand if numeric[f] == kind]
-        if segs:
-            job, feature = np.array(segs).T
-            rows = np.concatenate([idx[j] for j in job])
-            cells = np.repeat(feature, n[job]), rows
-            args = y[rows], n[job], task, n_outputs, min_leaf, parent[job]
+        job, pos = np.nonzero(numeric[cand] == kind)
+        if job.size:
+            n = sizes[job]
+            # the rows of each segment's node, end to end
+            seg_rows = rows[np.repeat(starts[job] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+            cells = np.repeat(cand[job, pos], n), seg_rows
+            args = y[seg_rows], n, task, n_outputs, min_leaf, parent[job]
             if kind:
                 scored = _score_numeric(X[cells], ranks[cells], *args)
             else:  # level codes, for np.bincount
                 scored = _score_categorical(X[cells].astype(np.intp), *args)
-            scores.update(zip(segs, scored))
-    # max keeps the first of equal gains, in candidate order
-    return [
-        max(((scores[j, f][0], f, scores[j, f][1]) for f in cand if scores[j, f]),
-            key=lambda found: found[0], default=None)
-        for j, (_, cand) in enumerate(jobs)
-    ]
+            found = np.array([best or (-math.inf, 0.0) for best in scored])
+            gains[job, pos], values[job, pos] = found.T
+    # argmax keeps the first of equal gains, in candidate order
+    best = np.arange(len(cand)), np.argmax(gains, axis=1)
+    return gains[best], cand[best], values[best]
 
 
 # Node rows x candidate features scored per call, or one node's if more:
@@ -378,53 +367,132 @@ _SCORE_BLOCK = 2**12
 
 
 def _grow_trees(X, y, boots, gens, space, params, task, n_outputs) -> list[dict]:
-    """Grow one tree per (bootstrap rows, generator) pair, all in lockstep: each step
-    draws candidates for every tree's next node in preorder that is not a leaf, from
-    that tree's generator, and scores them all at once. Leaves draw nothing, so every
-    tree is the one grown alone, its nodes appended to its columns in preorder."""
-    n_feat = len(space)
+    """Grow one tree per (bootstrap rows, generator) pair, all trees one level
+    at a time; each level's stop tests, draws, split search and row partition
+    are array passes over the whole level.
+
+    A level lists each tree's nodes in turn, in level order: children in the
+    order of their parents, a left child before its right one. At each level
+    where tree t has search nodes, its generator makes one draw: row j of
+    ``gen.permuted(np.tile(np.arange(d), (count, 1)), axis=1)[:, :k]``, sorted,
+    is the candidate set of its j-th search node. A tree thus depends only on
+    its own generator, and is the one grown alone. Its columns are written
+    out in preorder at the end.
+    """
+    n_feat, min_leaf = len(space), params.min_leaf
     k = max(1, round(math.sqrt(n_feat))) if params.feature_subsample == "sqrt" else n_feat
-    numeric = [f.is_numeric for f in space]
+    numeric = np.array([f.is_numeric for f in space])
     ranks = np.array([np.unique(row, return_inverse=True)[1] for row in X])
-    trees = [{"feature": [], "split": [], "leaf": []} for _ in boots]
-    # per tree, the nodes left to grow as (rows, depth), next last
-    stacks = [[(boot, 0)] for boot in boots]
-    while True:
-        nodes, jobs = [], []  # (tree, rows, depth, stack) and (rows, sorted candidates)
-        for tree, stack, gen in zip(trees, stacks, gens):
-            while stack:
-                idx, depth = stack.pop()
-                node_y = y[idx]
-                stop = depth >= params.max_depth or len(idx) < 2 * params.min_leaf
-                if stop or (node_y == node_y[0]).all():
-                    _add_leaf(tree, node_y, n_outputs, task)
-                    continue
-                nodes.append((tree, idx, depth, stack))
-                jobs.append((idx, sorted(gen.choice(n_feat, size=k, replace=False).tolist())))
-                break
-        if not jobs:
-            return trees
-        best, block, size = [], [], 0
-        for job, after in zip(jobs, jobs[1:] + [None]):
-            block.append(job)
-            size += len(job[0]) * k
-            if after is None or size + len(after[0]) * k > _SCORE_BLOCK:
-                best += _best_splits(X, ranks, y, block, numeric, task, n_outputs, params.min_leaf)
-                block, size = [], 0
-        for (tree, idx, depth, stack), found in zip(nodes, best):
-            if found is None or found[0] <= _MIN_GAIN:
-                _add_leaf(tree, y[idx], n_outputs, task)
-                continue
-            _, feature, value = found
-            v = X[feature, idx]
-            if numeric[feature]:
-                mask = v <= value
+    # The level being grown: its nodes' rows end to end, their counts and trees.
+    rows = np.concatenate(boots)
+    sizes = np.array([len(boot) for boot in boots])
+    tree_of = np.arange(len(boots))
+    levels = []  # per level: tree, feature (-1 at a leaf) and split value per node, leaf values
+    for depth in range(params.max_depth + 1):
+        m = len(sizes)
+        starts = np.cumsum(sizes) - sizes
+        if task == CLASSIFICATION:
+            cells = np.repeat(np.arange(m) * n_outputs, sizes) + y[rows]
+            counts = np.bincount(cells, minlength=m * n_outputs).reshape(m, n_outputs)
+            pure = counts.max(axis=1) == sizes
+        else:
+            node_y = y[rows]
+            segs = np.split(node_y, starts[1:])
+            differs = node_y != np.repeat(node_y[starts], sizes)
+            pure = np.bincount(np.repeat(np.arange(m), sizes)[differs], minlength=m) == 0
+        search = np.flatnonzero(~pure & (sizes >= 2 * min_leaf) & (depth < params.max_depth))
+        gain, feature, value = np.full(m, -math.inf), np.full(m, -1), np.zeros(m)
+        if search.size:
+            per_tree = np.bincount(tree_of[search], minlength=len(gens)).tolist()
+            grid = np.tile(np.arange(n_feat), (max(per_tree), 1))
+            drawn = [gen.permuted(grid[:c], axis=1)[:, :k] for gen, c in zip(gens, per_tree) if c]
+            cand = np.sort(np.concatenate(drawn), axis=1)
+            n = sizes[search]
+            if task == CLASSIFICATION:
+                parent = _gini_sums(counts[search], n)
             else:
-                mask = v == value
-                value = space[feature].levels[value]
-            tree["feature"].append(feature)
-            tree["split"].append(value)
-            stack += [(idx[~mask], depth + 1), (idx[mask], depth + 1)]
+                parent = np.array([_sse(segs[j]) for j in search.tolist()])
+            # Blocks of whole nodes, each up to _SCORE_BLOCK rows x candidates.
+            cuts, total = [0], 0
+            for j, width in enumerate((n * k).tolist()):
+                if total and total + width > _SCORE_BLOCK:
+                    cuts.append(j)
+                    total = 0
+                total += width
+            for block in map(slice, cuts, cuts[1:] + [len(n)]):
+                gain[search[block]], feature[search[block]], value[search[block]] = _best_splits(
+                    X, ranks, y, rows, starts[search[block]], n[block], cand[block],
+                    parent[block], numeric, task, n_outputs, min_leaf,
+                )
+        splits = gain > _MIN_GAIN
+        feature[~splits] = -1
+        if task == CLASSIFICATION:
+            leaf = counts[~splits] / counts[~splits].sum(axis=1, keepdims=True)
+        else:
+            leaf = np.array([segs[j].mean() for j in np.flatnonzero(~splits).tolist()])[:, None]
+        levels.append((tree_of, feature, value, leaf))
+        if not splits.any():
+            break
+        rows = rows[np.repeat(splits, sizes)]
+        rows, sizes = _split_rows(X, numeric, rows, sizes[splits], feature[splits], value[splits])
+        tree_of = np.repeat(tree_of[splits], 2)
+    return _preorder_columns(levels, space, len(boots))
+
+
+def _split_rows(X, numeric, rows, sizes, feature, value):
+    """Each node's ``sizes[j]`` of ``rows`` split on its ``feature[j]`` and
+    ``value[j]`` in one stable pass: the children's rows end to end, left then
+    right child of each node in turn, and their counts."""
+    child = np.repeat(np.arange(len(sizes)), sizes)  # each row's node, then its child
+    x = X[feature[child], rows]
+    right = ~np.where(numeric[feature][child], x <= value[child], x == value[child])
+    # In place, and the row values freed before the sort: a level's row
+    # arrays are what sets the grower's peak memory.
+    child *= 2
+    child += right
+    del x, right
+    return rows[np.argsort(child, kind="stable")], np.bincount(child, minlength=2 * len(sizes))
+
+
+def _preorder_columns(levels, space: FeatureSpace, n_trees: int) -> list[dict]:
+    """Each tree's ``feature``, ``split`` and ``leaf`` columns in preorder,
+    from the node tables of ``_grow_trees``' levels: the splitting nodes of a
+    level have their children, left then right, in turn on the next level."""
+    # Nodes per subtree, bottom up.
+    below = [np.ones(len(levels[-1][1]), dtype=np.intp)]
+    for _, feature, _, _ in reversed(levels[:-1]):
+        below.insert(0, np.ones(len(feature), dtype=np.intp))
+        below[0][feature >= 0] += below[1].reshape(-1, 2).sum(axis=1)
+    # Each node's place in its tree's preorder, top down: a left child comes
+    # right after its parent, a right child after its left sibling's subtree.
+    place = [np.zeros(n_trees, dtype=np.intp)]
+    for (_, feature, _, _), size in zip(levels, below[1:]):
+        left = place[-1][feature >= 0] + 1
+        place.append(np.stack([left, left + size[0::2]], axis=1).ravel())
+    tree_of, feature, value, leaf_values = (np.concatenate(column) for column in zip(*levels))
+    sizes = below[0]
+    order = np.empty(len(feature), dtype=np.intp)
+    order[(np.cumsum(sizes) - sizes)[tree_of] + np.concatenate(place)] = np.arange(len(feature))
+    leaf_row = np.cumsum(feature < 0) - 1  # leaf values come level by level
+    at_split = feature[order] >= 0
+    split_nodes, leaf_nodes = order[at_split], order[~at_split]
+    splits = [
+        v if space[f].is_numeric else space[f].levels[int(v)]
+        for f, v in zip(feature[split_nodes].tolist(), value[split_nodes].tolist())
+    ]
+    n_splits = np.bincount(tree_of[split_nodes], minlength=n_trees)
+    leaves = leaf_values[leaf_row[leaf_nodes]]
+    columns = {
+        "feature": (feature[order].tolist(), sizes),
+        "split": (splits, n_splits),
+        "leaf": (leaves.ravel().tolist(), (sizes - n_splits) * leaves.shape[1]),
+    }
+    trees = [{} for _ in range(n_trees)]
+    for name, (values, counts) in columns.items():
+        ends = np.cumsum(counts).tolist()
+        for tree, a, b in zip(trees, [0] + ends[:-1], ends):
+            tree[name] = values[a:b]
+    return trees
 
 
 # Rows routed per block: rows x max(trees, routing columns) stays under this

@@ -340,7 +340,7 @@ class TestExactTreeIntervals:
         model = ck.train_ensemble(ds, ck.TreeParams(n_trees=10, max_depth=4), rng=1)
         util = ds.utility()
         shortfall = 0.0
-        for r in range(20):
+        for r in range(50):
             x = ds.rows[r]
             exp = ck.explain_instance(model, util, ds.space, x, output=0, n=100, rng=42)
             for i, feat in enumerate(ds.space):
@@ -351,7 +351,7 @@ class TestExactTreeIntervals:
                 shortfall = max(shortfall, (hi - lo) - (exp.ymax[i] - exp.ymin[i]))
         # n = 100 uniform draws miss steps narrower than their gaps, by up to
         # this share of the probability range; exact tree intervals make it 0
-        assert shortfall == pytest.approx(0.09, abs=1e-9)
+        assert shortfall == pytest.approx(0.1, abs=1e-9)
 
 
 class TestCeterisParibusCurve:

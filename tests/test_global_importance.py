@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ class TestGlobalCi:
         with pytest.raises(ck.ConfigError):
             ck.global_ci(pred, util, space, [])
 
+    def test_scores_whose_sum_overflows_have_a_finite_mean(self):
+        # Each ci is 1.6e308: finite, but two of them sum past the float limit.
+        space = ck.FeatureSpace(tuple(ck.FeatureSpec.numeric(n, 0, 1) for n in "ab"))
+        pred = ck.FunctionPredictor(lambda m: 0.8e308 * (m[:, 0] + m[:, 1]))
+        util = ck.OutputUtility.single("y", out_min=0.0, out_max=0.5)
+        rows = [ck.Instance((0.5, 0.5)), ck.Instance((0.2, 0.9))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            imp = ck.global_ci(pred, util, space, rows, n=2, rng=1)
+        assert imp.mean == pytest.approx((1.6e308, 1.6e308), rel=1e-15)
+        assert imp.spread == (0.0, 0.0)
+
 
 def _explain_each(pred, util, space, rows, n, seed):
     return [
@@ -161,10 +175,8 @@ class TestGlobalShapley:
 
 
 class TestRunGlobal:
-    # global_ci's mean warns as it overflows; the error is what is checked here.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_importance_that_overflows_is_a_degenerate_range(self):
-        # Each interval is finite, but each ci is 1.6e308, so their mean overflows.
+        # Each interval is finite, but each ci is 1.6e308, so their normalizing sum overflows.
         space = ck.FeatureSpace(tuple(ck.FeatureSpec.numeric(n, 0, 1) for n in "ab"))
         pred = ck.FunctionPredictor(lambda m: 0.8e308 * (m[:, 0] + m[:, 1]))
         util = ck.OutputUtility.single("y", out_min=0.0, out_max=0.5)

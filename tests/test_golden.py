@@ -147,35 +147,35 @@ GOLDEN = {
     },
     'explain-tree-mixed': {
         'explain_ciu.svg':
-            '332dfd7215f36b968c59bf45af5a8987a2f581286741b195f4adba0f52c6d22b',
+            '7418a0f1b49246b087e259a42f9218ee9a8469ee0489eb1703892b477c46b386',
         'explain_influence_ciu.svg':
-            'c86cd42be593f6f8bce95853501b250ca8c34a53b84faad3ecf0de9ace507d22',
+            '24536ae32ce52685085e0f89316a55daaf7a1b102f52c6d23ec2993a5347023c',
         'explain_influence_lime.svg':
-            '4ee0a3be7834f421db44e28b72c654370921e4b0554b486e613fc11bdde0360d',
+            '46ac6483c325953572eb269a5882db532c35c7459fdc9130a1141133b61d06bf',
         'explain_influence_shapley.svg':
-            'f6b14be0995a23a113228916ac8d00536d54ff3cc7a5b44468e9c09e1421c6e1',
+            'beedbbbbdb799134ccd0669cb4172bf577bd30c414c87ffd9a166e8843932328',
         'explain_report.csv':
-            '4b44d0f41f4d453465d63d1ddb1a186f396ee17a5eaa3dd47b221c0bd7fc514c',
+            'cbdb5e30e69c94c8e4e1c92dce8c748c693b302b583725947407a5a276e86fb3',
         'explain_report.json':
-            '353b8ff7be8a30560e6478b3d63c93d1cc4e6f91b3c4a379ad16252cf455a592',
+            'eb585519ecb48d65cc9457d4aec28420bda07c256189af30174d99643f1f23de',
         'model.json':
-            '1ecbca249693ec37be74cff00f9eab2a72156b163437dbb2abcfcd85a40a6e18',
+            '1a942200e0382058efd8d9140bd73a509354ce16788facb24a92a21a36d298f5',
     },
     'explain-tree-regression': {
         'explain_ciu.svg':
-            '624558710e7e4ca25d9d73369cad041b8a8a750f173538fc03773e2880ffa4ef',
+            '2017af7c6d4a308f697763a9803764556d8a330bdddd52dc533e34d18843543c',
         'explain_influence_ciu.svg':
-            '84631e14d208e170d2a838cbd6d126fd7225e10727b5ea15a9bc171e6e9a265e',
+            'a602bb0c76cc3794722d414db48eec35fade7b44ff4f9352eb7a3c3a757e0b71',
         'explain_influence_lime.svg':
-            'f68f01143c314b8deee1e2332588a109efb7f8dbbca1654f6454a9ba031caedb',
+            '0ef19d549e6ad23a493b4a848501ca3f0af4741776f85a366b2604af049e15a2',
         'explain_influence_shapley.svg':
-            'a03f12f2da0b7f16cf12d38c907f13f6daf409b2f96b35a72af37d1194d932f9',
+            'a94e2d803c317b271a641c1778ea284f035be7c1e7cb2c0228a6be09f896c6f2',
         'explain_report.csv':
-            '773877813a96db0287ed6e1692b8bf28f4dc6864ec906ad24a7be00bbe1f4cd9',
+            'efd58f580d5b748dd3245a42556032aafdfea0574e6ca3869d41ec1b7f271f62',
         'explain_report.json':
-            '91a1de56d32b9ed603900209a00f192af02eb03cbafa7ea47f1dbd7f4488bdc9',
+            '94d37d2caa4b10ab729bc82033622dc6d4926a1227892d92c3872e5386b0ac93',
         'model.json':
-            'efeaae937073755cd88ce085de45d0fb4662c683134e211b5ab2e48a968159ea',
+            'f50e841a7c8d56b38c25efe35c46809cf14eba0866a66e80e85abe6e3859144a',
     },
     'global-nonlinear': {
         'global_report.csv':
@@ -185,19 +185,19 @@ GOLDEN = {
     },
     'global-tree-mixed': {
         'global_report.csv':
-            '16e5373759aa9c44e92adcba5679153d47a147c35b14cf4367093f030d03796a',
+            'ac5e6b1625933012acb0464e9a423115ce71ca4ca4b8ed38726c22b9f5ecd8ee',
         'global_report.json':
-            '90f0986f468ea438760734043277889cb1f401b846bd98b44cd8b90669074f6a',
+            'ea347addb00e928d69f147b907962ed622789e6f265d6785e77c156c02e01931',
         'model.json':
-            '1ecbca249693ec37be74cff00f9eab2a72156b163437dbb2abcfcd85a40a6e18',
+            '1a942200e0382058efd8d9140bd73a509354ce16788facb24a92a21a36d298f5',
     },
     'global-tree-regression': {
         'global_report.csv':
-            'b13798f622593e7ce6a86da03ef509a6a323f3ee78ea4850da88d0fe6a33d034',
+            '321549c06c22c7c28b548dcfe1439e145d7450043b92f1b4aa57ea79209d3ce5',
         'global_report.json':
-            '1c4bc84c616fb094ec1213d4a2de91061e77df0aa4144d867005e2dc6932e61b',
+            '3ea40688f3fb1f8bc2256f409005d5c79aace341d15bea5d25378f9575ee5724',
         'model.json':
-            'efeaae937073755cd88ce085de45d0fb4662c683134e211b5ab2e48a968159ea',
+            'f50e841a7c8d56b38c25efe35c46809cf14eba0866a66e80e85abe6e3859144a',
     },
     'stability-linear': {
         'stability_contextual_influence.csv':
@@ -221,33 +221,33 @@ GOLDEN = {
     },
     'stability-tree-mixed': {
         'model.json':
-            '1ecbca249693ec37be74cff00f9eab2a72156b163437dbb2abcfcd85a40a6e18',
+            '1a942200e0382058efd8d9140bd73a509354ce16788facb24a92a21a36d298f5',
         'stability_contextual_influence.csv':
-            '4a9104d8f1e4f02665a0de2f703eb78af924b6c1fee59df2a6b1e2d881262469',
+            '33a5335a06003f0c85cbfda781e851b540ff3cf66ae4d80b27a832e4b25bd962',
         'stability_contextual_influence.json':
-            'b6ece1edb912a85ec9a97dd6eb1a84a882bd24b2e2c6a1b3319f4efe8ce4e0f0',
+            'b149e5acc11d0a735d06f2429269b6b4d9088f34064fcb2c554dd1b6f43d053a',
         'stability_contextual_influence.svg':
-            'd7aa6d6d98aaf1e777d0a5fce099457e92f22bec6366a038c34ff7bcaf644c4d',
+            '0435ecc61582f3f8546b14cad65a3f933bbbf7fe672bb644000233eed925de3a',
         'stability_lime_surrogate.csv':
-            '974197c2adf9e7381597386589bb067fdaa36689f0457df3717b67d701386a81',
+            '15a61f052b56a104089e1f53ccd8ffcc8f715fd86265369ec857b88cc2fe9d09',
         'stability_lime_surrogate.json':
-            '75130cc49db07fc67dd51934630da6a43c0981281d59569f097a3842a745a9c0',
+            'd95cfeddbaeea07692508548b0fe131f3e67037ef170501d3b3856b3f143ddc2',
         'stability_lime_surrogate.svg':
-            'd860439e5dc5ad6ba840cc447a3e20ccfae8f3ba54e176d5668c80bc7bd35806',
+            '1feaa1094de525358047b36f520bb5f1f94d40efacb766060c800f49c914562b',
         'stability_shapley_mc.csv':
-            '41347f7fe26a0384ae9b7fa94c691f405c334a2fc37076a339678d92fc2e3140',
+            '49799f52697fb40117bd110cdb8bfaa00c0692e1e0ad035a8ce36a2e26aed74d',
         'stability_shapley_mc.json':
-            'daad94d5e34e379ba603cb61f013f777b70a27d649d2eb83da7302533fb3b67f',
+            'acc9b1960e38b4e8b260aaba8d9feeccfcc746e2c7c5274e3bc79a5b4404ba0f',
         'stability_shapley_mc.svg':
-            '4b4a0931783d2d2d29a212a92cacbc8a6b29e23b0345750bcddf4a4b503ed176',
+            '86179c00cea344b344fb040950f927c21a8a0cfcb1fba884c5a63cbae614c8c9',
     },
     'train-tree-multiclass': {
         'model.json':
-            'a99d9dd8c6f33a2ec2363e35950bafbf8349c951ecf3bea40dfd99b10015e64e',
+            'f750723fda9006d1397d2aebbdc687263f7dd818cee373f801e4e87834ad9bab',
     },
     'train-tree-regression': {
         'model.json':
-            'efeaae937073755cd88ce085de45d0fb4662c683134e211b5ab2e48a968159ea',
+            'f50e841a7c8d56b38c25efe35c46809cf14eba0866a66e80e85abe6e3859144a',
     },
     'whatif-linear': {
         'whatif_report.json':
@@ -259,13 +259,13 @@ GOLDEN = {
     },
     'whatif-tree-mixed': {
         'model.json':
-            '1ecbca249693ec37be74cff00f9eab2a72156b163437dbb2abcfcd85a40a6e18',
+            '1a942200e0382058efd8d9140bd73a509354ce16788facb24a92a21a36d298f5',
         'whatif_a.svg':
-            'f2938ce29a19f6a390641ab67fd0061305fe609a83ec3eabc6ec693d5bea849c',
+            '9c8286d46538b71f050375c7dce77e24aad4038c049092580c1603250f5948e1',
         'whatif_c.svg':
-            'd0dda4defc73bb6467de972391b8b68ad554b4911471d05b385f6715cffc8b94',
+            'ad57dc956762c9e591c13e6c99cca92c861458c91f3c1afe80f759045d76e813',
         'whatif_report.json':
-            '1743d25e819589f259b9ec45ce192f28f98894907a5944f4844e38956a923311',
+            '9f200dbfa12f7e5cb1a888efcedcf8d71a7f0b1a07a7fd57bc08a61200e8e236',
     },
 }
 

@@ -427,42 +427,57 @@ def reference_leaf_node(y, task, n_outputs) -> dict:
     return {"leaf": [float(y.mean())]}
 
 
-def reference_grow(X, y, idx, depth, space, params, task, n_outputs, gen) -> dict:
-    """One tree grown recursively, node by node and candidate by candidate,
-    with the same draws, as nested dicts: the reference for the lockstep
-    grower."""
-    node_y = y[idx]
-    if (
-        depth >= params.max_depth
-        or len(idx) < 2 * params.min_leaf
-        or (node_y == node_y[0]).all()
-    ):
-        return reference_leaf_node(node_y, task, n_outputs)
+def reference_grow(X, y, boot, space, params, task, n_outputs, gen) -> dict:
+    """One tree grown alone, level by level and node by node, candidate by
+    candidate, with one draw per level that has search nodes, as nested
+    dicts: the reference for the grower of all trees at once."""
     n_feat = len(space)
     k = max(1, round(np.sqrt(n_feat))) if params.feature_subsample == "sqrt" else n_feat
-    best = None  # (gain, feature, split value)
-    for i in sorted(gen.choice(n_feat, size=k, replace=False).tolist()):
-        if space[i].is_numeric:
-            scored = reference_score_numeric(X[i, idx], node_y, task, n_outputs, params.min_leaf)
-        else:
-            v = X[i, idx].astype(np.intp)
-            scored = reference_score_categorical(v, node_y, task, n_outputs, params.min_leaf)
-        if scored is not None and (best is None or scored[0] > best[0]):
-            best = (scored[0], i, scored[1])
-    if best is None or best[0] <= tabular._MIN_GAIN:
-        return reference_leaf_node(node_y, task, n_outputs)
-    _, feature, value = best
-    v = X[feature, idx]
-    if space[feature].is_numeric:
-        mask = v <= value
-        node = {"feature": feature, "threshold": value}
-    else:
-        mask = v == value
-        node = {"feature": feature, "level": space[feature].levels[value]}
-    args = space, params, task, n_outputs, gen
-    node["left"] = reference_grow(X, y, idx[mask], depth + 1, *args)
-    node["right"] = reference_grow(X, y, idx[~mask], depth + 1, *args)
-    return node
+    root = {}
+    level = [(root, boot)]  # (node, rows) in level order
+    for depth in range(params.max_depth + 1):
+        search = []
+        for node, idx in level:
+            node_y = y[idx]
+            if (
+                depth >= params.max_depth
+                or len(idx) < 2 * params.min_leaf
+                or (node_y == node_y[0]).all()
+            ):
+                node.update(reference_leaf_node(node_y, task, n_outputs))
+            else:
+                search.append((node, idx))
+        if not search:
+            return root
+        draws = gen.permuted(np.tile(np.arange(n_feat), (len(search), 1)), axis=1)[:, :k]
+        level = []
+        for (node, idx), drawn in zip(search, draws):
+            node_y = y[idx]
+            best = None  # (gain, feature, split value)
+            for i in sorted(drawn.tolist()):
+                if space[i].is_numeric:
+                    scored = reference_score_numeric(
+                        X[i, idx], node_y, task, n_outputs, params.min_leaf
+                    )
+                else:
+                    v = X[i, idx].astype(np.intp)
+                    scored = reference_score_categorical(v, node_y, task, n_outputs, params.min_leaf)
+                if scored is not None and (best is None or scored[0] > best[0]):
+                    best = (scored[0], i, scored[1])
+            if best is None or best[0] <= tabular._MIN_GAIN:
+                node.update(reference_leaf_node(node_y, task, n_outputs))
+                continue
+            _, feature, value = best
+            v = X[feature, idx]
+            if space[feature].is_numeric:
+                mask = v <= value
+                node.update(feature=feature, threshold=value)
+            else:
+                mask = v == value
+                node.update(feature=feature, level=space[feature].levels[value])
+            node.update(left={}, right={})
+            level += [(node["left"], idx[mask]), (node["right"], idx[~mask])]
+    return root
 
 
 def reference_trees(dataset, params, seed) -> list[dict]:
@@ -477,7 +492,7 @@ def reference_trees(dataset, params, seed) -> list[dict]:
         gen = ck.SeededRng(seed).spawn(t).generator()
         boot = np.sort(gen.integers(0, len(dataset), size=len(dataset)))
         args = dataset.space, params, dataset.task, n_outputs, gen
-        trees.append(reference_grow(X, y, boot, 0, *args))
+        trees.append(reference_grow(X, y, boot, *args))
     return trees
 
 
@@ -578,25 +593,37 @@ def test_split_threshold_separates_the_rows_it_scored(tmp_path, lower, upper):
     assert model.evaluate(dataset.rows)[:, 1].tolist() == [0.0, 0.0, 1.0, 1.0] * 3
 
 
+def training_data(data: str, clean_dataset, tmp_path):
+    if data == "clean":
+        return clean_dataset
+    path = tmp_path / "data.csv"
+    if data == "multiclass":
+        return ck.load_csv(write_multiclass_csv(path), target="label")
+    return ck.load_csv(write_regression_csv(path), target="y")
+
+
 class TestLockstepGrowth:
     """``train_ensemble`` grows every tree at once; each tree must be the one
-    grown alone, node by node."""
+    grown alone, level by level."""
 
     @pytest.mark.parametrize(
         "params", [ck.TreeParams(6, 8, 1), ck.TreeParams(4, 12, 3), ck.TreeParams(3, 5, 2, "all")]
     )
     @pytest.mark.parametrize("data", ["clean", "multiclass", "regression"])
     def test_trees_match_recursive_reference(self, data, params, clean_dataset, tmp_path):
-        if data == "clean":
-            dataset = clean_dataset
-        else:
-            path = tmp_path / "data.csv"
-            if data == "multiclass":
-                dataset = ck.load_csv(write_multiclass_csv(path), target="label")
-            else:
-                dataset = ck.load_csv(write_regression_csv(path), target="y")
+        dataset = training_data(data, clean_dataset, tmp_path)
         model = ck.train_ensemble(dataset, params, rng=4)
         assert [nested_tree(tree) for tree in model.trees] == reference_trees(dataset, params, 4)
+
+    @pytest.mark.parametrize("data", ["clean", "regression"])
+    def test_a_tree_does_not_depend_on_the_other_trees(self, data, clean_dataset, tmp_path):
+        # Tree t draws only from the stream (seed, t): the first trees of a
+        # larger ensemble are the trees of a smaller one, byte for byte.
+        dataset = training_data(data, clean_dataset, tmp_path)
+        params = ck.TreeParams(n_trees=7, max_depth=6)
+        seven = ck.train_ensemble(dataset, params, rng=5)
+        three = ck.train_ensemble(dataset, dataclasses.replace(params, n_trees=3), rng=5)
+        assert json.dumps(seven.trees[:3]) == json.dumps(three.trees)
 
     def test_score_blocks_never_change_a_tree(self, monkeypatch, clean_dataset, tmp_path):
         params = ck.TreeParams(n_trees=12, max_depth=10)
