@@ -125,7 +125,7 @@ def load_csv(
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            table = [row for row in csv.reader(fh) if row]
+            table = list(filter(None, csv.reader(fh)))  # without blank lines
     except (UnicodeDecodeError, csv.Error) as e:
         raise DataFormatError(f"{path}: unreadable CSV ({e})") from None
     if not table:
@@ -142,14 +142,14 @@ def load_csv(
     for k, row in enumerate(data):
         if len(row) != len(header):
             raise DataFormatError(f"{path}: row {k + 2} has {len(row)} cells, expected {len(header)}")
-        if any(cell == "" for cell in row):
+        if "" in row:
             raise DataFormatError(f"{path}: row {k + 2} has an empty cell")
     feature_names = [h for h in header if h != target]
-    columns = {h: [row[i] for row in data] for i, h in enumerate(header)}
+    columns = dict(zip(header, map(list, zip(*data))))
     numbers = {}  # the cells as floats of every column of numbers
     for name, column in columns.items():
         try:
-            values = [float(v) for v in column]
+            values = list(map(float, column))
         except ValueError:
             continue  # not a number column
         if not all(map(math.isfinite, values)):
@@ -183,7 +183,7 @@ def load_csv(
         else:
             codes = {level: k for k, level in enumerate(feat.levels)}
             try:
-                out[:] = [codes[cell] for cell in column]
+                out[:] = list(map(codes.__getitem__, column))
             except KeyError as e:
                 raise DataFormatError(
                     f"{path}: unknown level {e.args[0]!r} in column {feat.name!r}"
@@ -201,7 +201,7 @@ def load_csv(
             f"{path}: target labels {unknown} are not among the classes {list(class_names)}"
         )
     return Dataset(
-        space, rows, tuple(index[v] for v in raw_target),
+        space, rows, tuple(map(index.__getitem__, raw_target)),
         target, CLASSIFICATION, class_names,
     )
 
@@ -253,42 +253,67 @@ def _sse(y: np.ndarray) -> float:
     return float(((y - y.mean()) ** 2).sum())
 
 
-def _first_best(seg: np.ndarray, gains: np.ndarray, values: np.ndarray, n_segments: int):
-    """(gain, value) at each segment's first maximal gain, or None; ``seg``
-    is sorted and a segment's entries come in the order that wins ties."""
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Whether each entry of ``a`` starts a run of equal entries."""
+    heads = np.ones(len(a), dtype=bool)
+    heads[1:] = a[1:] != a[:-1]
+    return heads
+
+
+def _first_best(seg: np.ndarray, gains: np.ndarray, n_segments: int):
+    """Each segment's first maximal gain, -inf where it has none, and the
+    entries that hold them, by segment; ``seg`` is sorted and a segment's
+    entries come in the order that wins ties."""
+    start = np.flatnonzero(_run_heads(seg))
     top = np.full(n_segments, -math.inf)
-    np.maximum.at(top, seg, gains)
+    top[seg[start]] = np.maximum.reduceat(gains, start)
     hit = np.flatnonzero(gains == top[seg])
-    found, first = np.unique(seg[hit], return_index=True)
-    best = [None] * n_segments
-    for s, g, v in zip(found.tolist(), gains[hit[first]].tolist(), values[hit[first]].tolist()):
-        best[s] = (g, v)
-    return best
+    hit = hit[_run_heads(seg[hit])]
+    gain = np.full(n_segments, -math.inf)
+    gain[seg[hit]] = gains[hit]
+    return gain, hit
+
+
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """The stable sorting order of non-negative integer keys. Narrowed to
+    the smallest type that holds them, keys of 16 bits or fewer radix-sort."""
+    return np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
 
 
 def _score_numeric(values, ranks, y, sizes, task, n_outputs, min_leaf, parent):
-    """Best (gain, threshold) or None per segment: one node's candidate
-    column of ``sizes`` values, their dense ``ranks`` and targets ``y``, and
-    the node impurity ``parent``. Exact class prefix counts share one
-    cumulative sum; float prefix sums and totals are taken per segment."""
+    """Best gain and threshold per segment as two arrays, -inf and 0.0 where
+    a segment has no split: one node's candidate column of ``sizes`` values,
+    their dense ``ranks`` and targets ``y``, and the node impurity
+    ``parent``. Exact class prefix counts are taken one class at a time;
+    float prefix sums and totals are taken per segment."""
     n = len(values)
     starts = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(len(sizes)), sizes)
-    # a stable sort by (segment, value), as one distinct integer key per position
-    order = np.argsort((seg * (int(ranks.max()) + 1) + ranks) * n + np.arange(n))
+    # by (segment, value), and by position among equal values
+    order = _stable_order(seg * (int(ranks.max()) + 1) + ranks)
     vs, ys = values[order], y[order]
-    left_n = np.arange(n) - starts[seg] + 1
+    left_n = np.arange(1, n + 1) - starts[seg]
     right_n = sizes[seg] - left_n
     split = (left_n >= min_leaf) & (right_n >= min_leaf)
     split[:-1] &= vs[1:] > vs[:-1]  # only a boundary between distinct values
     p = np.flatnonzero(split)
-    s, nl, nr = seg[p], left_n[p].astype(float), right_n[p].astype(float)
+    s, left_n, right_n = seg[p], left_n[p], right_n[p]
+    nl, nr = left_n.astype(float), right_n.astype(float)
     if task == CLASSIFICATION:
-        counts = np.zeros((n + 1, n_outputs))
-        np.cumsum(ys[:, None] == np.arange(n_outputs), axis=0, dtype=float, out=counts[1:])
-        left = counts[p + 1] - counts[starts][s]
-        right = (counts[starts + sizes] - counts[starts])[s] - left
-        gains = parent[s] - (nl - (left**2).sum(axis=1) / nl) - (nr - (right**2).sum(axis=1) / nr)
+        # Integer counts and squares, so their sums are exact in any order.
+        # Each side's count less those of the classes before the last is
+        # the last class's count there.
+        first, end, q = starts[s], (starts + sizes)[s], p + 1
+        count = np.zeros(n + 1, dtype=np.intp)
+        left2 = right2 = 0
+        for c in range(n_outputs - 1):
+            np.cumsum(ys == c, out=count[1:])
+            at = count[q]
+            left, right = at - count[first], count[end] - at
+            left2, right2 = left2 + left * left, right2 + right * right
+            left_n, right_n = left_n - left, right_n - right
+        left2, right2 = left2 + left_n * left_n, right2 + right_n * right_n
+        gains = parent[s] - (nl - left2 / nl) - (nr - right2 / nr)
     else:
         squares = ys**2
         csum, csum2, tot, tot2 = np.empty(n), np.empty(n), np.empty(len(sizes)), np.empty(len(sizes))
@@ -298,28 +323,30 @@ def _score_numeric(values, ranks, y, sizes, task, n_outputs, min_leaf, parent):
             tot[k], tot2[k] = ys[a:b].sum(), squares[a:b].sum()
         c, c2, t, t2 = csum[p], csum2[p], tot[s], tot2[s]
         gains = (t2 - t**2 / sizes[s]) - (c2 - c**2 / nl) - ((t2 - c2) - (t - c) ** 2 / nr)
-    lower, upper = vs[p], vs[p + 1]
+    gain, hit = _first_best(s, gains, len(sizes))
+    lower, upper = vs[p[hit]], vs[p[hit] + 1]
     with np.errstate(over="ignore"):  # near the float limit the sum overflows
         mid = (lower + upper) / 2.0
+    value = np.zeros(len(sizes))
     # Between adjacent floats the midpoint rounds to an end; the lower one splits alike.
-    return _first_best(s, gains, np.where((lower <= mid) & (mid < upper), mid, lower), len(sizes))
+    value[s[hit]] = np.where((lower <= mid) & (mid < upper), mid, lower)
+    return gain, value
 
 
 def _score_categorical(codes, y, sizes, task, n_outputs, min_leaf, parent):
-    """Best (gain, level code) one-vs-rest split or None per segment, laid
-    out as for ``_score_numeric``. Class counts come from one bincount over
-    (segment, level, class); float regression sums are taken level by level."""
+    """Best gain and one-vs-rest level code per segment, laid out as for
+    ``_score_numeric``. Row and class counts come from bincounts over
+    (segment, level) and (segment, level, class) cells; float regression
+    sums are taken level by level."""
     n_levels = int(codes.max()) + 1
     cell = np.repeat(np.arange(len(sizes)) * n_levels, sizes) + codes
+    nl = np.bincount(cell, minlength=len(sizes) * n_levels).reshape(len(sizes), n_levels)
+    s, code = np.nonzero((nl >= min_leaf) & (sizes[:, None] - nl >= min_leaf))
+    nl = nl[s, code]
+    nr = sizes[s] - nl
     if task == CLASSIFICATION:
         counts = np.bincount(cell * n_outputs + y, minlength=len(sizes) * n_levels * n_outputs)
         counts = counts.reshape(len(sizes), n_levels, n_outputs)
-        nl = counts.sum(axis=2)
-    else:
-        nl = np.bincount(cell, minlength=len(sizes) * n_levels).reshape(len(sizes), n_levels)
-    s, code = np.nonzero((nl >= min_leaf) & (sizes[:, None] - nl >= min_leaf))
-    nl, nr = nl[s, code], sizes[s] - nl[s, code]
-    if task == CLASSIFICATION:
         left = counts[s, code]
         gains = parent[s] - _gini_sums(left, nl) - _gini_sums(counts.sum(axis=1)[s] - left, nr)
     else:
@@ -329,7 +356,10 @@ def _score_categorical(codes, y, sizes, task, n_outputs, min_leaf, parent):
             rows = slice(starts[k], starts[k] + sizes[k])
             mask = codes[rows] == c
             gains[e] = parent[k] - _sse(y[rows][mask]) - _sse(y[rows][~mask])
-    return _first_best(s, gains, code, len(sizes))
+    gain, hit = _first_best(s, gains, len(sizes))
+    value = np.zeros(len(sizes))
+    value[s[hit]] = code[hit]
+    return gain, value
 
 
 def _best_splits(X, ranks, y, rows, starts, sizes, cand, parent, numeric, task, n_outputs,
@@ -342,20 +372,21 @@ def _best_splits(X, ranks, y, rows, starts, sizes, cand, parent, numeric, task, 
     as dense ranks."""
     gains = np.full(cand.shape, -math.inf)
     values = np.zeros(cand.shape)
+    by_number = numeric[cand]
     for kind in (True, False):
-        job, pos = np.nonzero(numeric[cand] == kind)
+        job, pos = np.nonzero(by_number == kind)
         if job.size:
             n = sizes[job]
             # the rows of each segment's node, end to end
             seg_rows = rows[np.repeat(starts[job] - np.cumsum(n) + n, n) + np.arange(n.sum())]
-            cells = np.repeat(cand[job, pos], n), seg_rows
+            # and their flat places in the C-contiguous (feature, row) arrays
+            cells = np.repeat(cand[job, pos] * X.shape[1], n) + seg_rows
             args = y[seg_rows], n, task, n_outputs, min_leaf, parent[job]
             if kind:
-                scored = _score_numeric(X[cells], ranks[cells], *args)
+                found = _score_numeric(X.take(cells), ranks.take(cells), *args)
             else:  # level codes, for np.bincount
-                scored = _score_categorical(X[cells].astype(np.intp), *args)
-            found = np.array([best or (-math.inf, 0.0) for best in scored])
-            gains[job, pos], values[job, pos] = found.T
+                found = _score_categorical(X.take(cells).astype(np.intp), *args)
+            gains[job, pos], values[job, pos] = found
     # argmax keeps the first of equal gains, in candidate order
     best = np.arange(len(cand)), np.argmax(gains, axis=1)
     return gains[best], cand[best], values[best]
@@ -444,14 +475,14 @@ def _split_rows(X, numeric, rows, sizes, feature, value):
     ``value[j]`` in one stable pass: the children's rows end to end, left then
     right child of each node in turn, and their counts."""
     child = np.repeat(np.arange(len(sizes)), sizes)  # each row's node, then its child
-    x = X[feature[child], rows]
+    x = X.take(feature[child] * X.shape[1] + rows)
     right = ~np.where(numeric[feature][child], x <= value[child], x == value[child])
     # In place, and the row values freed before the sort: a level's row
     # arrays are what sets the grower's peak memory.
     child *= 2
     child += right
     del x, right
-    return rows[np.argsort(child, kind="stable")], np.bincount(child, minlength=2 * len(sizes))
+    return rows[_stable_order(child)], np.bincount(child, minlength=2 * len(sizes))
 
 
 def _preorder_columns(levels, space: FeatureSpace, n_trees: int) -> list[dict]:
@@ -602,8 +633,7 @@ def _compile_columns(trees: Sequence[dict], space: FeatureSpace, n_outputs: int)
     level_pair = feature[at_level] * width + np.array(codes, dtype=np.intp)
     pairs, pair_column = np.unique(level_pair, return_inverse=True)
     # A split's right child follows its left subtree, where c first returns to c[split].
-    key = c + np.append(tree_of, len(trees))  # at most the depth, so a radix sort orders it
-    order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
+    order = _stable_order(c + np.append(tree_of, len(trees)))  # at most the depth: a radix sort
     after = np.empty_like(order)
     after[order[:-1]] = order[1:]
     depth, frontier = 0, starts

@@ -523,15 +523,21 @@ def segments_case(draw, categorical: bool):
 
 
 def score_segments(segments, task, n_outputs, min_leaf, numeric: bool):
-    """One call of the segmented scorer over all segments."""
+    """One call of the segmented scorer over all segments, laid out as the
+    references give each: (gain, value), or None where the gain is -inf,
+    whose value must then be 0.0."""
     values = np.concatenate([v for v, _ in segments])
     y = np.concatenate([t for _, t in segments])
     sizes = np.array([len(v) for v, _ in segments])
     parent = np.array([reference_impurity(t, task, n_outputs) for _, t in segments])
     args = y, sizes, task, n_outputs, min_leaf, parent
     if numeric:
-        return _score_numeric(values, np.unique(values, return_inverse=True)[1], *args)
-    return _score_categorical(values, *args)
+        gains, best = _score_numeric(values, np.unique(values, return_inverse=True)[1], *args)
+    else:
+        gains, best = _score_categorical(values, *args)
+    assert gains.shape == best.shape == sizes.shape
+    assert (best[gains == -math.inf] == 0.0).all()
+    return [None if g == -math.inf else (g, v) for g, v in zip(gains.tolist(), best.tolist())]
 
 
 def score_bits(scored):
@@ -559,7 +565,47 @@ def test_segmented_categorical_scores_match_level_reference(case):
     for (v, y), got in zip(segments, scored):
         want = reference_score_categorical(v, y, task, n_outputs, min_leaf)
         assert score_bits(got) == score_bits(want)
-        assert got is None or type(got[1]) is int
+        assert got is None or got[1].is_integer()  # an integral level code
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("n_values", [30_000, 40_000])
+def test_numeric_scores_match_the_reference_at_both_key_widths(task, n_values):
+    # Two segments of n_values distinct values, each held twice: the sort key
+    # segment * n_values + rank reaches 2 * n_values - 1, which fits 16 bits
+    # (a radix sort) at 30,000 and needs 32 at 40,000. Tied values keep their
+    # order, which a regression's float prefix sums depend on.
+    gen = np.random.default_rng(n_values)
+    n_outputs = 3 if task == "classification" else 1
+    segments = []
+    for _ in range(2):
+        values = gen.permutation(np.repeat(np.arange(n_values) / 8.0, 2))
+        y = gen.integers(0, 3, len(values)) if n_outputs > 1 else gen.normal(size=len(values))
+        segments.append((values, y))
+    key_max = 2 * n_values - 1
+    assert np.min_scalar_type(key_max).itemsize == (2 if n_values == 30_000 else 4)
+    scored = score_segments(segments, task, n_outputs, 2, numeric=True)
+    for (v, y), got in zip(segments, scored):
+        assert score_bits(got) == score_bits(reference_score_numeric(v, y, task, n_outputs, 2))
+
+
+@pytest.mark.parametrize("n_nodes", [0, 300, 40_000])
+def test_split_rows_orders_each_child_as_a_stable_sort(n_nodes):
+    # 2 * n_nodes child ids: none, a 16-bit key and a 32-bit one
+    gen = np.random.default_rng(n_nodes)
+    X = np.stack([gen.integers(0, 4, 500).astype(float), gen.normal(size=500)])
+    numeric = np.array([False, True])
+    sizes = gen.integers(1, 4, n_nodes)
+    rows = np.sort(gen.integers(0, 500, sizes.sum()))
+    feature = gen.integers(0, 2, n_nodes)
+    value = np.where(feature == 1, gen.normal(size=n_nodes), gen.integers(0, 4, n_nodes))
+    got_rows, got_sizes = tabular._split_rows(X, numeric, rows, sizes, feature, value)
+    node = np.repeat(np.arange(n_nodes), sizes)
+    x = X[feature[node], rows]
+    left = np.where(numeric[feature[node]], x <= value[node], x == value[node])
+    child = (2 * node + ~left).astype(np.int64)
+    assert np.array_equal(got_rows, rows[np.argsort(child, kind="stable")])
+    assert np.array_equal(got_sizes, np.bincount(child, minlength=2 * n_nodes))
 
 
 def test_categorical_tie_goes_to_the_lowest_code():
